@@ -2,10 +2,10 @@
 exclusion algorithms under the cache-coherent memory cost model.
 """
 
-from .bwbgme import build_bwbgme, has_priority, opposite_color, opposite_color_scan
+from .bwbgme import build_bwbgme, opposite_color
 from .burns_lamport import block_events, build_bl
 from .explorer import ExplorationReport, crosscheck_reachable, explore
-from .glb import build_glb, token_less
+from .glb import build_glb
 from .machine import (AlgorithmSpec, Section, SystemState, Trace, TraceEvent,
                       Workload, all_active_blocked, effectively_blocked, run, step)
 from .memory import BLACK, BOTTOM, WHITE, Memory, RegisterDecl, RegisterId

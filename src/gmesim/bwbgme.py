@@ -25,7 +25,7 @@ monitors catch the failure modes each check prevents.
 from __future__ import annotations
 
 from .errors import ConfigurationError
-from .machine import AlgorithmSpec, Section, SystemState
+from .machine import AlgorithmSpec, Section
 from .memory import BLACK, BOTTOM, WHITE, RegisterDecl
 
 MUTANTS = (None, "no_number_guard", "no_opposite_scan", "unconditional_flip")
@@ -80,37 +80,6 @@ def opposite_color(c: str) -> str:
     if c == WHITE:
         return BLACK
     raise UndefinedColorError("opposite color is undefined for bottom")
-
-
-def has_priority(self_key: tuple, other_key: tuple, gc: str) -> bool:
-    """Priority between two committed conflicting tokens.
-
-    Keys are (color, number, pid).  Different colors: the token whose
-    color differs from GlobalColor wins.  Same color: smaller (number,
-    pid) wins.
-    """
-    sc, sn, sp = self_key
-    oc, on, op = other_key
-    if sc == BOTTOM or oc == BOTTOM:
-        raise UndefinedColorError("priority is defined only for committed tokens")
-    if sc != oc:
-        return sc != gc
-    return (sn, sp) < (on, op)
-
-
-def opposite_color_scan(state: SystemState, pid: int) -> bool:
-    """Store-level answer of the exit scan: is any active token colored
-    opposite to pid's?  The in-algorithm scan charges up to N reads and
-    stops at the first hit; this evaluates the same predicate directly.
-    """
-    n = state.spec.n
-    mycolor = state.envs[pid - 1].mycolor
-    want = opposite_color(mycolor)
-    for j in range(n):
-        session, color, _ = state.mem.store[1 + j]
-        if session != 0 and color == want:
-            return True
-    return False
 
 
 def build_bwbgme(n: int, initial_color: str = WHITE, mutant: str = None) -> AlgorithmSpec:

@@ -26,8 +26,6 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Optional
 
 from .burns_lamport import block_events
 from .errors import ConfigurationError, ScenarioError
@@ -41,19 +39,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
-
-
-@dataclass
-class RunReport:
-    scenario: Scenario
-    verdicts: dict
-    rmr_stats: dict
-    max_token: int
-    block_counts: Optional[dict]
-    trace_path: Optional[str]
-    completed: bool
-    deadlocked: bool
-    cap_hit: bool
 
 
 def _percent_stats(values) -> dict:

@@ -13,10 +13,6 @@ class KindMismatchError(ConfigurationError):
     """A write whose value does not match the register's declared kind."""
 
 
-class StaleHandleError(Exception):
-    """A snapshot handle applied to a memory it was not taken from."""
-
-
 class ScenarioError(Exception):
     """Scenario file could not be parsed; carries the offending line number."""
 

@@ -2,11 +2,11 @@
 detection and safety monitors evaluated at every state.
 
 States are keyed on (global store, all process runtimes, workload
-positions); caches are excluded because, by the coherence invariant,
-they change only the cost of a read, never its value.  Temporal
-properties (FCFS precedence, the GlobalColor flip windows) ride along
-as explicit monitor state inside the key, so merging states never
-loses a pending obligation.
+positions); the reader sets (which processes hold a valid copy of each
+register) are excluded because they change only the cost of a read,
+never its value.  Temporal properties (FCFS precedence, the GlobalColor
+flip windows) ride along as explicit monitor state inside the key, so
+merging states never loses a pending obligation.
 
 Every reported state is reproducible: the DFS keeps a parent edge per
 state, and path_of() turns any state id into the pid script that

@@ -54,11 +54,6 @@ _LINES = {
 }
 
 
-def token_less(a: tuple, b: tuple) -> bool:
-    """Ticket order: (number, pid) pairs compared lexicographically."""
-    return a < b
-
-
 def build_glb(n: int) -> AlgorithmSpec:
     """Compile the algorithm for n processes into a step machine."""
     if n < 1:

@@ -196,7 +196,7 @@ class AlgorithmSpec:
 
 
 class SystemState:
-    """Global store, caches, RMR ledger, and every process's runtime."""
+    """Global store, reader sets, RMR ledger, and every process's runtime."""
 
     __slots__ = ("spec", "mem", "envs", "workload", "step_index")
 
@@ -222,7 +222,7 @@ class SystemState:
     def all_done(self) -> bool:
         return not self.live_pids()
 
-    # -- value-state keys (exclude caches and ledger) ---------------------
+    # -- value-state keys (exclude reader sets and ledger) -----------------
 
     def value_key(self) -> tuple:
         return (tuple(self.mem.store), tuple(e.key() for e in self.envs))
@@ -230,15 +230,14 @@ class SystemState:
     def load_value_key(self, key: tuple) -> None:
         """Reset this state in place to a value key.
 
-        Caches and RMR totals restart empty: the key deliberately
-        excludes them, since by coherence they never affect the values
-        reads return, only their cost.
+        Reader sets and RMR totals restart empty: the key deliberately
+        excludes them, since which processes hold a valid copy never
+        affects the values reads return, only their cost.
         """
         store, env_keys = key
         mem = self.mem
         mem.store = list(store)
-        for cache in mem.caches:
-            cache.clear()
+        mem.valid = [0] * len(store)
         for p in range(len(mem.totals)):
             mem.totals[p] = 0
         mem.access_count = 0
@@ -251,18 +250,6 @@ class SystemState:
         st = cls(spec, workload)
         st.load_value_key(key)
         return st
-
-    # -- snapshots (include caches and ledger, bit-exact) -----------------
-
-    def snapshot(self):
-        return (self.mem.snapshot(), tuple(e.key() for e in self.envs), self.step_index)
-
-    def restore(self, snap) -> None:
-        mem_snap, env_keys, step_index = snap
-        self.mem.restore(mem_snap)
-        for env, k in zip(self.envs, env_keys):
-            env.load_key(k)
-        self.step_index = step_index
 
 
 def step(state: SystemState, pid: int) -> TraceEvent:
@@ -310,7 +297,6 @@ def step(state: SystemState, pid: int) -> TraceEvent:
         outcome, target_j,
     )
     state.step_index += 1
-    mem.check_coherence()
     return ev
 
 

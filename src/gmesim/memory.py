@@ -1,14 +1,17 @@
 """Cache-coherent shared memory with remote-memory-reference accounting.
 
 Models a single global memory module plus one local cache per process.
-A read hits the cache when the register is validly cached (0 RMR) and
-otherwise fetches from global memory (1 RMR) and fills the cache.  A
-write always goes to global memory (1 RMR) and invalidates every other
-process's cached copy; the writer's own cache keeps a valid copy of the
-new value, so re-reading a register you just wrote is free.
+A read hits the cache when the reader holds a valid copy of the
+register (0 RMR) and otherwise fetches from global memory (1 RMR) and
+gains a valid copy.  A write always goes to global memory (1 RMR) and
+invalidates every other process's copy; the writer keeps a valid copy,
+so re-reading a register you just wrote is free.
 
-Caches never evict: a cached register stays cached until some other
-process writes it.  There is no capacity, latency, or DSM modeling.
+Every valid copy equals the store, so the cache state is just the set
+of processes holding a valid copy of each register: one reader bitmask
+per slot, bit p set iff process p holds a valid copy.  Caches never
+evict: a copy stays valid until some other process writes the register.
+There is no capacity, latency, or DSM modeling.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .errors import KindMismatchError, StaleHandleError, UnknownRegisterError
+from .errors import KindMismatchError, UnknownRegisterError
 
 # Token / GlobalColor colors.  BOTTOM is the "no color yet" marker.
 BLACK = "black"
@@ -89,28 +92,17 @@ class RegisterDecl:
                 yield RegisterId(self.family, i)
 
 
-@dataclass(frozen=True)
-class MemSnapshot:
-    """Bit-exact capture of store, caches, and RMR totals."""
-
-    fingerprint: Any
-    store: tuple
-    caches: tuple  # per process: tuple of (slot, value) pairs
-    totals: tuple
-
-
 class Memory:
-    """Global store + per-process caches + per-process RMR totals.
+    """Global store + per-slot reader bitmasks + per-process RMR totals.
 
     Slots are resolved once from RegisterId to a dense integer index;
     the algorithm step machines use the slot-level entry points directly.
     """
 
-    __slots__ = ("n", "decls", "names", "kinds", "slot_of", "store", "caches", "totals", "access_count", "_fingerprint")
+    __slots__ = ("n", "names", "kinds", "slot_of", "store", "valid", "totals", "access_count")
 
     def __init__(self, n: int, decls: list[RegisterDecl]):
         self.n = n
-        self.decls = list(decls)
         self.names: list[str] = []
         self.kinds: list[str] = []
         self.slot_of: dict[tuple[str, Optional[int]], int] = {}
@@ -122,13 +114,10 @@ class Memory:
                 self.kinds.append(decl.kind)
                 initials.append(decl.initial)
         self.store: list[Any] = initials
-        # Cache = per process dict slot -> last-known value.  Keeping the
-        # value (not just membership) lets the coherence invariant be a
-        # real check rather than true by construction.
-        self.caches: list[dict[int, Any]] = [dict() for _ in range(n)]
+        # valid[slot]: bit p set iff process p holds a valid copy of slot.
+        self.valid: list[int] = [0] * len(initials)
         self.totals: list[int] = [0] * n
         self.access_count = 0
-        self._fingerprint = (n, tuple(self.names), tuple(self.kinds))
 
     # -- resolution ---------------------------------------------------
 
@@ -152,18 +141,13 @@ class Memory:
 
     def read_slot(self, p: int, slot: int):
         self.access_count += 1
-        cache = self.caches[p]
-        value = self.store[slot]
-        if slot in cache:
-            if cache[slot] != value:
-                raise AssertionError(
-                    f"coherence broken: P{p + 1} cached {self.names[slot]}={cache[slot]!r} "
-                    f"but store holds {value!r}"
-                )
-            return value, False
-        cache[slot] = value
+        bit = 1 << p
+        valid = self.valid
+        if valid[slot] & bit:
+            return self.store[slot], False
+        valid[slot] |= bit
         self.totals[p] += 1
-        return value, True
+        return self.store[slot], True
 
     def write_slot(self, p: int, slot: int, value: Any) -> None:
         if not check_kind(self.kinds[slot], value):
@@ -172,37 +156,22 @@ class Memory:
             )
         self.access_count += 1
         self.store[slot] = value
-        for q, cache in enumerate(self.caches):
-            if q != p:
-                cache.pop(slot, None)
-        self.caches[p][slot] = value
+        self.valid[slot] = 1 << p
         self.totals[p] += 1
 
     # -- invariants ----------------------------------------------------
 
     def check_coherence(self) -> None:
-        """Assert every cached value matches the global store."""
-        for p, cache in enumerate(self.caches):
-            for slot, value in cache.items():
-                if value != self.store[slot]:
-                    raise AssertionError(
-                        f"coherence broken: P{p + 1} cached {self.names[slot]}={value!r} "
-                        f"but store holds {self.store[slot]!r}"
-                    )
+        """Assert every reader bitmask names only processes 0..n-1.
 
-    # -- snapshots -----------------------------------------------------
-
-    def snapshot(self) -> MemSnapshot:
-        return MemSnapshot(
-            fingerprint=self._fingerprint,
-            store=tuple(self.store),
-            caches=tuple(tuple(sorted(c.items())) for c in self.caches),
-            totals=tuple(self.totals),
-        )
-
-    def restore(self, snap: MemSnapshot) -> None:
-        if snap.fingerprint != self._fingerprint:
-            raise StaleHandleError("snapshot does not belong to this memory configuration")
-        self.store = list(snap.store)
-        self.caches = [dict(items) for items in snap.caches]
-        self.totals = list(snap.totals)
+        Values cannot go stale in this representation, so this is the
+        whole representation invariant.  Only tests call it; the
+        benchmark tracer (perfbench/layers.py) wraps it by name.
+        """
+        limit = 1 << self.n
+        for slot, mask in enumerate(self.valid):
+            if not 0 <= mask < limit:
+                raise AssertionError(
+                    f"reader set of {self.names[slot]} is {mask:#x}, "
+                    f"outside {self.n} processes"
+                )

@@ -61,7 +61,6 @@ class Scenario:
     max_depth: Optional[int] = None
     token_cap: Optional[int] = None
     script: tuple = ()
-    source_text: str = ""
 
     @property
     def config_hash(self) -> str:
@@ -134,11 +133,13 @@ def parse_scenario(text: str) -> Scenario:
                 pid = int(key[len("sessions["):-1])
             except ValueError:
                 _fail(lineno, f"bad process index in {key!r}")
+            if pid in sessions:
+                _fail(lineno, f"duplicate key {key!r}")
             try:
                 sessions[pid] = [int(tok) for tok in value.split()]
             except ValueError:
                 _fail(lineno, f"sessions must be integers, got {value!r}")
-            lineno_of[key] = lineno
+            lineno_of[f"sessions[{pid}]"] = lineno
             continue
         if key in values:
             _fail(lineno, f"duplicate key {key!r}")
@@ -164,7 +165,7 @@ def parse_scenario(text: str) -> Scenario:
     if n < 1:
         _fail(lineno_of["n"], "n must be >= 1")
 
-    sc = Scenario(algorithm=algorithm, n=n, sessions=sessions, source_text=text)
+    sc = Scenario(algorithm=algorithm, n=n, sessions=sessions)
 
     if "schedule" in values:
         sched = values.pop("schedule")

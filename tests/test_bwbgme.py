@@ -3,8 +3,7 @@
 import pytest
 
 from gmesim import (RoundRobin, SystemState, Workload, build_bwbgme,
-                    has_priority, opposite_color, opposite_color_scan,
-                    random_schedule, run, step)
+                    opposite_color, random_schedule, run, step)
 from gmesim.bwbgme import UndefinedColorError
 from gmesim.errors import ConfigurationError
 from gmesim.memory import BLACK, BOTTOM, WHITE, RegisterId
@@ -37,18 +36,6 @@ def test_opposite_color():
     assert opposite_color(BLACK) == WHITE
     with pytest.raises(UndefinedColorError):
         opposite_color(BOTTOM)
-
-
-def test_has_priority_rules():
-    # different colors: the one differing from GlobalColor wins
-    assert has_priority((BLACK, 9, 2), (WHITE, 1, 1), gc=WHITE)
-    assert not has_priority((WHITE, 1, 1), (BLACK, 9, 2), gc=WHITE)
-    # same color: smaller number wins
-    assert has_priority((WHITE, 2, 5), (WHITE, 5, 1), gc=WHITE)
-    # same color and number: smaller pid wins
-    assert has_priority((BLACK, 3, 1), (BLACK, 3, 2), gc=WHITE)
-    with pytest.raises(UndefinedColorError):
-        has_priority((BOTTOM, 1, 1), (WHITE, 1, 2), gc=WHITE)
 
 
 def test_initial_tokens_and_color():
@@ -103,29 +90,13 @@ def test_opposite_color_scan_cases():
     spec = build_bwbgme(3)
     state = SystemState(spec, distinct_sessions(3))
     drive(state, 1, doorway_done)
-    # nobody else active: scan finds nothing
-    assert not opposite_color_scan(state, 1)
-    # another active process with the same color: still nothing
     drive(state, 2, doorway_done)
-    assert not opposite_color_scan(state, 1)
     # flip the global color by completing P1 and P2 (P2 flips), then a
     # third process picks black: P2's old-color peers see it as opposite
     drive(state, 1, finished)
     drive(state, 2, finished)
     drive(state, 3, doorway_done)
     assert token_of(state, 3)[1] == BLACK
-
-
-def test_opposite_color_scan_direct():
-    # The store-level scan predicate on a hand-built configuration.
-    spec = build_bwbgme(3)
-    state = SystemState(spec, distinct_sessions(3))
-    drive(state, 1, doorway_done)  # mycolor = white
-    assert not opposite_color_scan(state, 1)
-    state.mem.write(2, RegisterId("Token", 2), (4, BLACK, 1))
-    assert opposite_color_scan(state, 1)
-    state.mem.write(2, RegisterId("Token", 2), (4, BOTTOM, 0))
-    assert not opposite_color_scan(state, 1)  # bottom never counts
 
 
 def test_scan_stops_at_first_hit():

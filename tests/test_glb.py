@@ -3,7 +3,7 @@
 import pytest
 
 from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_glb,
-                    random_schedule, run, token_less)
+                    random_schedule, run)
 from gmesim.errors import ConfigurationError
 from gmesim.machine import Section
 from gmesim.memory import RegisterId
@@ -19,12 +19,6 @@ def token_of(state, pid):
 def test_zero_processes_rejected():
     with pytest.raises(ConfigurationError):
         build_glb(0)
-
-
-def test_token_less_examples():
-    assert token_less((1, 2), (2, 1))
-    assert token_less((3, 1), (3, 2))
-    assert not token_less((2, 5), (2, 5))
 
 
 def test_sequential_doorways_pick_1_2_3():
@@ -106,8 +100,7 @@ def test_smallest_key_enters_first():
                 live = (b.dc <= a.ce and
                         (b.token_reset is None or b.token_reset > a.ce))
                 if live:
-                    assert not token_less((b.token_value, b.pid),
-                                          (a.token_value, a.pid))
+                    assert not (b.token_value, b.pid) < (a.token_value, a.pid)
 
 
 def test_wait_rmr_bounds_hold_on_random_schedules():

@@ -1,5 +1,7 @@
 """Step semantics: one access per step, markers, waits, determinism."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_bl,
                     build_bwbgme, build_glb, effectively_blocked, random_schedule,
                     run, step)
+from gmesim import machine
 from gmesim.errors import ConfigurationError
 from gmesim.machine import (CS_ENTER, DOORWAY_COMPLETE, DOORWAY_START,
                             EXIT_COMPLETE, Section)
 from gmesim.monitors import check_mutual_exclusion, check_section_order
+from oracle_memory import Memory as OracleMemory
 from util import distinct_sessions, doorway_done, drive, entered_cs, finished
 
 
@@ -181,16 +185,28 @@ def test_value_key_roundtrip():
     assert clone.value_key() == key
 
 
-def test_snapshot_restore_bit_exact():
-    spec = build_glb(2)
-    state = SystemState(spec, distinct_sessions(2))
-    for _ in range(7):
-        step(state, 1)
-        step(state, 2)
-    snap = state.snapshot()
-    tail = [step(state, 1).rmr for _ in range(5)]
-    state.restore(snap)
-    assert [step(state, 1).rmr for _ in range(5)] == tail
+def test_runs_match_value_cache_oracle(monkeypatch):
+    # Whole runs under the value-carrying cache model, which checks every
+    # hit against the store, give the same events and RMR totals.
+    rng = random.Random(11)
+    cases = []
+    for build in (build_glb, build_bwbgme, build_bl):
+        for n in (2, 3, 5):
+            sessions = [[rng.randint(1, 2) for _ in range(2)] for _ in range(n)]
+            cases.append((build, n, sessions, rng.randrange(1 << 16)))
+
+    def run_all():
+        out = []
+        for build, n, sessions, seed in cases:
+            state = SystemState(build(n), Workload.from_sessions(sessions))
+            result = run(state, random_schedule(n, seed), step_cap=200_000)
+            assert result.completed
+            out.append((result.trace.events, list(state.mem.totals)))
+        return out
+
+    bitmask = run_all()
+    monkeypatch.setattr(machine, "Memory", OracleMemory)
+    assert run_all() == bitmask
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,4 @@
-"""Cache-coherent memory model: RMR charging, invalidation, snapshots."""
+"""Cache-coherent memory model: RMR charging, invalidation, reader sets."""
 
 import random
 
@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmesim.errors import KindMismatchError, StaleHandleError, UnknownRegisterError
+from gmesim import build_bwbgme, build_glb
+from gmesim.errors import KindMismatchError, UnknownRegisterError
 from gmesim.memory import BLACK, BOTTOM, WHITE, Memory, RegisterDecl, RegisterId
+from oracle_memory import Memory as OracleMemory
 
 
 def glb_memory(n=3):
@@ -101,47 +103,21 @@ def test_triple_and_color_kinds():
         mem.write(1, RegisterId("GlobalColor", None), 0)
 
 
-def test_snapshot_write_restore_roundtrip():
-    mem = glb_memory()
-    mem.write(1, RegisterId("Token", 1), 9)
-    snap = mem.snapshot()
-    mem.write(2, RegisterId("Token", 1), 11)
-    mem.restore(snap)
-    assert tuple(mem.store) == snap.store
-    assert mem.read(3, RegisterId("Token", 1))[0] == 9
-
-
-def test_snapshot_restore_idempotent():
-    mem = glb_memory()
-    mem.write(1, RegisterId("Session", 2), 5)
-    snap = mem.snapshot()
-    mem.restore(snap)
-    assert mem.snapshot() == snap
-
-
-def test_stale_handle_rejected():
-    mem = glb_memory()
-    other = Memory(2, [RegisterDecl("Competing", "bool", 2, False)])
-    with pytest.raises(StaleHandleError):
-        other.restore(mem.snapshot())
-
-
 def test_restore_reproduces_rmr_totals_under_replay():
-    # Replay equality: 100 random operations from a snapshot must land on
-    # the same totals, twice in a row.
-    mem = glb_memory(4)
+    # Replay equality: the same 100 random operations on two fresh
+    # memories land on the same store, reader sets and totals.
     rng = random.Random(7)
+    n_slots = len(glb_memory(4).store)
     ops = []
     for _ in range(100):
         p = rng.randrange(1, 5)
-        slot = rng.randrange(len(mem.store))
+        slot = rng.randrange(n_slots)
         if rng.random() < 0.5:
             ops.append(("r", p, slot))
         else:
             ops.append(("w", p, slot, rng.randrange(50)))
-    snap = mem.snapshot()
 
-    def apply_ops():
+    def apply_ops(mem):
         for op in ops:
             if op[0] == "r":
                 mem.read_slot(op[1] - 1, op[2])
@@ -149,13 +125,10 @@ def test_restore_reproduces_rmr_totals_under_replay():
                 kind = mem.kinds[op[2]]
                 value = bool(op[3] % 2) if kind == "bool" else op[3]
                 mem.write_slot(op[1] - 1, op[2], value)
-        return list(mem.totals)
+        mem.check_coherence()
+        return list(mem.store), list(mem.valid), list(mem.totals)
 
-    first = apply_ops()
-    mem.restore(snap)
-    second = apply_ops()
-    assert first == second
-    mem.check_coherence()
+    assert apply_ops(glb_memory(4)) == apply_ops(glb_memory(4))
 
 
 @st.composite
@@ -195,4 +168,41 @@ def test_rmr_accounting_rules_hold(seq):
             cached[p].add(slot)
         mem.check_coherence()
     for p in range(n):
-        assert set(mem.caches[p]) == cached[p]
+        assert {slot for slot, mask in enumerate(mem.valid) if mask >> p & 1} == cached[p]
+
+
+VALUES = {
+    "int": st.integers(min_value=0, max_value=9),
+    "bool": st.booleans(),
+    "color": st.sampled_from([BLACK, WHITE, BOTTOM]),
+    "triple": st.tuples(st.integers(min_value=0, max_value=3),
+                        st.sampled_from([BLACK, WHITE, BOTTOM]),
+                        st.integers(min_value=0, max_value=4)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([build_glb, build_bwbgme]), st.integers(min_value=1, max_value=8),
+       st.data())
+def test_reader_bitmasks_match_value_cache_oracle(build, n, data):
+    # The value-carrying caches compare every hit with the store; the
+    # bitmask model must return the same values and RMR flags and charge
+    # the same totals after every operation.
+    decls = build(n).registers
+    mem, oracle = Memory(n, decls), OracleMemory(n, decls)
+    slots = st.integers(min_value=0, max_value=len(mem.store) - 1)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=80))):
+        p = data.draw(st.integers(min_value=0, max_value=n - 1))
+        slot = data.draw(slots)
+        if data.draw(st.booleans()):
+            assert mem.read_slot(p, slot) == oracle.read_slot(p, slot)
+        else:
+            value = data.draw(VALUES[mem.kinds[slot]])
+            mem.write_slot(p, slot, value)
+            oracle.write_slot(p, slot, value)
+        assert mem.totals == oracle.totals
+        assert mem.store == oracle.store
+    oracle.check_coherence()
+    mem.check_coherence()
+    for slot, mask in enumerate(mem.valid):
+        assert mask == sum(1 << p for p in range(n) if slot in oracle.caches[p])

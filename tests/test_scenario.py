@@ -70,6 +70,9 @@ def test_algorithm_specific_fields_enforced():
 def test_session_values_validated():
     assert "positive" in str(err(GOOD.replace("sessions[2] = 2", "sessions[2] = 0")))
     assert "outside" in str(err(GOOD + "sessions[9] = 1\n"))
+    assert "outside" in str(err(GOOD + "sessions[09] = 1\n"))
+    repeated = err(GOOD + "sessions[2] = 1\n")
+    assert "duplicate" in str(repeated) and repeated.lineno == 14
 
 
 def test_window_must_cover_n():
