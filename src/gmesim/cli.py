@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -79,8 +80,9 @@ def _write_run_csv(path: str, scenario: Scenario, records) -> None:
         w.writerow(["config_hash", "algorithm", "n", "seed", "pid", "inv", "session",
                     "rmr_doorway", "rmr_waiting", "rmr_exit", "rmr_total",
                     "entry_steps", "exit_accesses", "blocked", "completed"])
+        config_hash = scenario.config_hash
         for r in records:
-            w.writerow([scenario.config_hash, scenario.algorithm, scenario.n,
+            w.writerow([config_hash, scenario.algorithm, scenario.n,
                         scenario.seed, r.pid, r.inv, r.session,
                         r.rmr_in(Section.DOORWAY), r.rmr_in(Section.WAITING),
                         r.rmr_in(Section.EXIT), r.rmr_total, r.entry_steps,
@@ -106,7 +108,7 @@ def cmd_run(args) -> int:
     records = build_invocations(trace)
     verdicts = {}
     for name, monitor in scenario.build_monitors():
-        verdicts[name] = monitor(trace)
+        verdicts[name] = monitor(trace, records)
     check_implications(verdicts, trace)
 
     if args.trace_out:
@@ -184,6 +186,17 @@ def cmd_explore(args) -> int:
     return EXIT_OK
 
 
+def _sweep_config_hash(scenario: Scenario, seeds: int) -> str:
+    """Hash of a random sweep row: its seed-0 scenario plus the seed count.
+
+    The scenario carries every other input of the row's runs (sessions
+    and invocations, cs_steps, the resolved fairness window, the step
+    cap), so two sweeps share a hash only if they ran the same jobs.
+    """
+    text = f"{scenario.canonical_text()}\nseeds = {seeds}"
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
 def _sweep_one(task) -> dict:
     algorithm, n, seed, invocations, cs_steps, window, step_cap = task
     scenario = Scenario(algorithm=algorithm, n=n)
@@ -215,7 +228,8 @@ def cmd_sweep(args) -> int:
         for n in sizes:
             schedule = bl_adversarial_schedule(n, cs_steps=args.cs_steps)
             workload = bl_adversarial_workload(n, cs_steps=args.cs_steps)
-            scenario = Scenario(algorithm="bl", n=n, schedule="adversarial")
+            scenario = Scenario(algorithm="bl", n=n, schedule="adversarial",
+                                cs_steps=args.cs_steps, step_cap=args.steps)
             from .burns_lamport import build_bl
             state = SystemState(build_bl(n), workload)
             result = run(state, schedule, step_cap=args.steps)
@@ -230,14 +244,10 @@ def cmd_sweep(args) -> int:
                   f"P{n}_blocks={row['pn_blocks']}")
         header = ["config_hash", "algorithm", "n", "total_rmr", "pn_blocks", "events"]
     else:
-        tasks_by_n = {}
         for n in sizes:
             window = args.fairness_window or 4 * n
-            tasks_by_n[n] = [(args.algorithm, n, seed, args.invocations,
-                              args.cs_steps, window, args.steps)
-                             for seed in range(args.seeds)]
-        for n in sizes:
-            tasks = tasks_by_n[n]
+            tasks = [(args.algorithm, n, seed, args.invocations, args.cs_steps,
+                      window, args.steps) for seed in range(args.seeds)]
             if args.workers > 1:
                 with ProcessPoolExecutor(max_workers=args.workers) as pool:
                     results = list(pool.map(_sweep_one, tasks))
@@ -246,9 +256,13 @@ def cmd_sweep(args) -> int:
             inv_rmr = [v for r in results for v in r["inv_rmr"]]
             if not all(r["completed"] for r in results):
                 truncated = True
-            scenario = Scenario(algorithm=args.algorithm, n=n, schedule="random")
+            scenario = Scenario(
+                algorithm=args.algorithm, n=n, schedule="random",
+                sessions={pid: [pid] * args.invocations for pid in range(1, n + 1)},
+                fairness_window=window, cs_steps=args.cs_steps, step_cap=args.steps)
             row = {
-                "config_hash": scenario.config_hash, "algorithm": args.algorithm,
+                "config_hash": _sweep_config_hash(scenario, args.seeds),
+                "algorithm": args.algorithm,
                 "n": n, "seeds": args.seeds, "invocations": args.invocations,
                 "max_inv_rmr": max(inv_rmr) if inv_rmr else 0,
                 "mean_inv_rmr": round(sum(inv_rmr) / len(inv_rmr), 2) if inv_rmr else 0,

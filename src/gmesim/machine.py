@@ -335,28 +335,26 @@ def all_active_blocked(state: SystemState) -> bool:
 
 @dataclass
 class RmrSummary:
-    """RMR totals per process plus a per-section breakdown."""
+    """RMR totals per process."""
 
     totals: list
-    by_section: dict
 
 
 @dataclass
 class RunResult:
     trace: Trace
-    verdicts: list
     rmr: RmrSummary
     completed: bool
     deadlocked: bool
     cap_hit: bool
 
 
-def run(state: SystemState, schedule, monitors=(), step_cap: int = 1_000_000,
+def run(state: SystemState, schedule, step_cap: int = 1_000_000,
         on_step: Optional[Callable] = None) -> RunResult:
     """Drive the system under a schedule until done, stuck, or capped.
 
-    Steps execute in schedule order; the trace is then handed to every
-    monitor, each a pure function of the trace.
+    Steps execute in schedule order; checking the trace is the caller's
+    job (see `gmesim.monitors`).
     """
     events: list[TraceEvent] = []
     deadlocked = False
@@ -391,11 +389,5 @@ def run(state: SystemState, schedule, monitors=(), step_cap: int = 1_000_000,
     trace.meta["workload_sessions"] = [
         [s for s, _ in per_proc] for per_proc in state.workload.invocations]
 
-    by_section: dict = {sec: 0 for sec in Section}
-    for ev in events:
-        if ev.rmr:
-            by_section[ev.section] += 1
-    rmr = RmrSummary(totals=list(state.mem.totals), by_section=by_section)
-
-    verdicts = [monitor(trace) for monitor in monitors]
-    return RunResult(trace, verdicts, rmr, completed, deadlocked, cap_hit)
+    rmr = RmrSummary(totals=list(state.mem.totals))
+    return RunResult(trace, rmr, completed, deadlocked, cap_hit)

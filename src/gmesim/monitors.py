@@ -1,14 +1,20 @@
-"""Property monitors: pure functions from a trace to a verdict.
+"""Property monitors: pure functions from a trace and its invocation fold
+to a verdict.
 
-Every checker re-derives what it needs from the event list, so running
-a monitor twice on the same trace always yields the same verdict.  A
-failing verdict carries a witness naming the event indices and
-processes that realize the violation.
+The caller folds the trace once with `build_invocations` and hands the
+same record list to every monitor, as `monitor(trace, records)`; no
+monitor rebuilds the fold or mutates the records, so running a monitor
+twice on the same inputs always yields the same verdict.  Mutual
+exclusion and FCFS are single sweeps in trace order.  A failing verdict
+carries a witness naming the event indices and processes that realize
+a violation; for `me` and `fcfs` it is the earliest one in trace order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from .errors import ConfigurationError, ConsistencyError
@@ -173,37 +179,64 @@ def build_invocations(trace: Trace) -> list:
     return order
 
 
-def check_mutual_exclusion(trace: Trace) -> Verdict:
-    """No two conflicting invocations may overlap in the critical section."""
-    records = [r for r in build_invocations(trace) if r.ce is not None]
-    for a_i, a in enumerate(records):
-        a_end = a.cx if a.cx is not None else _INF
-        for b in records[a_i + 1:]:
-            if a.pid == b.pid or a.session == b.session:
-                continue
-            b_end = b.cx if b.cx is not None else _INF
-            if a.ce <= b_end and b.ce <= a_end:
-                return Verdict("me", FAIL, witness=(a.ce, b.ce, a.pid, b.pid),
-                               detail=f"P{a.pid} (session {a.session}) and P{b.pid} "
-                                      f"(session {b.session}) overlap in the CS")
+def check_mutual_exclusion(trace: Trace, records: list) -> Verdict:
+    """No two conflicting invocations may overlap in the critical section.
+
+    One sweep over CS entries in trace order keeps the open CS intervals
+    in a heap by exit step, with a count of them per session.  The first
+    entry that finds an open interval of another session is the witness,
+    paired with the earliest-entered such interval.
+    """
+    open_cs: list = []  # (exit step or inf, entry step, record)
+    open_per_session: dict = {}
+    for b in sorted((r for r in records if r.ce is not None), key=attrgetter("ce")):
+        while open_cs and open_cs[0][0] < b.ce:
+            closed = heappop(open_cs)[2]
+            open_per_session[closed.session] -= 1
+        if len(open_cs) > open_per_session.get(b.session, 0):
+            a = min((r for _, _, r in open_cs if r.session != b.session),
+                    key=attrgetter("ce"))
+            return Verdict("me", FAIL, witness=(a.ce, b.ce, a.pid, b.pid),
+                           detail=f"P{a.pid} (session {a.session}) and P{b.pid} "
+                                  f"(session {b.session}) overlap in the CS")
+        heappush(open_cs, (_INF if b.cx is None else b.cx, b.ce, b))
+        open_per_session[b.session] = open_per_session.get(b.session, 0) + 1
     return Verdict("me", PASS)
 
 
-def check_fcfs(trace: Trace) -> Verdict:
-    """A doorway-preceding conflicting invocation enters the CS first."""
-    records = build_invocations(trace)
-    for a in records:
-        if a.dc is None:
+def check_fcfs(trace: Trace, records: list) -> Verdict:
+    """A doorway-preceding conflicting invocation enters the CS first.
+
+    One sweep over doorway completions and CS entries in trace order
+    keeps, per session, a min-heap by doorway completion of the
+    invocations that completed their doorway; those that have entered
+    since are dropped lazily.  The first entry by an invocation b whose
+    doorway began after a still-waiting invocation of another session
+    had completed its own fails, with the oldest such invocation as a.
+    """
+    marks = sorted([(r.dc, 0, r) for r in records if r.dc is not None]
+                   + [(r.ce, 1, r) for r in records if r.ce is not None],
+                   key=itemgetter(0, 1))
+    waiting: dict = {}  # session -> heap of (dc, record)
+    for at, entering, b in marks:
+        if not entering:
+            heappush(waiting.setdefault(b.session, []), (at, b))
             continue
-        for b in records:
-            if b is a or b.pid == a.pid or b.session == a.session:
+        if b.ds is None:
+            continue
+        overtaken = []
+        for session, heap in waiting.items():
+            if session == b.session:
                 continue
-            if b.ds is None or a.dc >= b.ds or b.ce is None:
-                continue
-            if a.ce is None or b.ce < a.ce:
-                return Verdict("fcfs", FAIL, witness=(a.dc, b.ce, a.pid, b.pid),
-                               detail=f"P{a.pid} completed its doorway before P{b.pid} "
-                                      f"started, yet P{b.pid} entered the CS first")
+            while heap and heap[0][1].ce is not None and heap[0][1].ce < at:
+                heappop(heap)
+            if heap and heap[0][0] < b.ds:
+                overtaken.append(heap[0])
+        if overtaken:
+            a = min(overtaken, key=itemgetter(0))[1]
+            return Verdict("fcfs", FAIL, witness=(a.dc, b.ce, a.pid, b.pid),
+                           detail=f"P{a.pid} completed its doorway before P{b.pid} "
+                                  f"started, yet P{b.pid} entered the CS first")
     return Verdict("fcfs", PASS)
 
 
@@ -215,18 +248,14 @@ def _default_exit_bound(algorithm: str, n: int):
     return ("atmost", n + 2)
 
 
-def check_bounded_exit(trace: Trace, bound_fn=None) -> Verdict:
+def check_bounded_exit(trace: Trace, records: list) -> Verdict:
     """Exit sections finish in a bounded number of shared accesses.
 
     glb: exactly 2 writes; bl: exactly 1 write; bwbgme: at most N+2
-    accesses (scan reads, at most one flip, token reset).  bound_fn(n)
-    may override the ceiling, in which case only "at most" is checked.
+    accesses (scan reads, at most one flip, token reset).
     """
-    if bound_fn is not None:
-        mode, bound = "atmost", bound_fn(trace.n)
-    else:
-        mode, bound = _default_exit_bound(trace.algorithm, trace.n)
-    for rec in build_invocations(trace):
+    mode, bound = _default_exit_bound(trace.algorithm, trace.n)
+    for rec in records:
         if rec.exit_accesses > bound:
             return Verdict("bounded-exit", FAIL, witness=(rec.pid, rec.inv),
                            detail=f"P{rec.pid} inv {rec.inv}: {rec.exit_accesses} "
@@ -238,15 +267,15 @@ def check_bounded_exit(trace: Trace, bound_fn=None) -> Verdict:
     return Verdict("bounded-exit", PASS)
 
 
-def check_concurrent_entry(trace: Trace) -> Verdict:
+def check_concurrent_entry(trace: Trace, records: list) -> Verdict:
     """With a single session in play, no entry wait may ever come out false."""
     sessions = trace.meta.get("sessions")
     if sessions is None:
-        sessions = sorted({r.session for r in build_invocations(trace)})
+        sessions = {r.session for r in records}
     if len(set(sessions)) > 1:
         return Verdict("concurrent-entry", INAPPLICABLE,
                        detail="workload uses more than one session")
-    for rec in build_invocations(trace):
+    for rec in records:
         if rec.false_entry_evals:
             step, line, j = rec.blocked_transitions[0]
             return Verdict("concurrent-entry", FAIL, witness=(step, rec.pid),
@@ -255,7 +284,7 @@ def check_concurrent_entry(trace: Trace) -> Verdict:
     return Verdict("concurrent-entry", PASS)
 
 
-def check_flip_invariant(trace: Trace) -> Verdict:
+def check_flip_invariant(trace: Trace, records: list) -> Verdict:
     """GlobalColor flips at most once inside any process's open window.
 
     A window opens at the line-5 read of GlobalColor and closes when the
@@ -289,11 +318,11 @@ def check_flip_invariant(trace: Trace) -> Verdict:
     return Verdict("flip", PASS, detail=f"{len(flips)} flips observed")
 
 
-def check_token_bound(trace: Trace, n: Optional[int] = None) -> Verdict:
+def check_token_bound(trace: Trace, records: list) -> Verdict:
     """Committed token numbers never exceed N+1."""
     if trace.algorithm != "bwbgme":
         return Verdict("token-bound", INAPPLICABLE, detail="not a bwbgme trace")
-    n = n or trace.n
+    n = trace.n
     max_seen = 0
     for ev in trace.events:
         if ev.kind == "write" and ev.reg and ev.reg.startswith("Token["):
@@ -306,7 +335,7 @@ def check_token_bound(trace: Trace, n: Optional[int] = None) -> Verdict:
     return Verdict("token-bound", PASS, detail=f"max token number {max_seen}")
 
 
-def check_progress(trace: Trace) -> Verdict:
+def check_progress(trace: Trace, records: list) -> Verdict:
     """Deadlock and (heuristic) starvation detection.
 
     Starvation is flagged when an invocation finished its doorway, never
@@ -318,7 +347,6 @@ def check_progress(trace: Trace) -> Verdict:
         if ev.kind == "deadlock":
             return Verdict("progress", FAIL, witness=(ev.index,),
                            detail="deadlock: every active process is blocked")
-    records = build_invocations(trace)
     for rec in records:
         if rec.dc is None or rec.ce is not None:
             continue
@@ -332,7 +360,7 @@ def check_progress(trace: Trace) -> Verdict:
     return Verdict("progress", PASS)
 
 
-def check_wait_rmr_bounds(trace: Trace) -> Verdict:
+def check_wait_rmr_bounds(trace: Trace, records: list) -> Verdict:
     """Per-pass RMR ceilings on the wait lines, from the ledger.
 
     glb: one pass of line 8 or line 9 for a fixed j costs at most 5 RMR.
@@ -344,7 +372,7 @@ def check_wait_rmr_bounds(trace: Trace) -> Verdict:
     if bounds is None:
         return Verdict("wait-rmr", INAPPLICABLE,
                        detail=f"no per-line bounds for {trace.algorithm}")
-    for rec in build_invocations(trace):
+    for rec in records:
         for wp in rec.wait_passes:
             bound = bounds.get(wp.line)
             if bound is not None and wp.rmr > bound:
@@ -358,9 +386,9 @@ def check_wait_rmr_bounds(trace: Trace) -> Verdict:
     return Verdict("wait-rmr", PASS)
 
 
-def check_section_order(trace: Trace) -> Verdict:
+def check_section_order(trace: Trace, records: list) -> Verdict:
     """Markers appear in invocation order: ds <= dc < ce <= cx <= xc."""
-    for rec in build_invocations(trace):
+    for rec in records:
         seq = [rec.ds, rec.dc, rec.ce, rec.cx, rec.xc]
         present = [x for x in seq if x is not None]
         if present != sorted(present):

@@ -13,11 +13,12 @@ from gmesim import (Scripted, SystemState, Workload, bl_adversarial_schedule,
                     bl_adversarial_workload, block_events, build_bl, build_bwbgme,
                     build_glb, explore, random_schedule, run)
 from gmesim.memory import BLACK, WHITE, RegisterId
-from gmesim.monitors import (build_invocations, check_bounded_exit,
+from gmesim.monitors import (FAIL, PASS, build_invocations, check_bounded_exit,
                              check_concurrent_entry, check_flip_invariant,
                              check_mutual_exclusion, check_token_bound,
                              check_wait_rmr_bounds)
-from util import distinct_sessions, doorway_done, drive, finished
+from util import (check, distinct_sessions, doorway_done, drive, finished,
+                  me_fcfs_against_oracle)
 
 pytestmark = pytest.mark.acceptance
 
@@ -103,7 +104,7 @@ def test_criterion_5_glb_per_line_rmr_bounds():
             state = SystemState(build_glb(n), distinct_sessions(n, invocations=2))
             result = run(state, random_schedule(n, seed), step_cap=10**6)
             assert result.completed
-            verdict = check_wait_rmr_bounds(result.trace)
+            verdict = check(check_wait_rmr_bounds, result.trace)
             assert verdict.ok, verdict.detail
             for rec in build_invocations(result.trace):
                 for wp in rec.wait_passes:
@@ -137,7 +138,7 @@ def test_criterion_7_concurrent_entry():
             state = SystemState(spec, wl)
             result = run(state, random_schedule(n, seed), step_cap=10**6)
             assert result.completed
-            verdict = check_concurrent_entry(result.trace)
+            verdict = check(check_concurrent_entry, result.trace)
             assert verdict.status == "pass", verdict.detail
             assert not any(ev.outcome == "fail" for ev in result.trace.events)
     report(7, "concurrent entry: zero false waits, 100 seeds x 2 algorithms")
@@ -151,7 +152,7 @@ def test_criterion_8_bounded_exit():
                 state = SystemState(build(n), distinct_sessions(n, invocations=2))
                 result = run(state, random_schedule(n, seed), step_cap=10**6)
                 assert result.completed
-                assert check_bounded_exit(result.trace).ok
+                assert check(check_bounded_exit, result.trace).ok
                 for rec in build_invocations(result.trace):
                     if exact is not None:
                         assert rec.exit_accesses == exact, (name, n, seed)
@@ -169,24 +170,28 @@ def test_criterion_9_mutation_sensitivity():
     wl, pids = narrative_counterexample_script("unconditional_flip")
     state = SystemState(build_bwbgme(4, WHITE, "unconditional_flip"), wl)
     bad = run(state, Scripted(pids), step_cap=10**5)
-    assert not check_mutual_exclusion(bad.trace).ok
-    assert not check_flip_invariant(bad.trace).ok
+    assert not check(check_mutual_exclusion, bad.trace).ok
+    assert not check(check_flip_invariant, bad.trace).ok
+    assert me_fcfs_against_oracle(bad.trace)["me"] == FAIL
 
     state = SystemState(build_bwbgme(4, WHITE), wl)
     good = run(state, Scripted(pids), step_cap=10**5)
-    assert check_mutual_exclusion(good.trace).ok
-    assert check_flip_invariant(good.trace).ok
-    assert check_token_bound(good.trace).ok
+    assert check(check_mutual_exclusion, good.trace).ok
+    assert check(check_flip_invariant, good.trace).ok
+    assert check(check_token_bound, good.trace).ok
+    assert me_fcfs_against_oracle(good.trace)["me"] == PASS
 
     # removing only the line-25 guard is caught as well, by the
     # double-flip inside a hanging process's window
     wl, pids = hanging_window_script("no_number_guard")
     state = SystemState(build_bwbgme(3, WHITE, "no_number_guard"), wl)
     bad = run(state, Scripted(pids), step_cap=10**5)
-    assert not check_flip_invariant(bad.trace).ok
+    assert not check(check_flip_invariant, bad.trace).ok
+    me_fcfs_against_oracle(bad.trace)
     state = SystemState(build_bwbgme(3, WHITE), wl)
     good = run(state, Scripted(pids), step_cap=10**5)
-    assert check_flip_invariant(good.trace).ok
+    assert check(check_flip_invariant, good.trace).ok
+    me_fcfs_against_oracle(good.trace)
     report(9, "mutation sensitivity: naive exit and missing guard are caught")
 
 

@@ -7,7 +7,7 @@ from gmesim import (SystemState, Workload, bl_adversarial_schedule,
                     explore, random_schedule, run)
 from gmesim.errors import ConfigurationError
 from gmesim.monitors import build_invocations, check_bounded_exit, check_mutual_exclusion
-from util import distinct_sessions, drive
+from util import check, distinct_sessions, drive
 
 
 def test_solo_process_enters_without_blocking():
@@ -52,7 +52,7 @@ def test_exit_is_one_write():
     state = SystemState(build_bl(3), distinct_sessions(3, invocations=2))
     result = run(state, random_schedule(3, 5), step_cap=100_000)
     assert result.completed
-    assert check_bounded_exit(result.trace).ok
+    assert check(check_bounded_exit, result.trace).ok
     for rec in build_invocations(result.trace):
         assert rec.exit_accesses == 1 and rec.exit_writes == 1
 
@@ -75,7 +75,7 @@ def test_adversarial_block_counts_match_formula(n):
     state = SystemState(build_bl(n), bl_adversarial_workload(n))
     result = run(state, schedule, step_cap=10**6)
     assert result.completed
-    assert check_mutual_exclusion(result.trace).ok
+    assert check(check_mutual_exclusion, result.trace).ok
     totals, by_blocker = block_events(result.trace)
     assert totals[n] == n * (n - 1) // 2
     for j in range(1, n):

@@ -7,11 +7,11 @@ from gmesim import (RoundRobin, SystemState, Workload, build_bwbgme,
 from gmesim.bwbgme import UndefinedColorError
 from gmesim.errors import ConfigurationError
 from gmesim.memory import BLACK, BOTTOM, WHITE, RegisterId
-from gmesim.monitors import (build_invocations, check_bounded_exit,
+from gmesim.monitors import (FAIL, PASS, build_invocations, check_bounded_exit,
                              check_flip_invariant, check_mutual_exclusion,
                              check_token_bound, check_wait_rmr_bounds)
-from util import (distinct_sessions, doorway_done, drive, entered_cs, finished,
-                  run_scripted)
+from util import (check, distinct_sessions, doorway_done, drive, entered_cs, finished,
+                  me_fcfs_against_oracle, run_scripted)
 
 
 def token_of(state, pid):
@@ -159,7 +159,7 @@ def test_token_bound_on_n6_simulation_sweep():
         state = SystemState(build_bwbgme(6), distinct_sessions(6, invocations=4))
         result = run(state, random_schedule(6, seed), step_cap=10**6)
         assert result.completed
-        verdict = check_token_bound(result.trace)
+        verdict = check(check_token_bound, result.trace)
         assert verdict.ok, verdict.detail
 
 
@@ -170,11 +170,11 @@ def test_monitors_on_contended_runs():
                                 distinct_sessions(4, invocations=3))
             result = run(state, random_schedule(4, seed), step_cap=300_000)
             assert result.completed
-            assert check_mutual_exclusion(result.trace).ok
-            assert check_token_bound(result.trace).ok
-            assert check_flip_invariant(result.trace).ok
-            assert check_bounded_exit(result.trace).ok
-            v = check_wait_rmr_bounds(result.trace)
+            assert check(check_mutual_exclusion, result.trace).ok
+            assert check(check_token_bound, result.trace).ok
+            assert check(check_flip_invariant, result.trace).ok
+            assert check(check_bounded_exit, result.trace).ok
+            v = check(check_wait_rmr_bounds, result.trace)
             assert v.ok, v.detail
 
 
@@ -208,11 +208,13 @@ def narrative_counterexample_script(mutant):
 def test_naive_exit_narrative_breaks_and_real_algorithm_passes():
     wl, pids = narrative_counterexample_script("unconditional_flip")
     bad = run_scripted(build_bwbgme(4, WHITE, "unconditional_flip"), wl, pids)
-    assert not check_mutual_exclusion(bad.trace).ok
-    assert not check_flip_invariant(bad.trace).ok
+    assert not check(check_mutual_exclusion, bad.trace).ok
+    assert not check(check_flip_invariant, bad.trace).ok
+    assert me_fcfs_against_oracle(bad.trace)["me"] == FAIL
     good = run_scripted(build_bwbgme(4, WHITE), wl, pids)
-    assert check_mutual_exclusion(good.trace).ok
-    assert check_flip_invariant(good.trace).ok
+    assert check(check_mutual_exclusion, good.trace).ok
+    assert check(check_flip_invariant, good.trace).ok
+    assert me_fcfs_against_oracle(good.trace)["me"] == PASS
 
 
 def test_plain_drive_cannot_reach_violation_without_mutation():
@@ -253,7 +255,9 @@ def hanging_window_script(mutant):
 def test_guard_removal_double_flips_a_hanging_window():
     wl, pids = hanging_window_script("no_number_guard")
     bad = run_scripted(build_bwbgme(3, WHITE, "no_number_guard"), wl, pids)
-    verdict = check_flip_invariant(bad.trace)
+    verdict = check(check_flip_invariant, bad.trace)
     assert not verdict.ok and "P3" in verdict.detail
+    me_fcfs_against_oracle(bad.trace)
     good = run_scripted(build_bwbgme(3, WHITE), wl, pids)
-    assert check_flip_invariant(good.trace).ok
+    assert check(check_flip_invariant, good.trace).ok
+    me_fcfs_against_oracle(good.trace)

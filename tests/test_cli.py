@@ -3,6 +3,8 @@
 import csv
 import json
 
+import gmesim.cli
+import gmesim.monitors
 from gmesim.cli import main
 
 GLB_SCENARIO = """gmesim-scenario v1
@@ -100,6 +102,20 @@ def test_explore_clean_exit_0(tmp_path, capsys):
     assert "states=" in out and "deadlock states: 0" in out
 
 
+def test_run_folds_the_trace_once(tmp_path, monkeypatch):
+    calls = []
+    fold = gmesim.monitors.build_invocations
+
+    def counting_fold(trace):
+        calls.append(trace)
+        return fold(trace)
+
+    monkeypatch.setattr(gmesim.cli, "build_invocations", counting_fold)
+    monkeypatch.setattr(gmesim.monitors, "build_invocations", counting_fold)
+    assert main(["run", "--scenario", write(tmp_path, "glb.scn", GLB_SCENARIO)]) == 0
+    assert len(calls) == 1
+
+
 def test_explore_truncation_exit_3(tmp_path):
     scn = write(tmp_path, "explore.scn", EXPLORE_SCENARIO)
     assert main(["explore", "--scenario", scn, "--max-states", "40"]) == 3
@@ -115,6 +131,20 @@ def test_sweep_random_csv(tmp_path, capsys):
     assert [row["n"] for row in rows] == ["2", "4"]
     assert all(int(row["max_inv_rmr"]) > 0 for row in rows)
     assert "doubling ratio" in capsys.readouterr().out
+
+
+def test_sweep_hash_names_the_whole_sweep(tmp_path):
+    base = ["--seeds", "2", "--invocations", "1"]
+    variants = [base, ["--seeds", "7", "--invocations", "3"], base + ["--seeds", "7"],
+                base + ["--invocations", "3"], base + ["--cs-steps", "2"],
+                base + ["--fairness-window", "5"], base + ["--steps", "500000"]]
+    hashes = []
+    for k, extra in enumerate(variants):
+        csv_path = str(tmp_path / f"sweep{k}.csv")
+        main(["sweep", "--algorithm", "glb", "--sizes", "4", "--csv-out", csv_path, *extra])
+        with open(csv_path) as fh:
+            hashes.append(next(csv.DictReader(fh))["config_hash"])
+    assert len(set(hashes)) == len(variants), hashes
 
 
 def test_sweep_adversarial_csv(tmp_path, capsys):

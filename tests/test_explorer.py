@@ -3,7 +3,7 @@
 from gmesim import (Scripted, SystemState, Workload, build_bl, build_bwbgme,
                     build_glb, crosscheck_reachable, explore, run)
 from gmesim.monitors import check_flip_invariant
-from util import distinct_sessions
+from util import check, distinct_sessions
 
 
 def test_single_process_single_path():
@@ -103,7 +103,7 @@ def test_guard_mutant_violation_found_and_replays():
     # explorer/simulator agreement: the witness path reproduces the verdict
     state = SystemState(spec, wl)
     result = run(state, Scripted(flips[0].path), step_cap=10_000)
-    assert not check_flip_invariant(result.trace).ok
+    assert not check(check_flip_invariant, result.trace).ok
 
 
 def test_unmutated_counterpart_is_clean():

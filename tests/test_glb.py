@@ -9,7 +9,7 @@ from gmesim.machine import Section
 from gmesim.memory import RegisterId
 from gmesim.monitors import (build_invocations, check_bounded_exit,
                              check_mutual_exclusion, check_wait_rmr_bounds)
-from util import distinct_sessions, doorway_done, drive, entered_cs, finished
+from util import check, distinct_sessions, doorway_done, drive, entered_cs, finished
 
 
 def token_of(state, pid):
@@ -61,7 +61,7 @@ def test_exit_is_exactly_two_writes():
         state = SystemState(build_glb(3), distinct_sessions(3, invocations=2))
         result = run(state, random_schedule(3, seed), step_cap=100_000)
         assert result.completed
-        assert check_bounded_exit(result.trace).ok
+        assert check(check_bounded_exit, result.trace).ok
         for rec in build_invocations(result.trace):
             assert rec.exit_accesses == 2 and rec.exit_writes == 2
 
@@ -109,7 +109,7 @@ def test_wait_rmr_bounds_hold_on_random_schedules():
             state = SystemState(build_glb(n), distinct_sessions(n, invocations=2))
             result = run(state, random_schedule(n, seed), step_cap=200_000)
             assert result.completed
-            verdict = check_wait_rmr_bounds(result.trace)
+            verdict = check(check_wait_rmr_bounds, result.trace)
             assert verdict.ok, verdict.detail
 
 
@@ -145,5 +145,5 @@ def test_line8_worst_case_is_exactly_five_rmr():
     rec = next(r for r in build_invocations(result.trace) if r.pid == 2)
     wp = next(w for w in rec.wait_passes if w.line == 8 and w.j == 1)
     assert wp.rmr == 5 and wp.completed
-    assert check_wait_rmr_bounds(result.trace).ok
-    assert check_mutual_exclusion(result.trace).ok
+    assert check(check_wait_rmr_bounds, result.trace).ok
+    assert check(check_mutual_exclusion, result.trace).ok

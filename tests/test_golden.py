@@ -51,10 +51,10 @@ EXPLORE_DIGESTS = {
 SWEEP_DIGESTS = {
     "glb": {
         "stdout": "c00095b823a7f4d96bbbdb5d25f671c49306ec8ee86d2c9d3ed481db2459d46b",
-        "csv": "c85a284b4e17b9212c2eaca1914484031e0ed9723028e955674a8ab741bc91fe"},
+        "csv": "a5026c5d88704b579aeb6f8967856f8964b53a779bed70b61ec9bd16263416d7"},
     "bwbgme": {
         "stdout": "13c9940276e59c25d7bf064f5d4bb398c89b3ad99f6e005e1385ce1d3522772b",
-        "csv": "3a0dd779b753321375fc7e030a9361c99def3e95cc295059e377ae25fc48a5ec"},
+        "csv": "42f1130b9a4bc2ee5ccfb42e91460132a04c0a73161255be956e1b9ee1ab4d3a"},
 }
 
 

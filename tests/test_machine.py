@@ -15,7 +15,7 @@ from gmesim.machine import (CS_ENTER, DOORWAY_COMPLETE, DOORWAY_START,
                             EXIT_COMPLETE, Section)
 from gmesim.monitors import check_mutual_exclusion, check_section_order
 from oracle_memory import Memory as OracleMemory
-from util import distinct_sessions, doorway_done, drive, entered_cs, finished
+from util import check, distinct_sessions, doorway_done, drive, entered_cs, finished
 
 
 def test_first_doorway_step_writes_choosing():
@@ -102,8 +102,8 @@ def test_two_conflicting_processes_complete_everywhere():
         state = SystemState(build_glb(2), distinct_sessions(2))
         result = run(state, make(), step_cap=10_000)
         assert result.completed
-        assert check_mutual_exclusion(result.trace).ok
-        assert check_section_order(result.trace).ok
+        assert check(check_mutual_exclusion, result.trace).ok
+        assert check(check_section_order, result.trace).ok
 
 
 def test_step_cap_truncates_and_flags():
@@ -140,7 +140,7 @@ def test_section_markers_ordered_on_random_runs():
             state = SystemState(build(3), distinct_sessions(3, invocations=2))
             result = run(state, random_schedule(3, seed), step_cap=100_000)
             assert result.completed
-            assert check_section_order(result.trace).ok
+            assert check(check_section_order, result.trace).ok
 
 
 DOORWAY_STEPS = {"glb": lambda n: n + 3, "bwbgme": lambda n: n + 7,
@@ -216,9 +216,9 @@ def test_arbitrary_schedules_preserve_safety(name, pids):
     build = {"glb": build_glb, "bwbgme": build_bwbgme, "bl": build_bl}[name]
     state = SystemState(build(3), distinct_sessions(3, invocations=2))
     result = run(state, Scripted(pids), step_cap=len(pids) + 1)
-    assert check_mutual_exclusion(result.trace).ok
-    assert check_section_order(result.trace).ok
+    assert check(check_mutual_exclusion, result.trace).ok
+    assert check(check_section_order, result.trace).ok
     if name == "bwbgme":
         from gmesim.monitors import check_flip_invariant, check_token_bound
-        assert check_token_bound(result.trace).ok
-        assert check_flip_invariant(result.trace).ok
+        assert check(check_token_bound, result.trace).ok
+        assert check(check_flip_invariant, result.trace).ok

@@ -1,6 +1,11 @@
 """Monitor checkers against manufactured and real traces."""
 
+import random
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmesim import SystemState, build_bwbgme, build_glb, run
 from gmesim.errors import ConsistencyError
@@ -13,7 +18,7 @@ from gmesim.monitors import (FAIL, INAPPLICABLE, PASS, build_invocations,
                              check_mutual_exclusion, check_progress,
                              check_token_bound, monitors_for)
 from gmesim.schedules import RoundRobin
-from util import distinct_sessions
+from util import check, distinct_sessions, me_fcfs_against_oracle
 
 
 def ev(index, pid, inv=0, line=0, kind="local", reg=None, value=None, rmr=False,
@@ -50,7 +55,7 @@ def test_me_fails_on_conflicting_overlap():
         + invocation_events(2, 2, base=2, enter=6, exit_at=8),
         key=lambda e: e.index)
     trace = synthetic("glb", 2, events, [[1], [2]])
-    verdict = check_mutual_exclusion(trace)
+    verdict = check(check_mutual_exclusion, trace)
     assert verdict.status == FAIL
     assert verdict.witness[:2] == (4, 6)
 
@@ -61,11 +66,30 @@ def test_me_allows_same_session_overlap():
         + invocation_events(2, 1, base=2, enter=6, exit_at=8),
         key=lambda e: e.index)
     trace = synthetic("glb", 2, events, [[1], [1]])
-    assert check_mutual_exclusion(trace).status == PASS
+    assert check(check_mutual_exclusion, trace).status == PASS
 
 
 def test_me_passes_on_empty_trace():
-    assert check_mutual_exclusion(synthetic("glb", 2, [], [[], []])).status == PASS
+    assert check(check_mutual_exclusion, synthetic("glb", 2, [], [[], []])).status == PASS
+
+
+def test_witnesses_name_the_earliest_violation():
+    # P1 and P2 overlap from step 20, but P2 and P3 already from step 10.
+    events = sorted(
+        invocation_events(1, 1, base=0, enter=20, exit_at=24)
+        + invocation_events(2, 2, base=2, enter=6, exit_at=21)
+        + invocation_events(3, 1, base=7, enter=10, exit_at=12),
+        key=lambda e: e.index)
+    trace = synthetic("glb", 3, events, [[1], [2], [1]])
+    assert check(check_mutual_exclusion, trace).witness == (6, 10, 2, 3)
+    # P2 overtakes P1 at step 20, but P3 already at step 10.
+    events = sorted(
+        invocation_events(1, 1, base=0, enter=30, exit_at=31)
+        + invocation_events(2, 2, base=2, enter=20, exit_at=21)
+        + invocation_events(3, 2, base=6, enter=10, exit_at=11),
+        key=lambda e: e.index)
+    trace = synthetic("glb", 3, events, [[1], [2], [2]])
+    assert check(check_fcfs, trace).witness == (1, 10, 1, 3)
 
 
 def test_fcfs_fails_on_reversed_entry():
@@ -75,7 +99,7 @@ def test_fcfs_fails_on_reversed_entry():
         + invocation_events(2, 2, base=5, enter=10, exit_at=12),
         key=lambda e: e.index)
     trace = synthetic("glb", 2, events, [[1], [2]])
-    assert check_fcfs(trace).status == FAIL
+    assert check(check_fcfs, trace).status == FAIL
 
 
 def test_fcfs_allows_doorway_concurrent_any_order():
@@ -86,7 +110,7 @@ def test_fcfs_allows_doorway_concurrent_any_order():
         key=lambda e: e.index)
     events[1], events[2] = events[2], events[1]  # interleave doorways
     trace = synthetic("glb", 2, events, [[1], [2]])
-    assert check_fcfs(trace).status == PASS
+    assert check(check_fcfs, trace).status == PASS
 
 
 def test_fcfs_ignores_same_session():
@@ -95,7 +119,7 @@ def test_fcfs_ignores_same_session():
         + invocation_events(2, 1, base=5, enter=10, exit_at=12),
         key=lambda e: e.index)
     trace = synthetic("glb", 2, events, [[1], [1]])
-    assert check_fcfs(trace).status == PASS
+    assert check(check_fcfs, trace).status == PASS
 
 
 def test_fcfs_flags_overtake_even_if_victim_never_enters():
@@ -103,7 +127,7 @@ def test_fcfs_flags_overtake_even_if_victim_never_enters():
               + [ev(0, 1, markers=(DOORWAY_START,), section=Section.DOORWAY),
                  ev(1, 1, markers=(DOORWAY_COMPLETE,), section=Section.DOORWAY)])
     trace = synthetic("glb", 2, sorted(events, key=lambda e: e.index), [[1], [2]])
-    assert check_fcfs(trace).status == FAIL
+    assert check(check_fcfs, trace).status == FAIL
 
 
 def test_concurrent_entry_detector():
@@ -111,10 +135,10 @@ def test_concurrent_entry_detector():
     bad = base + [ev(9, 1, inv=0, line=8, kind="read", reg="Choosing[2]",
                      section=Section.WAITING, outcome="fail", j=2)]
     trace = synthetic("glb", 2, sorted(bad, key=lambda e: e.index), [[1], [1]])
-    assert check_concurrent_entry(trace).status == FAIL
+    assert check(check_concurrent_entry, trace).status == FAIL
 
     multi = synthetic("glb", 2, base, [[1], [2]])
-    assert check_concurrent_entry(multi).status == INAPPLICABLE
+    assert check(check_concurrent_entry, multi).status == INAPPLICABLE
 
 
 def test_bounded_exit_detector():
@@ -125,18 +149,18 @@ def test_bounded_exit_detector():
                ev(8, 1, line=13, kind="write", reg="Session[1]", value=0,
                   section=Section.EXIT)]
     trace = synthetic("glb", 1, sorted(events, key=lambda e: e.index), [[1]])
-    assert check_bounded_exit(trace).status == FAIL  # 3 accesses != 2
+    assert check(check_bounded_exit, trace).status == FAIL  # 3 accesses != 2
 
 
 def test_token_bound_detector():
     events = [ev(0, 1, line=14, kind="write", reg="Token[1]",
                  value=(1, WHITE, 4), section=Section.DOORWAY)]
     trace = synthetic("bwbgme", 2, events, [[1], [2]])
-    assert check_token_bound(trace).status == FAIL
+    assert check(check_token_bound, trace).status == FAIL
     events = [ev(0, 1, line=14, kind="write", reg="Token[1]",
                  value=(1, WHITE, 3), section=Section.DOORWAY)]
     trace = synthetic("bwbgme", 2, events, [[1], [2]])
-    assert check_token_bound(trace).status == PASS
+    assert check(check_token_bound, trace).status == PASS
 
 
 def test_flip_invariant_detector():
@@ -149,23 +173,23 @@ def test_flip_invariant_detector():
            section=Section.EXIT),
     ]
     trace = synthetic("bwbgme", 3, events, [[1], [2], [3]])
-    verdict = check_flip_invariant(trace)
+    verdict = check(check_flip_invariant, trace)
     assert verdict.status == FAIL and verdict.witness == (1, 2, 1)
     # same-value rewrites are not flips
     events[2] = ev(2, 3, line=30, kind="write", reg="GlobalColor", value=BLACK,
                    section=Section.EXIT)
-    assert check_flip_invariant(trace).status == PASS
+    assert check(check_flip_invariant, trace).status == PASS
 
 
 def test_flip_inapplicable_elsewhere():
-    assert check_flip_invariant(synthetic("glb", 2, [], [[], []])).status \
+    assert check(check_flip_invariant, synthetic("glb", 2, [], [[], []])).status \
         == INAPPLICABLE
 
 
 def test_progress_deadlock_detector():
     events = [ev(0, 0, inv=-1, kind="deadlock", section=Section.REMAINDER)]
     trace = synthetic("glb", 2, events, [[1], [2]])
-    verdict = check_progress(trace)
+    verdict = check(check_progress, trace)
     assert verdict.status == FAIL and "deadlock" in verdict.detail
 
 
@@ -176,15 +200,16 @@ def test_progress_starvation_detector():
               + [e for e in invocation_events(3, 3, base=10, enter=12, exit_at=14)])
     trace = synthetic("glb", 3, sorted(starving + others, key=lambda e: e.index),
                       [[1], [2], [3]])
-    verdict = check_progress(trace)
+    verdict = check(check_progress, trace)
     assert verdict.status == FAIL and "starvation" in verdict.detail
 
 
 def test_monitors_are_pure():
     state = SystemState(build_bwbgme(3), distinct_sessions(3, invocations=2))
     result = run(state, RoundRobin(), step_cap=100_000)
+    records = build_invocations(result.trace)
     for name, monitor in monitors_for("bwbgme"):
-        assert monitor(result.trace) == monitor(result.trace)
+        assert monitor(result.trace, records) == monitor(result.trace, records)
 
 
 def test_starvation_on_a_complete_trace_implies_fcfs_or_deadlock_fail():
@@ -197,7 +222,7 @@ def test_starvation_on_a_complete_trace_implies_fcfs_or_deadlock_fail():
               + invocation_events(3, 3, base=10, enter=12, exit_at=14))
     trace = synthetic("glb", 3, sorted(starving + others, key=lambda e: e.index),
                       [[1], [2], [3]])
-    verdicts = {"fcfs": check_fcfs(trace), "progress": check_progress(trace)}
+    verdicts = {"fcfs": check(check_fcfs, trace), "progress": check(check_progress, trace)}
     assert verdicts["progress"].status == FAIL
     assert verdicts["fcfs"].status == FAIL
     check_implications(verdicts, trace)  # consistent: both failed
@@ -223,3 +248,53 @@ def test_build_invocations_sections_sum_to_ledger():
     for rec in build_invocations(result.trace):
         per_pid[rec.pid] += rec.rmr_total
     assert [per_pid[p] for p in (1, 2, 3)] == result.rmr.totals
+
+
+MARKERS = (DOORWAY_START, DOORWAY_COMPLETE, CS_ENTER, CS_EXIT, EXIT_COMPLETE)
+
+
+def random_marker_trace(rnd):
+    """2-5 processes, 1-3 sessions, a random interleaving of marker events.
+
+    No algorithm decides the order, so CS intervals overlap at random
+    and doorways complete in any order: both verdicts of me and fcfs
+    come up.  Each process runs its invocations in order, the last one
+    possibly cut short; sometimes two consecutive markers of one
+    invocation share an event (a doorway completed by entering, a CS
+    left in the step that entered it).
+    """
+    n = rnd.randint(2, 5)
+    n_sessions = rnd.randint(1, 3)
+    sessions = [[rnd.randint(1, n_sessions) for _ in range(rnd.randint(0, 3))]
+                for _ in range(n)]
+    pending = []
+    for pid, per in enumerate(sessions, start=1):
+        queue = []
+        for inv in range(len(per)):
+            cut = rnd.randint(1, 5) if inv == len(per) - 1 else 5
+            queue += [(pid, inv, m) for m in MARKERS[:cut]]
+        pending.append(queue)
+    events = []
+    while any(pending):
+        queue = rnd.choice([q for q in pending if q])
+        pid, inv, marker = queue.pop(0)
+        markers = [marker]
+        while queue and queue[0][1] == inv and rnd.random() < 0.2:
+            markers.append(queue.pop(0)[2])
+        events.append(ev(len(events), pid, inv=inv, markers=tuple(markers)))
+    return synthetic("glb", n, events, sessions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_me_fcfs_sweeps_match_pairwise_oracle(rnd):
+    me_fcfs_against_oracle(random_marker_trace(rnd))
+
+
+def test_oracle_comparison_sees_both_verdicts():
+    seen = Counter()
+    for seed in range(200):
+        trace = random_marker_trace(random.Random(seed))
+        seen.update(me_fcfs_against_oracle(trace).items())
+    for prop in ("me", "fcfs"):
+        assert seen[prop, PASS] and seen[prop, FAIL], seen

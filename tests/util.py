@@ -1,7 +1,41 @@
-"""Shared helpers for driving the machine in tests."""
+"""Shared helpers for driving the machine and checking its traces in tests."""
 
+import oracle_monitors
 from gmesim import Scripted, SystemState, Workload, run, step
-from gmesim.machine import CS_ENTER, DOORWAY_COMPLETE, EXIT_COMPLETE
+from gmesim.machine import CS_ENTER, DOORWAY_COMPLETE, EXIT_COMPLETE, Trace
+from gmesim.monitors import FAIL, build_invocations, check_fcfs, check_mutual_exclusion
+
+
+def check(monitor, trace):
+    """One monitor's verdict on a trace, given that trace's invocation fold."""
+    return monitor(trace, build_invocations(trace))
+
+
+def me_fcfs_against_oracle(trace) -> dict:
+    """Compare the me/fcfs sweeps with the pairwise oracle on one trace.
+
+    The verdict statuses must agree, and when a sweep fails, the two
+    invocations its witness names must fail the oracle on their own
+    (their events alone, as a trace).  Returns each sweep's status.
+    """
+    records = build_invocations(trace)
+    statuses = {}
+    for sweep, oracle, a_step in ((check_mutual_exclusion,
+                                   oracle_monitors.check_mutual_exclusion, "ce"),
+                                  (check_fcfs, oracle_monitors.check_fcfs, "dc")):
+        verdict = sweep(trace, records)
+        assert verdict.status == oracle(trace).status, (verdict, oracle(trace))
+        if verdict.status == FAIL:
+            a_at, b_ce, a_pid, b_pid = verdict.witness
+            a = next(r for r in records if r.pid == a_pid and getattr(r, a_step) == a_at)
+            b = next(r for r in records if r.pid == b_pid and r.ce == b_ce)
+            pair = {(a.pid, a.inv), (b.pid, b.inv)}
+            alone = Trace(trace.algorithm, trace.n,
+                          [ev for ev in trace.events if (ev.pid, ev.inv) in pair],
+                          meta=trace.meta)
+            assert oracle(alone).status == FAIL, verdict
+        statuses[verdict.prop] = verdict.status
+    return statuses
 
 
 def drive(state, pid, until, pids=None, limit=100_000):
