@@ -1,8 +1,8 @@
 """Explorer: soundness, cross-checks, caps, mutation sensitivity."""
 
-from gmesim import (Scripted, SystemState, Workload, build_bl, build_bwbgme,
+from gmesim import (Scripted, Section, SystemState, Workload, build_bl, build_bwbgme,
                     build_glb, crosscheck_reachable, explore, run)
-from gmesim.monitors import check_flip_invariant
+from gmesim.monitors import FAIL, MONITORS
 from util import check, distinct_sessions
 
 
@@ -94,16 +94,51 @@ def test_token_cap_cuts_paths_without_failing():
     assert report.violation_count() == 0
 
 
+def assert_witnesses_replay(spec, wl, report):
+    """Explorer/checker agreement: every reported witness path, replayed
+    as a script, yields a trace that the batch checker of the same
+    property fails."""
+    for prop, violations in report.violations.items():
+        for v in violations:
+            state = SystemState(spec, wl)
+            result = run(state, Scripted(v.path), step_cap=len(v.path) + 1)
+            assert check(MONITORS[prop], result.trace).status == FAIL, (prop, v)
+
+
 def test_guard_mutant_violation_found_and_replays():
-    spec = build_bwbgme(3, mutant="no_number_guard")
     wl = Workload.from_sessions([[1], [1], [1]])
-    report = explore(spec, wl, stop_on_violation=True)
-    flips = report.violations.get("flip", [])
-    assert flips
-    # explorer/simulator agreement: the witness path reproduces the verdict
-    state = SystemState(spec, wl)
-    result = run(state, Scripted(flips[0].path), step_cap=10_000)
-    assert not check(check_flip_invariant, result.trace).ok
+    for mutant in ("no_number_guard", "unconditional_flip"):
+        spec = build_bwbgme(3, mutant=mutant)
+        report = explore(spec, wl)
+        assert report.violation_count("flip")
+        assert report.violation_count() == report.violation_count("flip")
+        assert_witnesses_replay(spec, wl, report)
+
+
+def planted_skip_spec():
+    """glb N=2 with a planted bug: P2 goes from its line-6 write straight
+    to the CS, skipping the waiting room, so it can both overlap P1 in
+    the CS and overtake it."""
+    spec = build_glb(2)
+    inner = spec.step_fn
+    cs_pc = next(pc for pc, section in spec.sections.items() if section is Section.CS)
+
+    def step_fn(state, p, env):
+        out = inner(state, p, env)
+        if p == 1 and out[:2] == ("write", 6):
+            env.pc = cs_pc
+        return out
+
+    spec.step_fn = step_fn
+    return spec, Workload.from_sessions([[1], [2]])
+
+
+def test_planted_me_and_fcfs_witnesses_replay():
+    spec, wl = planted_skip_spec()
+    report = explore(spec, wl)
+    assert report.violation_count("me") > 0
+    assert report.violation_count("fcfs") == 8
+    assert_witnesses_replay(spec, wl, report)
 
 
 def test_unmutated_counterpart_is_clean():

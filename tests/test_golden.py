@@ -46,6 +46,8 @@ EXPLORE_DIGESTS = {
         0, 0, "998c185b6857fcb06737538c7c79f9ca3bd92ab947f569f1f07b48fdee3ad2b2"),
     "bwbgme_mutant_guard.scn": (
         1, 135, "953002d2faa068541df3d2d8ce2c9008b9936410b4b2dc177d80de39b562953c"),
+    "glb_explore_n3.scn": (
+        0, 0, "bb51a21726958a0deb04615c25b3069998b82ebde5618fdab9269b84f025d117"),
 }
 
 SWEEP_DIGESTS = {
