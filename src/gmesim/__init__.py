@@ -4,10 +4,10 @@ exclusion algorithms under the cache-coherent memory cost model.
 
 from .bwbgme import build_bwbgme, opposite_color
 from .burns_lamport import block_events, build_bl
-from .explorer import ExplorationReport, crosscheck_reachable, explore
+from .explorer import ExplorationReport, explore
 from .glb import build_glb
 from .machine import (AlgorithmSpec, Section, SystemState, Trace, TraceEvent,
-                      Workload, all_active_blocked, effectively_blocked, run, step)
+                      Workload, all_active_blocked, run, step)
 from .memory import BLACK, BOTTOM, WHITE, Memory, RegisterDecl, RegisterId
 from .monitors import (Verdict, build_invocations, check_bounded_exit,
                        check_concurrent_entry, check_fcfs, check_flip_invariant,

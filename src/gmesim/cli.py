@@ -32,7 +32,7 @@ from .burns_lamport import block_events
 from .errors import ConfigurationError, ScenarioError
 from .explorer import explore
 from .machine import Section, SystemState, Trace, Workload, run
-from .monitors import FAIL, build_invocations, check_implications
+from .monitors import FAIL, build_invocations, check_implications, max_token_number
 from .scenario import Scenario, load_scenario
 from .schedules import bl_adversarial_schedule, bl_adversarial_workload, random_schedule
 
@@ -116,11 +116,6 @@ def cmd_run(args) -> int:
     if args.csv_out:
         _write_run_csv(args.csv_out, scenario, records)
 
-    max_token = 0
-    for ev in trace.events:
-        if ev.kind == "write" and ev.reg and ev.reg.startswith("Token["):
-            number = ev.value[2] if scenario.algorithm == "bwbgme" else ev.value
-            max_token = max(max_token, number)
     blocks = None
     if scenario.algorithm == "bl":
         totals, by_blocker = block_events(trace)
@@ -141,7 +136,7 @@ def cmd_run(args) -> int:
         s = stats[label]
         print(f"  rmr/{label:<12} min={s['min']} mean={s['mean']:.1f} max={s['max']}")
     if scenario.algorithm in ("glb", "bwbgme"):
-        print(f"  max token number   {max_token}")
+        print(f"  max token number   {max_token_number(records)}")
     if blocks:
         per = " ".join(f"P{pid}={cnt}" for pid, cnt in sorted(blocks["totals"].items()))
         print(f"  block counts       {per}")

@@ -1,12 +1,15 @@
 """Bounded exhaustive exploration of all interleavings, with deadlock
-detection and safety monitors evaluated at every state.
+detection and the online safety monitors folded along every edge.
 
 States are keyed on (global store, all process runtimes, workload
-positions); the reader sets (which processes hold a valid copy of each
-register) are excluded because they change only the cost of a read,
-never its value.  Temporal properties (FCFS precedence, the GlobalColor
-flip windows) ride along as explicit monitor state inside the key, so
-merging states never loses a pending obligation.
+positions) plus the state of each online monitor the algorithm checks
+(`gmesim.monitors.ONLINE`): the same definitions `gmesim run` folds
+over a trace.  The reader sets (which processes hold a valid copy of
+each register) are excluded because they change only the cost of a
+read, never its value.  Pending obligations (FCFS precedence, the
+GlobalColor flip windows) live in the monitor states, so merging states
+never loses one.  Every property, mutual exclusion included, is checked
+on the edge whose event violates it.
 
 Every reported state is reproducible: the DFS keeps a parent edge per
 state, and path_of() turns any state id into the pid script that
@@ -15,18 +18,11 @@ reaches it from the initial state.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .machine import (CS_ENTER, DOORWAY_START, EXIT_COMPLETE, Section,
-                      SystemState, Workload, all_active_blocked, step)
-
-DEFAULT_CHECKS = {
-    "glb": ("me", "fcfs", "deadlock"),
-    "bwbgme": ("me", "fcfs", "deadlock", "flip", "token_bound"),
-    "bl": ("me", "deadlock"),
-}
+from .machine import SystemState, Workload, all_active_blocked, step
+from .monitors import DEFAULT_MONITORS, EDGE_DETAIL, ONLINE, monitored, token_number
 
 
 @dataclass
@@ -70,19 +66,17 @@ def _env_live(env_key: tuple, per_proc: list) -> bool:
 
 def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             max_depth: Optional[int] = None, token_cap: Optional[int] = None,
-            checks=None, collect_keys: bool = False,
-            stop_on_violation: bool = False, collect_samples: int = 0,
-            collect_merges: int = 0) -> ExplorationReport:
+            collect_keys: bool = False, stop_on_violation: bool = False,
+            collect_samples: int = 0, collect_merges: int = 0) -> ExplorationReport:
     """Depth-first search over every enabled-process choice.
 
-    Caps are reported as truncation, never as a property failure.  For
-    glb the unbounded tokens get a ceiling (default 4 * N * invocations);
-    paths that exceed it are cut and counted in token_cap_hits.
+    Checks deadlock plus every default monitor of the algorithm that has
+    an online form.  Caps are reported as truncation, never as a
+    property failure.  For glb the unbounded tokens get a ceiling
+    (default 4 * N * invocations); paths that exceed it are cut and
+    counted in token_cap_hits.
     """
     n = spec.n
-    if checks is None:
-        checks = DEFAULT_CHECKS[spec.name]
-    checks = set(checks)
     report = ExplorationReport(spec.name, n)
 
     total_inv = sum(len(per) for per in workload.invocations)
@@ -90,18 +84,13 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     if token_slots and token_cap is None:
         token_cap = 4 * n * max(1, total_inv)
 
-    is_bw = spec.name == "bwbgme"
     work = SystemState(spec, workload)
-    gc_slot = work.mem.slot_of.get(("GlobalColor", None))
-    track_fcfs = "fcfs" in checks
-    track_flip = "flip" in checks and is_bw
+    props = [prop for prop in DEFAULT_MONITORS[spec.name] if prop in ONLINE]
+    sessions = [[s for s, _ in per] for per in workload.invocations]
+    starts, mon_steps = zip(*(ONLINE[prop](n, sessions, spec.meta.get("initial_color"))
+                              for prop in props))
 
-    def mon_initial() -> tuple:
-        masks = (0,) * n if track_fcfs else None
-        wins = (-1,) * n if track_flip else None
-        return (masks, wins)
-
-    root_key = (work.value_key(), mon_initial())
+    root_key = (work.value_key(), starts)
     ids = {root_key: 0}
     keys = [root_key]
     parent = [-1]
@@ -116,35 +105,19 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             nid = parent[nid]
         return tuple(reversed(out))
 
-    def add_violation(prop: str, nid: int, detail: str) -> None:
-        report.violations.setdefault(prop, []).append(
-            Violation(prop, path_of(nid), detail))
+    def add_violation(prop: str, path: tuple, detail: str) -> None:
+        report.violations.setdefault(prop, []).append(Violation(prop, path, detail))
 
-    def add_edge_violation(prop: str, nid: int, pid: int, detail: str) -> None:
-        report.violations.setdefault(prop, []).append(
-            Violation(prop, path_of(nid) + (pid,), detail))
-
-    def state_checks(nid: int, st: SystemState) -> None:
-        if "me" in checks:
-            sessions = set()
-            pids_in_cs = []
-            for p, env in enumerate(st.envs):
-                if spec.sections[env.pc] is Section.CS:
-                    sessions.add(env.mysession)
-                    pids_in_cs.append(p + 1)
-            if len(sessions) > 1:
-                add_violation("me", nid,
-                              f"processes {pids_in_cs} in CS with sessions {sorted(sessions)}")
-        if "deadlock" in checks and all_active_blocked(st):
+    def check_deadlock(nid: int) -> None:
+        if all_active_blocked(work):
             report.deadlocks += 1
-            add_violation("deadlock", nid, "every active process is blocked")
+            add_violation("deadlock", path_of(nid), "every active process is blocked")
 
-    state_checks(0, work)
+    check_deadlock(0)
 
     while stack:
         nid = stack.pop()
         vkey, mon = keys[nid]
-        masks, wins = mon
         env_keys = vkey[1]
         for pid in range(1, n + 1):
             p = pid - 1
@@ -154,61 +127,28 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             ev = step(work, pid)
             report.transitions += 1
 
-            new_masks, new_wins = masks, wins
-            if track_fcfs:
-                if DOORWAY_START in ev.markers:
-                    bit = 0
-                    me_env = work.envs[p]
-                    for q, env_q in enumerate(work.envs):
-                        if q != p and env_q.mysession != me_env.mysession \
-                                and spec.sections[env_q.pc] is Section.WAITING:
-                            bit |= 1 << q
-                    new_masks = masks[:p] + (bit,) + masks[p + 1:]
-                if CS_ENTER in ev.markers:
-                    if new_masks[p]:
-                        waited_on = [q + 1 for q in range(n) if new_masks[p] >> q & 1]
-                        add_edge_violation("fcfs", nid, pid,
-                                           f"P{pid} entered the CS overtaking {waited_on}")
-                    keep = ~(1 << p)
-                    new_masks = tuple((m & keep) if q != p else 0
-                                      for q, m in enumerate(new_masks))
-            if track_flip:
-                if ev.line == 5 and ev.kind == "read":
-                    new_wins = wins[:p] + (0,) + wins[p + 1:]
-                elif ev.kind == "write" and ev.reg == "GlobalColor" \
-                        and ev.value != vkey[0][gc_slot]:
-                    bumped = []
-                    flip_violation = False
-                    for q, w in enumerate(new_wins):
-                        if w >= 0:
-                            bumped.append(w + 1)
-                            if w + 1 >= 2:
-                                flip_violation = True
-                        else:
-                            bumped.append(w)
-                    new_wins = tuple(bumped)
-                    if flip_violation:
-                        victims = [q + 1 for q, w in enumerate(new_wins) if w >= 2]
-                        add_edge_violation("flip", nid, pid,
-                                           f"second GlobalColor flip inside window of {victims}")
-                if EXIT_COMPLETE in ev.markers and new_wins is not None \
-                        and new_wins[p] >= 0:
-                    new_wins = new_wins[:p] + (-1,) + new_wins[p + 1:]
+            child_mon = mon
+            if monitored(ev):
+                child_mon = []
+                for prop, mon_step, state in zip(props, mon_steps, mon):
+                    state, culprits = mon_step(state, ev)
+                    if culprits:
+                        add_violation(prop, path_of(nid) + (pid,),
+                                      EDGE_DETAIL[prop](ev, culprits, n))
+                    child_mon.append(state)
+                child_mon = tuple(child_mon)
 
-            if ev.kind == "write" and ev.reg and ev.reg.startswith("Token["):
-                number = ev.value[2] if is_bw else ev.value
+            if ev.kind == "write" and ev.reg.startswith("Token["):
+                number = token_number(ev.value)
                 if number > report.max_token:
                     report.max_token = number
-                if is_bw and "token_bound" in checks and number > n + 1:
-                    add_edge_violation("token_bound", nid, pid,
-                                       f"P{pid} committed token number {number} > {n + 1}")
                 if token_cap is not None and number > token_cap:
                     report.token_cap_hits += 1
                     report.truncated = True
                     report.truncation_reason = "token cap"
                     continue
 
-            child_key = (work.value_key(), (new_masks, new_wins))
+            child_key = (work.value_key(), child_mon)
             known = ids.get(child_key)
             if known is not None:
                 if collect_merges and len(report.merges) < collect_merges:
@@ -233,7 +173,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                 report.max_depth = child_depth
             if collect_samples and cid % collect_samples == 0:
                 report.samples.append((path_of(cid), child_key[0]))
-            state_checks(cid, work)
+            check_deadlock(cid)
             stack.append(cid)
         if stop_on_violation and (report.violation_count() or report.deadlocks):
             break
@@ -242,47 +182,3 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     if collect_keys:
         report.value_keys = {k[0] for k in keys}
     return report
-
-
-def crosscheck_reachable(spec, workload: Workload, *, max_states: int = 500_000):
-    """Independent breadth-first interleaver over the same step semantics.
-
-    Uses none of explore()'s bookkeeping: a plain frontier queue over
-    value keys (no monitor product), checking only the state predicates.
-    Returns (frozenset of value keys, me_violations, deadlocks).
-    """
-    n = spec.n
-    work = SystemState(spec, workload)
-    root = work.value_key()
-    seen = {root}
-    queue = deque([root])
-    me_violations = 0
-    deadlocks = 0
-
-    def predicates(st: SystemState) -> tuple:
-        sessions = {env.mysession for env in st.envs
-                    if spec.sections[env.pc] is Section.CS}
-        return (len(sessions) > 1, all_active_blocked(st))
-
-    me0, dl0 = predicates(work)
-    me_violations += me0
-    deadlocks += dl0
-
-    while queue:
-        vkey = queue.popleft()
-        for pid in range(1, n + 1):
-            if not _env_live(vkey[1][pid - 1], workload.invocations[pid - 1]):
-                continue
-            work.load_value_key(vkey)
-            step(work, pid)
-            child = work.value_key()
-            if child in seen:
-                continue
-            if len(seen) >= max_states:
-                raise RuntimeError("crosscheck exceeded max_states")
-            seen.add(child)
-            me_bad, dl = predicates(work)
-            me_violations += me_bad
-            deadlocks += dl
-            queue.append(child)
-    return frozenset(seen), me_violations, deadlocks

@@ -245,12 +245,6 @@ class SystemState:
             env.load_key(k)
         self.step_index = 0
 
-    @classmethod
-    def from_value_key(cls, spec: AlgorithmSpec, workload: Workload, key: tuple) -> "SystemState":
-        st = cls(spec, workload)
-        st.load_value_key(key)
-        return st
-
 
 def step(state: SystemState, pid: int) -> TraceEvent:
     """Execute one atomic step of process pid and record it."""
@@ -298,19 +292,6 @@ def step(state: SystemState, pid: int) -> TraceEvent:
     )
     state.step_index += 1
     return ev
-
-
-def effectively_blocked(state: SystemState, pid: int) -> bool:
-    """True iff pid sits at a wait line whose full condition is false.
-
-    Evaluated against the current global store, so a blocked process
-    cannot advance past the line by any number of its own steps.
-    """
-    env = state.envs[pid - 1]
-    cond = state.spec.wait_conds.get(env.pc)
-    if cond is None:
-        return False
-    return not cond(env, state.mem.store, pid)
 
 
 def all_active_blocked(state: SystemState) -> bool:

@@ -4,17 +4,22 @@ to a verdict.
 The caller folds the trace once with `build_invocations` and hands the
 same record list to every monitor, as `monitor(trace, records)`; no
 monitor rebuilds the fold or mutates the records, so running a monitor
-twice on the same inputs always yields the same verdict.  Mutual
-exclusion and FCFS are single sweeps in trace order.  A failing verdict
-carries a witness naming the event indices and processes that realize
-a violation; for `me` and `fcfs` it is the earliest one in trace order.
+twice on the same inputs always yields the same verdict.
+
+Mutual exclusion, FCFS, the single GlobalColor flip and the N+1 token
+bound are each defined once, as an online monitor (`ONLINE`): a small
+hashable state and a step over events.  Their checkers fold that
+monitor over the trace once and look the witness up in the records;
+`explore` folds the same monitors along every edge and keeps their
+states in its key.  A failing verdict carries a witness naming the
+event indices and processes that realize a violation; for these four
+properties it is the first violating event in trace order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Optional
 
 from .errors import ConfigurationError, ConsistencyError
@@ -24,8 +29,6 @@ from .machine import (CS_ENTER, CS_EXIT, DOORWAY_COMPLETE, DOORWAY_START,
 PASS = "pass"
 FAIL = "fail"
 INAPPLICABLE = "inapplicable"
-
-_INF = float("inf")
 
 # Wait lines whose per-pass RMR the accounting tracks, per algorithm.
 _WAIT_LINES = {"glb": (8, 9), "bwbgme": (17, 19, 21), "bl": (5, 10)}
@@ -179,64 +182,188 @@ def build_invocations(trace: Trace) -> list:
     return order
 
 
+def token_number(value) -> int:
+    """The number a Token write carries: a bwbgme token is a (session,
+    color, number) triple, a glb token is the number itself."""
+    return value[2] if isinstance(value, tuple) else value
+
+
+def max_token_number(records: list) -> int:
+    """The largest committed token number (every other Token write is 0)."""
+    return max((token_number(r.token_value) for r in records
+                if r.token_value is not None), default=0)
+
+
+# -- online monitors ----------------------------------------------------
+#
+# Each safety property is defined once, as an online monitor: called
+# with (n, workload sessions per process, initial GlobalColor) it returns
+# a hashable start state and step(state, ev) -> (state, culprits), where
+# culprits lists the pids the event violates the property against (an
+# empty tuple when it violates nothing).  The check_* functions fold a
+# monitor over a trace; the explorer carries the states in its key.  A
+# state is a function of the explorer's value key (sections, sessions,
+# GlobalColor) plus the obligations it tracks (FCFS masks, flip
+# windows), so carrying it never splits a state the explorer merges.
+
+
+def monitored(ev) -> bool:
+    """Whether ev can move an online monitor: it carries a marker, writes,
+    or reads GlobalColor.  Folds skip every other event."""
+    return bool(ev.markers) or ev.kind == "write" or ev.reg == "GlobalColor"
+
+
+def _put(values: tuple, i: int, value) -> tuple:
+    return values[:i] + (value,) + values[i + 1:]
+
+
+def me_monitor(n: int, sessions: list, color):
+    """Mutual exclusion.  State: each process's session while it is in the
+    CS, else 0.  Culprits: the processes of another session in the CS
+    when one enters."""
+    def step(in_cs, ev):
+        p = ev.pid - 1
+        culprits = ()
+        if CS_ENTER in ev.markers:
+            s = sessions[p][ev.inv]
+            culprits = [q + 1 for q, t in enumerate(in_cs) if t and t != s]
+            in_cs = _put(in_cs, p, s)
+        if CS_EXIT in ev.markers:
+            in_cs = _put(in_cs, p, 0)
+        return in_cs, culprits
+    return (0,) * n, step
+
+
+def fcfs_monitor(n: int, sessions: list, color):
+    """First come, first served.  State: each process's session while it
+    waits (doorway complete, CS not entered), else 0; and per process a
+    bit mask of the conflicting processes that were waiting when its
+    doorway began and have not entered since.  Culprits: the entering
+    process's mask."""
+    def step(state, ev):
+        if not ev.markers:
+            return state, ()
+        waiting, masks = state
+        p = ev.pid - 1
+        culprits = ()
+        if DOORWAY_START in ev.markers:
+            s = sessions[p][ev.inv]
+            masks = _put(masks, p, sum(1 << q for q, t in enumerate(waiting)
+                                       if t and t != s))
+        if DOORWAY_COMPLETE in ev.markers:
+            waiting = _put(waiting, p, sessions[p][ev.inv])
+        if CS_ENTER in ev.markers:
+            culprits = [q + 1 for q in range(n) if masks[p] >> q & 1]
+            waiting = _put(waiting, p, 0)
+            keep = ~(1 << p)
+            masks = tuple(0 if q == p else m & keep for q, m in enumerate(masks))
+        return (waiting, masks), culprits
+    return ((0,) * n, (0,) * n), step
+
+
+def flip_monitor(n: int, sessions: list, color):
+    """GlobalColor flips at most once inside any process's window, which
+    opens at its line-5 read of GlobalColor and closes when its exit
+    completes.  State: GlobalColor, and per process the flips inside its
+    open window or -1.  Culprits: the processes a flip leaves with two."""
+    def step(state, ev):
+        if ev.reg != "GlobalColor" and EXIT_COMPLETE not in ev.markers:
+            return state, ()
+        gc, wins = state
+        p = ev.pid - 1
+        culprits = ()
+        if ev.reg == "GlobalColor":
+            if ev.kind == "read":
+                if ev.line == 5:
+                    wins = _put(wins, p, 0)
+            elif ev.value != gc:
+                gc = ev.value
+                wins = tuple(w + 1 if w >= 0 else w for w in wins)
+                culprits = [q + 1 for q, w in enumerate(wins) if w >= 2]
+        if EXIT_COMPLETE in ev.markers:
+            wins = _put(wins, p, -1)
+        return (gc, wins), culprits
+    return (color, (-1,) * n), step
+
+
+def token_bound_monitor(n: int, sessions: list, color):
+    """Token numbers never exceed N+1.  State: the bound N+1.  Culprit: the
+    process whose Token write carries a larger number."""
+    def step(bound, ev):
+        over = (ev.kind == "write" and ev.reg and ev.reg.startswith("Token[")
+                and token_number(ev.value) > bound)
+        return bound, [ev.pid] if over else ()
+    return n + 1, step
+
+
+ONLINE = {
+    "me": me_monitor,
+    "fcfs": fcfs_monitor,
+    "flip": flip_monitor,
+    "token_bound": token_bound_monitor,
+}
+
+# How an explored edge that violates each property reads in the report.
+EDGE_DETAIL = {
+    "me": lambda ev, culprits, n: (f"P{ev.pid} entered the CS while {culprits} "
+                                   "of another session were in it"),
+    "fcfs": lambda ev, culprits, n: f"P{ev.pid} entered the CS overtaking {culprits}",
+    "flip": lambda ev, culprits, n: f"second GlobalColor flip inside window of {culprits}",
+    "token_bound": lambda ev, culprits, n: (f"P{ev.pid} committed token number "
+                                            f"{token_number(ev.value)} > {n + 1}"),
+}
+
+
+def _fold(trace: Trace, prop: str):
+    """Fold prop's online monitor over the trace, yielding (event, state
+    after it, culprits) for every event the monitor reads."""
+    state, step = ONLINE[prop](trace.n, trace.meta["workload_sessions"],
+                               trace.meta.get("initial_color"))
+    for ev in trace.events:
+        if monitored(ev):
+            state, culprits = step(state, ev)
+            yield ev, state, culprits
+
+
+def _earliest(records: list, pids, mark: str, at: int) -> InvocationRecord:
+    """Of each pid's latest invocation whose `mark` step is at or before
+    step `at`, the one whose `mark` step came first."""
+    latest = {}
+    for r in records:
+        step_at = getattr(r, mark)
+        if r.pid in pids and step_at is not None and step_at <= at:
+            latest[r.pid] = r
+    return min(latest.values(), key=attrgetter(mark))
+
+
 def check_mutual_exclusion(trace: Trace, records: list) -> Verdict:
     """No two conflicting invocations may overlap in the critical section.
 
-    One sweep over CS entries in trace order keeps the open CS intervals
-    in a heap by exit step, with a count of them per session.  The first
-    entry that finds an open interval of another session is the witness,
-    paired with the earliest-entered such interval.
+    The witness is the first entry that breaks it, paired with the
+    earliest-entered invocation of another session still in the CS.
     """
-    open_cs: list = []  # (exit step or inf, entry step, record)
-    open_per_session: dict = {}
-    for b in sorted((r for r in records if r.ce is not None), key=attrgetter("ce")):
-        while open_cs and open_cs[0][0] < b.ce:
-            closed = heappop(open_cs)[2]
-            open_per_session[closed.session] -= 1
-        if len(open_cs) > open_per_session.get(b.session, 0):
-            a = min((r for _, _, r in open_cs if r.session != b.session),
-                    key=attrgetter("ce"))
+    for ev, _, culprits in _fold(trace, "me"):
+        if culprits:
+            a = _earliest(records, culprits, "ce", ev.index)
+            b = _earliest(records, (ev.pid,), "ce", ev.index)
             return Verdict("me", FAIL, witness=(a.ce, b.ce, a.pid, b.pid),
                            detail=f"P{a.pid} (session {a.session}) and P{b.pid} "
                                   f"(session {b.session}) overlap in the CS")
-        heappush(open_cs, (_INF if b.cx is None else b.cx, b.ce, b))
-        open_per_session[b.session] = open_per_session.get(b.session, 0) + 1
     return Verdict("me", PASS)
 
 
 def check_fcfs(trace: Trace, records: list) -> Verdict:
     """A doorway-preceding conflicting invocation enters the CS first.
 
-    One sweep over doorway completions and CS entries in trace order
-    keeps, per session, a min-heap by doorway completion of the
-    invocations that completed their doorway; those that have entered
-    since are dropped lazily.  The first entry by an invocation b whose
-    doorway began after a still-waiting invocation of another session
-    had completed its own fails, with the oldest such invocation as a.
+    The witness is the first entry that overtakes, paired with the
+    overtaken invocation whose doorway completed first.
     """
-    marks = sorted([(r.dc, 0, r) for r in records if r.dc is not None]
-                   + [(r.ce, 1, r) for r in records if r.ce is not None],
-                   key=itemgetter(0, 1))
-    waiting: dict = {}  # session -> heap of (dc, record)
-    for at, entering, b in marks:
-        if not entering:
-            heappush(waiting.setdefault(b.session, []), (at, b))
-            continue
-        if b.ds is None:
-            continue
-        overtaken = []
-        for session, heap in waiting.items():
-            if session == b.session:
-                continue
-            while heap and heap[0][1].ce is not None and heap[0][1].ce < at:
-                heappop(heap)
-            if heap and heap[0][0] < b.ds:
-                overtaken.append(heap[0])
-        if overtaken:
-            a = min(overtaken, key=itemgetter(0))[1]
-            return Verdict("fcfs", FAIL, witness=(a.dc, b.ce, a.pid, b.pid),
-                           detail=f"P{a.pid} completed its doorway before P{b.pid} "
-                                  f"started, yet P{b.pid} entered the CS first")
+    for ev, _, culprits in _fold(trace, "fcfs"):
+        if culprits:
+            a = _earliest(records, culprits, "dc", ev.index)
+            return Verdict("fcfs", FAIL, witness=(a.dc, ev.index, a.pid, ev.pid),
+                           detail=f"P{a.pid} completed its doorway before P{ev.pid} "
+                                  f"started, yet P{ev.pid} entered the CS first")
     return Verdict("fcfs", PASS)
 
 
@@ -287,34 +414,27 @@ def check_concurrent_entry(trace: Trace, records: list) -> Verdict:
 def check_flip_invariant(trace: Trace, records: list) -> Verdict:
     """GlobalColor flips at most once inside any process's open window.
 
-    A window opens at the line-5 read of GlobalColor and closes when the
-    invocation completes its exit.
+    The witness names the two flips and, of the processes whose window
+    they both fall in, the one whose window opened first.
     """
     if trace.algorithm != "bwbgme":
         return Verdict("flip", INAPPLICABLE, detail="not a bwbgme trace")
-    gc = trace.meta.get("initial_color")
-    windows: dict = {}
+    color = trace.meta.get("initial_color")
     flips: list = []
-    for ev in trace.events:
-        if ev.pid == 0:
-            continue
-        if ev.kind == "write" and ev.reg == "GlobalColor":
-            if ev.value != gc:
-                gc = ev.value
-                flips.append(ev.index)
-                for pid, window in windows.items():
-                    window.append(ev.index)
-                    if len(window) >= 2:
-                        return Verdict(
-                            "flip", FAIL, witness=(window[0], window[1], pid),
-                            detail=f"GlobalColor flipped twice (steps {window[0]}, "
-                                   f"{window[1]}) inside P{pid}'s window")
-            else:
-                gc = ev.value
-        if ev.line == 5 and ev.kind == "read":
-            windows[ev.pid] = []
-        if EXIT_COMPLETE in ev.markers:
-            windows.pop(ev.pid, None)
+    opened: dict = {}  # pid -> step its open window opened
+    for ev, (gc, wins), culprits in _fold(trace, "flip"):
+        if gc != color:
+            color = gc
+            flips.append(ev.index)
+        if wins[ev.pid - 1] < 0:
+            opened.pop(ev.pid, None)
+        else:
+            opened.setdefault(ev.pid, ev.index)
+        if culprits:
+            pid = min(culprits, key=opened.__getitem__)
+            return Verdict("flip", FAIL, witness=(flips[-2], flips[-1], pid),
+                           detail=f"GlobalColor flipped twice (steps {flips[-2]}, "
+                                  f"{flips[-1]}) inside P{pid}'s window")
     return Verdict("flip", PASS, detail=f"{len(flips)} flips observed")
 
 
@@ -322,17 +442,12 @@ def check_token_bound(trace: Trace, records: list) -> Verdict:
     """Committed token numbers never exceed N+1."""
     if trace.algorithm != "bwbgme":
         return Verdict("token-bound", INAPPLICABLE, detail="not a bwbgme trace")
-    n = trace.n
-    max_seen = 0
-    for ev in trace.events:
-        if ev.kind == "write" and ev.reg and ev.reg.startswith("Token["):
-            number = ev.value[2]
-            if number > max_seen:
-                max_seen = number
-            if number > n + 1:
-                return Verdict("token-bound", FAIL, witness=(ev.index, ev.pid),
-                               detail=f"token number {number} > N+1 = {n + 1}")
-    return Verdict("token-bound", PASS, detail=f"max token number {max_seen}")
+    for ev, bound, culprits in _fold(trace, "token_bound"):
+        if culprits:
+            return Verdict("token-bound", FAIL, witness=(ev.index, ev.pid),
+                           detail=f"token number {token_number(ev.value)} > N+1 = {bound}")
+    return Verdict("token-bound", PASS,
+                   detail=f"max token number {max_token_number(records)}")
 
 
 def check_progress(trace: Trace, records: list) -> Verdict:

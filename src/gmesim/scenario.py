@@ -23,7 +23,7 @@ chosen algorithm are rejected with the offending line number.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .bwbgme import MUTANTS, build_bwbgme
@@ -78,6 +78,11 @@ class Scenario:
                  f"cs_steps = {self.cs_steps}",
                  f"step_cap = {self.step_cap}",
                  f"monitors = {','.join(self.monitors)}"]
+        # An explore cap is named only when set away from its default, so
+        # the hash of every uncapped scenario stays what it was.
+        lines += [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)
+                  if f.name in ("max_states", "max_depth", "token_cap")
+                  and getattr(self, f.name) != f.default]
         for pid in sorted(self.sessions):
             lines.append(f"sessions[{pid}] = {' '.join(map(str, self.sessions[pid]))}")
         if self.script:

@@ -1,17 +1,19 @@
-"""Reference checkers for mutual exclusion and FCFS: every pair compared.
+"""Reference checkers, written directly from each property's statement.
 
-These are the O(I^2) pairwise checkers gmesim ran before `me` and
-`fcfs` became sweeps over the shared invocation fold.  Each rebuilds
-the fold from the trace and compares every pair of invocations, which
-makes them slow but obviously faithful to the definitions; the tests
-require the sweeps to agree with them on the verdict status and to
-report a witness pair that these definitions also call a violation.
+`check_mutual_exclusion` and `check_fcfs` are the O(I^2) pairwise
+checkers gmesim once ran: each rebuilds the invocation fold and
+compares every pair of invocations.  `check_flip_invariant` and
+`check_token_bound` are the event scans gmesim ran before these
+properties became online monitors.  All four are slow or ad hoc but
+obviously faithful to the definitions; the tests require the folds of
+the online monitors to agree with them on the verdict status, and on a
+witness that these definitions also call a violation.
 """
 
 from __future__ import annotations
 
-from gmesim.machine import Trace
-from gmesim.monitors import FAIL, PASS, Verdict, build_invocations
+from gmesim.machine import EXIT_COMPLETE, Trace
+from gmesim.monitors import FAIL, INAPPLICABLE, PASS, Verdict, build_invocations
 
 _INF = float("inf")
 
@@ -48,3 +50,54 @@ def check_fcfs(trace: Trace) -> Verdict:
                                detail=f"P{a.pid} completed its doorway before P{b.pid} "
                                       f"started, yet P{b.pid} entered the CS first")
     return Verdict("fcfs", PASS)
+
+
+def check_flip_invariant(trace: Trace) -> Verdict:
+    """GlobalColor flips at most once inside any process's open window.
+
+    A window opens at the line-5 read of GlobalColor and closes when the
+    invocation completes its exit.
+    """
+    if trace.algorithm != "bwbgme":
+        return Verdict("flip", INAPPLICABLE, detail="not a bwbgme trace")
+    gc = trace.meta.get("initial_color")
+    windows: dict = {}
+    flips: list = []
+    for ev in trace.events:
+        if ev.pid == 0:
+            continue
+        if ev.kind == "write" and ev.reg == "GlobalColor":
+            if ev.value != gc:
+                gc = ev.value
+                flips.append(ev.index)
+                for pid, window in windows.items():
+                    window.append(ev.index)
+                    if len(window) >= 2:
+                        return Verdict(
+                            "flip", FAIL, witness=(window[0], window[1], pid),
+                            detail=f"GlobalColor flipped twice (steps {window[0]}, "
+                                   f"{window[1]}) inside P{pid}'s window")
+            else:
+                gc = ev.value
+        if ev.line == 5 and ev.kind == "read":
+            windows[ev.pid] = []
+        if EXIT_COMPLETE in ev.markers:
+            windows.pop(ev.pid, None)
+    return Verdict("flip", PASS, detail=f"{len(flips)} flips observed")
+
+
+def check_token_bound(trace: Trace) -> Verdict:
+    """Committed token numbers never exceed N+1."""
+    if trace.algorithm != "bwbgme":
+        return Verdict("token-bound", INAPPLICABLE, detail="not a bwbgme trace")
+    n = trace.n
+    max_seen = 0
+    for ev in trace.events:
+        if ev.kind == "write" and ev.reg and ev.reg.startswith("Token["):
+            number = ev.value[2]
+            if number > max_seen:
+                max_seen = number
+            if number > n + 1:
+                return Verdict("token-bound", FAIL, witness=(ev.index, ev.pid),
+                               detail=f"token number {number} > N+1 = {n + 1}")
+    return Verdict("token-bound", PASS, detail=f"max token number {max_seen}")

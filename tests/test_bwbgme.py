@@ -11,7 +11,7 @@ from gmesim.monitors import (FAIL, PASS, build_invocations, check_bounded_exit,
                              check_flip_invariant, check_mutual_exclusion,
                              check_token_bound, check_wait_rmr_bounds)
 from util import (check, distinct_sessions, doorway_done, drive, entered_cs, finished,
-                  me_fcfs_against_oracle, run_scripted)
+                  flip_token_against_oracle, me_fcfs_against_oracle, run_scripted)
 
 
 def token_of(state, pid):
@@ -173,6 +173,7 @@ def test_monitors_on_contended_runs():
             assert check(check_mutual_exclusion, result.trace).ok
             assert check(check_token_bound, result.trace).ok
             assert check(check_flip_invariant, result.trace).ok
+            flip_token_against_oracle(result.trace)
             assert check(check_bounded_exit, result.trace).ok
             v = check(check_wait_rmr_bounds, result.trace)
             assert v.ok, v.detail
@@ -211,10 +212,12 @@ def test_naive_exit_narrative_breaks_and_real_algorithm_passes():
     assert not check(check_mutual_exclusion, bad.trace).ok
     assert not check(check_flip_invariant, bad.trace).ok
     assert me_fcfs_against_oracle(bad.trace)["me"] == FAIL
+    assert flip_token_against_oracle(bad.trace)["flip"] == FAIL
     good = run_scripted(build_bwbgme(4, WHITE), wl, pids)
     assert check(check_mutual_exclusion, good.trace).ok
     assert check(check_flip_invariant, good.trace).ok
     assert me_fcfs_against_oracle(good.trace)["me"] == PASS
+    assert flip_token_against_oracle(good.trace) == {"flip": PASS, "token-bound": PASS}
 
 
 def test_plain_drive_cannot_reach_violation_without_mutation():
@@ -258,6 +261,8 @@ def test_guard_removal_double_flips_a_hanging_window():
     verdict = check(check_flip_invariant, bad.trace)
     assert not verdict.ok and "P3" in verdict.detail
     me_fcfs_against_oracle(bad.trace)
+    flip_token_against_oracle(bad.trace)
     good = run_scripted(build_bwbgme(3, WHITE), wl, pids)
     assert check(check_flip_invariant, good.trace).ok
     me_fcfs_against_oracle(good.trace)
+    flip_token_against_oracle(good.trace)

@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_bl,
-                    build_bwbgme, build_glb, effectively_blocked, random_schedule,
-                    run, step)
+                    build_bwbgme, build_glb, random_schedule, run, step)
 from gmesim import machine
 from gmesim.errors import ConfigurationError
 from gmesim.machine import (CS_ENTER, DOORWAY_COMPLETE, DOORWAY_START,
                             EXIT_COMPLETE, Section)
 from gmesim.monitors import check_mutual_exclusion, check_section_order
 from oracle_memory import Memory as OracleMemory
-from util import check, distinct_sessions, doorway_done, drive, entered_cs, finished
+from util import (check, distinct_sessions, doorway_done, drive, effectively_blocked,
+                  entered_cs, finished)
 
 
 def test_first_doorway_step_writes_choosing():
@@ -181,7 +181,8 @@ def test_value_key_roundtrip():
         step(state, 1)
         step(state, 2)
     key = state.value_key()
-    clone = SystemState.from_value_key(spec, wl, key)
+    clone = SystemState(spec, wl)
+    clone.load_value_key(key)
     assert clone.value_key() == key
 
 

@@ -18,7 +18,8 @@ from gmesim.monitors import (FAIL, INAPPLICABLE, PASS, build_invocations,
                              check_mutual_exclusion, check_progress,
                              check_token_bound, monitors_for)
 from gmesim.schedules import RoundRobin
-from util import check, distinct_sessions, me_fcfs_against_oracle
+from util import (check, distinct_sessions, flip_token_against_oracle,
+                  me_fcfs_against_oracle)
 
 
 def ev(index, pid, inv=0, line=0, kind="local", reg=None, value=None, rmr=False,
@@ -254,14 +255,19 @@ MARKERS = (DOORWAY_START, DOORWAY_COMPLETE, CS_ENTER, CS_EXIT, EXIT_COMPLETE)
 
 
 def random_marker_trace(rnd):
-    """2-5 processes, 1-3 sessions, a random interleaving of marker events.
+    """2-5 processes, 1-3 sessions, a random interleaving of marker events
+    and bwbgme's GlobalColor and Token accesses.
 
     No algorithm decides the order, so CS intervals overlap at random
     and doorways complete in any order: both verdicts of me and fcfs
     come up.  Each process runs its invocations in order, the last one
     possibly cut short; sometimes two consecutive markers of one
     invocation share an event (a doorway completed by entering, a CS
-    left in the step that entered it).
+    left in the step that entered it).  Between its markers a process
+    may read GlobalColor at line 5 (opening its flip window), write
+    either color to it (a flip or a same-color rewrite), or write a
+    token whose number may exceed N+1: both verdicts of flip and
+    token_bound come up too.
     """
     n = rnd.randint(2, 5)
     n_sessions = rnd.randint(1, 3)
@@ -274,15 +280,26 @@ def random_marker_trace(rnd):
             cut = rnd.randint(1, 5) if inv == len(per) - 1 else 5
             queue += [(pid, inv, m) for m in MARKERS[:cut]]
         pending.append(queue)
+    accesses = rnd.random()  # how often a step is an access, not a marker
     events = []
     while any(pending):
         queue = rnd.choice([q for q in pending if q])
-        pid, inv, marker = queue.pop(0)
+        pid, inv, marker = queue[0]
+        if rnd.random() < accesses:
+            access = rnd.choice((
+                dict(line=5, kind="read", reg="GlobalColor", value=WHITE),
+                dict(line=28, kind="write", reg="GlobalColor",
+                     value=rnd.choice((WHITE, BLACK))),
+                dict(line=14, kind="write", reg=f"Token[{pid}]",
+                     value=(sessions[pid - 1][inv], WHITE, rnd.randint(0, n + 2)))))
+            events.append(ev(len(events), pid, inv=inv, **access))
+            continue
+        queue.pop(0)
         markers = [marker]
         while queue and queue[0][1] == inv and rnd.random() < 0.2:
             markers.append(queue.pop(0)[2])
         events.append(ev(len(events), pid, inv=inv, markers=tuple(markers)))
-    return synthetic("glb", n, events, sessions)
+    return synthetic("bwbgme", n, events, sessions)
 
 
 @settings(max_examples=300, deadline=None)
@@ -291,10 +308,17 @@ def test_me_fcfs_sweeps_match_pairwise_oracle(rnd):
     me_fcfs_against_oracle(random_marker_trace(rnd))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_flip_token_folds_match_event_scan_oracle(rnd):
+    flip_token_against_oracle(random_marker_trace(rnd))
+
+
 def test_oracle_comparison_sees_both_verdicts():
     seen = Counter()
     for seed in range(200):
         trace = random_marker_trace(random.Random(seed))
         seen.update(me_fcfs_against_oracle(trace).items())
-    for prop in ("me", "fcfs"):
+        seen.update(flip_token_against_oracle(trace).items())
+    for prop in ("me", "fcfs", "flip", "token-bound"):
         assert seen[prop, PASS] and seen[prop, FAIL], seen

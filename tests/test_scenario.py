@@ -39,6 +39,17 @@ def test_config_hash_is_stable():
     assert parse_scenario(other).config_hash != parse_scenario(GOOD).config_hash
 
 
+def test_config_hash_names_the_explore_caps():
+    base = parse_scenario(GOOD).config_hash
+    for cap, value in (("max_states", 40), ("max_depth", 12), ("token_cap", 5)):
+        capped = parse_scenario(GOOD)
+        setattr(capped, cap, value)
+        assert capped.config_hash != base, cap
+    # a cap left at its default hashes as if unset
+    explicit = parse_scenario(GOOD + "max_states = 2000000\n")
+    assert explicit.config_hash == base
+
+
 def err(text):
     with pytest.raises(ScenarioError) as info:
         parse_scenario(text)

@@ -3,7 +3,8 @@
 import oracle_monitors
 from gmesim import Scripted, SystemState, Workload, run, step
 from gmesim.machine import CS_ENTER, DOORWAY_COMPLETE, EXIT_COMPLETE, Trace
-from gmesim.monitors import FAIL, build_invocations, check_fcfs, check_mutual_exclusion
+from gmesim.monitors import (FAIL, build_invocations, check_fcfs, check_flip_invariant,
+                             check_mutual_exclusion, check_token_bound)
 
 
 def check(monitor, trace):
@@ -38,6 +39,21 @@ def me_fcfs_against_oracle(trace) -> dict:
     return statuses
 
 
+def flip_token_against_oracle(trace) -> dict:
+    """Compare the flip and token-bound folds with the event-scan oracles
+    on one trace: the same status, and the same witness when they fail.
+    Returns each fold's status."""
+    records = build_invocations(trace)
+    statuses = {}
+    for fold, oracle in ((check_flip_invariant, oracle_monitors.check_flip_invariant),
+                         (check_token_bound, oracle_monitors.check_token_bound)):
+        verdict, want = fold(trace, records), oracle(trace)
+        assert (verdict.status, verdict.witness) == (want.status, want.witness), \
+            (verdict, want)
+        statuses[verdict.prop] = verdict.status
+    return statuses
+
+
 def drive(state, pid, until, pids=None, limit=100_000):
     """Step pid until the predicate accepts an event; returns that event."""
     for _ in range(limit):
@@ -47,6 +63,19 @@ def drive(state, pid, until, pids=None, limit=100_000):
         if until(ev):
             return ev
     raise AssertionError(f"drive stalled on P{pid}")
+
+
+def effectively_blocked(state, pid) -> bool:
+    """True iff pid sits at a wait line whose full condition is false.
+
+    Evaluated against the current global store, so a blocked process
+    cannot advance past the line by any number of its own steps.
+    """
+    env = state.envs[pid - 1]
+    cond = state.spec.wait_conds.get(env.pc)
+    if cond is None:
+        return False
+    return not cond(env, state.mem.store, pid)
 
 
 def until_marker(marker):
