@@ -13,18 +13,18 @@ def check(monitor, trace):
 
 
 def me_fcfs_against_oracle(trace) -> dict:
-    """Compare the me/fcfs sweeps with the pairwise oracle on one trace.
+    """Compare the me/fcfs folds with the pairwise oracle on one trace.
 
-    The verdict statuses must agree, and when a sweep fails, the two
+    The verdict statuses must agree, and when a fold fails, the two
     invocations its witness names must fail the oracle on their own
-    (their events alone, as a trace).  Returns each sweep's status.
+    (their events alone, as a trace).  Returns each fold's status.
     """
     records = build_invocations(trace)
     statuses = {}
-    for sweep, oracle, a_step in ((check_mutual_exclusion,
-                                   oracle_monitors.check_mutual_exclusion, "ce"),
-                                  (check_fcfs, oracle_monitors.check_fcfs, "dc")):
-        verdict = sweep(trace, records)
+    for fold, oracle, a_step in ((check_mutual_exclusion,
+                                  oracle_monitors.check_mutual_exclusion, "ce"),
+                                 (check_fcfs, oracle_monitors.check_fcfs, "dc")):
+        verdict = fold(trace, records)
         assert verdict.status == oracle(trace).status, (verdict, oracle(trace))
         if verdict.status == FAIL:
             a_at, b_ce, a_pid, b_pid = verdict.witness
