@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .machine import SystemState, Workload, all_active_blocked, step
-from .monitors import DEFAULT_MONITORS, EDGE_DETAIL, ONLINE, monitored, token_number
+from .monitors import DEFAULT_MONITORS, ONLINE, advance, monitored, token_number
 
 
 @dataclass
@@ -59,36 +59,34 @@ class ExplorationReport:
         return self.violation_count() == 0 and self.deadlocks == 0
 
 
-def _env_live(env_key: tuple, per_proc: list) -> bool:
-    pc, inv = env_key[0], env_key[6]
-    return pc != 0 or inv + 1 < len(per_proc)
+def default_token_cap(n: int, invocations: int) -> int:
+    """explore()'s ceiling on glb's unbounded token numbers, unless given."""
+    return 4 * n * max(1, invocations)
 
 
 def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             max_depth: Optional[int] = None, token_cap: Optional[int] = None,
-            collect_keys: bool = False, stop_on_violation: bool = False,
-            collect_samples: int = 0, collect_merges: int = 0) -> ExplorationReport:
+            collect_keys: bool = False, collect_samples: int = 0,
+            collect_merges: int = 0) -> ExplorationReport:
     """Depth-first search over every enabled-process choice.
 
     Checks deadlock plus every default monitor of the algorithm that has
     an online form.  Caps are reported as truncation, never as a
     property failure.  For glb the unbounded tokens get a ceiling
-    (default 4 * N * invocations); paths that exceed it are cut and
-    counted in token_cap_hits.
+    (default_token_cap); paths that exceed it are cut and counted in
+    token_cap_hits.
     """
     n = spec.n
     report = ExplorationReport(spec.name, n)
 
-    total_inv = sum(len(per) for per in workload.invocations)
-    token_slots = spec.meta.get("unbounded_token_slots")
-    if token_slots and token_cap is None:
-        token_cap = 4 * n * max(1, total_inv)
+    if spec.meta.get("unbounded_token_slots") and token_cap is None:
+        token_cap = default_token_cap(n, sum(map(len, workload.invocations)))
 
     work = SystemState(spec, workload)
     props = [prop for prop in DEFAULT_MONITORS[spec.name] if prop in ONLINE]
     sessions = [[s for s, _ in per] for per in workload.invocations]
-    starts, mon_steps = zip(*(ONLINE[prop](n, sessions, spec.meta.get("initial_color"))
-                              for prop in props))
+    color = spec.meta.get("initial_color")
+    starts, mon_steps, describe = zip(*(ONLINE[prop](n, sessions, color) for prop in props))
 
     root_key = (work.value_key(), starts)
     ids = {root_key: 0}
@@ -120,23 +118,19 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
         vkey, mon = keys[nid]
         env_keys = vkey[1]
         for pid in range(1, n + 1):
-            p = pid - 1
-            if not _env_live(env_keys[p], workload.invocations[p]):
-                continue
+            pc, inv = env_keys[pid - 1][0], env_keys[pid - 1][6]
+            if pc == 0 and inv + 1 >= len(workload.invocations[pid - 1]):
+                continue  # the process has finished its last invocation
             work.load_value_key(vkey)
             ev = step(work, pid)
             report.transitions += 1
 
             child_mon = mon
             if monitored(ev):
-                child_mon = []
-                for prop, mon_step, state in zip(props, mon_steps, mon):
-                    state, culprits = mon_step(state, ev)
-                    if culprits:
-                        add_violation(prop, path_of(nid) + (pid,),
-                                      EDGE_DETAIL[prop](ev, culprits, n))
-                    child_mon.append(state)
-                child_mon = tuple(child_mon)
+                child_mon, hits = advance(mon_steps, mon, ev)
+                for i, culprits in hits:
+                    add_violation(props[i], path_of(nid) + (pid,),
+                                  describe[i](ev, culprits))
 
             if ev.kind == "write" and ev.reg.startswith("Token["):
                 number = token_number(ev.value)
@@ -175,8 +169,6 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                 report.samples.append((path_of(cid), child_key[0]))
             check_deadlock(cid)
             stack.append(cid)
-        if stop_on_violation and (report.violation_count() or report.deadlocks):
-            break
 
     report.states = len(keys)
     if collect_keys:

@@ -100,12 +100,8 @@ class Trace:
     n: int
     events: list
     meta: dict = field(default_factory=dict)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self):
-        return len(self.events)
+    # gmesim.monitors' cached pass along the events, not part of the value
+    online_pass: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 class Workload:

@@ -8,12 +8,13 @@ twice on the same inputs always yields the same verdict.
 
 Mutual exclusion, FCFS, the single GlobalColor flip and the N+1 token
 bound are each defined once, as an online monitor (`ONLINE`): a small
-hashable state and a step over events.  Their checkers fold that
-monitor over the trace once and look the witness up in the records;
-`explore` folds the same monitors along every edge and keeps their
-states in its key.  A failing verdict carries a witness naming the
-event indices and processes that realize a violation; for these four
-properties it is the first violating event in trace order.
+hashable state and a step over events.  `advance` steps them together:
+along a trace in one pass that their four checkers share, each then
+looking its witness up in the records; and along every edge that
+`explore` takes, which keeps their states in its key.  A failing
+verdict carries a witness naming the event indices and processes that
+realize a violation; for these four properties it is the first
+violating event in trace order.
 """
 
 from __future__ import annotations
@@ -196,21 +197,31 @@ def max_token_number(records: list) -> int:
 
 # -- online monitors ----------------------------------------------------
 #
-# Each safety property is defined once, as an online monitor: called
-# with (n, workload sessions per process, initial GlobalColor) it returns
-# a hashable start state and step(state, ev) -> (state, culprits), where
-# culprits lists the pids the event violates the property against (an
-# empty tuple when it violates nothing).  The check_* functions fold a
-# monitor over a trace; the explorer carries the states in its key.  A
-# state is a function of the explorer's value key (sections, sessions,
-# GlobalColor) plus the obligations it tracks (FCFS masks, flip
-# windows), so carrying it never splits a state the explorer merges.
+# Called with (n, workload sessions per process, initial GlobalColor), a
+# monitor returns a hashable start state, step(state, ev) -> (state,
+# culprits), culprits being the pids ev violates the property against,
+# and describe(ev, culprits), how an explored edge that violates it
+# reads.  A state is a function of the explorer's value key plus the
+# obligations it tracks (FCFS masks, flip windows), so carrying it in
+# the key never splits a state the explorer would merge.
 
 
 def monitored(ev) -> bool:
-    """Whether ev can move an online monitor: it carries a marker, writes,
-    or reads GlobalColor.  Folds skip every other event."""
+    """Whether ev can move an online monitor: it has markers, writes, or
+    reads GlobalColor.  Monitors are stepped only over these events."""
     return bool(ev.markers) or ev.kind == "write" or ev.reg == "GlobalColor"
+
+
+def advance(steps, states, ev):
+    """Step every online monitor over one event that `monitored` passes:
+    the states after it, and (i, culprits) for each monitor i it violates."""
+    after, hits = [], []
+    for i, step in enumerate(steps):
+        state, culprits = step(states[i], ev)
+        after.append(state)
+        if culprits:
+            hits.append((i, culprits))
+    return tuple(after), hits
 
 
 def _put(values: tuple, i: int, value) -> tuple:
@@ -231,7 +242,8 @@ def me_monitor(n: int, sessions: list, color):
         if CS_EXIT in ev.markers:
             in_cs = _put(in_cs, p, 0)
         return in_cs, culprits
-    return (0,) * n, step
+    return ((0,) * n, step, lambda ev, pids: f"P{ev.pid} entered the CS while {pids} "
+                                             "of another session were in it")
 
 
 def fcfs_monitor(n: int, sessions: list, color):
@@ -258,7 +270,8 @@ def fcfs_monitor(n: int, sessions: list, color):
             keep = ~(1 << p)
             masks = tuple(0 if q == p else m & keep for q, m in enumerate(masks))
         return (waiting, masks), culprits
-    return ((0,) * n, (0,) * n), step
+    return (((0,) * n, (0,) * n), step,
+            lambda ev, pids: f"P{ev.pid} entered the CS overtaking {pids}")
 
 
 def flip_monitor(n: int, sessions: list, color):
@@ -283,17 +296,19 @@ def flip_monitor(n: int, sessions: list, color):
         if EXIT_COMPLETE in ev.markers:
             wins = _put(wins, p, -1)
         return (gc, wins), culprits
-    return (color, (-1,) * n), step
+    return ((color, (-1,) * n), step,
+            lambda ev, pids: f"second GlobalColor flip inside window of {pids}")
 
 
 def token_bound_monitor(n: int, sessions: list, color):
-    """Token numbers never exceed N+1.  State: the bound N+1.  Culprit: the
-    process whose Token write carries a larger number."""
-    def step(bound, ev):
+    """Token numbers never exceed N+1.  Stateless.  Culprit: the process
+    whose Token write carries a larger number."""
+    def step(state, ev):
         over = (ev.kind == "write" and ev.reg and ev.reg.startswith("Token[")
-                and token_number(ev.value) > bound)
-        return bound, [ev.pid] if over else ()
-    return n + 1, step
+                and token_number(ev.value) > n + 1)
+        return state, [ev.pid] if over else ()
+    return ((), step, lambda ev, pids: f"P{ev.pid} committed token number "
+                                       f"{token_number(ev.value)} > {n + 1}")
 
 
 ONLINE = {
@@ -303,26 +318,35 @@ ONLINE = {
     "token_bound": token_bound_monitor,
 }
 
-# How an explored edge that violates each property reads in the report.
-EDGE_DETAIL = {
-    "me": lambda ev, culprits, n: (f"P{ev.pid} entered the CS while {culprits} "
-                                   "of another session were in it"),
-    "fcfs": lambda ev, culprits, n: f"P{ev.pid} entered the CS overtaking {culprits}",
-    "flip": lambda ev, culprits, n: f"second GlobalColor flip inside window of {culprits}",
-    "token_bound": lambda ev, culprits, n: (f"P{ev.pid} committed token number "
-                                            f"{token_number(ev.value)} > {n + 1}"),
-}
 
-
-def _fold(trace: Trace, prop: str):
-    """Fold prop's online monitor over the trace, yielding (event, state
-    after it, culprits) for every event the monitor reads."""
-    state, step = ONLINE[prop](trace.n, trace.meta["workload_sessions"],
-                               trace.meta.get("initial_color"))
-    for ev in trace.events:
-        if monitored(ev):
-            state, culprits = step(state, ev)
-            yield ev, state, culprits
+def _online_pass(trace: Trace, records: list) -> tuple:
+    """Step the online monitors that apply to the trace along it: the first
+    violating event and its culprits per violated property, and, up to the
+    first flip violation, the steps that flipped GlobalColor and the step
+    each open window opened at.  `gmesim run` hands every monitor the same
+    trace and records, so the pass is kept on the trace for those records."""
+    if trace.online_pass is not None and trace.online_pass[0] is records:
+        return trace.online_pass[1]
+    props = [p for p in ONLINE if p in ("me", "fcfs") or trace.algorithm == "bwbgme"]
+    states, steps, _ = zip(*(ONLINE[p](trace.n, trace.meta["workload_sessions"],
+                                       trace.meta.get("initial_color")) for p in props))
+    flip = props.index("flip") if "flip" in props else None
+    first, flips, opened = {}, [], {}
+    for ev in filter(monitored, trace.events):
+        before = states
+        states, hits = advance(steps, states, ev)
+        if flip is not None and "flip" not in first and states[flip] is not before[flip]:
+            gc, wins = states[flip]
+            if gc != before[flip][0]:
+                flips.append(ev.index)
+            if wins[ev.pid - 1] < 0:
+                opened.pop(ev.pid, None)
+            else:
+                opened.setdefault(ev.pid, ev.index)
+        for i, culprits in hits:
+            first.setdefault(props[i], (ev, culprits))
+    trace.online_pass = (records, (first, flips, opened))
+    return first, flips, opened
 
 
 def _earliest(records: list, pids, mark: str, at: int) -> InvocationRecord:
@@ -342,14 +366,15 @@ def check_mutual_exclusion(trace: Trace, records: list) -> Verdict:
     The witness is the first entry that breaks it, paired with the
     earliest-entered invocation of another session still in the CS.
     """
-    for ev, _, culprits in _fold(trace, "me"):
-        if culprits:
-            a = _earliest(records, culprits, "ce", ev.index)
-            b = _earliest(records, (ev.pid,), "ce", ev.index)
-            return Verdict("me", FAIL, witness=(a.ce, b.ce, a.pid, b.pid),
-                           detail=f"P{a.pid} (session {a.session}) and P{b.pid} "
-                                  f"(session {b.session}) overlap in the CS")
-    return Verdict("me", PASS)
+    hit = _online_pass(trace, records)[0].get("me")
+    if hit is None:
+        return Verdict("me", PASS)
+    ev, culprits = hit
+    a = _earliest(records, culprits, "ce", ev.index)
+    b = _earliest(records, (ev.pid,), "ce", ev.index)
+    return Verdict("me", FAIL, witness=(a.ce, b.ce, a.pid, b.pid),
+                   detail=f"P{a.pid} (session {a.session}) and P{b.pid} "
+                          f"(session {b.session}) overlap in the CS")
 
 
 def check_fcfs(trace: Trace, records: list) -> Verdict:
@@ -358,21 +383,14 @@ def check_fcfs(trace: Trace, records: list) -> Verdict:
     The witness is the first entry that overtakes, paired with the
     overtaken invocation whose doorway completed first.
     """
-    for ev, _, culprits in _fold(trace, "fcfs"):
-        if culprits:
-            a = _earliest(records, culprits, "dc", ev.index)
-            return Verdict("fcfs", FAIL, witness=(a.dc, ev.index, a.pid, ev.pid),
-                           detail=f"P{a.pid} completed its doorway before P{ev.pid} "
-                                  f"started, yet P{ev.pid} entered the CS first")
-    return Verdict("fcfs", PASS)
-
-
-def _default_exit_bound(algorithm: str, n: int):
-    if algorithm == "glb":
-        return ("exact", 2)
-    if algorithm == "bl":
-        return ("exact", 1)
-    return ("atmost", n + 2)
+    hit = _online_pass(trace, records)[0].get("fcfs")
+    if hit is None:
+        return Verdict("fcfs", PASS)
+    ev, culprits = hit
+    a = _earliest(records, culprits, "dc", ev.index)
+    return Verdict("fcfs", FAIL, witness=(a.dc, ev.index, a.pid, ev.pid),
+                   detail=f"P{a.pid} completed its doorway before P{ev.pid} "
+                          f"started, yet P{ev.pid} entered the CS first")
 
 
 def check_bounded_exit(trace: Trace, records: list) -> Verdict:
@@ -381,7 +399,8 @@ def check_bounded_exit(trace: Trace, records: list) -> Verdict:
     glb: exactly 2 writes; bl: exactly 1 write; bwbgme: at most N+2
     accesses (scan reads, at most one flip, token reset).
     """
-    mode, bound = _default_exit_bound(trace.algorithm, trace.n)
+    mode, bound = {"glb": ("exact", 2), "bl": ("exact", 1)}.get(
+        trace.algorithm, ("atmost", trace.n + 2))
     for rec in records:
         if rec.exit_accesses > bound:
             return Verdict("bounded-exit", FAIL, witness=(rec.pid, rec.inv),
@@ -419,35 +438,26 @@ def check_flip_invariant(trace: Trace, records: list) -> Verdict:
     """
     if trace.algorithm != "bwbgme":
         return Verdict("flip", INAPPLICABLE, detail="not a bwbgme trace")
-    color = trace.meta.get("initial_color")
-    flips: list = []
-    opened: dict = {}  # pid -> step its open window opened
-    for ev, (gc, wins), culprits in _fold(trace, "flip"):
-        if gc != color:
-            color = gc
-            flips.append(ev.index)
-        if wins[ev.pid - 1] < 0:
-            opened.pop(ev.pid, None)
-        else:
-            opened.setdefault(ev.pid, ev.index)
-        if culprits:
-            pid = min(culprits, key=opened.__getitem__)
-            return Verdict("flip", FAIL, witness=(flips[-2], flips[-1], pid),
-                           detail=f"GlobalColor flipped twice (steps {flips[-2]}, "
-                                  f"{flips[-1]}) inside P{pid}'s window")
-    return Verdict("flip", PASS, detail=f"{len(flips)} flips observed")
+    first, flips, opened = _online_pass(trace, records)
+    if "flip" not in first:
+        return Verdict("flip", PASS, detail=f"{len(flips)} flips observed")
+    pid = min(first["flip"][1], key=opened.__getitem__)
+    return Verdict("flip", FAIL, witness=(flips[-2], flips[-1], pid),
+                   detail=f"GlobalColor flipped twice (steps {flips[-2]}, "
+                          f"{flips[-1]}) inside P{pid}'s window")
 
 
 def check_token_bound(trace: Trace, records: list) -> Verdict:
     """Committed token numbers never exceed N+1."""
     if trace.algorithm != "bwbgme":
         return Verdict("token-bound", INAPPLICABLE, detail="not a bwbgme trace")
-    for ev, bound, culprits in _fold(trace, "token_bound"):
-        if culprits:
-            return Verdict("token-bound", FAIL, witness=(ev.index, ev.pid),
-                           detail=f"token number {token_number(ev.value)} > N+1 = {bound}")
-    return Verdict("token-bound", PASS,
-                   detail=f"max token number {max_token_number(records)}")
+    hit = _online_pass(trace, records)[0].get("token_bound")
+    if hit is None:
+        return Verdict("token-bound", PASS,
+                       detail=f"max token number {max_token_number(records)}")
+    ev = hit[0]
+    return Verdict("token-bound", FAIL, witness=(ev.index, ev.pid),
+                   detail=f"token number {token_number(ev.value)} > N+1 = {trace.n + 1}")
 
 
 def check_progress(trace: Trace, records: list) -> Verdict:

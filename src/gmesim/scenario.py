@@ -29,6 +29,7 @@ from typing import Optional
 from .bwbgme import MUTANTS, build_bwbgme
 from .burns_lamport import build_bl
 from .errors import ScenarioError
+from .explorer import default_token_cap
 from .glb import build_glb
 from .machine import Workload
 from .memory import BLACK, WHITE
@@ -78,11 +79,15 @@ class Scenario:
                  f"cs_steps = {self.cs_steps}",
                  f"step_cap = {self.step_cap}",
                  f"monitors = {','.join(self.monitors)}"]
-        # An explore cap is named only when set away from its default, so
-        # the hash of every uncapped scenario stays what it was.
-        lines += [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)
-                  if f.name in ("max_states", "max_depth", "token_cap")
-                  and getattr(self, f.name) != f.default]
+        # An explore cap is named only when it differs from the value
+        # explore() would use anyway, so every uncapped scenario keeps its hash.
+        defaults = {f.name: f.default for f in fields(self)}
+        if self.algorithm == "glb":
+            invocations = sum(map(len, self.sessions.values()))
+            defaults["token_cap"] = default_token_cap(self.n, invocations)
+        for cap in ("max_states", "max_depth", "token_cap"):
+            if getattr(self, cap) not in (None, defaults[cap]):
+                lines.append(f"{cap} = {getattr(self, cap)}")
         for pid in sorted(self.sessions):
             lines.append(f"sessions[{pid}] = {' '.join(map(str, self.sessions[pid]))}")
         if self.script:

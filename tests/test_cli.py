@@ -110,10 +110,20 @@ def test_run_folds_the_trace_once(tmp_path, monkeypatch):
         calls.append(trace)
         return fold(trace)
 
+    advance = gmesim.monitors.advance
+    stepped = []
+
+    def counting_advance(steps, states, ev):
+        stepped.append(ev)
+        return advance(steps, states, ev)
+
     monkeypatch.setattr(gmesim.cli, "build_invocations", counting_fold)
     monkeypatch.setattr(gmesim.monitors, "build_invocations", counting_fold)
+    monkeypatch.setattr(gmesim.monitors, "advance", counting_advance)
     assert main(["run", "--scenario", write(tmp_path, "glb.scn", GLB_SCENARIO)]) == 0
     assert len(calls) == 1
+    # me and fcfs share one pass of the online monitors along the trace
+    assert stepped == [ev for ev in calls[0].events if gmesim.monitors.monitored(ev)]
 
 
 def test_explore_truncation_exit_3(tmp_path):

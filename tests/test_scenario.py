@@ -48,6 +48,12 @@ def test_config_hash_names_the_explore_caps():
     # a cap left at its default hashes as if unset
     explicit = parse_scenario(GOOD + "max_states = 2000000\n")
     assert explicit.config_hash == base
+    # glb's token cap defaults to 4 * N * invocations (3 * 4 here)
+    glb = GOOD.replace("bwbgme", "glb").replace("initial_color = black\n", "") \
+        .replace("monitors = me,flip,token_bound", "monitors = me")
+    unset = parse_scenario(glb).config_hash
+    assert parse_scenario(glb + "token_cap = 48\n").config_hash == unset
+    assert parse_scenario(glb + "token_cap = 47\n").config_hash != unset
 
 
 def err(text):
