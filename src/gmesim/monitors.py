@@ -207,9 +207,10 @@ def max_token_number(records: list) -> int:
 
 
 def monitored(ev) -> bool:
-    """Whether ev can move an online monitor: it has markers, writes, or
-    reads GlobalColor.  Monitors are stepped only over these events."""
-    return bool(ev.markers) or ev.kind == "write" or ev.reg == "GlobalColor"
+    """Whether ev can move an online monitor: it has markers, touches
+    GlobalColor or writes a Token.  Monitors are stepped only over these."""
+    return bool(ev.markers or ev.reg == "GlobalColor"
+                or ev.kind == "write" and ev.reg.startswith("Token["))
 
 
 def advance(steps, states, ev):
@@ -233,6 +234,8 @@ def me_monitor(n: int, sessions: list, color):
     CS, else 0.  Culprits: the processes of another session in the CS
     when one enters."""
     def step(in_cs, ev):
+        if not ev.markers:
+            return in_cs, ()
         p = ev.pid - 1
         culprits = ()
         if CS_ENTER in ev.markers:
@@ -280,19 +283,17 @@ def flip_monitor(n: int, sessions: list, color):
     completes.  State: GlobalColor, and per process the flips inside its
     open window or -1.  Culprits: the processes a flip leaves with two."""
     def step(state, ev):
-        if ev.reg != "GlobalColor" and EXIT_COMPLETE not in ev.markers:
-            return state, ()
         gc, wins = state
         p = ev.pid - 1
         culprits = ()
-        if ev.reg == "GlobalColor":
-            if ev.kind == "read":
-                if ev.line == 5:
-                    wins = _put(wins, p, 0)
-            elif ev.value != gc:
-                gc = ev.value
-                wins = tuple(w + 1 if w >= 0 else w for w in wins)
-                culprits = [q + 1 for q, w in enumerate(wins) if w >= 2]
+        if ev.reg == "GlobalColor" and ev.kind == "write" and ev.value != gc:
+            gc = ev.value
+            wins = tuple(w + 1 if w >= 0 else w for w in wins)
+            culprits = [q + 1 for q, w in enumerate(wins) if w >= 2]
+        elif ev.reg == "GlobalColor" and ev.kind == "read" and ev.line == 5:
+            wins = _put(wins, p, 0)
+        elif EXIT_COMPLETE not in ev.markers:
+            return state, ()
         if EXIT_COMPLETE in ev.markers:
             wins = _put(wins, p, -1)
         return (gc, wins), culprits
