@@ -8,7 +8,7 @@ from .explorer import ExplorationReport, explore
 from .glb import build_glb
 from .machine import (AlgorithmSpec, Section, SystemState, Trace, TraceEvent,
                       Workload, all_active_blocked, run, step)
-from .memory import BLACK, BOTTOM, WHITE, Memory, RegisterDecl, RegisterId
+from .memory import BLACK, BOTTOM, WHITE, Memory, RegisterDecl
 from .monitors import (Verdict, build_invocations, check_bounded_exit,
                        check_concurrent_entry, check_fcfs, check_flip_invariant,
                        check_implications, check_mutual_exclusion, check_progress,

@@ -40,11 +40,6 @@ _SECTIONS = {
     _EXIT: Section.EXIT,
 }
 
-_LINES = {
-    0: 0, _L1: 1, _DOWN: 3, _RESET: 4, _WAIT_LOW: 5, _WAIT_HIGH: 10,
-    _CS: 11, _EXIT: 12,
-}
-
 
 def build_bl(n: int) -> AlgorithmSpec:
     """Compile the algorithm for n processes into a step machine."""
@@ -134,7 +129,6 @@ def build_bl(n: int) -> AlgorithmSpec:
         entry_pc=_L1,
         step_fn=step_fn,
         sections=dict(_SECTIONS),
-        lines=dict(_LINES),
         wait_conds={_WAIT_LOW: cond_wait, _WAIT_HIGH: cond_wait},
         meta={},
     )

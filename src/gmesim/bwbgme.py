@@ -62,13 +62,6 @@ _SECTIONS = {
     _X25: Section.EXIT, _X26: Section.EXIT, _X_FLIP: Section.EXIT, _X34: Section.EXIT,
 }
 
-_LINES = {
-    0: 0, _D3: 3, _D4: 4, _D5: 5, _D6: 6, _D8: 8, _D13: 13, _D14: 14, _D15: 15,
-    _W17_CHOOSING: 17, _W17_TOKEN: 17, _W18: 18, _W19: 19,
-    _W21_COLOR: 21, _W21_TOKEN: 21,
-    _CS: 24, _X25: 25, _X26: 26, _X_FLIP: 28, _X34: 34,
-}
-
 
 class UndefinedColorError(ValueError):
     """opposite_color is undefined for the bottom color."""
@@ -291,7 +284,6 @@ def build_bwbgme(n: int, initial_color: str = WHITE, mutant: str = None) -> Algo
         entry_pc=_D3,
         step_fn=step_fn,
         sections=dict(_SECTIONS),
-        lines=dict(_LINES),
         wait_conds={
             _W17_CHOOSING: cond_line17,
             _W17_TOKEN: cond_line17,

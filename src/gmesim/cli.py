@@ -116,11 +116,6 @@ def cmd_run(args) -> int:
     if args.csv_out:
         _write_run_csv(args.csv_out, scenario, records)
 
-    blocks = None
-    if scenario.algorithm == "bl":
-        totals, by_blocker = block_events(trace)
-        blocks = {"totals": totals, "by_blocker": by_blocker}
-
     print(f"scenario {scenario.config_hash}  algorithm={scenario.algorithm} "
           f"n={scenario.n} schedule={scenario.schedule} seed={scenario.seed}")
     print(f"steps={len(trace.events)} completed={result.completed} "
@@ -137,8 +132,9 @@ def cmd_run(args) -> int:
         print(f"  rmr/{label:<12} min={s['min']} mean={s['mean']:.1f} max={s['max']}")
     if scenario.algorithm in ("glb", "bwbgme"):
         print(f"  max token number   {max_token_number(records)}")
-    if blocks:
-        per = " ".join(f"P{pid}={cnt}" for pid, cnt in sorted(blocks["totals"].items()))
+    if scenario.algorithm == "bl":
+        totals, _ = block_events(trace)
+        per = " ".join(f"P{pid}={cnt}" for pid, cnt in sorted(totals.items()))
         print(f"  block counts       {per}")
     if args.trace_out:
         print(f"  trace              {args.trace_out}")
@@ -213,6 +209,12 @@ def _sweep_one(task) -> dict:
 
 def cmd_sweep(args) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    for flag in ("seeds", "invocations"):
+        if getattr(args, flag) < 1:
+            raise ConfigurationError(f"--{flag} must be >= 1")
+    window = args.fairness_window
+    if window is not None and sizes and window < max(sizes):
+        raise ConfigurationError(f"--fairness-window {window} < n={max(sizes)}")
     rows = []
     truncated = False
 
@@ -231,7 +233,7 @@ def cmd_sweep(args) -> int:
             totals, _ = block_events(result.trace)
             row = {
                 "config_hash": scenario.config_hash, "algorithm": "bl", "n": n,
-                "total_rmr": sum(result.rmr.totals), "pn_blocks": totals[n],
+                "total_rmr": sum(result.rmr_totals), "pn_blocks": totals[n],
                 "events": len(result.trace.events),
             }
             rows.append(row)
@@ -240,7 +242,7 @@ def cmd_sweep(args) -> int:
         header = ["config_hash", "algorithm", "n", "total_rmr", "pn_blocks", "events"]
     else:
         for n in sizes:
-            window = args.fairness_window or 4 * n
+            window = 4 * n if args.fairness_window is None else args.fairness_window
             tasks = [(args.algorithm, n, seed, args.invocations, args.cs_steps,
                       window, args.steps) for seed in range(args.seeds)]
             if args.workers > 1:

@@ -5,10 +5,6 @@ class ConfigurationError(Exception):
     """A scenario, register table, or algorithm was set up inconsistently."""
 
 
-class UnknownRegisterError(ConfigurationError):
-    """Access to a register that was never declared."""
-
-
 class KindMismatchError(ConfigurationError):
     """A write whose value does not match the register's declared kind."""
 

@@ -11,9 +11,9 @@ GlobalColor flip windows) live in the monitor states, so merging states
 never loses one.  Every property, mutual exclusion included, is checked
 on the edge whose event violates it.
 
-Every reported state is reproducible: the DFS keeps a parent edge per
-state, and path_of() turns any state id into the pid script that
-reaches it from the initial state.
+Every reported state is reproducible: the report keeps the state table
+the DFS builds (each state's key and parent edge), and path_of() turns
+any state id into the pid script that reaches it from the initial state.
 """
 
 from __future__ import annotations
@@ -45,9 +45,19 @@ class ExplorationReport:
     token_cap_hits: int = 0
     truncated: bool = False
     truncation_reason: str = ""
-    value_keys: Optional[set] = None
-    samples: list = field(default_factory=list)  # (path, value_key) probes
-    merges: list = field(default_factory=list)   # (path_a, path_b) to equal keys
+    # The state table, indexed by state id (0 is the initial state):
+    # (value key, monitor states), the parent's id and the pid stepped from it.
+    keys: list = field(default_factory=list, repr=False)
+    parent: list = field(default_factory=list, repr=False)
+    parent_pid: list = field(default_factory=list, repr=False)
+
+    def path_of(self, nid: int) -> tuple:
+        """The pid script that reaches state nid from the initial state."""
+        out = []
+        while nid > 0:
+            out.append(self.parent_pid[nid])
+            nid = self.parent[nid]
+        return tuple(reversed(out))
 
     def violation_count(self, prop: str = None) -> int:
         if prop is not None:
@@ -65,9 +75,8 @@ def default_token_cap(n: int, invocations: int) -> int:
 
 
 def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
-            max_depth: Optional[int] = None, token_cap: Optional[int] = None,
-            collect_keys: bool = False, collect_samples: int = 0,
-            collect_merges: int = 0) -> ExplorationReport:
+            max_depth: Optional[int] = None,
+            token_cap: Optional[int] = None) -> ExplorationReport:
     """Depth-first search over every enabled-process choice.
 
     Checks deadlock plus every default monitor of the algorithm that has
@@ -90,18 +99,12 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
 
     root_key = (work.value_key(), starts)
     ids = {root_key: 0}
-    keys = [root_key]
-    parent = [-1]
-    parent_pid = [0]
+    keys = report.keys = [root_key]
+    parent = report.parent = [-1]
+    parent_pid = report.parent_pid = [0]
     depth = [0]
     stack = [0]
-
-    def path_of(nid: int) -> tuple:
-        out = []
-        while nid > 0:
-            out.append(parent_pid[nid])
-            nid = parent[nid]
-        return tuple(reversed(out))
+    path_of = report.path_of
 
     def add_violation(prop: str, path: tuple, detail: str) -> None:
         report.violations.setdefault(prop, []).append(Violation(prop, path, detail))
@@ -143,10 +146,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                     continue
 
             child_key = (work.value_key(), child_mon)
-            known = ids.get(child_key)
-            if known is not None:
-                if collect_merges and len(report.merges) < collect_merges:
-                    report.merges.append((path_of(known), path_of(nid) + (pid,)))
+            if child_key in ids:
                 continue
             if len(keys) >= max_states:
                 report.truncated = True
@@ -165,12 +165,8 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             depth.append(child_depth)
             if child_depth > report.max_depth:
                 report.max_depth = child_depth
-            if collect_samples and cid % collect_samples == 0:
-                report.samples.append((path_of(cid), child_key[0]))
             check_deadlock(cid)
             stack.append(cid)
 
     report.states = len(keys)
-    if collect_keys:
-        report.value_keys = {k[0] for k in keys}
     return report

@@ -46,13 +46,6 @@ _SECTIONS = {
     _X12: Section.EXIT, _X13: Section.EXIT,
 }
 
-_LINES = {
-    0: 0, _D3: 3, _D4: 4, _D5_READ: 5, _D5_WRITE: 5, _D6: 6,
-    _W8_CHOOSING: 8, _W8_SESSION: 8,
-    _W9_OWN: 9, _W9_TOKEN: 9, _W9_SESSION: 9,
-    _CS: 11, _X12: 12, _X13: 13,
-}
-
 
 def build_glb(n: int) -> AlgorithmSpec:
     """Compile the algorithm for n processes into a step machine."""
@@ -203,7 +196,6 @@ def build_glb(n: int) -> AlgorithmSpec:
         entry_pc=_D3,
         step_fn=step_fn,
         sections=dict(_SECTIONS),
-        lines=dict(_LINES),
         wait_conds={
             _W8_CHOOSING: cond_line8,
             _W8_SESSION: cond_line8,

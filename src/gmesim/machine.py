@@ -129,9 +129,6 @@ class Workload:
     def n(self) -> int:
         return len(self.invocations)
 
-    def sessions_used(self) -> set:
-        return {s for per_proc in self.invocations for s, _ in per_proc}
-
 
 class ProcEnv:
     """One process's private runtime: program counter, locals, position."""
@@ -175,7 +172,6 @@ class AlgorithmSpec:
     entry_pc: int
     step_fn: Callable
     sections: dict[int, Section]
-    lines: dict[int, int]
     wait_conds: dict[int, Callable]  # pc -> cond(env, store) over the global store
     meta: dict = field(default_factory=dict)
 
@@ -311,23 +307,15 @@ def all_active_blocked(state: SystemState) -> bool:
 
 
 @dataclass
-class RmrSummary:
-    """RMR totals per process."""
-
-    totals: list
-
-
-@dataclass
 class RunResult:
     trace: Trace
-    rmr: RmrSummary
+    rmr_totals: list  # RMRs charged to each process, indexed by pid - 1
     completed: bool
     deadlocked: bool
     cap_hit: bool
 
 
-def run(state: SystemState, schedule, step_cap: int = 1_000_000,
-        on_step: Optional[Callable] = None) -> RunResult:
+def run(state: SystemState, schedule, step_cap: int = 1_000_000) -> RunResult:
     """Drive the system under a schedule until done, stuck, or capped.
 
     Steps execute in schedule order; checking the trace is the caller's
@@ -347,8 +335,6 @@ def run(state: SystemState, schedule, step_cap: int = 1_000_000,
             break
         ev = step(state, pid)
         events.append(ev)
-        if on_step is not None:
-            on_step(state, ev)
         if ev.outcome == "fail" and all_active_blocked(state):
             events.append(TraceEvent(state.step_index, 0, -1, 0, "deadlock", None,
                                      None, False, Section.REMAINDER, (), None, None))
@@ -362,9 +348,7 @@ def run(state: SystemState, schedule, step_cap: int = 1_000_000,
     trace.meta["completed"] = completed
     trace.meta["deadlocked"] = deadlocked
     trace.meta["cap_hit"] = cap_hit
-    trace.meta["sessions"] = sorted(state.workload.sessions_used())
-    trace.meta["workload_sessions"] = [
-        [s for s, _ in per_proc] for per_proc in state.workload.invocations]
-
-    rmr = RmrSummary(totals=list(state.mem.totals))
-    return RunResult(trace, rmr, completed, deadlocked, cap_hit)
+    workload_sessions = [[s for s, _ in per_proc] for per_proc in state.workload.invocations]
+    trace.meta["sessions"] = sorted({s for per_proc in workload_sessions for s in per_proc})
+    trace.meta["workload_sessions"] = workload_sessions
+    return RunResult(trace, list(state.mem.totals), completed, deadlocked, cap_hit)

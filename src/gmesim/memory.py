@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .errors import KindMismatchError, UnknownRegisterError
+from .errors import KindMismatchError
 
 # Token / GlobalColor colors.  BOTTOM is the "no color yet" marker.
 BLACK = "black"
@@ -59,23 +59,6 @@ def check_kind(kind: str, v: Any) -> bool:
 
 
 @dataclass(frozen=True)
-class RegisterId:
-    """A register family name plus an index when the family is an array.
-
-    Scalar registers (GlobalColor) carry index None; array registers
-    carry a 1-based process index.
-    """
-
-    family: str
-    index: Optional[int] = None
-
-    def __str__(self) -> str:
-        if self.index is None:
-            return self.family
-        return f"{self.family}[{self.index}]"
-
-
-@dataclass(frozen=True)
 class RegisterDecl:
     """Declaration of one register family: kind, arity, and initial value."""
 
@@ -85,32 +68,31 @@ class RegisterDecl:
     initial: Any
 
     def ids(self):
+        """Slot names in slot order: "GlobalColor", or "Token[1]".."Token[n]"."""
         if self.count is None:
-            yield RegisterId(self.family)
+            yield self.family
         else:
             for i in range(1, self.count + 1):
-                yield RegisterId(self.family, i)
+                yield f"{self.family}[{i}]"
 
 
 class Memory:
     """Global store + per-slot reader bitmasks + per-process RMR totals.
 
-    Slots are resolved once from RegisterId to a dense integer index;
-    the algorithm step machines use the slot-level entry points directly.
+    Registers live in dense integer slots, numbered in declaration order;
+    the algorithm step machines address them by slot.
     """
 
-    __slots__ = ("n", "names", "kinds", "slot_of", "store", "valid", "totals", "access_count")
+    __slots__ = ("n", "names", "kinds", "store", "valid", "totals", "access_count")
 
     def __init__(self, n: int, decls: list[RegisterDecl]):
         self.n = n
         self.names: list[str] = []
         self.kinds: list[str] = []
-        self.slot_of: dict[tuple[str, Optional[int]], int] = {}
         initials = []
         for decl in decls:
-            for reg in decl.ids():
-                self.slot_of[(reg.family, reg.index)] = len(self.names)
-                self.names.append(str(reg))
+            for name in decl.ids():
+                self.names.append(name)
                 self.kinds.append(decl.kind)
                 initials.append(decl.initial)
         self.store: list[Any] = initials
@@ -119,27 +101,10 @@ class Memory:
         self.totals: list[int] = [0] * n
         self.access_count = 0
 
-    # -- resolution ---------------------------------------------------
-
-    def resolve(self, reg: RegisterId) -> int:
-        try:
-            return self.slot_of[(reg.family, reg.index)]
-        except KeyError:
-            raise UnknownRegisterError(f"no such register: {reg}") from None
-
-    # -- public register-level interface ------------------------------
-
-    def read(self, pid: int, reg: RegisterId):
-        """Read a register as process pid.  Returns (value, rmr)."""
-        return self.read_slot(pid - 1, self.resolve(reg))
-
-    def write(self, pid: int, reg: RegisterId, value: Any) -> None:
-        """Write a register as process pid.  Always costs one RMR."""
-        self.write_slot(pid - 1, self.resolve(reg), value)
-
-    # -- slot-level hot path (0-based process index) -------------------
+    # -- hot path (0-based process index) -------------------------------
 
     def read_slot(self, p: int, slot: int):
+        """Read a slot as process p.  Returns (value, rmr)."""
         self.access_count += 1
         bit = 1 << p
         valid = self.valid
@@ -150,6 +115,7 @@ class Memory:
         return self.store[slot], True
 
     def write_slot(self, p: int, slot: int, value: Any) -> None:
+        """Write a slot as process p.  Always costs one RMR."""
         if not check_kind(self.kinds[slot], value):
             raise KindMismatchError(
                 f"{self.names[slot]} holds {self.kinds[slot]}, got {value!r}"

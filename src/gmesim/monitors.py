@@ -80,10 +80,7 @@ class InvocationRecord:
     rmr_by_section: dict = field(default_factory=dict)
     entry_steps: int = 0
     exit_accesses: int = 0
-    exit_writes: int = 0
     token_value: object = None
-    token_commit: Optional[int] = None
-    token_reset: Optional[int] = None
     false_entry_evals: int = 0
     blocked_transitions: list = field(default_factory=list)
     wait_passes: list = field(default_factory=list)
@@ -100,7 +97,6 @@ class InvocationRecord:
 def build_invocations(trace: Trace) -> list:
     """Fold the event stream into per-invocation records."""
     commit_line = {"glb": 5, "bwbgme": 14, "bl": None}[trace.algorithm]
-    reset_line = {"glb": 12, "bwbgme": 34, "bl": None}[trace.algorithm]
     wait_lines = _WAIT_LINES[trace.algorithm]
 
     records: dict = {}
@@ -139,14 +135,9 @@ def build_invocations(trace: Trace) -> list:
                 rec.false_entry_evals += 1
         if ev.section is Section.EXIT and ev.kind in ("read", "write"):
             rec.exit_accesses += 1
-            if ev.kind == "write":
-                rec.exit_writes += 1
 
         if commit_line is not None and ev.line == commit_line and ev.kind == "write":
             rec.token_value = ev.value
-            rec.token_commit = ev.index
-        if reset_line is not None and ev.line == reset_line and ev.kind == "write":
-            rec.token_reset = ev.index
 
         # Wait-pass segmentation: a process's events at one wait line for
         # one j are consecutive among its own events.

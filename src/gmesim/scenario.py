@@ -189,6 +189,10 @@ def parse_scenario(text: str) -> Scenario:
     sc.max_states = pop_int("max_states", sc.max_states)
     sc.max_depth = pop_int("max_depth", None)
     sc.token_cap = pop_int("token_cap", None)
+    for key, low in (("cs_steps", 0), ("step_cap", 0), ("max_states", 1),
+                     ("max_depth", 0), ("token_cap", 0)):
+        if getattr(sc, key) is not None and getattr(sc, key) < low:
+            _fail(lineno_of[key], f"{key} must be >= {low}")
 
     if "initial_color" in values:
         color = values.pop("initial_color")

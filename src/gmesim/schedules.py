@@ -22,9 +22,6 @@ class Scripted:
         self.pids = list(pids)
         self.pos = 0
 
-    def reset(self) -> None:
-        self.pos = 0
-
     def next(self, state: SystemState):
         if self.pos >= len(self.pids):
             return None
@@ -39,9 +36,6 @@ class RoundRobin:
     """Cycle over processes, skipping the ones whose workload finished."""
 
     def __init__(self):
-        self.cursor = 0
-
-    def reset(self) -> None:
         self.cursor = 0
 
     def next(self, state: SystemState):
@@ -59,32 +53,25 @@ class RandomSchedule:
 
     Every live process is scheduled at least once in any w consecutive
     steps: once a process has waited w - n steps it joins an overdue
-    queue that is drained longest-first, which keeps each gap <= w.
+    queue that is drained longest-first, which keeps each gap <= w
+    (random_schedule checks w >= n).
     """
 
     def __init__(self, seed: int, window: int):
-        self.seed = seed
         self.window = window
-        self.reset()
-
-    def reset(self) -> None:
-        self.rng = random.Random(self.seed)
-        self.since: dict = {}
+        self.rng = random.Random(seed)
+        self.since: dict = {}  # pid -> steps since it was last picked
 
     def next(self, state: SystemState):
         live = state.live_pids()
         if not live:
             return None
-        n = state.spec.n
-        if self.window < n:
-            raise ConfigurationError(f"fairness window {self.window} < n={n}")
         since = self.since
-        for pid in live:
-            since.setdefault(pid, 0)
-        for pid in list(since):
-            if pid not in live:
-                del since[pid]
-        threshold = self.window - n
+        if not since:
+            # A process that runs out of invocations never becomes live
+            # again, so the first call's live set covers every later one.
+            since.update(dict.fromkeys(live, 0))
+        threshold = self.window - state.spec.n
         overdue = [pid for pid in live if since[pid] >= threshold]
         if overdue:
             pick = max(overdue, key=lambda p: (since[p], -p))

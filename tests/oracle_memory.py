@@ -11,31 +11,26 @@ accesses and require equal values, RMR flags and totals.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-from gmesim.errors import KindMismatchError, UnknownRegisterError
-from gmesim.memory import RegisterDecl, RegisterId, check_kind
+from gmesim.errors import KindMismatchError
+from gmesim.memory import RegisterDecl, check_kind
 
 
 class Memory:
-    """Global store + per-process caches + per-process RMR totals.
+    """Global store + per-process caches + per-process RMR totals,
+    addressed by slot like gmesim.memory.Memory."""
 
-    Slots are resolved once from RegisterId to a dense integer index;
-    the algorithm step machines use the slot-level entry points directly.
-    """
-
-    __slots__ = ("n", "names", "kinds", "slot_of", "store", "caches", "totals", "access_count")
+    __slots__ = ("n", "names", "kinds", "store", "caches", "totals", "access_count")
 
     def __init__(self, n: int, decls: list[RegisterDecl]):
         self.n = n
         self.names: list[str] = []
         self.kinds: list[str] = []
-        self.slot_of: dict[tuple[str, Optional[int]], int] = {}
         initials = []
         for decl in decls:
-            for reg in decl.ids():
-                self.slot_of[(reg.family, reg.index)] = len(self.names)
-                self.names.append(str(reg))
+            for name in decl.ids():
+                self.names.append(name)
                 self.kinds.append(decl.kind)
                 initials.append(decl.initial)
         self.store: list[Any] = initials
@@ -46,25 +41,7 @@ class Memory:
         self.totals: list[int] = [0] * n
         self.access_count = 0
 
-    # -- resolution ---------------------------------------------------
-
-    def resolve(self, reg: RegisterId) -> int:
-        try:
-            return self.slot_of[(reg.family, reg.index)]
-        except KeyError:
-            raise UnknownRegisterError(f"no such register: {reg}") from None
-
-    # -- public register-level interface ------------------------------
-
-    def read(self, pid: int, reg: RegisterId):
-        """Read a register as process pid.  Returns (value, rmr)."""
-        return self.read_slot(pid - 1, self.resolve(reg))
-
-    def write(self, pid: int, reg: RegisterId, value: Any) -> None:
-        """Write a register as process pid.  Always costs one RMR."""
-        self.write_slot(pid - 1, self.resolve(reg), value)
-
-    # -- slot-level hot path (0-based process index) -------------------
+    # -- slot-level accesses (0-based process index) -------------------
 
     def read_slot(self, p: int, slot: int):
         self.access_count += 1

@@ -12,7 +12,7 @@ import pytest
 from gmesim import (Scripted, SystemState, Workload, bl_adversarial_schedule,
                     bl_adversarial_workload, block_events, build_bl, build_bwbgme,
                     build_glb, explore, random_schedule, run)
-from gmesim.memory import BLACK, WHITE, RegisterId
+from gmesim.memory import BLACK, WHITE
 from gmesim.monitors import (FAIL, PASS, build_invocations, check_bounded_exit,
                              check_concurrent_entry, check_flip_invariant,
                              check_mutual_exclusion, check_token_bound,
@@ -67,7 +67,7 @@ def test_criterion_3_burns_lamport_quadratic_witness():
         assert totals[n] == n * (n - 1) // 2, n
         for j in range(1, n):
             assert by_blocker.get((n, j), 0) == j, (n, j)
-        total_rmr[n] = sum(result.rmr.totals)
+        total_rmr[n] = sum(result.rmr_totals)
     assert total_rmr[8] / total_rmr[4] >= 3
     report(3, "Burns-Lamport quadratic witness, N in {2,4,6,8,10}")
 
@@ -120,11 +120,11 @@ def test_criterion_6_token_bound_scenario():
     numbers = []
     for pid in range(1, n + 1):
         drive(state, pid, doorway_done)
-        numbers.append(state.mem.store[state.mem.resolve(RegisterId("Token", pid))][2])
+        numbers.append(state.mem.store[state.mem.names.index(f"Token[{pid}]")][2])
     assert numbers == [1, 2, 3, 4, 5]
     drive(state, 1, finished)
     drive(state, 1, doorway_done)
-    reentry = state.mem.store[state.mem.resolve(RegisterId("Token", 1))][2]
+    reentry = state.mem.store[state.mem.names.index("Token[1]")][2]
     assert reentry == n + 1 == 6
     report(6, "BWBGME sequential fill 1..5, re-request takes 6 = N+1")
 

@@ -7,7 +7,7 @@ from gmesim import (SystemState, Workload, bl_adversarial_schedule,
                     explore, random_schedule, run)
 from gmesim.errors import ConfigurationError
 from gmesim.monitors import build_invocations, check_bounded_exit, check_mutual_exclusion
-from util import check, distinct_sessions, drive
+from util import check, distinct_sessions, drive, exit_writes
 
 
 def test_solo_process_enters_without_blocking():
@@ -53,8 +53,9 @@ def test_exit_is_one_write():
     result = run(state, random_schedule(3, 5), step_cap=100_000)
     assert result.completed
     assert check(check_bounded_exit, result.trace).ok
+    writes = exit_writes(result.trace)
     for rec in build_invocations(result.trace):
-        assert rec.exit_accesses == 1 and rec.exit_writes == 1
+        assert rec.exit_accesses == 1 and writes[rec.pid, rec.inv] == 1
 
 
 def test_adversarial_schedule_needs_two():
@@ -87,7 +88,7 @@ def adversarial_total_rmr(n):
     state = SystemState(build_bl(n), bl_adversarial_workload(n))
     result = run(state, schedule, step_cap=10**6)
     assert result.completed
-    return sum(result.rmr.totals)
+    return sum(result.rmr_totals)
 
 
 def test_adversarial_rmr_grows_superlinearly():

@@ -6,20 +6,21 @@ from gmesim import (RoundRobin, SystemState, Workload, build_bwbgme,
                     opposite_color, random_schedule, run, step)
 from gmesim.bwbgme import UndefinedColorError
 from gmesim.errors import ConfigurationError
-from gmesim.memory import BLACK, BOTTOM, WHITE, RegisterId
+from gmesim.memory import BLACK, BOTTOM, WHITE
 from gmesim.monitors import (FAIL, PASS, build_invocations, check_bounded_exit,
                              check_flip_invariant, check_mutual_exclusion,
                              check_token_bound, check_wait_rmr_bounds)
-from util import (check, distinct_sessions, doorway_done, drive, entered_cs, finished,
-                  flip_token_against_oracle, me_fcfs_against_oracle, run_scripted)
+from util import (check, distinct_sessions, doorway_done, drive, entered_cs, exit_writes,
+                  finished, flip_token_against_oracle, me_fcfs_against_oracle,
+                  run_scripted)
 
 
 def token_of(state, pid):
-    return state.mem.store[state.mem.resolve(RegisterId("Token", pid))]
+    return state.mem.store[state.mem.names.index(f"Token[{pid}]")]
 
 
 def global_color(state):
-    return state.mem.store[state.mem.resolve(RegisterId("GlobalColor"))]
+    return state.mem.store[state.mem.names.index("GlobalColor")]
 
 
 def test_zero_processes_rejected():
@@ -72,7 +73,7 @@ def test_solo_process_number_1_and_untouched_color():
     state2 = SystemState(build_bwbgme(3), Workload.from_sessions([[5], [], []]))
     result = run(state2, RoundRobin(), step_cap=1000)
     rec = build_invocations(result.trace)[0]
-    assert rec.exit_accesses == 1 and rec.exit_writes == 1
+    assert rec.exit_accesses == 1 and exit_writes(result.trace)[rec.pid, rec.inv] == 1
 
 
 def test_exiting_number_2_flips_when_nobody_opposite():

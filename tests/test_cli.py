@@ -157,6 +157,20 @@ def test_sweep_hash_names_the_whole_sweep(tmp_path):
     assert len(set(hashes)) == len(variants), hashes
 
 
+def test_sweep_rejects_bad_counts_and_window(tmp_path, capsys):
+    sweep = ["sweep", "--algorithm", "glb", "--sizes", "2,4", "--seeds", "2"]
+    for extra, message in ((["--seeds", "0"], "--seeds must be >= 1"),
+                           (["--invocations", "0"], "--invocations must be >= 1"),
+                           (["--fairness-window", "0"], "--fairness-window 0 < n=4"),
+                           (["--fairness-window", "3"], "--fairness-window 3 < n=4")):
+        csv_path = tmp_path / "sweep.csv"
+        assert main(sweep + extra + ["--csv-out", str(csv_path)]) == 2, extra
+        out, errors = capsys.readouterr()
+        assert message in errors and out == "" and not csv_path.exists(), extra
+    # n itself is the smallest window
+    assert main(sweep + ["--fairness-window", "4"]) == 0
+
+
 def test_sweep_adversarial_csv(tmp_path, capsys):
     csv_path = str(tmp_path / "bl.csv")
     code = main(["sweep", "--algorithm", "bl", "--schedule", "adversarial",

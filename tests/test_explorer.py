@@ -1,7 +1,7 @@
 """Explorer: soundness, cross-checks, caps, mutation sensitivity."""
 
 from gmesim import (Scripted, Section, SystemState, Workload, build_bl, build_bwbgme,
-                    build_glb, explore, run)
+                    build_glb, explore, run, step)
 from gmesim.monitors import FAIL, MONITORS
 from oracle_explorer import crosscheck_reachable
 from util import check, distinct_sessions
@@ -17,32 +17,36 @@ def test_single_process_single_path():
     assert report.states == len(result.trace.events) + 1
 
 
+def value_keys(report) -> set:
+    return {vkey for vkey, _ in report.keys}
+
+
 def test_glb_n2_matches_independent_interleaver():
     spec = build_glb(2)
     wl = Workload.from_sessions([[1], [2]])
-    report = explore(spec, wl, collect_keys=True)
+    report = explore(spec, wl)
     assert report.clean
     keys, me, deadlocks = crosscheck_reachable(spec, wl)
-    assert keys == report.value_keys
+    assert keys == value_keys(report)
     assert me == 0 and deadlocks == 0
 
 
 def test_bl_n2_matches_independent_interleaver():
     spec = build_bl(2)
     wl = Workload.from_sessions([[1], [2]])
-    report = explore(spec, wl, collect_keys=True)
+    report = explore(spec, wl)
     keys, me, deadlocks = crosscheck_reachable(spec, wl)
     assert report.clean and me == 0 and deadlocks == 0
-    assert keys == report.value_keys
+    assert keys == value_keys(report)
 
 
 def test_bwbgme_n2_matches_independent_interleaver():
     spec = build_bwbgme(2)
     wl = Workload.from_sessions([[1], [2]])
-    report = explore(spec, wl, collect_keys=True)
+    report = explore(spec, wl)
     keys, me, deadlocks = crosscheck_reachable(spec, wl)
     assert report.clean and me == 0 and deadlocks == 0
-    assert keys == report.value_keys
+    assert keys == value_keys(report)
     assert report.max_token == 2
 
 
@@ -51,13 +55,36 @@ def test_reported_states_replay_as_scripts():
     # reproduces the state's value key.
     spec = build_bwbgme(2)
     wl = Workload.from_sessions([[1], [2]])
-    report = explore(spec, wl, collect_samples=37)
-    assert report.samples
-    for path, vkey in report.samples:
+    report = explore(spec, wl)
+    assert len(report.keys) == report.states
+    for nid in range(0, report.states, 37):
+        path, vkey = report.path_of(nid), report.keys[nid][0]
         state = SystemState(spec, wl)
         result = run(state, Scripted(path), step_cap=len(path) + 1)
         assert len(result.trace.events) == len(path)
         assert state.value_key() == vkey
+
+
+def merged_paths(spec, wl, report, limit):
+    """Up to limit pairs of different pid scripts that reach one value
+    key: a stored state's path, and one step off the path of another
+    stored state."""
+    state_of = {vkey: nid for nid, (vkey, _) in enumerate(report.keys)}
+    work = SystemState(spec, wl)
+    pairs = []
+    for nid, (vkey, _) in enumerate(report.keys):
+        for pid in range(1, spec.n + 1):
+            work.load_value_key(vkey)
+            if work.exhausted(pid):
+                continue
+            step(work, pid)
+            known = state_of.get(work.value_key())
+            path = report.path_of(nid) + (pid,)
+            if known is not None and report.path_of(known) != path:
+                pairs.append((report.path_of(known), path))
+                if len(pairs) == limit:
+                    return pairs
+    return pairs
 
 
 def test_merged_states_behave_identically():
@@ -65,10 +92,10 @@ def test_merged_states_behave_identically():
     # produce identical value behavior under the same suffix schedule.
     spec = build_glb(2)
     wl = Workload.from_sessions([[1], [2]])
-    report = explore(spec, wl, collect_merges=25)
-    assert report.merges
+    merges = merged_paths(spec, wl, explore(spec, wl), limit=25)
+    assert len(merges) == 25
     suffix = [1, 2] * 20
-    for path_a, path_b in report.merges:
+    for path_a, path_b in merges:
         values = []
         for path in (path_a, path_b):
             state = SystemState(spec, wl)

@@ -3,17 +3,17 @@
 import pytest
 
 from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_glb,
-                    random_schedule, run)
+                    random_schedule, run, step)
 from gmesim.errors import ConfigurationError
 from gmesim.machine import Section
-from gmesim.memory import RegisterId
 from gmesim.monitors import (build_invocations, check_bounded_exit,
                              check_mutual_exclusion, check_wait_rmr_bounds)
-from util import check, distinct_sessions, doorway_done, drive, entered_cs, finished
+from util import (check, distinct_sessions, doorway_done, drive, entered_cs, exit_writes,
+                  finished)
 
 
 def token_of(state, pid):
-    return state.mem.store[state.mem.resolve(RegisterId("Token", pid))]
+    return state.mem.store[state.mem.names.index(f"Token[{pid}]")]
 
 
 def test_zero_processes_rejected():
@@ -62,23 +62,23 @@ def test_exit_is_exactly_two_writes():
         result = run(state, random_schedule(3, seed), step_cap=100_000)
         assert result.completed
         assert check(check_bounded_exit, result.trace).ok
+        writes = exit_writes(result.trace)
         for rec in build_invocations(result.trace):
-            assert rec.exit_accesses == 2 and rec.exit_writes == 2
+            assert rec.exit_accesses == 2 and writes[rec.pid, rec.inv] == 2
 
 
 def test_cs_implies_token_positive_and_session_set():
     spec = build_glb(3)
-
-    def invariant(state, ev):
+    state = SystemState(spec, distinct_sessions(3, invocations=2))
+    schedule = random_schedule(3, 11)
+    while (pid := schedule.next(state)) is not None:
+        step(state, pid)
         for p, env in enumerate(state.envs):
             if spec.sections[env.pc] is Section.CS:
                 assert token_of(state, p + 1) > 0
-                sess = state.mem.store[state.mem.resolve(RegisterId("Session", p + 1))]
+                sess = state.mem.store[state.mem.names.index(f"Session[{p + 1}]")]
                 assert sess == env.mysession
-
-    state = SystemState(spec, distinct_sessions(3, invocations=2))
-    result = run(state, random_schedule(3, 11), step_cap=100_000, on_step=invariant)
-    assert result.completed
+    assert state.all_done()
 
 
 def test_smallest_key_enters_first():
@@ -89,16 +89,20 @@ def test_smallest_key_enters_first():
         result = run(state, random_schedule(4, seed), step_cap=200_000)
         assert result.completed
         records = build_invocations(result.trace)
+        # token commit (line 5) and reset (line 12) steps per invocation
+        writes = {line: {(ev.pid, ev.inv): ev.index for ev in result.trace.events
+                         if ev.line == line and ev.kind == "write"}
+                  for line in (5, 12)}
         for a in records:
             if a.ce is None:
                 continue
             for b in records:
                 if b.pid == a.pid or b.session == a.session:
                     continue
-                if b.token_commit is None or b.dc is None:
+                if (b.pid, b.inv) not in writes[5] or b.dc is None:
                     continue
-                live = (b.dc <= a.ce and
-                        (b.token_reset is None or b.token_reset > a.ce))
+                reset = writes[12].get((b.pid, b.inv))
+                live = b.dc <= a.ce and (reset is None or reset > a.ce)
                 if live:
                     assert not (b.token_value, b.pid) < (a.token_value, a.pid)
 

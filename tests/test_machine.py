@@ -36,10 +36,7 @@ def test_wait_line_polls_without_advancing():
     ev = drive(state, 1, lambda ev: ev.outcome == "fail")
     assert ev.line == 8 and ev.j == 2
     assert effectively_blocked(state, 1)
-    lines = set()
-    for _ in range(20):
-        lines.add(spec.lines[state.envs[0].pc])
-        step(state, 1)
+    lines = {step(state, 1).line for _ in range(20)}
     assert lines == {8}
     assert effectively_blocked(state, 1)
 
@@ -48,11 +45,9 @@ def test_blocked_process_cannot_pass_alone():
     spec = build_glb(2)
     state = SystemState(spec, distinct_sessions(2))
     drive(state, 2, lambda ev: ev.line == 4 and ev.kind == "write")
-    drive(state, 1, lambda ev: ev.outcome == "fail")
-    pc_line = spec.lines[state.envs[0].pc]
+    blocked_at = drive(state, 1, lambda ev: ev.outcome == "fail").line
     for _ in range(100):
-        step(state, 1)
-    assert spec.lines[state.envs[0].pc] == pc_line
+        assert step(state, 1).line == blocked_at
 
 
 def test_not_blocked_in_cs_or_on_true_wait():
@@ -122,7 +117,7 @@ def test_replay_determinism_scripted():
             step_cap=10_000)
     assert [(e.pid, e.line, e.kind, e.reg, e.value, e.rmr) for e in a.trace.events] \
         == [(e.pid, e.line, e.kind, e.reg, e.value, e.rmr) for e in b.trace.events]
-    assert a.rmr.totals == b.rmr.totals
+    assert a.rmr_totals == b.rmr_totals
 
 
 def test_replay_determinism_random_seed():
@@ -131,7 +126,7 @@ def test_replay_determinism_random_seed():
     b = run(SystemState(build_bwbgme(3), distinct_sessions(3, invocations=2)),
             random_schedule(3, 42), step_cap=50_000)
     assert [e.pid for e in a.trace.events] == [e.pid for e in b.trace.events]
-    assert a.rmr.totals == b.rmr.totals
+    assert a.rmr_totals == b.rmr_totals
 
 
 def test_section_markers_ordered_on_random_runs():

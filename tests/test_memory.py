@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmesim import build_bwbgme, build_glb
-from gmesim.errors import KindMismatchError, UnknownRegisterError
-from gmesim.memory import BLACK, BOTTOM, WHITE, Memory, RegisterDecl, RegisterId
+from gmesim.errors import KindMismatchError
+from gmesim.memory import BLACK, BOTTOM, WHITE, Memory, RegisterDecl
 from oracle_memory import Memory as OracleMemory
 
 
@@ -22,33 +22,36 @@ def glb_memory(n=3):
 
 def test_cold_read_costs_one_rmr():
     mem = glb_memory()
-    value, rmr = mem.read(1, RegisterId("Token", 2))
+    value, rmr = mem.read_slot(0, mem.names.index("Token[2]"))
     assert (value, rmr) == (0, True)
     assert mem.totals == [1, 0, 0]
 
 
 def test_cached_reread_is_free():
     mem = glb_memory()
-    mem.read(1, RegisterId("Token", 2))
-    value, rmr = mem.read(1, RegisterId("Token", 2))
+    slot = mem.names.index("Token[2]")
+    mem.read_slot(0, slot)
+    value, rmr = mem.read_slot(0, slot)
     assert (value, rmr) == (0, False)
     assert mem.totals == [1, 0, 0]
 
 
 def test_write_invalidates_other_caches():
     mem = glb_memory()
-    mem.read(1, RegisterId("Token", 2))
-    mem.write(2, RegisterId("Token", 2), 5)
-    value, rmr = mem.read(1, RegisterId("Token", 2))
+    slot = mem.names.index("Token[2]")
+    mem.read_slot(0, slot)
+    mem.write_slot(1, slot, 5)
+    value, rmr = mem.read_slot(0, slot)
     assert (value, rmr) == (5, True)
 
 
 def test_every_write_is_one_rmr():
     mem = glb_memory()
-    mem.write(3, RegisterId("Choosing", 3), True)
+    slot = mem.names.index("Choosing[3]")
+    mem.write_slot(2, slot, True)
     assert mem.totals[2] == 1
-    mem.write(3, RegisterId("Choosing", 3), False)
-    mem.write(3, RegisterId("Choosing", 3), False)
+    mem.write_slot(2, slot, False)
+    mem.write_slot(2, slot, False)
     assert mem.totals[2] == 3
 
 
@@ -56,38 +59,31 @@ def test_write_invalidates_every_reader():
     # Hand-traced three-process invalidation: P1 and P2 cache Token[3],
     # P3 overwrites, both re-fetch at a cost of one RMR each.
     mem = glb_memory()
-    reg = RegisterId("Token", 3)
-    mem.read(1, reg)
-    mem.read(2, reg)
-    assert mem.read(1, reg)[1] is False
-    assert mem.read(2, reg)[1] is False
-    mem.write(3, reg, 7)
-    assert mem.read(1, reg) == (7, True)
-    assert mem.read(2, reg) == (7, True)
+    slot = mem.names.index("Token[3]")
+    mem.read_slot(0, slot)
+    mem.read_slot(1, slot)
+    assert mem.read_slot(0, slot)[1] is False
+    assert mem.read_slot(1, slot)[1] is False
+    mem.write_slot(2, slot, 7)
+    assert mem.read_slot(0, slot) == (7, True)
+    assert mem.read_slot(1, slot) == (7, True)
     assert mem.totals == [2, 2, 1]
 
 
 def test_writer_keeps_a_valid_copy():
     mem = glb_memory()
-    mem.write(1, RegisterId("Token", 1), 4)
-    value, rmr = mem.read(1, RegisterId("Token", 1))
+    slot = mem.names.index("Token[1]")
+    mem.write_slot(0, slot, 4)
+    value, rmr = mem.read_slot(0, slot)
     assert (value, rmr) == (4, False)
-
-
-def test_unknown_register_rejected():
-    mem = glb_memory()
-    with pytest.raises(UnknownRegisterError):
-        mem.read(1, RegisterId("Flag", 1))
-    with pytest.raises(UnknownRegisterError):
-        mem.read(1, RegisterId("Token", None))
 
 
 def test_kind_mismatch_rejected():
     mem = glb_memory()
     with pytest.raises(KindMismatchError):
-        mem.write(1, RegisterId("Token", 1), True)  # bool is not an int here
+        mem.write_slot(0, mem.names.index("Token[1]"), True)  # bool is not an int here
     with pytest.raises(KindMismatchError):
-        mem.write(1, RegisterId("Choosing", 1), 1)
+        mem.write_slot(0, mem.names.index("Choosing[1]"), 1)
 
 
 def test_triple_and_color_kinds():
@@ -95,12 +91,13 @@ def test_triple_and_color_kinds():
         RegisterDecl("GlobalColor", "color", None, WHITE),
         RegisterDecl("Token", "triple", 2, (0, BOTTOM, 0)),
     ])
-    mem.write(1, RegisterId("Token", 1), (3, BLACK, 2))
-    assert mem.read(2, RegisterId("Token", 1))[0] == (3, BLACK, 2)
+    assert mem.names == ["GlobalColor", "Token[1]", "Token[2]"]
+    mem.write_slot(0, 1, (3, BLACK, 2))
+    assert mem.read_slot(1, 1)[0] == (3, BLACK, 2)
     with pytest.raises(KindMismatchError):
-        mem.write(1, RegisterId("Token", 1), (3, "green", 2))
+        mem.write_slot(0, 1, (3, "green", 2))
     with pytest.raises(KindMismatchError):
-        mem.write(1, RegisterId("GlobalColor", None), 0)
+        mem.write_slot(0, 0, 0)
 
 
 def test_restore_reproduces_rmr_totals_under_replay():

@@ -248,7 +248,7 @@ def test_build_invocations_sections_sum_to_ledger():
     per_pid = {pid: 0 for pid in range(1, 4)}
     for rec in build_invocations(result.trace):
         per_pid[rec.pid] += rec.rmr_total
-    assert [per_pid[p] for p in (1, 2, 3)] == result.rmr.totals
+    assert [per_pid[p] for p in (1, 2, 3)] == result.rmr_totals
 
 
 MARKERS = (DOORWAY_START, DOORWAY_COMPLETE, CS_ENTER, CS_EXIT, EXIT_COMPLETE)

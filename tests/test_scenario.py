@@ -92,6 +92,15 @@ def test_session_values_validated():
     assert "duplicate" in str(repeated) and repeated.lineno == 14
 
 
+def test_out_of_range_values_rejected_with_line_number():
+    base = GOOD.replace("cs_steps = 2\n", "").replace("step_cap = 5000\n", "")
+    for key, low in (("cs_steps", 0), ("step_cap", 0), ("max_states", 1),
+                     ("max_depth", 0), ("token_cap", 0)):
+        error = err(base + f"{key} = {low - 1}\n")
+        assert f"{key} must be >= {low}" in str(error) and error.lineno == 12, key
+        assert getattr(parse_scenario(base + f"{key} = {low}\n"), key) == low
+
+
 def test_window_must_cover_n():
     assert "fairness_window" in str(err(GOOD.replace("fairness_window = 12",
                                                      "fairness_window = 2")))

@@ -1,5 +1,7 @@
 """Schedule sources: determinism, fairness windows, script validation."""
 
+import itertools
+
 import pytest
 
 from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_glb,
@@ -32,24 +34,28 @@ def test_seeds_differ_almost_surely():
 
 
 def test_fairness_window_is_hard():
-    for window in (3, 4, 7, 12):
-        n = 3
-        state = SystemState(build_glb(n), distinct_sessions(n, invocations=4))
-        schedule = random_schedule(n, seed=5, window=window)
-        picks = []
-        from gmesim import step
-        while True:
-            pid = schedule.next(state)
-            if pid is None:
-                break
-            picks.append((pid, set(state.live_pids())))
-            step(state, pid)
-        # every live process appears in each window of w consecutive picks
-        for start in range(len(picks) - window):
-            chunk = picks[start:start + window]
-            live_throughout = set.intersection(*(live for _, live in chunk))
-            scheduled = {pid for pid, _ in chunk}
-            assert live_throughout <= scheduled
+    from gmesim import step
+    # the second workload's processes run out at different times, and one
+    # never starts
+    for sessions in ([[1] * 4, [2] * 4, [3] * 4], [[1], [], [3] * 4, [2]]):
+        n = len(sessions)
+        for window, seed in itertools.product((n, n + 1, 7, 12), (5, 6)):
+            state = SystemState(build_glb(n), Workload.from_sessions(sessions))
+            schedule = random_schedule(n, seed=seed, window=window)
+            picks = []
+            while True:
+                pid = schedule.next(state)
+                if pid is None:
+                    break
+                picks.append((pid, set(state.live_pids())))
+                step(state, pid)
+            assert state.all_done()
+            # every live process appears in each window of w consecutive picks
+            for start in range(len(picks) - window):
+                chunk = picks[start:start + window]
+                live_throughout = set.intersection(*(live for _, live in chunk))
+                scheduled = {pid for pid, _ in chunk}
+                assert live_throughout <= scheduled
 
 
 def test_window_below_n_rejected():

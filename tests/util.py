@@ -1,8 +1,10 @@
 """Shared helpers for driving the machine and checking its traces in tests."""
 
+from collections import Counter
+
 import oracle_monitors
 from gmesim import Scripted, SystemState, Workload, run, step
-from gmesim.machine import CS_ENTER, DOORWAY_COMPLETE, EXIT_COMPLETE, Trace
+from gmesim.machine import CS_ENTER, DOORWAY_COMPLETE, EXIT_COMPLETE, Section, Trace
 from gmesim.monitors import (FAIL, build_invocations, check_fcfs, check_flip_invariant,
                              check_mutual_exclusion, check_token_bound)
 
@@ -92,6 +94,12 @@ def entered_cs(ev):
 
 def finished(ev):
     return EXIT_COMPLETE in ev.markers
+
+
+def exit_writes(trace) -> Counter:
+    """Shared writes in the exit section, per (pid, invocation)."""
+    return Counter((ev.pid, ev.inv) for ev in trace.events
+                   if ev.section is Section.EXIT and ev.kind == "write")
 
 
 def run_scripted(spec, workload, pids, step_cap=200_000):
