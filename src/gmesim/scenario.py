@@ -68,13 +68,16 @@ class Scenario:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
 
     def canonical_text(self) -> str:
+        # The color is named only when it differs from the white that
+        # build_spec would use, so an explicit white hashes as unset.
+        color = None if self.initial_color == WHITE else self.initial_color
         lines = [HEADER,
                  f"algorithm = {self.algorithm}",
                  f"n = {self.n}",
                  f"schedule = {self.schedule}",
                  f"seed = {self.seed}",
                  f"fairness_window = {self.fairness_window}",
-                 f"initial_color = {self.initial_color}",
+                 f"initial_color = {color}",
                  f"mutant = {self.mutant}",
                  f"cs_steps = {self.cs_steps}",
                  f"step_cap = {self.step_cap}",

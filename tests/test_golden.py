@@ -43,7 +43,7 @@ RUN_DIGESTS = {
 # name -> (exit code, flip witnesses printed, stdout digest)
 EXPLORE_DIGESTS = {
     "bwbgme_explore_n3.scn": (
-        0, 0, "998c185b6857fcb06737538c7c79f9ca3bd92ab947f569f1f07b48fdee3ad2b2"),
+        0, 0, "f240ba821aa876780b7cd7b7bd49c7d90ed026e44720febae298744458bf33a9"),
     "bwbgme_mutant_guard.scn": (
         1, 135, "953002d2faa068541df3d2d8ce2c9008b9936410b4b2dc177d80de39b562953c"),
     "glb_explore_n3.scn": (

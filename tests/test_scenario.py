@@ -56,6 +56,13 @@ def test_config_hash_names_the_explore_caps():
     assert parse_scenario(glb + "token_cap = 47\n").config_hash != unset
 
 
+def test_config_hash_resolves_the_initial_color():
+    white = parse_scenario(GOOD.replace("initial_color = black", "initial_color = white"))
+    unset = parse_scenario(GOOD.replace("initial_color = black\n", ""))
+    assert white.config_hash == unset.config_hash
+    assert parse_scenario(GOOD).config_hash != unset.config_hash
+
+
 def err(text):
     with pytest.raises(ScenarioError) as info:
         parse_scenario(text)
