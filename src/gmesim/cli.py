@@ -212,9 +212,8 @@ def cmd_sweep(args) -> int:
     for flag in ("seeds", "invocations"):
         if getattr(args, flag) < 1:
             raise ConfigurationError(f"--{flag} must be >= 1")
-    window = args.fairness_window
-    if window is not None and sizes and window < max(sizes):
-        raise ConfigurationError(f"--fairness-window {window} < n={max(sizes)}")
+    if args.fairness_window is not None and sizes and args.fairness_window < max(sizes):
+        raise ConfigurationError(f"--fairness-window {args.fairness_window} < n={max(sizes)}")
     rows = []
     truncated = False
 

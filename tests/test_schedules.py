@@ -47,7 +47,9 @@ def test_fairness_window_is_hard():
                 pid = schedule.next(state)
                 if pid is None:
                     break
-                picks.append((pid, set(state.live_pids())))
+                live = set(state.live_pids())
+                assert pid in live  # an exhausted process is never picked
+                picks.append((pid, live))
                 step(state, pid)
             assert state.all_done()
             # every live process appears in each window of w consecutive picks
