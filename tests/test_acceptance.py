@@ -18,7 +18,7 @@ from gmesim.monitors import (FAIL, PASS, build_invocations, check_bounded_exit,
                              check_mutual_exclusion, check_token_bound,
                              check_wait_rmr_bounds)
 from util import (check, distinct_sessions, doorway_done, drive, finished,
-                  me_fcfs_against_oracle)
+                  me_fcfs_against_oracle, report_digest)
 
 pytestmark = pytest.mark.acceptance
 
@@ -31,6 +31,39 @@ def all_assignments(n=3, sessions=(1, 2)):
     return list(itertools.product(sessions, repeat=n))
 
 
+# Digest of each exploration's report (util.report_digest), per sessions.
+GLB_REPORTS = {
+    (1, 1, 1): "8750d6351f6f6a0f",
+    (1, 1, 2): "d70f99978b71ff2c",
+    (1, 2, 1): "40c00a60c1fda126",
+    (1, 2, 2): "75cd76a3e493f9ac",
+    (2, 1, 1): "75cd76a3e493f9ac",
+    (2, 1, 2): "40c00a60c1fda126",
+    (2, 2, 1): "d70f99978b71ff2c",
+    (2, 2, 2): "8750d6351f6f6a0f",
+}
+
+# Per (initial color, sessions).
+BWBGME_REPORTS = {
+    (WHITE, (1, 1, 1)): "f14606775206b54e",
+    (WHITE, (1, 1, 2)): "504ba7bcbe1e2c10",
+    (WHITE, (1, 2, 1)): "25a5fcfee7890ff7",
+    (WHITE, (1, 2, 2)): "c441a581b8b2d8fa",
+    (WHITE, (2, 1, 1)): "c441a581b8b2d8fa",
+    (WHITE, (2, 1, 2)): "25a5fcfee7890ff7",
+    (WHITE, (2, 2, 1)): "504ba7bcbe1e2c10",
+    (WHITE, (2, 2, 2)): "f14606775206b54e",
+    (BLACK, (1, 1, 1)): "f14606775206b54e",
+    (BLACK, (1, 1, 2)): "504ba7bcbe1e2c10",
+    (BLACK, (1, 2, 1)): "25a5fcfee7890ff7",
+    (BLACK, (1, 2, 2)): "c441a581b8b2d8fa",
+    (BLACK, (2, 1, 1)): "c441a581b8b2d8fa",
+    (BLACK, (2, 1, 2)): "25a5fcfee7890ff7",
+    (BLACK, (2, 2, 1)): "504ba7bcbe1e2c10",
+    (BLACK, (2, 2, 2)): "f14606775206b54e",
+}
+
+
 def test_criterion_1_exhaustive_safety_glb():
     spec = build_glb(3)
     for assignment in all_assignments():
@@ -40,6 +73,7 @@ def test_criterion_1_exhaustive_safety_glb():
         assert rep.violation_count("me") == 0, assignment
         assert rep.violation_count("fcfs") == 0, assignment
         assert rep.deadlocks == 0, assignment
+        assert report_digest(rep) == GLB_REPORTS[assignment], assignment
     report(1, "exhaustive safety, GLB N=3")
 
 
@@ -53,6 +87,8 @@ def test_criterion_2_exhaustive_safety_bwbgme():
             assert rep.violation_count() == 0, (color, assignment)
             assert rep.deadlocks == 0, (color, assignment)
             assert rep.max_token <= 4, (color, assignment)
+            assert report_digest(rep) == BWBGME_REPORTS[color, assignment], \
+                (color, assignment)
     report(2, "exhaustive safety + token bound, BWBGME N=3, both colors")
 
 

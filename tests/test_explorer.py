@@ -4,7 +4,7 @@ from gmesim import (Scripted, Section, SystemState, Workload, build_bl, build_bw
                     build_glb, explore, run, step)
 from gmesim.monitors import FAIL, MONITORS
 from oracle_explorer import crosscheck_reachable
-from util import check, distinct_sessions
+from util import check, distinct_sessions, report_digest
 
 
 def test_single_process_single_path():
@@ -133,6 +133,11 @@ def assert_witnesses_replay(spec, wl, report):
             assert check(MONITORS[prop], result.trace).status == FAIL, (prop, v)
 
 
+# Digest of each mutant's report at sessions {1,1,1} (util.report_digest).
+MUTANT_REPORTS = {"no_number_guard": "8e67985d753c3e5c",
+                  "unconditional_flip": "d36791155527ba61"}
+
+
 def test_guard_mutant_violation_found_and_replays():
     wl = Workload.from_sessions([[1], [1], [1]])
     for mutant in ("no_number_guard", "unconditional_flip"):
@@ -140,6 +145,7 @@ def test_guard_mutant_violation_found_and_replays():
         report = explore(spec, wl)
         assert report.violation_count("flip")
         assert report.violation_count() == report.violation_count("flip")
+        assert report_digest(report) == MUTANT_REPORTS[mutant], mutant
         assert_witnesses_replay(spec, wl, report)
 
 

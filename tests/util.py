@@ -1,5 +1,6 @@
 """Shared helpers for driving the machine and checking its traces in tests."""
 
+import hashlib
 from collections import Counter
 
 import oracle_monitors
@@ -117,3 +118,15 @@ def run_to_completion(spec, workload, schedule, step_cap=500_000):
 def distinct_sessions(n, invocations=1, cs_steps=1):
     return Workload.uniform(n, lambda pid: pid, invocations=invocations,
                             cs_steps=cs_steps)
+
+
+def report_digest(report) -> str:
+    """A short digest of everything an exploration reports: its counts,
+    caps and truncation, and every violation's property, path and
+    detail, in the order the search found them."""
+    summary = (report.states, report.transitions, report.max_depth, report.deadlocks,
+               report.max_token, report.token_cap_hits, report.truncated,
+               report.truncation_reason,
+               [(prop, [(v.path, v.detail) for v in vs])
+                for prop, vs in sorted(report.violations.items())])
+    return hashlib.sha256(repr(summary).encode()).hexdigest()[:16]
