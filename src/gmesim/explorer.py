@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .machine import SystemState, Workload, all_active_blocked, step
+from .machine import PC_REMAINDER, SystemState, Workload, all_active_blocked, step
 from .monitors import DEFAULT_MONITORS, ONLINE, advance, monitored, token_number
 
 
@@ -105,6 +105,9 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     depth = [0]
     stack = [0]
     path_of = report.path_of
+    mem, envs = work.mem, work.envs
+    no_readers = [0] * len(mem.store)
+    last_inv = [len(per) - 1 for per in workload.invocations]
 
     def add_violation(prop: str, path: tuple, detail: str) -> None:
         report.violations.setdefault(prop, []).append(Violation(prop, path, detail))
@@ -119,12 +122,20 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     while stack:
         nid = stack.pop()
         vkey, mon = keys[nid]
-        env_keys = vkey[1]
-        for pid in range(1, n + 1):
-            pc, inv = env_keys[pid - 1][0], env_keys[pid - 1][6]
-            if pc == 0 and inv + 1 >= len(workload.invocations[pid - 1]):
+        store, env_keys = vkey
+        work.load_value_key(vkey)
+        stepped = -1  # the 0-based process whose step the live state still holds
+        for p, env_key in enumerate(env_keys):
+            if env_key[0] == PC_REMAINDER and env_key[6] >= last_inv[p]:
                 continue  # the process has finished its last invocation
-            work.load_value_key(vkey)
+            if stepped >= 0:
+                # Undo the previous successor's step: restore the store,
+                # empty the reader sets, reload the env that stepped.
+                mem.store[:] = store
+                mem.valid[:] = no_readers
+                envs[stepped].load_key(env_keys[stepped])
+            stepped = p
+            pid = p + 1
             ev = step(work, pid)
             report.transitions += 1
 
@@ -145,7 +156,11 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                     report.truncation_reason = "token cap"
                     continue
 
-            child_key = (work.value_key(), child_mon)
+            # The child key, spliced from the parent's: a step changes its
+            # own env and, when it writes, the store.
+            child_store = tuple(mem.store) if ev.kind == "write" else store
+            child_envs = env_keys[:p] + (envs[p].key(),) + env_keys[p + 1:]
+            child_key = ((child_store, child_envs), child_mon)
             if child_key in ids:
                 continue
             if len(keys) >= max_states:

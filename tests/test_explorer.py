@@ -1,7 +1,9 @@
 """Explorer: soundness, cross-checks, caps, mutation sensitivity."""
 
+import gmesim.explorer
 from gmesim import (Scripted, Section, SystemState, Workload, build_bl, build_bwbgme,
                     build_glb, explore, run, step)
+from gmesim.machine import all_active_blocked
 from gmesim.monitors import FAIL, MONITORS
 from oracle_explorer import crosscheck_reachable
 from util import check, distinct_sessions, report_digest
@@ -63,6 +65,30 @@ def test_reported_states_replay_as_scripts():
         result = run(state, Scripted(path), step_cap=len(path) + 1)
         assert len(result.trace.events) == len(path)
         assert state.value_key() == vkey
+
+
+def test_live_state_is_each_new_state(monkeypatch):
+    # The explorer steps each successor on one live state and undoes it.
+    # Its deadlock check runs once per new state, in id order, so the
+    # live state it sees must be exactly each stored state in turn, and
+    # give the verdict a fresh load of that state's key gives.
+    for spec, wl in ((build_glb(3), Workload.from_sessions([[1], [2], [1]])),
+                     (build_bwbgme(3), Workload.from_sessions([[1], [1], [2]]))):
+        fresh = SystemState(spec, wl)
+        seen = []
+
+        def recording(state):
+            vkey = state.value_key()
+            seen.append(vkey)
+            fresh.load_value_key(vkey)
+            blocked = all_active_blocked(state)
+            assert blocked == all_active_blocked(fresh), vkey
+            return blocked
+
+        monkeypatch.setattr(gmesim.explorer, "all_active_blocked", recording)
+        report = explore(spec, wl)
+        assert report.clean and not report.truncated
+        assert seen == [vkey for vkey, _ in report.keys]
 
 
 def merged_paths(spec, wl, report, limit):
