@@ -29,6 +29,10 @@ class Section(Enum):
     CS = "cs"
     EXIT = "exit"
 
+    # Members are singletons compared by identity; Enum's own __hash__
+    # hashes the name in Python on every marker-table lookup.
+    __hash__ = object.__hash__
+
 
 _RANK = {
     Section.REMAINDER: 0,
