@@ -33,7 +33,7 @@ from .errors import ConfigurationError, ScenarioError
 from .explorer import explore
 from .machine import Section, SystemState, Trace, Workload, run
 from .monitors import FAIL, build_invocations, check_implications, max_token_number
-from .scenario import Scenario, load_scenario
+from .scenario import LOWER_BOUNDS, Scenario, load_scenario
 from .schedules import bl_adversarial_schedule, bl_adversarial_workload, random_schedule
 
 EXIT_OK = 0
@@ -90,12 +90,21 @@ def _write_run_csv(path: str, scenario: Scenario, records) -> None:
                         int(r.xc is not None)])
 
 
+def _override(scenario: Scenario, key: str, flag: str, value) -> None:
+    """Set a scenario value from a command-line flag, if given, within the
+    bound the scenario file's key obeys."""
+    if value is None:
+        return
+    if value < LOWER_BOUNDS[key]:
+        raise ConfigurationError(f"{flag} must be >= {LOWER_BOUNDS[key]}")
+    setattr(scenario, key, value)
+
+
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
-    if args.steps is not None:
-        scenario.step_cap = args.steps
+    _override(scenario, "step_cap", "--steps", args.steps)
 
     spec = scenario.build_spec()
     workload = scenario.build_workload()
@@ -148,10 +157,8 @@ def cmd_run(args) -> int:
 
 def cmd_explore(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.max_states is not None:
-        scenario.max_states = args.max_states
-    if args.max_depth is not None:
-        scenario.max_depth = args.max_depth
+    _override(scenario, "max_states", "--max-states", args.max_states)
+    _override(scenario, "max_depth", "--max-depth", args.max_depth)
 
     spec = scenario.build_spec()
     workload = scenario.build_workload()

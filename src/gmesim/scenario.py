@@ -121,6 +121,12 @@ class Scenario:
         return monitors_for(self.algorithm, self.monitors)
 
 
+# The smallest value each integer setting takes, in a scenario file or
+# as a command-line override.
+LOWER_BOUNDS = {"cs_steps": 0, "step_cap": 0, "max_states": 1, "max_depth": 0,
+                "token_cap": 0}
+
+
 def _fail(lineno: int, msg: str):
     raise ScenarioError(lineno, msg)
 
@@ -192,8 +198,7 @@ def parse_scenario(text: str) -> Scenario:
     sc.max_states = pop_int("max_states", sc.max_states)
     sc.max_depth = pop_int("max_depth", None)
     sc.token_cap = pop_int("token_cap", None)
-    for key, low in (("cs_steps", 0), ("step_cap", 0), ("max_states", 1),
-                     ("max_depth", 0), ("token_cap", 0)):
+    for key, low in LOWER_BOUNDS.items():
         if getattr(sc, key) is not None and getattr(sc, key) < low:
             _fail(lineno_of[key], f"{key} must be >= {low}")
 

@@ -131,6 +131,24 @@ def test_explore_truncation_exit_3(tmp_path):
     assert main(["explore", "--scenario", scn, "--max-states", "40"]) == 3
 
 
+def test_overrides_obey_the_scenario_bounds(tmp_path, capsys):
+    run_scn = write(tmp_path, "glb.scn", GLB_SCENARIO)
+    explore_scn = write(tmp_path, "explore.scn", EXPLORE_SCENARIO)
+    for argv, message in ((["run", "--scenario", run_scn, "--steps", "-5"],
+                           "--steps must be >= 0"),
+                          (["explore", "--scenario", explore_scn, "--max-states", "0"],
+                           "--max-states must be >= 1"),
+                          (["explore", "--scenario", explore_scn, "--max-depth", "-1"],
+                           "--max-depth must be >= 0")):
+        assert main(argv) == 2, argv
+        out, errors = capsys.readouterr()
+        assert message in errors and out == "", argv
+    # each bound itself is accepted: a capped result, not a usage error
+    assert main(["run", "--scenario", run_scn, "--steps", "0"]) == 3
+    assert main(["explore", "--scenario", explore_scn, "--max-states", "1"]) == 3
+    assert main(["explore", "--scenario", explore_scn, "--max-depth", "0"]) == 3
+
+
 def test_sweep_random_csv(tmp_path, capsys):
     csv_path = str(tmp_path / "sweep.csv")
     code = main(["sweep", "--algorithm", "glb", "--sizes", "2,4", "--seeds", "3",
