@@ -11,6 +11,16 @@ GlobalColor flip windows) live in the monitor states, so merging states
 never loses one.  Every property, mutual exclusion included, is checked
 on the edge whose event violates it.
 
+The search steps and undoes instead of copying state in.  Each popped
+state is loaded into one live SystemState once.  Each successor steps
+one process on it, and its key is spliced from the parent's: a step
+changes only its own process's runtime and, if it writes, the store,
+so the child shares the parent's store tuple unless the step wrote, and
+every other process's runtime tuple.  Before the next successor the
+step is undone: the store is restored, the reader sets emptied (so
+every successor's reads cost what they would from a fresh load) and
+the runtime of the process that stepped is reloaded.
+
 Every reported state is reproducible: the report keeps the state table
 the DFS builds (each state's key and parent edge), and path_of() turns
 any state id into the pid script that reaches it from the initial state.
@@ -113,6 +123,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
         report.violations.setdefault(prop, []).append(Violation(prop, path, detail))
 
     def check_deadlock(nid: int) -> None:
+        # The live state is state nid: the root, or the child just stepped.
         if all_active_blocked(work):
             report.deadlocks += 1
             add_violation("deadlock", path_of(nid), "every active process is blocked")
@@ -128,9 +139,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
         for p, env_key in enumerate(env_keys):
             if env_key[0] == PC_REMAINDER and env_key[6] >= last_inv[p]:
                 continue  # the process has finished its last invocation
-            if stepped >= 0:
-                # Undo the previous successor's step: restore the store,
-                # empty the reader sets, reload the env that stepped.
+            if stepped >= 0:  # undo the previous successor's step
                 mem.store[:] = store
                 mem.valid[:] = no_readers
                 envs[stepped].load_key(env_keys[stepped])
@@ -156,8 +165,6 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                     report.truncation_reason = "token cap"
                     continue
 
-            # The child key, spliced from the parent's: a step changes its
-            # own env and, when it writes, the store.
             child_store = tuple(mem.store) if ev.kind == "write" else store
             child_envs = env_keys[:p] + (envs[p].key(),) + env_keys[p + 1:]
             child_key = ((child_store, child_envs), child_mon)
