@@ -59,6 +59,17 @@ SWEEP_DIGESTS = {
         "csv": "42f1130b9a4bc2ee5ccfb42e91460132a04c0a73161255be956e1b9ee1ab4d3a"},
 }
 
+# N=16 and 32 reach the fair schedule's overdue queue and let processes
+# run out of invocations at different steps.
+WIDE_SWEEP_DIGESTS = {
+    "glb": {
+        "stdout": "d8bbae405404583da9d273f27d30e876747916a2255d5aa71652441c714bfd67",
+        "csv": "a71e7edb91712f41bf2dc8daecfe0626e7e148e911d8a26a773fee149ffdf538"},
+    "bwbgme": {
+        "stdout": "71a33f69997b0cb99baf329beb020cb903ec65a9e935a40f9b4cb29708b301c0",
+        "csv": "9c2fa2008ab77616f5a8ca8cf13c43b3bef5f50fdc42a231e00d093ca5e90a30"},
+}
+
 
 @pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
 def test_run_outputs_pinned(name, tmp_path, capsys):
@@ -93,3 +104,14 @@ def test_sweep_csv_pinned(algorithm, tmp_path, capsys):
     assert code == 0
     assert {"stdout": sha(out), "csv": sha(csv_path.read_bytes())} \
         == SWEEP_DIGESTS[algorithm]
+
+
+@pytest.mark.parametrize("algorithm", sorted(WIDE_SWEEP_DIGESTS))
+def test_wide_sweep_csv_pinned(algorithm, tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    code = main(["sweep", "--algorithm", algorithm, "--sizes", "16,32",
+                 "--seeds", "2", "--csv-out", str(csv_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert {"stdout": sha(out), "csv": sha(csv_path.read_bytes())} \
+        == WIDE_SWEEP_DIGESTS[algorithm]
