@@ -194,7 +194,7 @@ class AlgorithmSpec:
 class SystemState:
     """Global store, reader sets, RMR ledger, and every process's runtime."""
 
-    __slots__ = ("spec", "mem", "envs", "workload", "step_index")
+    __slots__ = ("spec", "mem", "envs", "workload", "step_index", "awake")
 
     def __init__(self, spec: AlgorithmSpec, workload: Workload):
         if workload.n != spec.n:
@@ -205,6 +205,7 @@ class SystemState:
         self.envs = [ProcEnv() for _ in range(spec.n)]
         self.workload = workload
         self.step_index = 0
+        self.awake = 0  # pid last seen active and unblocked (see all_active_blocked)
 
     # -- liveness -------------------------------------------------------
 
@@ -296,16 +297,33 @@ def all_active_blocked(state: SystemState) -> bool:
     Active means outside the remainder section.  Blocked processes never
     write, and a process entering from the remainder cannot make any
     currently-false wait condition true, so such a state is a deadlock.
+
+    One active, unblocked process is a witness against deadlock, so the
+    one found last time (state.awake) is tried first; the full scan runs
+    only when it has since blocked or returned to the remainder.  Wait
+    conditions are pure reads of the store, so the answer is exact
+    whichever state the hint came from.
     """
     spec = state.spec
+    envs = state.envs
+    store = state.mem.store
+    wait_conds = spec.wait_conds
+    pid = state.awake
+    if pid:
+        env = envs[pid - 1]
+        if env.pc != PC_REMAINDER:
+            cond = wait_conds.get(env.pc)
+            if cond is None or cond(env, store, pid):
+                return False
     any_active = False
     for pid in range(1, spec.n + 1):
-        env = state.envs[pid - 1]
+        env = envs[pid - 1]
         if env.pc == PC_REMAINDER:
             continue
         any_active = True
-        cond = spec.wait_conds.get(env.pc)
-        if cond is None or cond(env, state.mem.store, pid):
+        cond = wait_conds.get(env.pc)
+        if cond is None or cond(env, store, pid):
+            state.awake = pid
             return False
     return any_active
 
@@ -328,9 +346,10 @@ def run(state: SystemState, schedule, step_cap: int = 1_000_000) -> RunResult:
     events: list[TraceEvent] = []
     deadlocked = False
     cap_hit = False
-    while True:
-        if state.all_done():
-            break
+    # Only the stepped process can run out of invocations, and it does so
+    # on the step that completes its last exit.
+    live = len(state.live_pids())
+    while live:
         if len(events) >= step_cap:
             cap_hit = True
             break
@@ -345,6 +364,8 @@ def run(state: SystemState, schedule, step_cap: int = 1_000_000) -> RunResult:
             state.step_index += 1
             deadlocked = True
             break
+        if EXIT_COMPLETE in ev.markers and state.exhausted(pid):
+            live -= 1
 
     completed = state.all_done()
     trace = Trace(state.spec.name, state.spec.n, events,

@@ -52,34 +52,48 @@ class RandomSchedule:
     """Seeded random choice with a hard fairness window.
 
     Every live process is scheduled at least once in any w consecutive
-    steps: once a process has waited w - n steps it joins an overdue
-    queue that is drained longest-first, which keeps each gap <= w
-    (random_schedule checks w >= n).
+    steps: once a process has waited w - n steps it is overdue, and the
+    one that has waited longest (the lowest pid among those never
+    picked) goes first, which keeps each gap <= w (random_schedule
+    checks w >= n).
+
+    The caller steps each pid this returns, and nothing else, before the
+    next call: only the previous pick can have run out of invocations,
+    so the live set is kept here instead of rescanned from the state.
     """
 
     def __init__(self, seed: int, window: int):
         self.window = window
         self.rng = random.Random(seed)
-        self.since: dict = {}  # pid -> steps since it was last picked
+        self.live = None  # ascending live pids, set on the first call
+        # pid -> call count at its last pick (0 if never picked), kept in
+        # order of last pick, so the first entry has waited longest.
+        self.stamps: dict = {}
+        self.calls = 0
+        self.last = 0
 
     def next(self, state: SystemState):
-        live = state.live_pids()
-        if not live:
-            return None
-        since = self.since
-        if not since:
+        live = self.live
+        if live is None:
             # A process that runs out of invocations never becomes live
             # again, so the first call's live set covers every later one.
-            since.update(dict.fromkeys(live, 0))
-        threshold = self.window - state.spec.n
-        overdue = [pid for pid in live if since[pid] >= threshold]
-        if overdue:
-            pick = max(overdue, key=lambda p: (since[p], -p))
+            live = self.live = state.live_pids()
+            self.stamps = dict.fromkeys(live, 0)
+        elif live and state.exhausted(self.last):
+            live.remove(self.last)
+            del self.stamps[self.last]
+        if not live:
+            return None
+        stamps = self.stamps
+        calls = self.calls
+        oldest = next(iter(stamps))
+        if calls - stamps[oldest] >= self.window - state.spec.n:
+            pick = oldest
         else:
             pick = self.rng.choice(live)
-        for pid in live:
-            since[pid] += 1
-        since[pick] = 0
+        del stamps[pick]
+        self.calls = stamps[pick] = calls + 1
+        self.last = pick
         return pick
 
 

@@ -5,6 +5,7 @@ from gmesim import (Scripted, Section, SystemState, Workload, build_bl, build_bw
                     build_glb, explore, run, step)
 from gmesim.machine import all_active_blocked
 from gmesim.monitors import FAIL, MONITORS
+from oracle_scans import all_active_blocked as full_scan
 from oracle_explorer import crosscheck_reachable
 from util import check, distinct_sessions, report_digest
 
@@ -89,6 +90,25 @@ def test_live_state_is_each_new_state(monkeypatch):
         report = explore(spec, wl)
         assert report.clean and not report.truncated
         assert seen == [vkey for vkey, _ in report.keys]
+
+
+def test_deadlock_check_matches_full_scan_on_every_state(monkeypatch):
+    # The live state moves between stored states, so the process the
+    # check remembers as awake comes from another state most of the time.
+    for spec, sessions in ((build_glb(2), [[1, 2], [2, 1]]),
+                           (build_bwbgme(2), [[1, 2], [2, 1]]),
+                           (build_bl(2), [[1, 1], [2]])):
+        verdicts = []
+
+        def checked(state):
+            blocked = all_active_blocked(state)
+            assert blocked == full_scan(state), state.value_key()
+            verdicts.append(blocked)
+            return blocked
+
+        monkeypatch.setattr(gmesim.explorer, "all_active_blocked", checked)
+        report = explore(spec, Workload.from_sessions(sessions))
+        assert report.clean and len(verdicts) == report.states
 
 
 def merged_paths(spec, wl, report, limit):

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_bl,
                     build_bwbgme, build_glb, random_schedule, run, step)
+import oracle_scans
 from gmesim import machine
 from gmesim.errors import ConfigurationError
 from gmesim.machine import (CS_ENTER, DOORWAY_COMPLETE, DOORWAY_START,
-                            EXIT_COMPLETE, Section)
+                            EXIT_COMPLETE, PC_REMAINDER, Section, all_active_blocked)
 from gmesim.monitors import check_mutual_exclusion, check_section_order
 from oracle_memory import Memory as OracleMemory
 from util import (check, distinct_sessions, doorway_done, drive, effectively_blocked,
@@ -218,3 +219,66 @@ def test_arbitrary_schedules_preserve_safety(name, pids):
         from gmesim.monitors import check_flip_invariant, check_token_bound
         assert check(check_token_bound, result.trace).ok
         assert check(check_flip_invariant, result.trace).ok
+
+
+def hint_status(state) -> str:
+    """Where the process all_active_blocked will try first stands now."""
+    if not state.awake:
+        return "none"
+    if state.envs[state.awake - 1].pc == PC_REMAINDER:
+        return "remainder"
+    return "blocked" if effectively_blocked(state, state.awake) else "awake"
+
+
+def test_deadlock_check_matches_full_scan_at_every_step():
+    # The check tries the process last found awake first; the oracle
+    # scans every process.  Compared after every step of random runs, so
+    # the remembered process is often blocked or back in the remainder.
+    seen = set()
+    for build in (build_glb, build_bwbgme):
+        for n, seed in ((2, 0), (3, 1), (4, 2), (5, 3)):
+            state = SystemState(build(n), distinct_sessions(n, invocations=2))
+            schedule = random_schedule(n, seed)
+            while (pid := schedule.next(state)) is not None:
+                step(state, pid)
+                seen.add(hint_status(state))
+                assert all_active_blocked(state) == oracle_scans.all_active_blocked(state)
+            assert state.all_done()
+    assert {"remainder", "blocked", "awake"} <= seen
+
+
+def test_deadlock_check_when_the_remembered_process_stops():
+    # Forged states below are not reachable (glb is deadlock-free); the
+    # check reads only the store and each pc, so it must still agree.
+    def agree(state):
+        blocked = all_active_blocked(state)
+        assert blocked == oracle_scans.all_active_blocked(state)
+        return blocked
+
+    def start():
+        state = SystemState(build_glb(2), distinct_sessions(2))
+        drive(state, 2, lambda ev: ev.line == 4 and ev.kind == "write")  # Choosing[2] set
+        drive(state, 1, lambda ev: ev.outcome == "fail")  # P1 waits on P2
+        assert not agree(state) and state.awake == 2
+        return state
+
+    # The remembered process blocks: P2 finishes its doorway, which frees
+    # P1, and waits on P1's smaller token.
+    state = start()
+    drive(state, 2, lambda ev: ev.outcome == "fail")
+    assert hint_status(state) == "blocked"
+    assert not agree(state) and state.awake == 1
+    # Setting Choosing[2] again blocks P1 as well.
+    state.mem.store[state.mem.names.index("Choosing[2]")] = True
+    assert hint_status(state) == "blocked"
+    assert agree(state)
+
+    # The remembered process parks in the remainder with Choosing[2] set:
+    # P1 is the only active process, and it is blocked.
+    state = start()
+    state.envs[1].pc = PC_REMAINDER
+    assert hint_status(state) == "remainder"
+    assert agree(state)
+    # With P1 back in the remainder as well, nobody is active.
+    state.envs[0].pc = PC_REMAINDER
+    assert not agree(state)

@@ -3,9 +3,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_glb,
-                    random_schedule, run)
+import oracle_scans
+from gmesim import (RandomSchedule, RoundRobin, Scripted, SystemState, Workload,
+                    build_bwbgme, build_glb, random_schedule, run)
 from gmesim.errors import ConfigurationError
 from util import distinct_sessions
 
@@ -58,6 +61,48 @@ def test_fairness_window_is_hard():
                 live_throughout = set.intersection(*(live for _, live in chunk))
                 scheduled = {pid for pid, _ in chunk}
                 assert live_throughout <= scheduled
+
+
+class Recording:
+    """Passes a schedule's picks through, keeping a copy."""
+
+    def __init__(self, schedule):
+        self.schedule = schedule
+        self.picks = []
+
+    def next(self, state):
+        pid = self.schedule.next(state)
+        self.picks.append(pid)
+        return pid
+
+
+@st.composite
+def fair_runs(draw):
+    n = draw(st.integers(1, 12))
+    # uneven invocation counts, zero included
+    sessions = draw(st.lists(st.lists(st.integers(1, 3), max_size=3),
+                             min_size=n, max_size=n))
+    window = draw(st.integers(n, 5 * n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    build = draw(st.sampled_from((build_glb, build_bwbgme)))
+    return build, sessions, window, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(fair_runs())
+def test_random_schedule_matches_full_rescan(case):
+    # The schedule keeps its live set and pick stamps across calls; the
+    # oracle rescans the state and ages every process on every call.
+    build, sessions, window, seed = case
+    n = len(sessions)
+    results = []
+    for schedule in (RandomSchedule(seed, window), oracle_scans.RandomSchedule(seed, window)):
+        recording = Recording(schedule)
+        state = SystemState(build(n), Workload.from_sessions(sessions))
+        result = run(state, recording, step_cap=100_000)
+        assert result.completed
+        results.append((recording.picks, result.trace.events))
+    assert results[0] == results[1]
 
 
 def test_window_below_n_rejected():
