@@ -90,14 +90,18 @@ def _write_run_csv(path: str, scenario: Scenario, records) -> None:
                         int(r.xc is not None)])
 
 
-def _override(scenario: Scenario, key: str, flag: str, value) -> None:
-    """Set a scenario value from a command-line flag, if given, within the
-    bound the scenario file's key obeys."""
-    if value is None:
-        return
-    if value < LOWER_BOUNDS[key]:
+def _check_bound(key: str, flag: str, value) -> None:
+    """A command-line flag, if given, obeys the bound of the scenario
+    file's key it stands for."""
+    if value is not None and value < LOWER_BOUNDS[key]:
         raise ConfigurationError(f"{flag} must be >= {LOWER_BOUNDS[key]}")
-    setattr(scenario, key, value)
+
+
+def _override(scenario: Scenario, key: str, flag: str, value) -> None:
+    """Set a scenario value from a command-line flag, if given."""
+    _check_bound(key, flag, value)
+    if value is not None:
+        setattr(scenario, key, value)
 
 
 def cmd_run(args) -> int:
@@ -215,7 +219,13 @@ def _sweep_one(task) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    try:
+        sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    except ValueError:
+        raise ConfigurationError(
+            f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+    _check_bound("step_cap", "--steps", args.steps)
+    _check_bound("cs_steps", "--cs-steps", args.cs_steps)
     for flag in ("seeds", "invocations"):
         if getattr(args, flag) < 1:
             raise ConfigurationError(f"--{flag} must be >= 1")

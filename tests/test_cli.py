@@ -149,6 +149,23 @@ def test_overrides_obey_the_scenario_bounds(tmp_path, capsys):
     assert main(["explore", "--scenario", explore_scn, "--max-depth", "0"]) == 3
 
 
+def test_sweep_rejects_bad_flags(capsys):
+    for argv, message in ((["--steps", "-3"], "error: --steps must be >= 0"),
+                          (["--cs-steps", "-1"], "error: --cs-steps must be >= 0"),
+                          (["--sizes", "4,x"], "error: --sizes must be comma-separated")):
+        for schedule in (["--algorithm", "glb"],
+                         ["--algorithm", "bl", "--schedule", "adversarial"]):
+            code = main(["sweep", *schedule, "--seeds", "1", "--sizes", "2", *argv])
+            assert code == 2, argv
+            out, errors = capsys.readouterr()
+            assert errors.startswith(message) and out == "", (argv, errors)
+    # the bounds themselves are accepted
+    assert main(["sweep", "--algorithm", "glb", "--sizes", "2", "--seeds", "1",
+                 "--cs-steps", "0"]) == 0
+    assert main(["sweep", "--algorithm", "glb", "--sizes", "2", "--seeds", "1",
+                 "--steps", "0"]) == 3
+
+
 def test_sweep_random_csv(tmp_path, capsys):
     csv_path = str(tmp_path / "sweep.csv")
     code = main(["sweep", "--algorithm", "glb", "--sizes", "2,4", "--seeds", "3",
