@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_bl,
                     build_bwbgme, build_glb, random_schedule, run, step)
-import oracle_scans
 from gmesim import machine
 from gmesim.errors import ConfigurationError
 from gmesim.machine import (CS_ENTER, DOORWAY_COMPLETE, DOORWAY_START,
                             EXIT_COMPLETE, PC_REMAINDER, Section, all_active_blocked)
 from gmesim.monitors import check_mutual_exclusion, check_section_order
+import oracle_scans
 from oracle_memory import Memory as OracleMemory
 from util import (check, distinct_sessions, doorway_done, drive, effectively_blocked,
                   entered_cs, finished)
@@ -248,8 +248,9 @@ def test_deadlock_check_matches_full_scan_at_every_step():
 
 
 def test_deadlock_check_when_the_remembered_process_stops():
-    # Forged states below are not reachable (glb is deadlock-free); the
-    # check reads only the store and each pc, so it must still agree.
+    # The states with every active process blocked are forged (glb is
+    # deadlock-free); the check reads only the store and each pc, so it
+    # must agree with the full scan on them too.
     def agree(state):
         blocked = all_active_blocked(state)
         assert blocked == oracle_scans.all_active_blocked(state)
