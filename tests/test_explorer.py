@@ -151,6 +151,20 @@ def test_merged_states_behave_identically():
         assert values[0] == values[1]
 
 
+# Digest of each algorithm's N=2 report with two invocations per process
+# (util.report_digest).  Swapping sessions 1 and 2 maps one exploration
+# onto the other state for state, so both workloads give one digest.
+TWO_INVOCATION_REPORTS = {"glb": "323828e2d50e98cd", "bwbgme": "380d4d2d19019969"}
+
+
+def test_two_invocation_reports_pinned_under_session_relabeling():
+    for name, build in (("glb", build_glb), ("bwbgme", build_bwbgme)):
+        for sessions in ([[1, 2], [2, 1]], [[2, 1], [1, 2]]):
+            report = explore(build(2), Workload.from_sessions(sessions))
+            assert report.clean and not report.truncated, (name, sessions)
+            assert report_digest(report) == TWO_INVOCATION_REPORTS[name], (name, sessions)
+
+
 def test_max_states_cap_reports_truncation():
     report = explore(build_glb(3), distinct_sessions(3), max_states=50)
     assert report.truncated and report.truncation_reason == "max_states"
