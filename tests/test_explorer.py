@@ -237,6 +237,32 @@ def test_planted_me_and_fcfs_witnesses_replay():
     assert_witnesses_replay(spec, wl, report)
 
 
+def planted_token_spec():
+    """bwbgme N=2 with a planted bug: line 13 adds 2 to mynumber, so a
+    token committed after a conflicting one can carry N+2."""
+    spec = build_bwbgme(2)
+    inner = spec.step_fn
+
+    def step_fn(state, p, env):
+        out = inner(state, p, env)
+        if out[1] == 13:
+            env.mynumber += 1
+        return out
+
+    spec.step_fn = step_fn
+    return spec, Workload.from_sessions([[1], [2]])
+
+
+def test_planted_token_bound_witnesses_replay():
+    # Only some of the Token writes at one line and monitor state carry
+    # a number above N+1: the explorer must tell them apart by value.
+    spec, wl = planted_token_spec()
+    report = explore(spec, wl)
+    assert report.violation_count("token_bound") == 45
+    assert report.violation_count() == 45 and report.max_token == 4
+    assert_witnesses_replay(spec, wl, report)
+
+
 def test_unmutated_counterpart_is_clean():
     report = explore(build_bwbgme(3), Workload.from_sessions([[1], [1], [1]]))
     assert report.clean
