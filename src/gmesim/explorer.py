@@ -1,8 +1,8 @@
 """Bounded exhaustive exploration of all interleavings, with deadlock
 detection and the online safety monitors folded along every edge.
 
-States are keyed on (global store, all process runtimes, workload
-positions) plus the state of each online monitor the algorithm checks
+A state is the global store, all process runtimes (with their workload
+positions) and the state of each online monitor the algorithm checks
 (`gmesim.monitors.ONLINE`): the same definitions `gmesim run` folds
 over a trace.  The reader sets (which processes hold a valid copy of
 each register) are excluded because they change only the cost of a
@@ -11,19 +11,28 @@ GlobalColor flip windows) live in the monitor states, so merging states
 never loses one.  Every property, mutual exclusion included, is checked
 on the edge whose event violates it.
 
-The search steps and undoes instead of copying state in.  Each popped
-state is loaded into one live SystemState once.  Each successor steps
-one process on it, and its key is spliced from the parent's: a step
-changes only its own process's runtime and, if it writes, the store,
-so the child shares the parent's store tuple unless the step wrote, and
-every other process's runtime tuple.  Before the next successor the
-step is undone: the store is restored, the reader sets emptied (so
-every successor's reads cost what they would from a fresh load) and
-the runtime of the process that stepped is reloaded.
+Each component is stored once, in one of three interned tables (the
+stores, the `ProcEnv.key()` runtimes and the monitor-state tuples), and
+a state's key is the flat tuple of small ints (store id, runtime id of
+P1..Pn, monitor-state id), as in SPIN's collapse compression.  The
+monitor step is memoized: `advance` is a pure function of the monitor
+state and the event fields the monitors read, so each (monitor-state
+id, pid, inv, line, kind, reg, value, markers) is stepped once and maps
+to the child's monitor-state id and the violations it reports.
+
+The search steps and undoes instead of copying state in.  One live
+SystemState serves every state; the search remembers which store and
+runtime ids it holds, and a popped state loads only the store and the
+runtimes whose ids differ.  Each successor steps one process on it; its
+key is spliced from the parent's (a new runtime id, and a new store id
+only if the step wrote).  Before the next successor the step is undone
+the same way, and the reader sets are emptied before every successor,
+so each one's reads cost what they would from a fresh load.
 
 Every reported state is reproducible: the report keeps the state table
-the DFS builds (each state's key and parent edge), and path_of() turns
-any state id into the pid script that reaches it from the initial state.
+the DFS builds (each state's key and parent edge) with the three
+tables, and path_of() turns any state id into the pid script that
+reaches it from the initial state.
 """
 
 from __future__ import annotations
@@ -55,11 +64,15 @@ class ExplorationReport:
     token_cap_hits: int = 0
     truncated: bool = False
     truncation_reason: str = ""
-    # The state table, indexed by state id (0 is the initial state):
-    # (value key, monitor states), the parent's id and the pid stepped from it.
+    # The state table, indexed by state id (0 is the initial state): the
+    # key (store id, runtime id of P1..Pn, monitor-state id), the parent's
+    # id and the pid stepped from it.  The ids index the interned tables.
     keys: list = field(default_factory=list, repr=False)
     parent: list = field(default_factory=list, repr=False)
     parent_pid: list = field(default_factory=list, repr=False)
+    stores: list = field(default_factory=list, repr=False)  # tuple(mem.store) values
+    runtimes: list = field(default_factory=list, repr=False)  # ProcEnv.key() values
+    monitor_states: list = field(default_factory=list, repr=False)  # one state per monitor
 
     def path_of(self, nid: int) -> tuple:
         """The pid script that reaches state nid from the initial state."""
@@ -77,6 +90,20 @@ class ExplorationReport:
     @property
     def clean(self) -> bool:
         return self.violation_count() == 0 and self.deadlocks == 0
+
+
+class _Interned(dict):
+    """Value -> small int id, handing out the next id to each new value;
+    `table` lists the values in id order."""
+
+    def __init__(self):
+        super().__init__()
+        self.table = []
+
+    def __missing__(self, value):
+        self[value] = i = len(self.table)
+        self.table.append(value)
+        return i
 
 
 def default_token_cap(n: int, invocations: int) -> int:
@@ -107,7 +134,17 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     color = spec.meta.get("initial_color")
     starts, mon_steps, describe = zip(*(ONLINE[prop](n, sessions, color) for prop in props))
 
-    root_key = (work.value_key(), starts)
+    store_ids, runtime_ids, monitor_ids = _Interned(), _Interned(), _Interned()
+    stores = report.stores = store_ids.table
+    runtimes = report.runtimes = runtime_ids.table
+    monitor_states = report.monitor_states = monitor_ids.table
+    # (monitor-state id, the event fields the monitors read) ->
+    # (child monitor-state id, (i, culprits) per violated monitor i)
+    memo = {}
+
+    root_store, root_envs = work.value_key()
+    root_key = (store_ids[root_store], *map(runtime_ids.__getitem__, root_envs),
+                monitor_ids[starts])
     ids = {root_key: 0}
     keys = report.keys = [root_key]
     parent = report.parent = [-1]
@@ -118,6 +155,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     mem, envs = work.mem, work.envs
     no_readers = [0] * len(mem.store)
     last_inv = [len(per) - 1 for per in workload.invocations]
+    held = list(root_key[:-1])  # the store and runtime ids the live state holds
 
     def add_violation(prop: str, path: tuple, detail: str) -> None:
         report.violations.setdefault(prop, []).append(Violation(prop, path, detail))
@@ -130,32 +168,49 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
 
     check_deadlock(0)
 
+    transitions = 0
     while stack:
         nid = stack.pop()
-        vkey, mon = keys[nid]
-        store, env_keys = vkey
-        work.load_value_key(vkey)
-        stepped = -1  # the 0-based process whose step the live state still holds
-        for p, env_key in enumerate(env_keys):
-            if env_key[0] == PC_REMAINDER and env_key[6] >= last_inv[p]:
+        key = keys[nid]
+        sid, mid = key[0], key[-1]
+        for p in range(n):
+            rt = runtimes[key[p + 1]]
+            if rt[0] == PC_REMAINDER and rt[6] >= last_inv[p]:
                 continue  # the process has finished its last invocation
-            if stepped >= 0:  # undo the previous successor's step
-                mem.store[:] = store
-                mem.valid[:] = no_readers
-                envs[stepped].load_key(env_keys[stepped])
-            stepped = p
+            # Load the parts of state nid that the live state does not hold:
+            # what the previous state left, or the previous successor's step.
+            if held[0] != sid:
+                mem.store[:] = stores[sid]
+                held[0] = sid
+            for q in range(1, n + 1):
+                if held[q] != key[q]:
+                    envs[q - 1].load_key(runtimes[key[q]])
+                    held[q] = key[q]
             pid = p + 1
+            mem.valid[:] = no_readers
             ev = step(work, pid)
-            report.transitions += 1
+            transitions += 1
 
-            child_mon = mon
+            child_mid = mid
             if monitored(ev):
-                child_mon, hits = advance(mon_steps, mon, ev)
+                seen = (mid, ev.pid, ev.inv, ev.line, ev.kind, ev.reg, ev.value, ev.markers)
+                hit = memo.get(seen)
+                if hit is None:
+                    after, hits = advance(mon_steps, monitor_states[mid], ev)
+                    hit = memo[seen] = (monitor_ids[after], hits)
+                child_mid, hits = hit
                 for i, culprits in hits:
                     add_violation(props[i], path_of(nid) + (pid,),
                                   describe[i](ev, culprits))
 
-            if ev.kind == "write" and ev.reg.startswith("Token["):
+            child = list(key)
+            wrote = ev.kind == "write"
+            if wrote:
+                held[0] = child[0] = store_ids[tuple(mem.store)]
+            held[pid] = child[pid] = runtime_ids[envs[p].key()]
+            child[-1] = child_mid
+
+            if wrote and ev.reg.startswith("Token["):
                 number = token_number(ev.value)
                 if number > report.max_token:
                     report.max_token = number
@@ -165,9 +220,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                     report.truncation_reason = "token cap"
                     continue
 
-            child_store = tuple(mem.store) if ev.kind == "write" else store
-            child_envs = env_keys[:p] + (envs[p].key(),) + env_keys[p + 1:]
-            child_key = ((child_store, child_envs), child_mon)
+            child_key = tuple(child)
             if child_key in ids:
                 continue
             if len(keys) >= max_states:
@@ -191,4 +244,5 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             stack.append(cid)
 
     report.states = len(keys)
+    report.transitions = transitions
     return report

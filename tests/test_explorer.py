@@ -7,7 +7,7 @@ from gmesim.machine import all_active_blocked
 from gmesim.monitors import FAIL, MONITORS
 from oracle_scans import all_active_blocked as full_scan
 from oracle_explorer import crosscheck_reachable
-from util import check, distinct_sessions, report_digest
+from util import check, decoded_key, distinct_sessions, report_digest
 
 
 def test_single_process_single_path():
@@ -20,8 +20,9 @@ def test_single_process_single_path():
     assert report.states == len(result.trace.events) + 1
 
 
-def value_keys(report) -> set:
-    return {vkey for vkey, _ in report.keys}
+def value_keys(report) -> list:
+    """Each stored state's value key, in state id order."""
+    return [decoded_key(report, nid)[0] for nid in range(report.states)]
 
 
 def test_glb_n2_matches_independent_interleaver():
@@ -30,7 +31,7 @@ def test_glb_n2_matches_independent_interleaver():
     report = explore(spec, wl)
     assert report.clean
     keys, me, deadlocks = crosscheck_reachable(spec, wl)
-    assert keys == value_keys(report)
+    assert keys == set(value_keys(report))
     assert me == 0 and deadlocks == 0
 
 
@@ -40,7 +41,7 @@ def test_bl_n2_matches_independent_interleaver():
     report = explore(spec, wl)
     keys, me, deadlocks = crosscheck_reachable(spec, wl)
     assert report.clean and me == 0 and deadlocks == 0
-    assert keys == value_keys(report)
+    assert keys == set(value_keys(report))
 
 
 def test_bwbgme_n2_matches_independent_interleaver():
@@ -49,7 +50,7 @@ def test_bwbgme_n2_matches_independent_interleaver():
     report = explore(spec, wl)
     keys, me, deadlocks = crosscheck_reachable(spec, wl)
     assert report.clean and me == 0 and deadlocks == 0
-    assert keys == value_keys(report)
+    assert keys == set(value_keys(report))
     assert report.max_token == 2
 
 
@@ -61,7 +62,7 @@ def test_reported_states_replay_as_scripts():
     report = explore(spec, wl)
     assert len(report.keys) == report.states
     for nid in range(0, report.states, 37):
-        path, vkey = report.path_of(nid), report.keys[nid][0]
+        path, vkey = report.path_of(nid), decoded_key(report, nid)[0]
         state = SystemState(spec, wl)
         result = run(state, Scripted(path), step_cap=len(path) + 1)
         assert len(result.trace.events) == len(path)
@@ -89,7 +90,7 @@ def test_live_state_is_each_new_state(monkeypatch):
         monkeypatch.setattr(gmesim.explorer, "all_active_blocked", recording)
         report = explore(spec, wl)
         assert report.clean and not report.truncated
-        assert seen == [vkey for vkey, _ in report.keys]
+        assert seen == value_keys(report)
 
 
 def test_deadlock_check_matches_full_scan_on_every_state(monkeypatch):
@@ -115,10 +116,11 @@ def merged_paths(spec, wl, report, limit):
     """Up to limit pairs of different pid scripts that reach one value
     key: a stored state's path, and one step off the path of another
     stored state."""
-    state_of = {vkey: nid for nid, (vkey, _) in enumerate(report.keys)}
+    vkeys = value_keys(report)
+    state_of = {vkey: nid for nid, vkey in enumerate(vkeys)}
     work = SystemState(spec, wl)
     pairs = []
-    for nid, (vkey, _) in enumerate(report.keys):
+    for nid, vkey in enumerate(vkeys):
         for pid in range(1, spec.n + 1):
             work.load_value_key(vkey)
             if work.exhausted(pid):

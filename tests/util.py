@@ -120,6 +120,14 @@ def distinct_sessions(n, invocations=1, cs_steps=1):
                             cs_steps=cs_steps)
 
 
+def decoded_key(report, nid) -> tuple:
+    """State nid's (value key, monitor states), looked up in the report's
+    interned tables; the value key is the one SystemState.value_key gives."""
+    sid, *rids, mid = report.keys[nid]
+    return ((report.stores[sid], tuple(report.runtimes[r] for r in rids)),
+            report.monitor_states[mid])
+
+
 def report_digest(report) -> str:
     """A short digest of everything an exploration reports: its counts,
     caps and truncation, and every violation's property, path and
