@@ -224,6 +224,8 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigurationError(
             f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ConfigurationError(f"--sizes must be strictly ascending, got {args.sizes!r}")
     _check_bound("step_cap", "--steps", args.steps)
     _check_bound("cs_steps", "--cs-steps", args.cs_steps)
     for flag in ("seeds", "invocations"):
@@ -246,6 +248,8 @@ def cmd_sweep(args) -> int:
             from .burns_lamport import build_bl
             state = SystemState(build_bl(n), workload)
             result = run(state, schedule, step_cap=args.steps)
+            if result.cap_hit:
+                truncated = True
             totals, _ = block_events(result.trace)
             row = {
                 "config_hash": scenario.config_hash, "algorithm": "bl", "n": n,

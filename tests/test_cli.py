@@ -206,6 +206,28 @@ def test_sweep_rejects_bad_counts_and_window(tmp_path, capsys):
     assert main(sweep + ["--fairness-window", "4"]) == 0
 
 
+def test_sweep_rejects_unordered_sizes(tmp_path, capsys):
+    # the doubling ratios compare each size with the one before it
+    for schedule in (["--algorithm", "glb", "--seeds", "1"],
+                     ["--algorithm", "bl", "--schedule", "adversarial"]):
+        for sizes in ("8,4,4", "4,4", "4,2"):
+            csv_path = tmp_path / "sweep.csv"
+            argv = ["sweep", *schedule, "--sizes", sizes, "--csv-out", str(csv_path)]
+            assert main(argv) == 2, argv
+            out, errors = capsys.readouterr()
+            assert errors.startswith("error: --sizes must be strictly ascending"), errors
+            assert out == "" and not csv_path.exists(), argv
+    assert main(["sweep", "--algorithm", "glb", "--seeds", "1", "--sizes", "2,3"]) == 0
+
+
+def test_sweep_adversarial_cap_reports_truncation(capsys):
+    sweep = ["sweep", "--algorithm", "bl", "--schedule", "adversarial", "--sizes", "3"]
+    assert main(sweep + ["--steps", "10"]) == 3
+    assert "P3_blocks=1" in capsys.readouterr().out
+    assert main(sweep) == 0
+    assert "P3_blocks=3" in capsys.readouterr().out
+
+
 def test_sweep_adversarial_csv(tmp_path, capsys):
     csv_path = str(tmp_path / "bl.csv")
     code = main(["sweep", "--algorithm", "bl", "--schedule", "adversarial",
