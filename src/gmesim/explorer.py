@@ -72,7 +72,7 @@ class ExplorationReport:
     parent_pid: list = field(default_factory=list, repr=False)
     stores: list = field(default_factory=list, repr=False)  # tuple(mem.store) values
     runtimes: list = field(default_factory=list, repr=False)  # ProcEnv.key() values
-    monitor_states: list = field(default_factory=list, repr=False)  # one state per monitor
+    monitor_states: list = field(default_factory=list, repr=False)  # per-monitor state tuples
 
     def path_of(self, nid: int) -> tuple:
         """The pid script that reaches state nid from the initial state."""
