@@ -3,7 +3,7 @@ exclusion algorithms under the cache-coherent memory cost model.
 """
 
 from .bwbgme import build_bwbgme, opposite_color
-from .burns_lamport import block_events, build_bl
+from .burns_lamport import block_counts, build_bl
 from .explorer import ExplorationReport, explore
 from .glb import build_glb
 from .machine import (AlgorithmSpec, Section, SystemState, Trace, TraceEvent,

@@ -12,7 +12,7 @@ write and restarts the downward scan from j=1.  Then wait on each
 higher-numbered bit in turn (line 10) without resetting the own bit.
 Exit is the single write Competing[i] := false (line 12).
 
-block_events counts, per process, how many times it transitions into
+block_counts counts, per process, how many times it transitions into
 waiting at line 5 or line 10, i.e. evaluations that came out false on
 arrival; repeated polls of the same stuck wait count once.
 """
@@ -20,7 +20,7 @@ arrival; repeated polls of the same stuck wait count once.
 from __future__ import annotations
 
 from .errors import ConfigurationError
-from .machine import AlgorithmSpec, Section, Trace
+from .machine import AlgorithmSpec, Section
 from .memory import RegisterDecl
 
 _L1 = 1        # Competing[i] := true
@@ -136,27 +136,12 @@ def build_bl(n: int) -> AlgorithmSpec:
     return spec
 
 
-def block_events(trace: Trace):
-    """Per-process block counts from a bl trace.
-
-    Returns (totals, by_blocker): totals[pid] is how often pid
-    transitioned into waiting at line 5 or line 10; by_blocker[(pid, j)]
-    splits that by the process whose bit was observed set.
-    """
-    if trace.algorithm != "bl":
-        raise ConfigurationError(f"block_events needs a bl trace, got {trace.algorithm!r}")
-    totals = {pid: 0 for pid in range(1, trace.n + 1)}
-    by_blocker: dict = {}
-    waiting_at: dict = {}
-    for ev in trace.events:
-        if ev.pid == 0:
-            continue
-        if ev.line in (5, 10) and ev.outcome == "fail":
-            key = (ev.inv, ev.line, ev.j)
-            if waiting_at.get(ev.pid) != key:
-                waiting_at[ev.pid] = key
-                totals[ev.pid] += 1
-                by_blocker[(ev.pid, ev.j)] = by_blocker.get((ev.pid, ev.j), 0) + 1
-        else:
-            waiting_at.pop(ev.pid, None)
-    return totals, by_blocker
+def block_counts(n: int, records) -> dict:
+    """Per-process block counts of a bl run, from its invocation records
+    (`gmesim.monitors.build_invocations`): pid -> how often it began a
+    wait pass at line 5 or line 10 with a false evaluation, for every
+    pid 1..n."""
+    totals = dict.fromkeys(range(1, n + 1), 0)
+    for rec in records:
+        totals[rec.pid] += len(rec.blocked_transitions)
+    return totals

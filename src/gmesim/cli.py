@@ -28,7 +28,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .burns_lamport import block_events
+from .burns_lamport import block_counts, build_bl
 from .errors import ConfigurationError, ScenarioError
 from .explorer import explore
 from .machine import Section, SystemState, Trace, Workload, run
@@ -146,8 +146,8 @@ def cmd_run(args) -> int:
     if scenario.algorithm in ("glb", "bwbgme"):
         print(f"  max token number   {max_token_number(records)}")
     if scenario.algorithm == "bl":
-        totals, _ = block_events(trace)
-        per = " ".join(f"P{pid}={cnt}" for pid, cnt in sorted(totals.items()))
+        totals = block_counts(scenario.n, records)
+        per = " ".join(f"P{pid}={cnt}" for pid, cnt in totals.items())
         print(f"  block counts       {per}")
     if args.trace_out:
         print(f"  trace              {args.trace_out}")
@@ -224,14 +224,16 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigurationError(
             f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+    if not sizes:
+        raise ConfigurationError(f"--sizes must name at least one size, got {args.sizes!r}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigurationError(f"--sizes must be strictly ascending, got {args.sizes!r}")
     _check_bound("step_cap", "--steps", args.steps)
     _check_bound("cs_steps", "--cs-steps", args.cs_steps)
-    for flag in ("seeds", "invocations"):
+    for flag in ("seeds", "invocations", "workers"):
         if getattr(args, flag) < 1:
             raise ConfigurationError(f"--{flag} must be >= 1")
-    if args.fairness_window is not None and sizes and args.fairness_window < max(sizes):
+    if args.fairness_window is not None and args.fairness_window < max(sizes):
         raise ConfigurationError(f"--fairness-window {args.fairness_window} < n={max(sizes)}")
     rows = []
     truncated = False
@@ -245,12 +247,11 @@ def cmd_sweep(args) -> int:
             workload = bl_adversarial_workload(n, cs_steps=args.cs_steps)
             scenario = Scenario(algorithm="bl", n=n, schedule="adversarial",
                                 cs_steps=args.cs_steps, step_cap=args.steps)
-            from .burns_lamport import build_bl
             state = SystemState(build_bl(n), workload)
             result = run(state, schedule, step_cap=args.steps)
             if result.cap_hit:
                 truncated = True
-            totals, _ = block_events(result.trace)
+            totals = block_counts(n, build_invocations(result.trace))
             row = {
                 "config_hash": scenario.config_hash, "algorithm": "bl", "n": n,
                 "total_rmr": sum(result.rmr_totals), "pn_blocks": totals[n],

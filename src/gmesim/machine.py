@@ -30,17 +30,9 @@ class Section(Enum):
     EXIT = "exit"
 
     # Members are singletons compared by identity; Enum's own __hash__
-    # hashes the name in Python on every marker-table lookup.
+    # hashes the name in Python on every rank lookup.
     __hash__ = object.__hash__
 
-
-_RANK = {
-    Section.REMAINDER: 0,
-    Section.DOORWAY: 1,
-    Section.WAITING: 2,
-    Section.CS: 3,
-    Section.EXIT: 4,
-}
 
 DOORWAY_START = "doorway-start"
 DOORWAY_COMPLETE = "doorway-complete"
@@ -48,33 +40,20 @@ CS_ENTER = "cs-enter"
 CS_EXIT = "cs-exit"
 EXIT_COMPLETE = "exit-complete"
 
-_MARKER_BIT = {DOORWAY_START: 1, DOORWAY_COMPLETE: 2, CS_ENTER: 4,
-               CS_EXIT: 8, EXIT_COMPLETE: 16}
-
-
-def _markers_for(prev: Section, new: Section) -> tuple:
-    if prev is Section.EXIT and new is Section.REMAINDER:
-        return (EXIT_COMPLETE,)
-    a, b = _RANK[prev], _RANK[new]
-    if b <= a:
-        return ()
-    out = []
-    if a < 1 <= b:
-        out.append(DOORWAY_START)
-    if a < 2 <= b:
-        out.append(DOORWAY_COMPLETE)
-    if a < 3 <= b:
-        out.append(CS_ENTER)
-    if a < 4 <= b:
-        out.append(CS_EXIT)
-    return tuple(out)
-
-
-# Marker tuple per (prev, new) section pair, computed once.  Each marker
-# fires at most once per invocation (a goto back into the doorway, as in
-# Burns-Lamport, must not announce the doorway again).
-_MARKERS = {
-    (p, q): _markers_for(p, q) for p in Section for q in Section
+# The marker of section rank k is _MARKERS[k - 1].  A step's rank is that
+# of the section its pc lands in; every step starts inside the entry, CS
+# or exit code, so landing in the remainder completes the exit, rank 5.
+# A step announces the markers of the ranks above the highest one its
+# invocation announced so far, so each marker fires at most once per
+# invocation (a goto back into the doorway, as in Burns-Lamport, must
+# not announce the doorway again).
+_MARKERS = (DOORWAY_START, DOORWAY_COMPLETE, CS_ENTER, CS_EXIT, EXIT_COMPLETE)
+_RANK = {
+    Section.DOORWAY: 1,
+    Section.WAITING: 2,
+    Section.CS: 3,
+    Section.EXIT: 4,
+    Section.REMAINDER: 5,
 }
 
 
@@ -104,8 +83,6 @@ class Trace:
     n: int
     events: list
     meta: dict = field(default_factory=dict)
-    # gmesim.monitors' cached pass along the events, not part of the value
-    online_pass: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 class Workload:
@@ -149,7 +126,7 @@ class ProcEnv:
         self.acc = 0
         self.inv = -1
         self.cs_left = 0
-        self.marks = 0  # section markers already emitted this invocation
+        self.marks = 0  # highest section rank announced this invocation
 
     def key(self) -> tuple:
         return (self.pc, self.j, self.mysession, self.mycolor, self.mynumber,
@@ -262,25 +239,21 @@ def step(state: SystemState, pid: int) -> TraceEvent:
         env.mysession, env.cs_left = per_proc[env.inv]
         env.pc = spec.entry_pc
         env.marks = 0
-        prev_section = Section.REMAINDER
-    else:
-        prev_section = spec.sections[env.pc]
 
     # The event belongs to the section of the instruction it executed;
-    # markers are derived from the section transition it caused.
+    # its markers are those of the section ranks it newly reached.
     exec_section = spec.sections[env.pc]
     before = mem.access_count
     kind, line, slot, value, rmr, outcome, target_j = spec.step_fn(state, pid - 1, env)
     if mem.access_count - before > 1:
         raise AssertionError(f"{spec.name}: pc executed more than one shared access")
 
-    new_section = spec.sections[env.pc]
-    markers = _MARKERS[(prev_section, new_section)]
-    if markers:
-        fresh = tuple(m for m in markers if not env.marks & _MARKER_BIT[m])
-        for m in fresh:
-            env.marks |= _MARKER_BIT[m]
-        markers = fresh
+    rank = _RANK[spec.sections[env.pc]]
+    if rank > env.marks:
+        markers = _MARKERS[env.marks:rank]
+        env.marks = rank
+    else:
+        markers = ()
     ev = TraceEvent(
         state.step_index, pid, env.inv, line, kind,
         None if slot is None else mem.names[slot],

@@ -1,17 +1,18 @@
 """Property monitors: pure functions from a trace and its invocation fold
 to a verdict.
 
-The caller folds the trace once with `build_invocations` and hands the
-same record list to every monitor, as `monitor(trace, records)`; no
-monitor rebuilds the fold or mutates the records, so running a monitor
-twice on the same inputs always yields the same verdict.
+The caller folds the trace once with `build_invocations`, the one walk
+along its events, and hands the same records to every monitor, as
+`monitor(trace, records)`; no monitor reads the events, rebuilds the
+fold or mutates the records, so running a monitor twice on the same
+inputs always yields the same verdict.
 
 Mutual exclusion, FCFS, the single GlobalColor flip and the N+1 token
 bound are each defined once, as an online monitor (`ONLINE`): a small
 hashable state and a step over events.  `advance` steps them together:
-along a trace in one pass that their four checkers share, each then
-looking its witness up in the records; and along every edge that
-`explore` takes, which keeps their states in its key.  A failing
+along a trace inside that walk, whose result their four checkers share,
+each then looking its witness up in the records; and along every edge
+that `explore` takes, which keeps their states in its key.  A failing
 verdict carries a witness naming the event indices and processes that
 realize a violation; for these four properties it is the first
 violating event in trace order.
@@ -94,38 +95,78 @@ class InvocationRecord:
         return self.rmr_by_section.get(section, 0)
 
 
-def build_invocations(trace: Trace) -> list:
-    """Fold the event stream into per-invocation records."""
-    commit_line = {"glb": 5, "bwbgme": 14, "bl": None}[trace.algorithm]
-    wait_lines = _WAIT_LINES[trace.algorithm]
+class Invocations(list):
+    """A run's invocation records, in order of their first step, and what
+    the same walk along its events found besides: per violated online
+    property its first violating event and culprits (`first`); up to the
+    first flip violation, the steps that flipped GlobalColor (`flips`)
+    and the step each open flip window opened at (`opened`); and the
+    index of the deadlock event, or None (`deadlock_at`)."""
 
+    __slots__ = ("first", "flips", "opened", "deadlock_at")
+
+    def __init__(self):
+        super().__init__()
+        self.first, self.flips, self.opened, self.deadlock_at = {}, [], {}, None
+
+
+def build_invocations(trace: Trace) -> Invocations:
+    """Fold the event stream into per-invocation records, stepping the
+    online monitors that apply to the trace along it in the same walk."""
+    algorithm = trace.algorithm
+    commit_line = {"glb": 5, "bwbgme": 14, "bl": None}[algorithm]
+    wait_lines = _WAIT_LINES[algorithm]
+    workload_sessions = trace.meta["workload_sessions"]
+
+    props = [p for p in ONLINE if p in ("me", "fcfs") or algorithm == "bwbgme"]
+    states, steps, _ = zip(*(ONLINE[p](trace.n, workload_sessions,
+                                       trace.meta.get("initial_color")) for p in props))
+    flip = props.index("flip") if "flip" in props else None
+
+    order = Invocations()
+    first, flips, opened = order.first, order.flips, order.opened
     records: dict = {}
-    order: list = []
     open_pass: dict = {}
     pending_gc_rmr: dict = {}
-    workload_sessions = trace.meta.get("workload_sessions")
 
     for ev in trace.events:
         if ev.pid == 0 or ev.inv < 0:
+            if ev.kind == "deadlock":
+                order.deadlock_at = ev.index
             continue
         key = (ev.pid, ev.inv)
         rec = records.get(key)
         if rec is None:
-            rec = records[key] = InvocationRecord(pid=ev.pid, inv=ev.inv)
-            if workload_sessions is not None:
-                rec.session = workload_sessions[ev.pid - 1][ev.inv]
+            rec = records[key] = InvocationRecord(
+                pid=ev.pid, inv=ev.inv, session=workload_sessions[ev.pid - 1][ev.inv])
             order.append(rec)
 
-        if DOORWAY_START in ev.markers:
-            rec.ds = ev.index
-        if DOORWAY_COMPLETE in ev.markers:
-            rec.dc = ev.index
-        if CS_ENTER in ev.markers:
-            rec.ce = ev.index
-        if CS_EXIT in ev.markers:
-            rec.cx = ev.index
-        if EXIT_COMPLETE in ev.markers:
-            rec.xc = ev.index
+        markers = ev.markers
+        if markers:
+            if DOORWAY_START in markers:
+                rec.ds = ev.index
+            if DOORWAY_COMPLETE in markers:
+                rec.dc = ev.index
+            if CS_ENTER in markers:
+                rec.ce = ev.index
+            if CS_EXIT in markers:
+                rec.cx = ev.index
+            if EXIT_COMPLETE in markers:
+                rec.xc = ev.index
+
+        if monitored(ev):
+            before = states
+            states, hits = advance(steps, states, ev)
+            if flip is not None and "flip" not in first and states[flip] is not before[flip]:
+                gc, wins = states[flip]
+                if gc != before[flip][0]:
+                    flips.append(ev.index)
+                if wins[ev.pid - 1] < 0:
+                    opened.pop(ev.pid, None)
+                else:
+                    opened.setdefault(ev.pid, ev.index)
+            for i, culprits in hits:
+                first.setdefault(props[i], (ev, culprits))
 
         if ev.rmr:
             rec.rmr_by_section[ev.section] = rec.rmr_by_section.get(ev.section, 0) + 1
@@ -159,7 +200,7 @@ def build_invocations(trace: Trace) -> list:
 
         # Spurious GlobalColor refetches: an RMR on the line-21 color read
         # followed by the evaluation still coming out false.
-        if trace.algorithm == "bwbgme" and ev.line == 21:
+        if algorithm == "bwbgme" and ev.line == 21:
             if ev.reg == "GlobalColor":
                 if ev.outcome == "pass":
                     pending_gc_rmr.pop(ev.pid, None)
@@ -311,36 +352,6 @@ ONLINE = {
 }
 
 
-def _online_pass(trace: Trace, records: list) -> tuple:
-    """Step the online monitors that apply to the trace along it: the first
-    violating event and its culprits per violated property, and, up to the
-    first flip violation, the steps that flipped GlobalColor and the step
-    each open window opened at.  `gmesim run` hands every monitor the same
-    trace and records, so the pass is kept on the trace for those records."""
-    if trace.online_pass is not None and trace.online_pass[0] is records:
-        return trace.online_pass[1]
-    props = [p for p in ONLINE if p in ("me", "fcfs") or trace.algorithm == "bwbgme"]
-    states, steps, _ = zip(*(ONLINE[p](trace.n, trace.meta["workload_sessions"],
-                                       trace.meta.get("initial_color")) for p in props))
-    flip = props.index("flip") if "flip" in props else None
-    first, flips, opened = {}, [], {}
-    for ev in filter(monitored, trace.events):
-        before = states
-        states, hits = advance(steps, states, ev)
-        if flip is not None and "flip" not in first and states[flip] is not before[flip]:
-            gc, wins = states[flip]
-            if gc != before[flip][0]:
-                flips.append(ev.index)
-            if wins[ev.pid - 1] < 0:
-                opened.pop(ev.pid, None)
-            else:
-                opened.setdefault(ev.pid, ev.index)
-        for i, culprits in hits:
-            first.setdefault(props[i], (ev, culprits))
-    trace.online_pass = (records, (first, flips, opened))
-    return first, flips, opened
-
-
 def _earliest(records: list, pids, mark: str, at: int) -> InvocationRecord:
     """Of each pid's latest invocation whose `mark` step is at or before
     step `at`, the one whose `mark` step came first."""
@@ -358,7 +369,7 @@ def check_mutual_exclusion(trace: Trace, records: list) -> Verdict:
     The witness is the first entry that breaks it, paired with the
     earliest-entered invocation of another session still in the CS.
     """
-    hit = _online_pass(trace, records)[0].get("me")
+    hit = records.first.get("me")
     if hit is None:
         return Verdict("me", PASS)
     ev, culprits = hit
@@ -375,7 +386,7 @@ def check_fcfs(trace: Trace, records: list) -> Verdict:
     The witness is the first entry that overtakes, paired with the
     overtaken invocation whose doorway completed first.
     """
-    hit = _online_pass(trace, records)[0].get("fcfs")
+    hit = records.first.get("fcfs")
     if hit is None:
         return Verdict("fcfs", PASS)
     ev, culprits = hit
@@ -430,10 +441,10 @@ def check_flip_invariant(trace: Trace, records: list) -> Verdict:
     """
     if trace.algorithm != "bwbgme":
         return Verdict("flip", INAPPLICABLE, detail="not a bwbgme trace")
-    first, flips, opened = _online_pass(trace, records)
-    if "flip" not in first:
+    flips = records.flips
+    if "flip" not in records.first:
         return Verdict("flip", PASS, detail=f"{len(flips)} flips observed")
-    pid = min(first["flip"][1], key=opened.__getitem__)
+    pid = min(records.first["flip"][1], key=records.opened.__getitem__)
     return Verdict("flip", FAIL, witness=(flips[-2], flips[-1], pid),
                    detail=f"GlobalColor flipped twice (steps {flips[-2]}, "
                           f"{flips[-1]}) inside P{pid}'s window")
@@ -443,7 +454,7 @@ def check_token_bound(trace: Trace, records: list) -> Verdict:
     """Committed token numbers never exceed N+1."""
     if trace.algorithm != "bwbgme":
         return Verdict("token-bound", INAPPLICABLE, detail="not a bwbgme trace")
-    hit = _online_pass(trace, records)[0].get("token_bound")
+    hit = records.first.get("token_bound")
     if hit is None:
         return Verdict("token-bound", PASS,
                        detail=f"max token number {max_token_number(records)}")
@@ -460,10 +471,9 @@ def check_progress(trace: Trace, records: list) -> Verdict:
     to completion after that doorway ended.  This is a bounded heuristic
     under a fair schedule, not a liveness proof.
     """
-    for ev in trace.events:
-        if ev.kind == "deadlock":
-            return Verdict("progress", FAIL, witness=(ev.index,),
-                           detail="deadlock: every active process is blocked")
+    if records.deadlock_at is not None:
+        return Verdict("progress", FAIL, witness=(records.deadlock_at,),
+                       detail="deadlock: every active process is blocked")
     for rec in records:
         if rec.dc is None or rec.ce is not None:
             continue

@@ -7,7 +7,9 @@ compares every pair of invocations.  `check_flip_invariant` and
 properties became online monitors.  All four are slow or ad hoc but
 obviously faithful to the definitions; the tests require the folds of
 the online monitors to agree with them on the verdict status, and on a
-witness that these definitions also call a violation.
+witness that these definitions also call a violation.  `block_events`
+is the Burns-Lamport block count gmesim once read off the events; the
+counts it now reads off the invocation records must equal it.
 """
 
 from __future__ import annotations
@@ -101,3 +103,27 @@ def check_token_bound(trace: Trace) -> Verdict:
                 return Verdict("token-bound", FAIL, witness=(ev.index, ev.pid),
                                detail=f"token number {number} > N+1 = {n + 1}")
     return Verdict("token-bound", PASS, detail=f"max token number {max_seen}")
+
+
+def block_events(trace: Trace):
+    """Per-process block counts from a bl trace.
+
+    Returns (totals, by_blocker): totals[pid] is how often pid
+    transitioned into waiting at line 5 or line 10; by_blocker[(pid, j)]
+    splits that by the process whose bit was observed set.
+    """
+    totals = {pid: 0 for pid in range(1, trace.n + 1)}
+    by_blocker: dict = {}
+    waiting_at: dict = {}
+    for ev in trace.events:
+        if ev.pid == 0:
+            continue
+        if ev.line in (5, 10) and ev.outcome == "fail":
+            key = (ev.inv, ev.line, ev.j)
+            if waiting_at.get(ev.pid) != key:
+                waiting_at[ev.pid] = key
+                totals[ev.pid] += 1
+                by_blocker[(ev.pid, ev.j)] = by_blocker.get((ev.pid, ev.j), 0) + 1
+        else:
+            waiting_at.pop(ev.pid, None)
+    return totals, by_blocker

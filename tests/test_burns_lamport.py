@@ -1,21 +1,40 @@
 """Burns-Lamport: safety at small N, block counting, quadratic witness."""
 
-import pytest
+from collections import Counter
 
-from gmesim import (SystemState, Workload, bl_adversarial_schedule,
-                    bl_adversarial_workload, block_events, build_bl, build_glb,
-                    explore, random_schedule, run)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gmesim import (Scripted, SystemState, Workload, bl_adversarial_schedule,
+                    bl_adversarial_workload, block_counts, build_bl, explore,
+                    random_schedule, run)
 from gmesim.errors import ConfigurationError
 from gmesim.monitors import build_invocations, check_bounded_exit, check_mutual_exclusion
+from oracle_monitors import block_events
 from util import check, distinct_sessions, drive, exit_writes
+
+
+def blocks_by_blocker(records) -> dict:
+    """(pid, j) -> how often pid began a blocked wait on P{j}'s bit."""
+    return dict(Counter((rec.pid, j) for rec in records
+                        for _, _, j in rec.blocked_transitions))
+
+
+def assert_blocks_match_oracle(n, trace) -> tuple:
+    """The block counts read off the records equal the event-scan oracle's,
+    in total and split by blocker; returns (totals, by_blocker)."""
+    records = build_invocations(trace)
+    totals, by_blocker = block_counts(n, records), blocks_by_blocker(records)
+    assert (totals, by_blocker) == block_events(trace)
+    return totals, by_blocker
 
 
 def test_solo_process_enters_without_blocking():
     state = SystemState(build_bl(1), Workload.from_sessions([[1]]))
     result = run(state, random_schedule(1, 0), step_cap=100)
     assert result.completed
-    totals, by = block_events(result.trace)
-    assert totals == {1: 0} and by == {}
+    assert assert_blocks_match_oracle(1, result.trace) == ({1: 0}, {})
 
 
 def test_lower_bit_forces_reset_and_wait():
@@ -63,11 +82,22 @@ def test_adversarial_schedule_needs_two():
         bl_adversarial_schedule(1)
 
 
-def test_block_events_rejects_other_algorithms():
-    state = SystemState(build_glb(2), distinct_sessions(2))
-    result = run(state, random_schedule(2, 0), step_cap=10_000)
-    with pytest.raises(ConfigurationError):
-        block_events(result.trace)
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 5), invocations=st.integers(1, 3), seed=st.integers(0, 10**6),
+       script=st.lists(st.integers(1, 5), max_size=120), adversarial_n=st.integers(2, 8),
+       cap=st.one_of(st.none(), st.integers(0, 300)))
+def test_block_counts_match_event_scan_oracle(n, invocations, seed, script,
+                                              adversarial_n, cap):
+    # Random, scripted and adversarial bl runs, whole or cut short by a cap.
+    workload = distinct_sessions(n, invocations=invocations)
+    for size, wl, schedule in (
+            (n, workload, random_schedule(n, seed)),
+            (n, workload, Scripted([min(p, n) for p in script])),
+            (adversarial_n, bl_adversarial_workload(adversarial_n),
+             bl_adversarial_schedule(adversarial_n))):
+        result = run(SystemState(build_bl(size), wl), schedule,
+                     step_cap=10**5 if cap is None else cap)
+        assert_blocks_match_oracle(size, result.trace)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -77,7 +107,7 @@ def test_adversarial_block_counts_match_formula(n):
     result = run(state, schedule, step_cap=10**6)
     assert result.completed
     assert check(check_mutual_exclusion, result.trace).ok
-    totals, by_blocker = block_events(result.trace)
+    totals, by_blocker = assert_blocks_match_oracle(n, result.trace)
     assert totals[n] == n * (n - 1) // 2
     for j in range(1, n):
         assert by_blocker.get((n, j), 0) == j

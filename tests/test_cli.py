@@ -117,12 +117,29 @@ def test_run_folds_the_trace_once(tmp_path, monkeypatch):
         stepped.append(ev)
         return advance(steps, states, ev)
 
+    class CountingEvents(list):
+        iterations = 0
+
+        def __iter__(self):
+            self.iterations += 1
+            return super().__iter__()
+
+    run = gmesim.cli.run
+
+    def counting_run(*args, **kwargs):
+        result = run(*args, **kwargs)
+        result.trace.events = CountingEvents(result.trace.events)
+        return result
+
+    monkeypatch.setattr(gmesim.cli, "run", counting_run)
     monkeypatch.setattr(gmesim.cli, "build_invocations", counting_fold)
     monkeypatch.setattr(gmesim.monitors, "build_invocations", counting_fold)
     monkeypatch.setattr(gmesim.monitors, "advance", counting_advance)
     assert main(["run", "--scenario", write(tmp_path, "glb.scn", GLB_SCENARIO)]) == 0
     assert len(calls) == 1
-    # me and fcfs share one pass of the online monitors along the trace
+    # the fold is the one walk along the events, and the me and fcfs
+    # monitors are stepped inside it
+    assert calls[0].events.iterations == 1
     assert stepped == [ev for ev in calls[0].events if gmesim.monitors.monitored(ev)]
 
 
@@ -155,7 +172,12 @@ def test_sweep_rejects_bad_flags(capsys):
                           (["--sizes", "4,x"], "error: --sizes must be comma-separated"),
                           # the doubling ratios compare each size with the one before
                           (["--sizes", "8,4,4"], "error: --sizes must be strictly ascending"),
-                          (["--sizes", "4,4"], "error: --sizes must be strictly ascending")):
+                          (["--sizes", "4,4"], "error: --sizes must be strictly ascending"),
+                          # a sweep of nothing must not read as a pass
+                          (["--sizes", ""], "error: --sizes must name at least one size"),
+                          (["--sizes", ","], "error: --sizes must name at least one size"),
+                          (["--workers", "0"], "error: --workers must be >= 1"),
+                          (["--workers", "-3"], "error: --workers must be >= 1")):
         for schedule in (["--algorithm", "glb"],
                          ["--algorithm", "bl", "--schedule", "adversarial"]):
             code = main(["sweep", *schedule, "--seeds", "1", "--sizes", "2", *argv])
