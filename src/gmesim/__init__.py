@@ -12,8 +12,7 @@ from .memory import BLACK, BOTTOM, WHITE, Memory, RegisterDecl
 from .monitors import (Verdict, build_invocations, check_bounded_exit,
                        check_concurrent_entry, check_fcfs, check_flip_invariant,
                        check_implications, check_mutual_exclusion, check_progress,
-                       check_section_order, check_token_bound, check_wait_rmr_bounds,
-                       monitors_for)
+                       check_section_order, check_token_bound, check_wait_rmr_bounds)
 from .scenario import Scenario, load_scenario, parse_scenario
 from .schedules import (RandomSchedule, RoundRobin, Scripted,
                         bl_adversarial_schedule, bl_adversarial_workload,

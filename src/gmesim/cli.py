@@ -32,7 +32,8 @@ from .burns_lamport import block_counts, build_bl
 from .errors import ConfigurationError, ScenarioError
 from .explorer import explore
 from .machine import Section, SystemState, Trace, Workload, run
-from .monitors import FAIL, build_invocations, check_implications, max_token_number
+from .monitors import (CHECKS, FAIL, MONITORS, build_invocations, check_implications,
+                       max_token_number)
 from .scenario import LOWER_BOUNDS, Scenario, load_scenario
 from .schedules import bl_adversarial_schedule, bl_adversarial_workload, random_schedule
 
@@ -119,9 +120,7 @@ def cmd_run(args) -> int:
     trace.meta["seed"] = scenario.seed
 
     records = build_invocations(trace)
-    verdicts = {}
-    for name, monitor in scenario.build_monitors():
-        verdicts[name] = monitor(trace, records)
+    verdicts = {name: MONITORS[name](trace, records) for name in CHECKS[scenario.algorithm]}
     check_implications(verdicts, trace)
 
     if args.trace_out:
@@ -219,13 +218,14 @@ def _sweep_one(task) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    tokens = args.sizes.split(",")
+    if not any(tokens):
+        raise ConfigurationError(f"--sizes must name at least one size, got {args.sizes!r}")
     try:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+        sizes = [int(tok) for tok in tokens]
     except ValueError:
         raise ConfigurationError(
             f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
-    if not sizes:
-        raise ConfigurationError(f"--sizes must name at least one size, got {args.sizes!r}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigurationError(f"--sizes must be strictly ascending, got {args.sizes!r}")
     _check_bound("step_cap", "--steps", args.steps)

@@ -3,7 +3,7 @@ detection and the online safety monitors folded along every edge.
 
 A state is the global store, all process runtimes (with their workload
 positions) and the state of each online monitor the algorithm checks
-(`gmesim.monitors.ONLINE`): the same definitions `gmesim run` folds
+(`gmesim.monitors.online_props`): the same definitions `gmesim run` folds
 over a trace.  The reader sets (which processes hold a valid copy of
 each register) are excluded because they change only the cost of a
 read, never its value.  Pending obligations (FCFS precedence, the
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .machine import PC_REMAINDER, SystemState, Workload, all_active_blocked, step
-from .monitors import DEFAULT_MONITORS, ONLINE, advance, monitored, token_number
+from .monitors import ONLINE, advance, monitored, online_props, token_number
 
 
 @dataclass
@@ -116,8 +116,8 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             token_cap: Optional[int] = None) -> ExplorationReport:
     """Depth-first search over every enabled-process choice.
 
-    Checks deadlock plus every default monitor of the algorithm that has
-    an online form.  Caps are reported as truncation, never as a
+    Checks deadlock plus the algorithm's online monitors
+    (`online_props`).  Caps are reported as truncation, never as a
     property failure.  For glb the unbounded tokens get a ceiling
     (default_token_cap); paths that exceed it are cut and counted in
     token_cap_hits.
@@ -129,7 +129,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
         token_cap = default_token_cap(n, sum(map(len, workload.invocations)))
 
     work = SystemState(spec, workload)
-    props = [prop for prop in DEFAULT_MONITORS[spec.name] if prop in ONLINE]
+    props = online_props(spec.name)
     sessions = [[s for s, _ in per] for per in workload.invocations]
     color = spec.meta.get("initial_color")
     starts, mon_steps, describe = zip(*(ONLINE[prop](n, sessions, color) for prop in props))

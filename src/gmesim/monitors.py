@@ -5,7 +5,8 @@ The caller folds the trace once with `build_invocations`, the one walk
 along its events, and hands the same records to every monitor, as
 `monitor(trace, records)`; no monitor reads the events, rebuilds the
 fold or mutates the records, so running a monitor twice on the same
-inputs always yields the same verdict.
+inputs always yields the same verdict.  `CHECKS` names the monitors
+(`MONITORS`) each algorithm is checked for.
 
 Mutual exclusion, FCFS, the single GlobalColor flip and the N+1 token
 bound are each defined once, as an online monitor (`ONLINE`): a small
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
 
-from .errors import ConfigurationError, ConsistencyError
+from .errors import ConsistencyError
 from .machine import (CS_ENTER, CS_EXIT, DOORWAY_COMPLETE, DOORWAY_START,
                       EXIT_COMPLETE, Section, Trace)
 
@@ -44,7 +45,6 @@ _PASS_RMR_BOUNDS = {"glb": {8: 5, 9: 5}, "bwbgme": {17: 5, 19: 2}}
 class Verdict:
     """Outcome of one property check over one trace."""
 
-    prop: str
     status: str
     witness: Optional[tuple] = None
     detail: str = ""
@@ -112,13 +112,13 @@ class Invocations(list):
 
 def build_invocations(trace: Trace) -> Invocations:
     """Fold the event stream into per-invocation records, stepping the
-    online monitors that apply to the trace along it in the same walk."""
+    algorithm's online monitors (`online_props`) along it in the same walk."""
     algorithm = trace.algorithm
     commit_line = {"glb": 5, "bwbgme": 14, "bl": None}[algorithm]
     wait_lines = _WAIT_LINES[algorithm]
     workload_sessions = trace.meta["workload_sessions"]
 
-    props = [p for p in ONLINE if p in ("me", "fcfs") or algorithm == "bwbgme"]
+    props = online_props(algorithm)
     states, steps, _ = zip(*(ONLINE[p](trace.n, workload_sessions,
                                        trace.meta.get("initial_color")) for p in props))
     flip = props.index("flip") if "flip" in props else None
@@ -371,11 +371,11 @@ def check_mutual_exclusion(trace: Trace, records: list) -> Verdict:
     """
     hit = records.first.get("me")
     if hit is None:
-        return Verdict("me", PASS)
+        return Verdict(PASS)
     ev, culprits = hit
     a = _earliest(records, culprits, "ce", ev.index)
     b = _earliest(records, (ev.pid,), "ce", ev.index)
-    return Verdict("me", FAIL, witness=(a.ce, b.ce, a.pid, b.pid),
+    return Verdict(FAIL, witness=(a.ce, b.ce, a.pid, b.pid),
                    detail=f"P{a.pid} (session {a.session}) and P{b.pid} "
                           f"(session {b.session}) overlap in the CS")
 
@@ -388,10 +388,10 @@ def check_fcfs(trace: Trace, records: list) -> Verdict:
     """
     hit = records.first.get("fcfs")
     if hit is None:
-        return Verdict("fcfs", PASS)
+        return Verdict(PASS)
     ev, culprits = hit
     a = _earliest(records, culprits, "dc", ev.index)
-    return Verdict("fcfs", FAIL, witness=(a.dc, ev.index, a.pid, ev.pid),
+    return Verdict(FAIL, witness=(a.dc, ev.index, a.pid, ev.pid),
                    detail=f"P{a.pid} completed its doorway before P{ev.pid} "
                           f"started, yet P{ev.pid} entered the CS first")
 
@@ -406,31 +406,27 @@ def check_bounded_exit(trace: Trace, records: list) -> Verdict:
         trace.algorithm, ("atmost", trace.n + 2))
     for rec in records:
         if rec.exit_accesses > bound:
-            return Verdict("bounded-exit", FAIL, witness=(rec.pid, rec.inv),
+            return Verdict(FAIL, witness=(rec.pid, rec.inv),
                            detail=f"P{rec.pid} inv {rec.inv}: {rec.exit_accesses} "
                                   f"exit accesses > {bound}")
         if mode == "exact" and rec.xc is not None and rec.exit_accesses != bound:
-            return Verdict("bounded-exit", FAIL, witness=(rec.pid, rec.inv),
+            return Verdict(FAIL, witness=(rec.pid, rec.inv),
                            detail=f"P{rec.pid} inv {rec.inv}: {rec.exit_accesses} "
                                   f"exit accesses, expected exactly {bound}")
-    return Verdict("bounded-exit", PASS)
+    return Verdict(PASS)
 
 
 def check_concurrent_entry(trace: Trace, records: list) -> Verdict:
     """With a single session in play, no entry wait may ever come out false."""
-    sessions = trace.meta.get("sessions")
-    if sessions is None:
-        sessions = {r.session for r in records}
-    if len(set(sessions)) > 1:
-        return Verdict("concurrent-entry", INAPPLICABLE,
-                       detail="workload uses more than one session")
+    if len(trace.meta["sessions"]) > 1:
+        return Verdict(INAPPLICABLE, detail="workload uses more than one session")
     for rec in records:
         if rec.false_entry_evals:
             step, line, j = rec.blocked_transitions[0]
-            return Verdict("concurrent-entry", FAIL, witness=(step, rec.pid),
+            return Verdict(FAIL, witness=(step, rec.pid),
                            detail=f"P{rec.pid} waited at line {line} on P{j} "
                                   "despite a conflict-free workload")
-    return Verdict("concurrent-entry", PASS)
+    return Verdict(PASS)
 
 
 def check_flip_invariant(trace: Trace, records: list) -> Verdict:
@@ -439,27 +435,22 @@ def check_flip_invariant(trace: Trace, records: list) -> Verdict:
     The witness names the two flips and, of the processes whose window
     they both fall in, the one whose window opened first.
     """
-    if trace.algorithm != "bwbgme":
-        return Verdict("flip", INAPPLICABLE, detail="not a bwbgme trace")
     flips = records.flips
     if "flip" not in records.first:
-        return Verdict("flip", PASS, detail=f"{len(flips)} flips observed")
+        return Verdict(PASS, detail=f"{len(flips)} flips observed")
     pid = min(records.first["flip"][1], key=records.opened.__getitem__)
-    return Verdict("flip", FAIL, witness=(flips[-2], flips[-1], pid),
+    return Verdict(FAIL, witness=(flips[-2], flips[-1], pid),
                    detail=f"GlobalColor flipped twice (steps {flips[-2]}, "
                           f"{flips[-1]}) inside P{pid}'s window")
 
 
 def check_token_bound(trace: Trace, records: list) -> Verdict:
     """Committed token numbers never exceed N+1."""
-    if trace.algorithm != "bwbgme":
-        return Verdict("token-bound", INAPPLICABLE, detail="not a bwbgme trace")
     hit = records.first.get("token_bound")
     if hit is None:
-        return Verdict("token-bound", PASS,
-                       detail=f"max token number {max_token_number(records)}")
+        return Verdict(PASS, detail=f"max token number {max_token_number(records)}")
     ev = hit[0]
-    return Verdict("token-bound", FAIL, witness=(ev.index, ev.pid),
+    return Verdict(FAIL, witness=(ev.index, ev.pid),
                    detail=f"token number {token_number(ev.value)} > N+1 = {trace.n + 1}")
 
 
@@ -472,7 +463,7 @@ def check_progress(trace: Trace, records: list) -> Verdict:
     under a fair schedule, not a liveness proof.
     """
     if records.deadlock_at is not None:
-        return Verdict("progress", FAIL, witness=(records.deadlock_at,),
+        return Verdict(FAIL, witness=(records.deadlock_at,),
                        detail="deadlock: every active process is blocked")
     for rec in records:
         if rec.dc is None or rec.ce is not None:
@@ -481,10 +472,10 @@ def check_progress(trace: Trace, records: list) -> Verdict:
                         if other.pid != rec.pid and other.xc is not None
                         and other.xc > rec.dc)
         if overtaken >= 2:
-            return Verdict("progress", FAIL, witness=(rec.dc, rec.pid),
+            return Verdict(FAIL, witness=(rec.dc, rec.pid),
                            detail=f"starvation: P{rec.pid} inv {rec.inv} never entered "
                                   f"the CS while {overtaken} later invocations completed")
-    return Verdict("progress", PASS)
+    return Verdict(PASS)
 
 
 def check_wait_rmr_bounds(trace: Trace, records: list) -> Verdict:
@@ -495,22 +486,19 @@ def check_wait_rmr_bounds(trace: Trace, records: list) -> Verdict:
     spurious GlobalColor refetches while blocked at line 21 stay below N
     per invocation (amortized bound N-1).
     """
-    bounds = _PASS_RMR_BOUNDS.get(trace.algorithm)
-    if bounds is None:
-        return Verdict("wait-rmr", INAPPLICABLE,
-                       detail=f"no per-line bounds for {trace.algorithm}")
+    bounds = _PASS_RMR_BOUNDS[trace.algorithm]
     for rec in records:
         for wp in rec.wait_passes:
             bound = bounds.get(wp.line)
             if bound is not None and wp.rmr > bound:
-                return Verdict("wait-rmr", FAIL, witness=(wp.start, rec.pid),
+                return Verdict(FAIL, witness=(wp.start, rec.pid),
                                detail=f"P{rec.pid} inv {rec.inv}: line {wp.line} pass "
                                       f"for j={wp.j} cost {wp.rmr} RMR > {bound}")
         if trace.algorithm == "bwbgme" and rec.gc_spurious_refetches > trace.n - 1:
-            return Verdict("wait-rmr", FAIL, witness=(rec.pid, rec.inv),
+            return Verdict(FAIL, witness=(rec.pid, rec.inv),
                            detail=f"P{rec.pid} inv {rec.inv}: {rec.gc_spurious_refetches} "
                                   f"spurious GlobalColor refetches > N-1")
-    return Verdict("wait-rmr", PASS)
+    return Verdict(PASS)
 
 
 def check_section_order(trace: Trace, records: list) -> Verdict:
@@ -519,7 +507,7 @@ def check_section_order(trace: Trace, records: list) -> Verdict:
         seq = [rec.ds, rec.dc, rec.ce, rec.cx, rec.xc]
         present = [x for x in seq if x is not None]
         if present != sorted(present):
-            return Verdict("section-order", FAIL, witness=(rec.pid, rec.inv),
+            return Verdict(FAIL, witness=(rec.pid, rec.inv),
                            detail=f"P{rec.pid} inv {rec.inv}: markers out of order {seq}")
         # A later marker must not exist without the earlier ones.
         seen_none = False
@@ -527,9 +515,9 @@ def check_section_order(trace: Trace, records: list) -> Verdict:
             if x is None:
                 seen_none = True
             elif seen_none:
-                return Verdict("section-order", FAIL, witness=(rec.pid, rec.inv),
+                return Verdict(FAIL, witness=(rec.pid, rec.inv),
                                detail=f"P{rec.pid} inv {rec.inv}: marker gap {seq}")
-    return Verdict("section-order", PASS)
+    return Verdict(PASS)
 
 
 def check_implications(verdicts: dict, trace: Trace) -> None:
@@ -562,7 +550,11 @@ MONITORS = {
     "section_order": check_section_order,
 }
 
-DEFAULT_MONITORS = {
+# The one table of what each algorithm is checked for: `run` prints
+# these verdicts in this order, and the fold and the explorer step the
+# online ones among them (`online_props`).  bl is not FCFS and has no
+# GlobalColor, tokens or per-line RMR ceilings.
+CHECKS = {
     "glb": ("me", "fcfs", "bounded_exit", "concurrent_entry", "progress",
             "wait_rmr", "section_order"),
     "bwbgme": ("me", "fcfs", "bounded_exit", "concurrent_entry", "flip",
@@ -571,14 +563,6 @@ DEFAULT_MONITORS = {
 }
 
 
-def monitors_for(algorithm: str, names=None) -> list:
-    """Resolve monitor names to (name, callable) pairs."""
-    if names is None or names == ("default",) or names == ["default"]:
-        names = DEFAULT_MONITORS[algorithm]
-    out = []
-    for name in names:
-        fn = MONITORS.get(name)
-        if fn is None:
-            raise ConfigurationError(f"unknown monitor {name!r}")
-        out.append((name, fn))
-    return out
+def online_props(algorithm: str) -> tuple:
+    """The checks of `algorithm` that have an online monitor, in table order."""
+    return tuple(p for p in CHECKS[algorithm] if p in ONLINE)

@@ -15,7 +15,7 @@ counts it now reads off the invocation records must equal it.
 from __future__ import annotations
 
 from gmesim.machine import EXIT_COMPLETE, Trace
-from gmesim.monitors import FAIL, INAPPLICABLE, PASS, Verdict, build_invocations
+from gmesim.monitors import FAIL, PASS, Verdict, build_invocations
 
 _INF = float("inf")
 
@@ -30,10 +30,10 @@ def check_mutual_exclusion(trace: Trace) -> Verdict:
                 continue
             b_end = b.cx if b.cx is not None else _INF
             if a.ce <= b_end and b.ce <= a_end:
-                return Verdict("me", FAIL, witness=(a.ce, b.ce, a.pid, b.pid),
+                return Verdict(FAIL, witness=(a.ce, b.ce, a.pid, b.pid),
                                detail=f"P{a.pid} (session {a.session}) and P{b.pid} "
                                       f"(session {b.session}) overlap in the CS")
-    return Verdict("me", PASS)
+    return Verdict(PASS)
 
 
 def check_fcfs(trace: Trace) -> Verdict:
@@ -48,10 +48,10 @@ def check_fcfs(trace: Trace) -> Verdict:
             if b.ds is None or a.dc >= b.ds or b.ce is None:
                 continue
             if a.ce is None or b.ce < a.ce:
-                return Verdict("fcfs", FAIL, witness=(a.dc, b.ce, a.pid, b.pid),
+                return Verdict(FAIL, witness=(a.dc, b.ce, a.pid, b.pid),
                                detail=f"P{a.pid} completed its doorway before P{b.pid} "
                                       f"started, yet P{b.pid} entered the CS first")
-    return Verdict("fcfs", PASS)
+    return Verdict(PASS)
 
 
 def check_flip_invariant(trace: Trace) -> Verdict:
@@ -60,8 +60,6 @@ def check_flip_invariant(trace: Trace) -> Verdict:
     A window opens at the line-5 read of GlobalColor and closes when the
     invocation completes its exit.
     """
-    if trace.algorithm != "bwbgme":
-        return Verdict("flip", INAPPLICABLE, detail="not a bwbgme trace")
     gc = trace.meta.get("initial_color")
     windows: dict = {}
     flips: list = []
@@ -76,7 +74,7 @@ def check_flip_invariant(trace: Trace) -> Verdict:
                     window.append(ev.index)
                     if len(window) >= 2:
                         return Verdict(
-                            "flip", FAIL, witness=(window[0], window[1], pid),
+                            FAIL, witness=(window[0], window[1], pid),
                             detail=f"GlobalColor flipped twice (steps {window[0]}, "
                                    f"{window[1]}) inside P{pid}'s window")
             else:
@@ -85,13 +83,11 @@ def check_flip_invariant(trace: Trace) -> Verdict:
             windows[ev.pid] = []
         if EXIT_COMPLETE in ev.markers:
             windows.pop(ev.pid, None)
-    return Verdict("flip", PASS, detail=f"{len(flips)} flips observed")
+    return Verdict(PASS, detail=f"{len(flips)} flips observed")
 
 
 def check_token_bound(trace: Trace) -> Verdict:
     """Committed token numbers never exceed N+1."""
-    if trace.algorithm != "bwbgme":
-        return Verdict("token-bound", INAPPLICABLE, detail="not a bwbgme trace")
     n = trace.n
     max_seen = 0
     for ev in trace.events:
@@ -100,9 +96,9 @@ def check_token_bound(trace: Trace) -> Verdict:
             if number > max_seen:
                 max_seen = number
             if number > n + 1:
-                return Verdict("token-bound", FAIL, witness=(ev.index, ev.pid),
+                return Verdict(FAIL, witness=(ev.index, ev.pid),
                                detail=f"token number {number} > N+1 = {n + 1}")
-    return Verdict("token-bound", PASS, detail=f"max token number {max_seen}")
+    return Verdict(PASS, detail=f"max token number {max_seen}")
 
 
 def block_events(trace: Trace):

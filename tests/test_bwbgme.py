@@ -218,7 +218,7 @@ def test_naive_exit_narrative_breaks_and_real_algorithm_passes():
     assert check(check_mutual_exclusion, good.trace).ok
     assert check(check_flip_invariant, good.trace).ok
     assert me_fcfs_against_oracle(good.trace)["me"] == PASS
-    assert flip_token_against_oracle(good.trace) == {"flip": PASS, "token-bound": PASS}
+    assert flip_token_against_oracle(good.trace) == {"flip": PASS, "token_bound": PASS}
 
 
 def test_plain_drive_cannot_reach_violation_without_mutation():

@@ -170,6 +170,9 @@ def test_sweep_rejects_bad_flags(capsys):
     for argv, message in ((["--steps", "-3"], "error: --steps must be >= 0"),
                           (["--cs-steps", "-1"], "error: --cs-steps must be >= 0"),
                           (["--sizes", "4,x"], "error: --sizes must be comma-separated"),
+                          # an empty token is a typo, not a size to skip
+                          (["--sizes", "2,,3"], "error: --sizes must be comma-separated"),
+                          (["--sizes", "4,"], "error: --sizes must be comma-separated"),
                           # the doubling ratios compare each size with the one before
                           (["--sizes", "8,4,4"], "error: --sizes must be strictly ascending"),
                           (["--sizes", "4,4"], "error: --sizes must be strictly ascending"),

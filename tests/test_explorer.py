@@ -1,10 +1,11 @@
 """Explorer: soundness, cross-checks, caps, mutation sensitivity."""
 
 import gmesim.explorer
-from gmesim import (Scripted, Section, SystemState, Workload, build_bl, build_bwbgme,
-                    build_glb, explore, run, step)
+from gmesim import (Scripted, Section, SystemState, Workload, bl_adversarial_schedule,
+                    bl_adversarial_workload, build_bl, build_bwbgme, build_glb,
+                    build_invocations, explore, run, step)
 from gmesim.machine import all_active_blocked
-from gmesim.monitors import FAIL, MONITORS
+from gmesim.monitors import FAIL, MONITORS, online_props
 from oracle_scans import all_active_blocked as full_scan
 from oracle_explorer import crosscheck_reachable
 from util import check, decoded_key, distinct_sessions, report_digest
@@ -52,6 +53,17 @@ def test_bwbgme_n2_matches_independent_interleaver():
     assert report.clean and me == 0 and deadlocks == 0
     assert keys == set(value_keys(report))
     assert report.max_token == 2
+
+
+def test_fold_and_explorer_step_the_same_monitors():
+    # bl is not FCFS: the fold of an adversarial run, whose entries do
+    # overtake, must not step the fcfs monitor the explorer leaves out.
+    state = SystemState(build_bl(4), bl_adversarial_workload(4))
+    trace = run(state, bl_adversarial_schedule(4), step_cap=100_000).trace
+    assert set(build_invocations(trace).first) <= set(online_props("bl"))
+    for build in (build_glb, build_bwbgme, build_bl):
+        report = explore(build(2), Workload.from_sessions([[1], [2]]), max_states=1)
+        assert len(decoded_key(report, 0)[1]) == len(online_props(report.algorithm))
 
 
 def test_reported_states_replay_as_scripts():

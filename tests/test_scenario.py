@@ -3,6 +3,7 @@
 import pytest
 
 from gmesim import parse_scenario
+from gmesim.cli import main
 from gmesim.errors import ScenarioError
 
 GOOD = """gmesim-scenario v1
@@ -14,7 +15,6 @@ fairness_window = 12
 initial_color = black
 cs_steps = 2
 step_cap = 5000
-monitors = me,flip,token_bound
 sessions[1] = 1 2   # two invocations
 sessions[2] = 2
 sessions[3] = 1
@@ -26,11 +26,9 @@ def test_parse_good_scenario():
     assert sc.algorithm == "bwbgme" and sc.n == 3
     assert sc.schedule == "random" and sc.seed == 9 and sc.fairness_window == 12
     assert sc.initial_color == "black" and sc.cs_steps == 2
-    assert sc.monitors == ("me", "flip", "token_bound")
     assert sc.sessions == {1: [1, 2], 2: [2], 3: [1]}
     wl = sc.build_workload()
     assert wl.invocations[0] == [(1, 2), (2, 2)]
-    assert len(sc.build_monitors()) == 3
 
 
 def test_config_hash_is_stable():
@@ -49,8 +47,7 @@ def test_config_hash_names_the_explore_caps():
     explicit = parse_scenario(GOOD + "max_states = 2000000\n")
     assert explicit.config_hash == base
     # glb's token cap defaults to 4 * N * invocations (3 * 4 here)
-    glb = GOOD.replace("bwbgme", "glb").replace("initial_color = black\n", "") \
-        .replace("monitors = me,flip,token_bound", "monitors = me")
+    glb = GOOD.replace("bwbgme", "glb").replace("initial_color = black\n", "")
     unset = parse_scenario(glb).config_hash
     assert parse_scenario(glb + "token_cap = 48\n").config_hash == unset
     assert parse_scenario(glb + "token_cap = 47\n").config_hash != unset
@@ -96,7 +93,7 @@ def test_session_values_validated():
     assert "outside" in str(err(GOOD + "sessions[9] = 1\n"))
     assert "outside" in str(err(GOOD + "sessions[09] = 1\n"))
     repeated = err(GOOD + "sessions[2] = 1\n")
-    assert "duplicate" in str(repeated) and repeated.lineno == 14
+    assert "duplicate" in str(repeated) and repeated.lineno == 13
 
 
 def test_out_of_range_values_rejected_with_line_number():
@@ -104,7 +101,7 @@ def test_out_of_range_values_rejected_with_line_number():
     for key, low in (("cs_steps", 0), ("step_cap", 0), ("max_states", 1),
                      ("max_depth", 0), ("token_cap", 0)):
         error = err(base + f"{key} = {low - 1}\n")
-        assert f"{key} must be >= {low}" in str(error) and error.lineno == 12, key
+        assert f"{key} must be >= {low}" in str(error) and error.lineno == 11, key
         assert getattr(parse_scenario(base + f"{key} = {low}\n"), key) == low
 
 
@@ -123,6 +120,10 @@ def test_adversarial_only_for_bl():
     assert "adversarial" in str(err(bad))
 
 
-def test_unknown_monitor_rejected():
-    bad = GOOD.replace("monitors = me,flip,token_bound", "monitors = me,psychic")
-    assert "unknown monitor" in str(err(bad))
+def test_unknown_monitor_rejected(tmp_path, capsys):
+    # The algorithm alone decides what a run is checked for, so a line
+    # that names monitors is an unknown key.
+    path = tmp_path / "monitors.scn"
+    path.write_text(GOOD.replace("step_cap = 5000\n", "step_cap = 5000\nmonitors = me\n"))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "scenario error: line 10: unknown key 'monitors'\n"

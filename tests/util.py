@@ -24,9 +24,9 @@ def me_fcfs_against_oracle(trace) -> dict:
     """
     records = build_invocations(trace)
     statuses = {}
-    for fold, oracle, a_step in ((check_mutual_exclusion,
-                                  oracle_monitors.check_mutual_exclusion, "ce"),
-                                 (check_fcfs, oracle_monitors.check_fcfs, "dc")):
+    for prop, fold, oracle, a_step in (
+            ("me", check_mutual_exclusion, oracle_monitors.check_mutual_exclusion, "ce"),
+            ("fcfs", check_fcfs, oracle_monitors.check_fcfs, "dc")):
         verdict = fold(trace, records)
         assert verdict.status == oracle(trace).status, (verdict, oracle(trace))
         if verdict.status == FAIL:
@@ -38,7 +38,7 @@ def me_fcfs_against_oracle(trace) -> dict:
                           [ev for ev in trace.events if (ev.pid, ev.inv) in pair],
                           meta=trace.meta)
             assert oracle(alone).status == FAIL, verdict
-        statuses[verdict.prop] = verdict.status
+        statuses[prop] = verdict.status
     return statuses
 
 
@@ -48,12 +48,13 @@ def flip_token_against_oracle(trace) -> dict:
     Returns each fold's status."""
     records = build_invocations(trace)
     statuses = {}
-    for fold, oracle in ((check_flip_invariant, oracle_monitors.check_flip_invariant),
-                         (check_token_bound, oracle_monitors.check_token_bound)):
+    for prop, fold, oracle in (
+            ("flip", check_flip_invariant, oracle_monitors.check_flip_invariant),
+            ("token_bound", check_token_bound, oracle_monitors.check_token_bound)):
         verdict, want = fold(trace, records), oracle(trace)
         assert (verdict.status, verdict.witness) == (want.status, want.witness), \
             (verdict, want)
-        statuses[verdict.prop] = verdict.status
+        statuses[prop] = verdict.status
     return statuses
 
 
