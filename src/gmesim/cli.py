@@ -1,7 +1,7 @@
 """Batch front end: run, explore, and sweep commands.
 
 Exit status: 0 all checks pass, 1 property violation or deadlock,
-2 usage or scenario parse error, 3 a cap truncated the result.
+2 usage or scenario parse error, 3 the run or search stopped early.
 
 CSV schemas (stable, one header row per file):
 
@@ -23,19 +23,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .burns_lamport import block_counts, build_bl
+from .burns_lamport import block_counts
 from .errors import ConfigurationError, ScenarioError
 from .explorer import explore
-from .machine import Section, SystemState, Trace, Workload, run
+from .machine import Section, SystemState, Trace, run
 from .monitors import (CHECKS, FAIL, MONITORS, build_invocations, check_implications,
                        max_token_number)
 from .scenario import LOWER_BOUNDS, Scenario, load_scenario
-from .schedules import bl_adversarial_schedule, bl_adversarial_workload, random_schedule
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -105,21 +105,23 @@ def _override(scenario: Scenario, key: str, flag: str, value) -> None:
         setattr(scenario, key, value)
 
 
+def _run_scenario(scenario: Scenario):
+    """The one path from a Scenario to a run, for `run` and every sweep
+    job: its RunResult and invocation records."""
+    state = SystemState(scenario.build_spec(), scenario.build_workload())
+    result = run(state, scenario.build_schedule(), step_cap=scenario.step_cap)
+    result.trace.meta["seed"] = scenario.seed
+    return result, build_invocations(result.trace)
+
+
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
     _override(scenario, "step_cap", "--steps", args.steps)
 
-    spec = scenario.build_spec()
-    workload = scenario.build_workload()
-    schedule = scenario.build_schedule()
-    state = SystemState(spec, workload)
-    result = run(state, schedule, step_cap=scenario.step_cap)
+    result, records = _run_scenario(scenario)
     trace = result.trace
-    trace.meta["seed"] = scenario.seed
-
-    records = build_invocations(trace)
     verdicts = {name: MONITORS[name](trace, records) for name in CHECKS[scenario.algorithm]}
     check_implications(verdicts, trace)
 
@@ -153,7 +155,7 @@ def cmd_run(args) -> int:
 
     if any(v.status == FAIL for v in verdicts.values()) or result.deadlocked:
         return EXIT_VIOLATION
-    if result.cap_hit:
+    if not result.completed:
         return EXIT_TRUNCATED
     return EXIT_OK
 
@@ -198,18 +200,10 @@ def _sweep_config_hash(scenario: Scenario, seeds: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _sweep_one(task) -> dict:
-    algorithm, n, seed, invocations, cs_steps, window, step_cap = task
-    scenario = Scenario(algorithm=algorithm, n=n)
-    spec = scenario.build_spec()
-    workload = Workload.uniform(n, lambda pid: pid, invocations=invocations,
-                                cs_steps=cs_steps)
-    schedule = random_schedule(n, seed, window)
-    state = SystemState(spec, workload)
-    result = run(state, schedule, step_cap=step_cap)
-    records = build_invocations(result.trace)
+def _sweep_one(scenario: Scenario) -> dict:
+    result, records = _run_scenario(scenario)
     return {
-        "n": n, "seed": seed, "completed": result.completed,
+        "completed": result.completed,
         "inv_rmr": [r.rmr_total for r in records],
         "doorway": [r.rmr_in(Section.DOORWAY) for r in records],
         "waiting": [r.rmr_in(Section.WAITING) for r in records],
@@ -243,15 +237,13 @@ def cmd_sweep(args) -> int:
             print("adversarial sweeps only drive bl", file=sys.stderr)
             return EXIT_USAGE
         for n in sizes:
-            schedule = bl_adversarial_schedule(n, cs_steps=args.cs_steps)
-            workload = bl_adversarial_workload(n, cs_steps=args.cs_steps)
+            # The same scenario `run` reads from a file, so the same hash.
             scenario = Scenario(algorithm="bl", n=n, schedule="adversarial",
+                                sessions={pid: [pid] for pid in range(1, n + 1)},
                                 cs_steps=args.cs_steps, step_cap=args.steps)
-            state = SystemState(build_bl(n), workload)
-            result = run(state, schedule, step_cap=args.steps)
-            if result.cap_hit:
-                truncated = True
-            totals = block_counts(n, build_invocations(result.trace))
+            result, records = _run_scenario(scenario)
+            truncated |= not result.completed
+            totals = block_counts(n, records)
             row = {
                 "config_hash": scenario.config_hash, "algorithm": "bl", "n": n,
                 "total_rmr": sum(result.rmr_totals), "pn_blocks": totals[n],
@@ -264,20 +256,18 @@ def cmd_sweep(args) -> int:
     else:
         for n in sizes:
             window = 4 * n if args.fairness_window is None else args.fairness_window
-            tasks = [(args.algorithm, n, seed, args.invocations, args.cs_steps,
-                      window, args.steps) for seed in range(args.seeds)]
-            if args.workers > 1:
-                with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                    results = list(pool.map(_sweep_one, tasks))
-            else:
-                results = [_sweep_one(t) for t in tasks]
-            inv_rmr = [v for r in results for v in r["inv_rmr"]]
-            if not all(r["completed"] for r in results):
-                truncated = True
             scenario = Scenario(
                 algorithm=args.algorithm, n=n, schedule="random",
                 sessions={pid: [pid] * args.invocations for pid in range(1, n + 1)},
                 fairness_window=window, cs_steps=args.cs_steps, step_cap=args.steps)
+            jobs = [dataclasses.replace(scenario, seed=seed) for seed in range(args.seeds)]
+            if args.workers > 1:
+                with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                    results = list(pool.map(_sweep_one, jobs))
+            else:
+                results = [_sweep_one(job) for job in jobs]
+            inv_rmr = [v for r in results for v in r["inv_rmr"]]
+            truncated |= not all(r["completed"] for r in results)
             row = {
                 "config_hash": _sweep_config_hash(scenario, args.seeds),
                 "algorithm": args.algorithm,

@@ -46,7 +46,6 @@ from .monitors import ONLINE, advance, monitored, online_props, token_number
 
 @dataclass
 class Violation:
-    prop: str
     path: tuple  # pid script from the initial state
     detail: str
 
@@ -158,7 +157,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     held = list(root_key[:-1])  # the store and runtime ids the live state holds
 
     def add_violation(prop: str, path: tuple, detail: str) -> None:
-        report.violations.setdefault(prop, []).append(Violation(prop, path, detail))
+        report.violations.setdefault(prop, []).append(Violation(path, detail))
 
     def check_deadlock(nid: int) -> None:
         # The live state is state nid: the root, or the child just stepped.

@@ -101,11 +101,6 @@ class Workload:
     def from_sessions(cls, sessions: list[list[int]], cs_steps: int = 1) -> "Workload":
         return cls([[(s, cs_steps) for s in per_proc] for per_proc in sessions])
 
-    @classmethod
-    def uniform(cls, n: int, session_of: Callable[[int], int], invocations: int = 1,
-                cs_steps: int = 1) -> "Workload":
-        return cls([[(session_of(pid), cs_steps)] * invocations for pid in range(1, n + 1)])
-
     @property
     def n(self) -> int:
         return len(self.invocations)

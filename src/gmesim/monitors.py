@@ -82,7 +82,6 @@ class InvocationRecord:
     entry_steps: int = 0
     exit_accesses: int = 0
     token_value: object = None
-    false_entry_evals: int = 0
     blocked_transitions: list = field(default_factory=list)
     wait_passes: list = field(default_factory=list)
     gc_spurious_refetches: int = 0
@@ -172,8 +171,6 @@ def build_invocations(trace: Trace) -> Invocations:
             rec.rmr_by_section[ev.section] = rec.rmr_by_section.get(ev.section, 0) + 1
         if ev.section in (Section.DOORWAY, Section.WAITING):
             rec.entry_steps += 1
-            if ev.outcome == "fail":
-                rec.false_entry_evals += 1
         if ev.section is Section.EXIT and ev.kind in ("read", "write"):
             rec.exit_accesses += 1
 
@@ -421,7 +418,7 @@ def check_concurrent_entry(trace: Trace, records: list) -> Verdict:
     if len(trace.meta["sessions"]) > 1:
         return Verdict(INAPPLICABLE, detail="workload uses more than one session")
     for rec in records:
-        if rec.false_entry_evals:
+        if rec.blocked_transitions:
             step, line, j = rec.blocked_transitions[0]
             return Verdict(FAIL, witness=(step, rec.pid),
                            detail=f"P{rec.pid} waited at line {line} on P{j} "

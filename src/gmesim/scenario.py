@@ -41,8 +41,9 @@ HEADER = "gmesim-scenario v1"
 ALGORITHMS = ("glb", "bwbgme", "bl")
 SCHEDULES = ("round_robin", "random", "scripted", "adversarial")
 
-_INT_KEYS = ("n", "seed", "fairness_window", "cs_steps", "step_cap",
-             "max_states", "max_depth", "token_cap")
+# The integer keys other than n, each read over the Scenario's default.
+_INT_KEYS = ("seed", "fairness_window", "cs_steps", "step_cap", "max_states",
+             "max_depth", "token_cap")
 
 
 @dataclass
@@ -191,13 +192,8 @@ def parse_scenario(text: str) -> Scenario:
         if sched not in SCHEDULES:
             _fail(lineno_of["schedule"], f"unknown schedule {sched!r}")
         sc.schedule = sched
-    sc.seed = pop_int("seed", sc.seed)
-    sc.fairness_window = pop_int("fairness_window", None)
-    sc.cs_steps = pop_int("cs_steps", sc.cs_steps)
-    sc.step_cap = pop_int("step_cap", sc.step_cap)
-    sc.max_states = pop_int("max_states", sc.max_states)
-    sc.max_depth = pop_int("max_depth", None)
-    sc.token_cap = pop_int("token_cap", None)
+    for key in _INT_KEYS:
+        setattr(sc, key, pop_int(key, getattr(sc, key)))
     for key, low in LOWER_BOUNDS.items():
         if getattr(sc, key) is not None and getattr(sc, key) < low:
             _fail(lineno_of[key], f"{key} must be >= {low}")
@@ -234,10 +230,26 @@ def parse_scenario(text: str) -> Scenario:
             if s <= 0:
                 _fail(lineno_of[f"sessions[{pid}]"], "session numbers must be positive")
 
+    for pid in sc.script:
+        if not 1 <= pid <= n:
+            _fail(lineno_of["script"], f"script pid {pid} outside 1..{n}")
     if sc.schedule == "scripted" and not sc.script:
         _fail(1, "schedule = scripted requires a script")
-    if sc.schedule == "adversarial" and algorithm != "bl":
-        _fail(lineno_of.get("schedule", 1), "the adversarial schedule only drives bl")
+    if sc.schedule == "adversarial":
+        # The adversarial pid sequence is computed for bl with exactly one
+        # invocation per process; on any other workload it drives some
+        # other run, or stops before the work is done.
+        if algorithm != "bl":
+            _fail(lineno_of["schedule"], "the adversarial schedule only drives bl")
+        if n < 2:
+            _fail(lineno_of["schedule"], "the adversarial schedule needs n >= 2")
+        for pid in range(1, n + 1):
+            if pid not in sessions:
+                _fail(lineno_of["schedule"],
+                      f"the adversarial schedule needs sessions[{pid}] (one invocation)")
+            if len(sessions[pid]) != 1:
+                _fail(lineno_of[f"sessions[{pid}]"],
+                      "the adversarial schedule needs exactly one invocation per process")
     if sc.fairness_window is not None and sc.fairness_window < n:
         _fail(lineno_of["fairness_window"], f"fairness_window must be >= n = {n}")
     return sc

@@ -176,7 +176,7 @@ def test_criterion_7_concurrent_entry():
     for build in (build_glb, build_bwbgme):
         spec = build(n)
         for seed in range(100):
-            wl = Workload.uniform(n, lambda pid: 1, invocations=1)
+            wl = Workload.from_sessions([[1]] * n)
             state = SystemState(spec, wl)
             result = run(state, random_schedule(n, seed), step_cap=10**6)
             assert result.completed

@@ -2,10 +2,13 @@
 
 import csv
 import json
+from pathlib import Path
 
 import gmesim.cli
 import gmesim.monitors
 from gmesim.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GLB_SCENARIO = """gmesim-scenario v1
 algorithm = glb
@@ -83,10 +86,16 @@ def test_run_detects_violation_exit_1(tmp_path):
     assert code == 1
 
 
-def test_run_cap_truncation_exit_3(tmp_path):
+def test_run_cap_truncation_exit_3(tmp_path, capsys):
     scn = write(tmp_path, "glb.scn", GLB_SCENARIO)
     code = main(["run", "--scenario", scn, "--steps", "7"])
     assert code == 3
+    # a script that runs out before the work is done is not a pass either
+    short = write(tmp_path, "short.scn", GLB_SCENARIO.replace(
+        "schedule = round_robin", "schedule = scripted\nscript = 1 2 3"))
+    capsys.readouterr()
+    assert main(["run", "--scenario", short]) == 3
+    assert "completed=False deadlocked=False cap_hit=False" in capsys.readouterr().out
 
 
 def test_parse_error_exit_2(tmp_path):
@@ -245,13 +254,20 @@ def test_sweep_adversarial_cap_reports_truncation(capsys):
 def test_sweep_adversarial_csv(tmp_path, capsys):
     csv_path = str(tmp_path / "bl.csv")
     code = main(["sweep", "--algorithm", "bl", "--schedule", "adversarial",
-                 "--sizes", "4,8", "--csv-out", csv_path])
+                 "--sizes", "4,6,8", "--csv-out", csv_path])
     assert code == 0
     with open(csv_path) as fh:
         rows = {int(row["n"]): row for row in csv.DictReader(fh)}
     assert int(rows[4]["pn_blocks"]) == 6
     assert int(rows[8]["pn_blocks"]) == 28
     assert int(rows[8]["total_rmr"]) / int(rows[4]["total_rmr"]) >= 3
+    # a row runs the scenario the shipped file describes, so it carries
+    # the hash `run` prints for that file
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(SCENARIOS / "bl_adversarial_n6.scn")]) == 0
+    run_hash = capsys.readouterr().out.split()[1]
+    assert rows[6]["config_hash"] == run_hash == "cf5a3a04e5fc"
+    assert (rows[6]["total_rmr"], rows[6]["pn_blocks"]) == ("147", "15")
 
 
 def test_run_bl_adversarial_block_table(tmp_path, capsys):

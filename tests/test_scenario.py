@@ -103,6 +103,22 @@ def test_out_of_range_values_rejected_with_line_number():
         error = err(base + f"{key} = {low - 1}\n")
         assert f"{key} must be >= {low}" in str(error) and error.lineno == 11, key
         assert getattr(parse_scenario(base + f"{key} = {low}\n"), key) == low
+    # schedules that could not be driven to the end are rejected here too,
+    # not when the run starts or stops short
+    adversarial = ("gmesim-scenario v1\nalgorithm = bl\nn = 3\nschedule = adversarial\n"
+                   "sessions[1] = 1\nsessions[2] = 2\nsessions[3] = 3\n")
+    parse_scenario(adversarial)
+    scripted = adversarial.replace("adversarial", "scripted") + "script = 1 2 3\n"
+    parse_scenario(scripted)
+    for text, message, lineno in (
+            ("gmesim-scenario v1\nalgorithm = bl\nn = 1\nschedule = adversarial\n"
+             "sessions[1] = 1\n", "needs n >= 2", 4),
+            (adversarial.replace("sessions[3] = 3\n", ""), "needs sessions[3]", 4),
+            (adversarial.replace("sessions[1] = 1", "sessions[1] = 1 1"),
+             "exactly one invocation per process", 5),
+            (scripted.replace("1 2 3", "1 9"), "script pid 9 outside 1..3", 8)):
+        error = err(text)
+        assert message in str(error) and error.lineno == lineno, (message, str(error))
 
 
 def test_window_must_cover_n():

@@ -117,8 +117,8 @@ def run_to_completion(spec, workload, schedule, step_cap=500_000):
 
 
 def distinct_sessions(n, invocations=1, cs_steps=1):
-    return Workload.uniform(n, lambda pid: pid, invocations=invocations,
-                            cs_steps=cs_steps)
+    return Workload.from_sessions([[pid] * invocations for pid in range(1, n + 1)],
+                                  cs_steps=cs_steps)
 
 
 def decoded_key(report, nid) -> tuple:
