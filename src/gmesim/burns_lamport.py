@@ -43,10 +43,7 @@ _SECTIONS = {
 
 def build_bl(n: int) -> AlgorithmSpec:
     """Compile the algorithm for n processes into a step machine."""
-    if n < 1:
-        raise ConfigurationError("bl needs n >= 1")
-
-    registers = [RegisterDecl("Competing", "bool", n, False)]
+    registers = [RegisterDecl("Competing", n, False)]
 
     def enter_cs(env) -> None:
         env.pc = _CS if env.cs_left > 0 else _EXIT

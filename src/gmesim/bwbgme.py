@@ -77,17 +77,15 @@ def opposite_color(c: str) -> str:
 
 def build_bwbgme(n: int, initial_color: str = WHITE, mutant: str = None) -> AlgorithmSpec:
     """Compile the algorithm for n processes into a step machine."""
-    if n < 1:
-        raise ConfigurationError("bwbgme needs n >= 1")
     if initial_color not in (BLACK, WHITE):
         raise ConfigurationError("initial GlobalColor must be black or white")
     if mutant not in MUTANTS:
         raise ConfigurationError(f"unknown mutant {mutant!r}")
 
     registers = [
-        RegisterDecl("GlobalColor", "color", None, initial_color),
-        RegisterDecl("Token", "triple", n, (0, BOTTOM, 0)),
-        RegisterDecl("Choosing", "bool", n, False),
+        RegisterDecl("GlobalColor", None, initial_color),
+        RegisterDecl("Token", n, (0, BOTTOM, 0)),
+        RegisterDecl("Choosing", n, False),
     ]
     gc_slot, tok0, cho0 = 0, 1, 1 + n
 

@@ -234,8 +234,7 @@ def cmd_sweep(args) -> int:
 
     if args.schedule == "adversarial":
         if args.algorithm != "bl":
-            print("adversarial sweeps only drive bl", file=sys.stderr)
-            return EXIT_USAGE
+            raise ConfigurationError("adversarial sweeps only drive bl")
         for n in sizes:
             # The same scenario `run` reads from a file, so the same hash.
             scenario = Scenario(algorithm="bl", n=n, schedule="adversarial",
@@ -246,7 +245,7 @@ def cmd_sweep(args) -> int:
             totals = block_counts(n, records)
             row = {
                 "config_hash": scenario.config_hash, "algorithm": "bl", "n": n,
-                "total_rmr": sum(result.rmr_totals), "pn_blocks": totals[n],
+                "total_rmr": sum(r.rmr_total for r in records), "pn_blocks": totals[n],
                 "events": len(result.trace.events),
             }
             rows.append(row)

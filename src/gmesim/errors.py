@@ -5,10 +5,6 @@ class ConfigurationError(Exception):
     """A scenario, register table, or algorithm was set up inconsistently."""
 
 
-class KindMismatchError(ConfigurationError):
-    """A write whose value does not match the register's declared kind."""
-
-
 class ScenarioError(Exception):
     """Scenario file could not be parsed; carries the offending line number."""
 

@@ -49,13 +49,10 @@ _SECTIONS = {
 
 def build_glb(n: int) -> AlgorithmSpec:
     """Compile the algorithm for n processes into a step machine."""
-    if n < 1:
-        raise ConfigurationError("glb needs n >= 1")
-
     registers = [
-        RegisterDecl("Session", "int", n, 0),
-        RegisterDecl("Token", "int", n, 0),
-        RegisterDecl("Choosing", "bool", n, False),
+        RegisterDecl("Session", n, 0),
+        RegisterDecl("Token", n, 0),
+        RegisterDecl("Choosing", n, False),
     ]
     sess0, tok0, cho0 = 0, n, 2 * n
 

@@ -5,7 +5,13 @@ pseudocode.  One step performs at most one shared read or one shared
 write (plus any amount of local computation); wait-until lines are
 compiled to polling, where every evaluation re-reads its shared
 variables left to right with short-circuiting and a false outcome
-leaves the program counter at the wait line.
+leaves the program counter at the wait line.  `step` does not count a
+step's accesses; the test suite proves the one-access rule for every
+pc of every algorithm by exploring each state space, and ties each
+`wait_conds` entry to the wait line it describes the same way.
+
+A step's event carries the `rmr` flag its access reported; those flags
+are the only RMR ledger, and every RMR figure is a sum of them.
 
 The scheduler owns all interleaving; there are no real threads.
 """
@@ -164,7 +170,7 @@ class AlgorithmSpec:
 
 
 class SystemState:
-    """Global store, reader sets, RMR ledger, and every process's runtime."""
+    """Global store, reader sets, and every process's runtime."""
 
     __slots__ = ("spec", "mem", "envs", "workload", "step_index", "awake")
 
@@ -191,7 +197,7 @@ class SystemState:
     def all_done(self) -> bool:
         return not self.live_pids()
 
-    # -- value-state keys (exclude reader sets and ledger) -----------------
+    # -- value-state keys (exclude reader sets) -------------------------
 
     def value_key(self) -> tuple:
         return (tuple(self.mem.store), tuple(e.key() for e in self.envs))
@@ -199,17 +205,14 @@ class SystemState:
     def load_value_key(self, key: tuple) -> None:
         """Reset this state in place to a value key.
 
-        Reader sets and RMR totals restart empty: the key deliberately
-        excludes them, since which processes hold a valid copy never
-        affects the values reads return, only their cost.
+        Reader sets restart empty: the key deliberately excludes them,
+        since which processes hold a valid copy never affects the values
+        reads return, only their cost.
         """
         store, env_keys = key
         mem = self.mem
         mem.store = list(store)
         mem.valid = [0] * len(store)
-        for p in range(len(mem.totals)):
-            mem.totals[p] = 0
-        mem.access_count = 0
         for env, k in zip(self.envs, env_keys):
             env.load_key(k)
         self.step_index = 0
@@ -238,10 +241,7 @@ def step(state: SystemState, pid: int) -> TraceEvent:
     # The event belongs to the section of the instruction it executed;
     # its markers are those of the section ranks it newly reached.
     exec_section = spec.sections[env.pc]
-    before = mem.access_count
     kind, line, slot, value, rmr, outcome, target_j = spec.step_fn(state, pid - 1, env)
-    if mem.access_count - before > 1:
-        raise AssertionError(f"{spec.name}: pc executed more than one shared access")
 
     rank = _RANK[spec.sections[env.pc]]
     if rank > env.marks:
@@ -299,7 +299,6 @@ def all_active_blocked(state: SystemState) -> bool:
 @dataclass
 class RunResult:
     trace: Trace
-    rmr_totals: list  # RMRs charged to each process, indexed by pid - 1
     completed: bool
     deadlocked: bool
     cap_hit: bool
@@ -344,4 +343,4 @@ def run(state: SystemState, schedule, step_cap: int = 1_000_000) -> RunResult:
     workload_sessions = [[s for s, _ in per_proc] for per_proc in state.workload.invocations]
     trace.meta["sessions"] = sorted({s for per_proc in workload_sessions for s in per_proc})
     trace.meta["workload_sessions"] = workload_sessions
-    return RunResult(trace, list(state.mem.totals), completed, deadlocked, cap_hit)
+    return RunResult(trace, completed, deadlocked, cap_hit)

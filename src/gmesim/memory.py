@@ -12,6 +12,11 @@ of processes holding a valid copy of each register: one reader bitmask
 per slot, bit p set iff process p holds a valid copy.  Caches never
 evict: a copy stays valid until some other process writes the register.
 There is no capacity, latency, or DSM modeling.
+
+The store holds whatever values the step machines write.  Which values
+each register may hold, and that a step makes at most one access, are
+properties of the step machines; the test suite checks both over
+exhaustive explorations rather than on every access here.
 """
 
 from __future__ import annotations
@@ -19,51 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .errors import KindMismatchError
-
 # Token / GlobalColor colors.  BOTTOM is the "no color yet" marker.
 BLACK = "black"
 WHITE = "white"
 BOTTOM = "bottom"
 
-# Register value kinds.
-KIND_INT = "int"
-KIND_BOOL = "bool"
-KIND_COLOR = "color"
-KIND_TRIPLE = "triple"  # (session, color, number), read/written atomically
-
-
-def _is_int(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def check_kind(kind: str, v: Any) -> bool:
-    """True iff value v is a well-formed cell value of the given kind."""
-    if kind == KIND_INT:
-        return _is_int(v)
-    if kind == KIND_BOOL:
-        return isinstance(v, bool)
-    if kind == KIND_COLOR:
-        return v in (BLACK, WHITE, BOTTOM)
-    if kind == KIND_TRIPLE:
-        return (
-            isinstance(v, tuple)
-            and len(v) == 3
-            and _is_int(v[0])
-            and v[0] >= 0
-            and v[1] in (BLACK, WHITE, BOTTOM)
-            and _is_int(v[2])
-            and v[2] >= 0
-        )
-    return False
-
 
 @dataclass(frozen=True)
 class RegisterDecl:
-    """Declaration of one register family: kind, arity, and initial value."""
+    """Declaration of one register family: arity and initial value."""
 
     family: str
-    kind: str
     count: Optional[int]  # None for a scalar register
     initial: Any
 
@@ -77,53 +48,43 @@ class RegisterDecl:
 
 
 class Memory:
-    """Global store + per-slot reader bitmasks + per-process RMR totals.
+    """Global store + per-slot reader bitmasks.
 
     Registers live in dense integer slots, numbered in declaration order;
-    the algorithm step machines address them by slot.
+    the algorithm step machines address them by slot.  A read returns
+    its cost, which the step machine copies into its event's `rmr` flag
+    (a write always costs one); the memory keeps no totals.
     """
 
-    __slots__ = ("n", "names", "kinds", "store", "valid", "totals", "access_count")
+    __slots__ = ("n", "names", "store", "valid")
 
     def __init__(self, n: int, decls: list[RegisterDecl]):
         self.n = n
         self.names: list[str] = []
-        self.kinds: list[str] = []
         initials = []
         for decl in decls:
             for name in decl.ids():
                 self.names.append(name)
-                self.kinds.append(decl.kind)
                 initials.append(decl.initial)
         self.store: list[Any] = initials
         # valid[slot]: bit p set iff process p holds a valid copy of slot.
         self.valid: list[int] = [0] * len(initials)
-        self.totals: list[int] = [0] * n
-        self.access_count = 0
 
     # -- hot path (0-based process index) -------------------------------
 
     def read_slot(self, p: int, slot: int):
         """Read a slot as process p.  Returns (value, rmr)."""
-        self.access_count += 1
         bit = 1 << p
         valid = self.valid
         if valid[slot] & bit:
             return self.store[slot], False
         valid[slot] |= bit
-        self.totals[p] += 1
         return self.store[slot], True
 
     def write_slot(self, p: int, slot: int, value: Any) -> None:
         """Write a slot as process p.  Always costs one RMR."""
-        if not check_kind(self.kinds[slot], value):
-            raise KindMismatchError(
-                f"{self.names[slot]} holds {self.kinds[slot]}, got {value!r}"
-            )
-        self.access_count += 1
         self.store[slot] = value
         self.valid[slot] = 1 << p
-        self.totals[p] += 1
 
     # -- invariants ----------------------------------------------------
 

@@ -14,11 +14,14 @@ from collections import deque
 from gmesim.machine import Section, SystemState, Workload, all_active_blocked, step
 
 
-def crosscheck_reachable(spec, workload: Workload, *, max_states: int = 500_000):
+def crosscheck_reachable(spec, workload: Workload, *, max_states: int = 500_000,
+                         take_step=step):
     """Independent breadth-first interleaver over the same step semantics.
 
     A plain frontier queue over value keys, checking only the state
-    predicates.  Returns (frozenset of value keys, me_violations,
+    predicates.  take_step(state, pid) takes each step of each live
+    process from each reached state; a test may pass one that checks
+    the step it takes.  Returns (frozenset of value keys, me_violations,
     deadlocks).
     """
     n = spec.n
@@ -44,7 +47,7 @@ def crosscheck_reachable(spec, workload: Workload, *, max_states: int = 500_000)
             work.load_value_key(vkey)
             if work.exhausted(pid):
                 continue
-            step(work, pid)
+            take_step(work, pid)
             child = work.value_key()
             if child in seen:
                 continue

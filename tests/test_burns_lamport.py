@@ -80,6 +80,8 @@ def test_exit_is_one_write():
 def test_adversarial_schedule_needs_two():
     with pytest.raises(ConfigurationError):
         bl_adversarial_schedule(1)
+    with pytest.raises(ConfigurationError):
+        build_bl(0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -118,7 +120,7 @@ def adversarial_total_rmr(n):
     state = SystemState(build_bl(n), bl_adversarial_workload(n))
     result = run(state, schedule, step_cap=10**6)
     assert result.completed
-    return sum(result.rmr_totals)
+    return sum(rec.rmr_total for rec in build_invocations(result.trace))
 
 
 def test_adversarial_rmr_grows_superlinearly():

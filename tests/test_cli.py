@@ -277,8 +277,9 @@ def test_run_bl_adversarial_block_table(tmp_path, capsys):
     assert "P6=15" in out
 
 
-def test_usage_error_exit_2():
+def test_usage_error_exit_2(capsys):
     assert main(["sweep", "--algorithm", "glb", "--schedule", "adversarial"]) == 2
+    assert capsys.readouterr().err == "error: adversarial sweeps only drive bl\n"
 
 
 def test_sweep_workers_flag(tmp_path):

@@ -1,6 +1,8 @@
 """Step semantics: one access per step, markers, waits, determinism."""
 
 import random
+from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,17 @@ from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_bl,
 from gmesim import machine
 from gmesim.errors import ConfigurationError
 from gmesim.machine import (CS_ENTER, DOORWAY_COMPLETE, DOORWAY_START,
-                            EXIT_COMPLETE, PC_REMAINDER, Section, all_active_blocked)
-from gmesim.monitors import check_mutual_exclusion, check_section_order
+                            EXIT_COMPLETE, PC_REMAINDER, ProcEnv, Section,
+                            all_active_blocked)
+from gmesim.memory import Memory
+from gmesim.monitors import build_invocations, check_mutual_exclusion, check_section_order
 import oracle_scans
 from oracle_memory import Memory as OracleMemory
-from util import (check, distinct_sessions, doorway_done, drive, effectively_blocked,
-                  entered_cs, finished)
+from register_kinds import check_kind, slot_kinds
+from oracle_explorer import crosscheck_reachable
+from util import (RecordingMemory, check, distinct_sessions, doorway_done, drive,
+                  effectively_blocked, entered_cs, explored_specs, explored_workload,
+                  finished)
 
 
 def test_first_doorway_step_writes_choosing():
@@ -118,7 +125,6 @@ def test_replay_determinism_scripted():
             step_cap=10_000)
     assert [(e.pid, e.line, e.kind, e.reg, e.value, e.rmr) for e in a.trace.events] \
         == [(e.pid, e.line, e.kind, e.reg, e.value, e.rmr) for e in b.trace.events]
-    assert a.rmr_totals == b.rmr_totals
 
 
 def test_replay_determinism_random_seed():
@@ -126,8 +132,7 @@ def test_replay_determinism_random_seed():
             random_schedule(3, 42), step_cap=50_000)
     b = run(SystemState(build_bwbgme(3), distinct_sessions(3, invocations=2)),
             random_schedule(3, 42), step_cap=50_000)
-    assert [e.pid for e in a.trace.events] == [e.pid for e in b.trace.events]
-    assert a.rmr_totals == b.rmr_totals
+    assert [(e.pid, e.rmr) for e in a.trace.events] == [(e.pid, e.rmr) for e in b.trace.events]
 
 
 def test_section_markers_ordered_on_random_runs():
@@ -158,15 +163,110 @@ def test_doorway_is_bounded_and_exact():
                 assert len(own) == DOORWAY_STEPS[name](n)
 
 
-def test_one_shared_access_per_step():
-    # Structurally enforced inside step(); verify the recorded event never
-    # claims more than one register.
-    state = SystemState(build_bwbgme(2), distinct_sessions(2))
-    result = run(state, RoundRobin(), step_cap=10_000)
-    for ev in result.trace.events:
-        assert ev.kind in ("read", "write", "local", "noop")
-        if ev.kind == "local":
-            assert ev.reg is None and ev.rmr is False
+def test_one_shared_access_per_step(monkeypatch):
+    # Every step of every reachable state makes at most one access, and
+    # its event reports that access: the register, the value read or
+    # written, and the cost the memory charged.  A step without an
+    # access is local and free.  Every non-remainder pc of each
+    # algorithm must be stepped somewhere, so no branch goes unchecked.
+    monkeypatch.setattr(machine, "Memory", RecordingMemory)
+    stepped = defaultdict(set)
+    for spec in explored_specs():
+        def take_step(state, pid):
+            mem = state.mem
+            mem.log.clear()
+            stepped[spec.name].add(state.envs[pid - 1].pc or spec.entry_pc)
+            ev = step(state, pid)
+            assert len(mem.log) <= 1, (spec.name, pid, ev, mem.log)
+            if mem.log:
+                kind, slot, value, rmr = mem.log[0]
+                assert (ev.kind, ev.reg, ev.value, ev.rmr) == (kind, mem.names[slot], value, rmr)
+            else:
+                assert (ev.kind, ev.reg, ev.rmr) == ("local", None, False), ev
+
+        crosscheck_reachable(spec, explored_workload(), take_step=take_step)
+    for spec in explored_specs():
+        assert stepped[spec.name] == set(spec.sections) - {PC_REMAINDER}, spec.name
+
+
+def test_every_write_matches_its_register_kind(monkeypatch):
+    # The kinds table (register_kinds.KINDS) against the initial store
+    # and every write of the exhaustive walks and of random runs at N=4.
+    monkeypatch.setattr(machine, "Memory", RecordingMemory)
+
+    def check_writes(spec, mem):
+        kinds = slot_kinds(spec)
+        for kind, slot, value, _ in mem.log:
+            if kind == "write":
+                assert check_kind(kinds[slot], value), (spec.name, mem.names[slot], value)
+        mem.log.clear()
+
+    for spec in explored_specs():
+        kinds = slot_kinds(spec)
+        assert all(map(check_kind, kinds, Memory(spec.n, spec.registers).store))
+
+        def take_step(state, pid):
+            step(state, pid)
+            check_writes(spec, state.mem)
+
+        crosscheck_reachable(spec, explored_workload(), take_step=take_step)
+    for build in (build_glb, build_bwbgme, build_bl):
+        for seed in range(3):
+            spec = build(4)
+            state = SystemState(spec, Workload.from_sessions([[1, 2], [2, 1], [1, 1], [3, 2]]))
+            assert run(state, random_schedule(4, seed), step_cap=200_000).completed
+            check_writes(spec, state.mem)
+
+
+class FrozenMemory:
+    """A store the wait-line probe reads for free, leaving no trace."""
+
+    __slots__ = ("store",)
+
+    def __init__(self, store):
+        self.store = store
+
+    def read_slot(self, p, slot):
+        return self.store[slot], False
+
+    def write_slot(self, p, slot, value):
+        raise AssertionError("a wait line wrote")
+
+
+def passes_alone(spec, state, pid) -> bool:
+    """Step a copy of pid alone against the frozen store: True iff it
+    reaches a passing evaluation before it repeats a (pc, j)."""
+    env = ProcEnv()
+    env.load_key(state.envs[pid - 1].key())
+    frozen = SimpleNamespace(mem=FrozenMemory(state.mem.store))
+    seen = set()
+    while (env.pc, env.j) not in seen:
+        seen.add((env.pc, env.j))
+        if spec.step_fn(frozen, pid - 1, env)[5] == "pass":
+            return True
+    return False
+
+
+def test_wait_conds_match_the_wait_lines():
+    # The deadlock check reads wait_conds, a hand-written copy of every
+    # wait line; in every reachable state each one must agree with what
+    # the step machine itself does at that pc when nobody else moves.
+    probed = defaultdict(set)
+    for spec in explored_specs():
+        def take_step(state, pid):
+            env = state.envs[pid - 1]
+            cond = spec.wait_conds.get(env.pc)
+            if cond is not None:
+                want = passes_alone(spec, state, pid)
+                assert bool(cond(env, state.mem.store, pid)) == want, \
+                    (spec.name, spec.meta, pid, env.key(), state.mem.store)
+                probed[spec.name].add((env.pc, want))
+            step(state, pid)
+
+        crosscheck_reachable(spec, explored_workload(), take_step=take_step)
+    for spec in explored_specs():
+        assert probed[spec.name] == {(pc, want) for pc in spec.wait_conds
+                                     for want in (True, False)}, spec.name
 
 
 def test_value_key_roundtrip():
@@ -184,7 +284,8 @@ def test_value_key_roundtrip():
 
 def test_runs_match_value_cache_oracle(monkeypatch):
     # Whole runs under the value-carrying cache model, which checks every
-    # hit against the store, give the same events and RMR totals.
+    # hit against the store, give the same events; the invocation fold's
+    # per-process RMR sums equal the model's own totals.
     rng = random.Random(11)
     cases = []
     for build in (build_glb, build_bwbgme, build_bl):
@@ -198,12 +299,18 @@ def test_runs_match_value_cache_oracle(monkeypatch):
             state = SystemState(build(n), Workload.from_sessions(sessions))
             result = run(state, random_schedule(n, seed), step_cap=200_000)
             assert result.completed
-            out.append((result.trace.events, list(state.mem.totals)))
+            per_pid = [0] * n
+            for rec in build_invocations(result.trace):
+                per_pid[rec.pid - 1] += rec.rmr_total
+            out.append((result.trace.events, per_pid, state.mem))
         return out
 
     bitmask = run_all()
     monkeypatch.setattr(machine, "Memory", OracleMemory)
-    assert run_all() == bitmask
+    for (events, per_pid, _), (oracle_events, oracle_per_pid, oracle_mem) \
+            in zip(bitmask, run_all(), strict=True):
+        assert oracle_events == events
+        assert per_pid == oracle_per_pid == oracle_mem.totals
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,38 +2,31 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmesim import build_bwbgme, build_glb
-from gmesim.errors import KindMismatchError
 from gmesim.memory import BLACK, BOTTOM, WHITE, Memory, RegisterDecl
 from oracle_memory import Memory as OracleMemory
+from register_kinds import BOOL, COLOR, INT, TRIPLE, check_kind, slot_kinds
 
 
 def glb_memory(n=3):
-    return Memory(n, [
-        RegisterDecl("Session", "int", n, 0),
-        RegisterDecl("Token", "int", n, 0),
-        RegisterDecl("Choosing", "bool", n, False),
-    ])
+    return Memory(n, build_glb(n).registers)
 
 
 def test_cold_read_costs_one_rmr():
     mem = glb_memory()
     value, rmr = mem.read_slot(0, mem.names.index("Token[2]"))
     assert (value, rmr) == (0, True)
-    assert mem.totals == [1, 0, 0]
 
 
 def test_cached_reread_is_free():
     mem = glb_memory()
     slot = mem.names.index("Token[2]")
-    mem.read_slot(0, slot)
+    assert mem.read_slot(0, slot) == (0, True)
     value, rmr = mem.read_slot(0, slot)
     assert (value, rmr) == (0, False)
-    assert mem.totals == [1, 0, 0]
 
 
 def test_write_invalidates_other_caches():
@@ -46,13 +39,16 @@ def test_write_invalidates_other_caches():
 
 
 def test_every_write_is_one_rmr():
+    # A write reports no cost: every write event is flagged as an RMR
+    # (test_machine.test_one_shared_access_per_step).  Here: however
+    # often it is repeated, it leaves only the writer's copy valid.
     mem = glb_memory()
     slot = mem.names.index("Choosing[3]")
-    mem.write_slot(2, slot, True)
-    assert mem.totals[2] == 1
-    mem.write_slot(2, slot, False)
-    mem.write_slot(2, slot, False)
-    assert mem.totals[2] == 3
+    for value in (True, False, False):
+        mem.read_slot(0, slot)
+        mem.write_slot(2, slot, value)
+        assert mem.valid[slot] == 1 << 2
+        assert mem.read_slot(0, slot) == (value, True)
 
 
 def test_write_invalidates_every_reader():
@@ -67,7 +63,6 @@ def test_write_invalidates_every_reader():
     mem.write_slot(2, slot, 7)
     assert mem.read_slot(0, slot) == (7, True)
     assert mem.read_slot(1, slot) == (7, True)
-    assert mem.totals == [2, 2, 1]
 
 
 def test_writer_keeps_a_valid_copy():
@@ -79,30 +74,34 @@ def test_writer_keeps_a_valid_copy():
 
 
 def test_kind_mismatch_rejected():
-    mem = glb_memory()
-    with pytest.raises(KindMismatchError):
-        mem.write_slot(0, mem.names.index("Token[1]"), True)  # bool is not an int here
-    with pytest.raises(KindMismatchError):
-        mem.write_slot(0, mem.names.index("Choosing[1]"), 1)
+    kinds = slot_kinds(build_glb(3))
+    names = glb_memory().names
+    assert kinds[names.index("Token[1]")] == INT
+    assert kinds[names.index("Choosing[1]")] == BOOL
+    assert check_kind(INT, 4) and check_kind(BOOL, False)
+    assert not check_kind(INT, True)  # bool is not an int here
+    assert not check_kind(BOOL, 1)
 
 
 def test_triple_and_color_kinds():
     mem = Memory(2, [
-        RegisterDecl("GlobalColor", "color", None, WHITE),
-        RegisterDecl("Token", "triple", 2, (0, BOTTOM, 0)),
+        RegisterDecl("GlobalColor", None, WHITE),
+        RegisterDecl("Token", 2, (0, BOTTOM, 0)),
     ])
     assert mem.names == ["GlobalColor", "Token[1]", "Token[2]"]
     mem.write_slot(0, 1, (3, BLACK, 2))
     assert mem.read_slot(1, 1)[0] == (3, BLACK, 2)
-    with pytest.raises(KindMismatchError):
-        mem.write_slot(0, 1, (3, "green", 2))
-    with pytest.raises(KindMismatchError):
-        mem.write_slot(0, 0, 0)
+    assert slot_kinds(build_bwbgme(2)) == [COLOR, TRIPLE, TRIPLE, BOOL, BOOL]
+    assert check_kind(TRIPLE, (3, BLACK, 2)) and check_kind(COLOR, BOTTOM)
+    assert not check_kind(TRIPLE, (3, "green", 2))
+    assert not check_kind(TRIPLE, (-1, BLACK, 2))
+    assert not check_kind(TRIPLE, (3, BLACK))
+    assert not check_kind(COLOR, 0)
 
 
 def test_restore_reproduces_rmr_totals_under_replay():
     # Replay equality: the same 100 random operations on two fresh
-    # memories land on the same store, reader sets and totals.
+    # memories land on the same store, reader sets and RMR flags.
     rng = random.Random(7)
     n_slots = len(glb_memory(4).store)
     ops = []
@@ -114,16 +113,18 @@ def test_restore_reproduces_rmr_totals_under_replay():
         else:
             ops.append(("w", p, slot, rng.randrange(50)))
 
+    kinds = slot_kinds(build_glb(4))
+
     def apply_ops(mem):
+        rmrs = []
         for op in ops:
             if op[0] == "r":
-                mem.read_slot(op[1] - 1, op[2])
+                rmrs.append(mem.read_slot(op[1] - 1, op[2])[1])
             else:
-                kind = mem.kinds[op[2]]
-                value = bool(op[3] % 2) if kind == "bool" else op[3]
+                value = bool(op[3] % 2) if kinds[op[2]] == BOOL else op[3]
                 mem.write_slot(op[1] - 1, op[2], value)
         mem.check_coherence()
-        return list(mem.store), list(mem.valid), list(mem.totals)
+        return list(mem.store), list(mem.valid), rmrs
 
     assert apply_ops(glb_memory(4)) == apply_ops(glb_memory(4))
 
@@ -142,23 +143,21 @@ def op_sequences(draw):
 @settings(max_examples=120, deadline=None)
 @given(op_sequences())
 def test_rmr_accounting_rules_hold(seq):
-    # A read misses exactly when uncached; a write always costs one RMR
-    # and leaves only the writer holding a valid copy.
+    # A read misses exactly when uncached; a write leaves only the
+    # writer holding a valid copy.
     n, ops = seq
     mem = glb_memory(n)
+    kinds = slot_kinds(build_glb(n))
     cached = [set() for _ in range(n)]
     for kind, p, slot, value in ops:
-        before = mem.totals[p]
         if kind == "r":
             _, rmr = mem.read_slot(p, slot)
             assert rmr == (slot not in cached[p])
-            assert mem.totals[p] - before == (1 if rmr else 0)
             cached[p].add(slot)
         else:
-            if mem.kinds[slot] == "bool":
+            if kinds[slot] == BOOL:
                 value = bool(value % 2)
             mem.write_slot(p, slot, value)
-            assert mem.totals[p] - before == 1
             for q in range(n):
                 if q != p:
                     cached[q].discard(slot)
@@ -169,12 +168,12 @@ def test_rmr_accounting_rules_hold(seq):
 
 
 VALUES = {
-    "int": st.integers(min_value=0, max_value=9),
-    "bool": st.booleans(),
-    "color": st.sampled_from([BLACK, WHITE, BOTTOM]),
-    "triple": st.tuples(st.integers(min_value=0, max_value=3),
-                        st.sampled_from([BLACK, WHITE, BOTTOM]),
-                        st.integers(min_value=0, max_value=4)),
+    INT: st.integers(min_value=0, max_value=9),
+    BOOL: st.booleans(),
+    COLOR: st.sampled_from([BLACK, WHITE, BOTTOM]),
+    TRIPLE: st.tuples(st.integers(min_value=0, max_value=3),
+                      st.sampled_from([BLACK, WHITE, BOTTOM]),
+                      st.integers(min_value=0, max_value=4)),
 }
 
 
@@ -183,21 +182,28 @@ VALUES = {
        st.data())
 def test_reader_bitmasks_match_value_cache_oracle(build, n, data):
     # The value-carrying caches compare every hit with the store; the
-    # bitmask model must return the same values and RMR flags and charge
-    # the same totals after every operation.
-    decls = build(n).registers
-    mem, oracle = Memory(n, decls), OracleMemory(n, decls)
+    # bitmask model must return the same values and RMR flags, and those
+    # flags, plus one per write, must add up to the oracle's own totals
+    # after every operation.
+    spec = build(n)
+    kinds = slot_kinds(spec)
+    mem, oracle = Memory(n, spec.registers), OracleMemory(n, spec.registers)
+    totals = [0] * n
     slots = st.integers(min_value=0, max_value=len(mem.store) - 1)
     for _ in range(data.draw(st.integers(min_value=0, max_value=80))):
         p = data.draw(st.integers(min_value=0, max_value=n - 1))
         slot = data.draw(slots)
         if data.draw(st.booleans()):
-            assert mem.read_slot(p, slot) == oracle.read_slot(p, slot)
+            value, rmr = mem.read_slot(p, slot)
+            assert (value, rmr) == oracle.read_slot(p, slot)
+            totals[p] += rmr
         else:
-            value = data.draw(VALUES[mem.kinds[slot]])
+            value = data.draw(VALUES[kinds[slot]])
+            assert check_kind(kinds[slot], value)
             mem.write_slot(p, slot, value)
             oracle.write_slot(p, slot, value)
-        assert mem.totals == oracle.totals
+            totals[p] += 1
+        assert totals == oracle.totals
         assert mem.store == oracle.store
     oracle.check_coherence()
     mem.check_coherence()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmesim import SystemState, build_bwbgme, build_glb, run
+from gmesim import machine
 from gmesim.errors import ConsistencyError
 from gmesim.machine import (CS_ENTER, CS_EXIT, DOORWAY_COMPLETE, DOORWAY_START,
                             EXIT_COMPLETE, Section, Trace, TraceEvent)
@@ -19,6 +20,7 @@ from gmesim.monitors import (CHECKS, FAIL, INAPPLICABLE, MONITORS, PASS, Verdict
                              check_mutual_exclusion, check_progress,
                              check_token_bound)
 from gmesim.schedules import RoundRobin
+from oracle_memory import Memory as OracleMemory
 from util import (check, distinct_sessions, flip_token_against_oracle,
                   me_fcfs_against_oracle)
 
@@ -235,14 +237,18 @@ def test_implication_check_raises_on_inconsistency():
     check_implications(verdicts, trace)
 
 
-def test_build_invocations_sections_sum_to_ledger():
+def test_build_invocations_sections_sum_to_ledger(monkeypatch):
+    # The fold's per-section RMR counts, summed per process, equal the
+    # totals the value-cache memory model charges on its own.
+    monkeypatch.setattr(machine, "Memory", OracleMemory)
     state = SystemState(build_glb(3), distinct_sessions(3, invocations=2))
     result = run(state, RoundRobin(), step_cap=100_000)
     assert result.completed
     per_pid = {pid: 0 for pid in range(1, 4)}
     for rec in build_invocations(result.trace):
         per_pid[rec.pid] += rec.rmr_total
-    assert [per_pid[p] for p in (1, 2, 3)] == result.rmr_totals
+    assert [per_pid[p] for p in (1, 2, 3)] == state.mem.totals
+    assert sum(state.mem.totals) > 0
 
 
 MARKERS = (DOORWAY_START, DOORWAY_COMPLETE, CS_ENTER, CS_EXIT, EXIT_COMPLETE)

@@ -4,8 +4,11 @@ import hashlib
 from collections import Counter
 
 import oracle_monitors
-from gmesim import Scripted, SystemState, Workload, run, step
+from gmesim import (BLACK, WHITE, Scripted, SystemState, Workload, build_bl, build_bwbgme,
+                    build_glb, run, step)
+from gmesim.bwbgme import MUTANTS
 from gmesim.machine import CS_ENTER, DOORWAY_COMPLETE, EXIT_COMPLETE, Section, Trace
+from gmesim.memory import Memory
 from gmesim.monitors import (FAIL, build_invocations, check_fcfs, check_flip_invariant,
                              check_mutual_exclusion, check_token_bound)
 
@@ -139,3 +142,39 @@ def report_digest(report) -> str:
                [(prop, [(v.path, v.detail) for v in vs])
                 for prop, vs in sorted(report.violations.items())])
     return hashlib.sha256(repr(summary).encode()).hexdigest()[:16]
+
+
+class RecordingMemory(Memory):
+    """The simulator's memory, logging each access as (kind, slot, value,
+    rmr); tests install it in place of gmesim.machine.Memory."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, n, decls):
+        super().__init__(n, decls)
+        self.log = []
+
+    def read_slot(self, p, slot):
+        value, rmr = Memory.read_slot(self, p, slot)
+        self.log.append(("read", slot, value, rmr))
+        return value, rmr
+
+    def write_slot(self, p, slot, value):
+        Memory.write_slot(self, p, slot, value)
+        self.log.append(("write", slot, value, True))
+
+
+def explored_specs() -> list:
+    """The step machines the exhaustive tests walk: glb, bwbgme in both
+    colours and with each mutant, and bl, each at N=2."""
+    return ([build_glb(2)]
+            + [build_bwbgme(2, color, mutant) for color in (WHITE, BLACK) for mutant in MUTANTS]
+            + [build_bl(2)])
+
+
+def explored_workload() -> Workload:
+    """Two invocations per process for the exhaustive tests.  P1 changes
+    session between its two, so every wait line meets both a shared and
+    a conflicting session."""
+    return Workload.from_sessions([[1, 2], [1, 1]])
+
