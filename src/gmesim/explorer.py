@@ -13,8 +13,12 @@ on the edge whose event violates it.
 
 Each component is stored once, in one of three interned tables (the
 stores, the `ProcEnv.key()` runtimes and the monitor-state tuples), and
-a state's key is the flat tuple of small ints (store id, runtime id of
-P1..Pn, monitor-state id), as in SPIN's collapse compression.  The
+a state's key packs their small-int ids into one int, as in SPIN's
+collapse compression: field i (store id, runtime id of P1..Pn,
+monitor-state id) sits at shift i*width.  The width is fixed before the
+search from a bound no id can reach (see `explore`).  The visited table
+is the state list: an insertion-ordered dict whose i-th key is state
+i's, beside array columns of each state's parent and depth.  The
 monitor step is memoized: `advance` is a pure function of the monitor
 state and the event fields the monitors read, so each (monitor-state
 id, pid, inv, line, kind, reg, value, markers) is stepped once and maps
@@ -23,11 +27,14 @@ to the child's monitor-state id and the violations it reports.
 The search steps and undoes instead of copying state in.  One live
 SystemState serves every state; the search remembers which store and
 runtime ids it holds, and a popped state loads only the store and the
-runtimes whose ids differ.  Each successor steps one process on it; its
-key is spliced from the parent's (a new runtime id, and a new store id
-only if the step wrote).  Before the next successor the step is undone
-the same way, and the reader sets are emptied before every successor,
-so each one's reads cost what they would from a fresh load.
+runtimes whose ids differ.  The DFS stack carries each state's id, key
+and unpacked fields, so nothing is unpacked on pop.  Each successor
+steps one process on it; its key is the parent's plus the change of
+each field that moved (the stepped runtime always, the store only on a
+write, the monitor state only when it advanced).  Before the next
+successor the step is undone the same way, and the reader sets are
+emptied before every successor, so each one's reads cost what they
+would from a fresh load.
 
 Every reported state is reproducible: the report keeps the state table
 the DFS builds (each state's key and parent edge) with the three
@@ -37,6 +44,7 @@ reaches it from the initial state.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -63,12 +71,15 @@ class ExplorationReport:
     token_cap_hits: int = 0
     truncated: bool = False
     truncation_reason: str = ""
-    # The state table, indexed by state id (0 is the initial state): the
-    # key (store id, runtime id of P1..Pn, monitor-state id), the parent's
-    # id and the pid stepped from it.  The ids index the interned tables.
-    keys: list = field(default_factory=list, repr=False)
-    parent: list = field(default_factory=list, repr=False)
-    parent_pid: list = field(default_factory=list, repr=False)
+    # The state table, by state id (0 is the initial state).  keys is the
+    # visited dict in id order, each key an int packing (store id, runtime
+    # id of P1..Pn, monitor-state id), field i at shift i*width; parent and
+    # parent_pid are arrays of the parent's id and the pid stepped from it.
+    # The ids index the interned tables.
+    width: int = 0
+    keys: dict = field(default_factory=dict, repr=False)
+    parent: array = field(default_factory=lambda: array("i"), repr=False)
+    parent_pid: array = field(default_factory=lambda: array("i"), repr=False)
     stores: list = field(default_factory=list, repr=False)  # tuple(mem.store) values
     runtimes: list = field(default_factory=list, repr=False)  # ProcEnv.key() values
     monitor_states: list = field(default_factory=list, repr=False)  # per-monitor state tuples
@@ -103,6 +114,11 @@ class _Interned(dict):
         self[value] = i = len(self.table)
         self.table.append(value)
         return i
+
+
+def _typecode(bound: int) -> str:
+    """The narrowest signed array typecode that holds every int in [-1, bound]."""
+    return next(t for t in "bhiq" if bound < 1 << (8 * array(t).itemsize - 1))
 
 
 def default_token_cap(n: int, invocations: int) -> int:
@@ -141,20 +157,27 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     # (child monitor-state id, (i, culprits) per violated monitor i)
     memo = {}
 
+    # The root interns one value in each table and a transition at most
+    # one more per table.  At most max(max_states, 1) states are stored,
+    # each stepped by at most n processes, so no table reaches 2**width
+    # values and every id fits in its field.
+    stored = max(max_states, 1)
+    width = report.width = (1 + stored * n).bit_length()
+    monitor_shift = (n + 1) * width
     root_store, root_envs = work.value_key()
-    root_key = (store_ids[root_store], *map(runtime_ids.__getitem__, root_envs),
-                monitor_ids[starts])
-    ids = {root_key: 0}
-    keys = report.keys = [root_key]
-    parent = report.parent = [-1]
-    parent_pid = report.parent_pid = [0]
-    depth = [0]
-    stack = [0]
+    root = [store_ids[root_store], *map(runtime_ids.__getitem__, root_envs),
+            monitor_ids[starts]]
+    root_key = sum(f << (i * width) for i, f in enumerate(root))
+    ids = report.keys = {root_key: None}
+    parent = report.parent = array(_typecode(stored), [-1])
+    parent_pid = report.parent_pid = array(_typecode(n), [0])
+    depth = array(parent.typecode, [0])
+    stack = [(0, root_key, root)]  # (state id, key, its fields), per state to expand
     path_of = report.path_of
     mem, envs = work.mem, work.envs
     no_readers = [0] * len(mem.store)
     last_inv = [len(per) - 1 for per in workload.invocations]
-    held = list(root_key[:-1])  # the store and runtime ids the live state holds
+    held = root[:-1]  # the store and runtime ids the live state holds
 
     def add_violation(prop: str, path: tuple, detail: str) -> None:
         report.violations.setdefault(prop, []).append(Violation(path, detail))
@@ -169,11 +192,12 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
 
     transitions = 0
     while stack:
-        nid = stack.pop()
-        key = keys[nid]
-        sid, mid = key[0], key[-1]
+        nid, key, fields = stack.pop()
+        sid, mid = fields[0], fields[-1]
         for p in range(n):
-            rt = runtimes[key[p + 1]]
+            pid = p + 1
+            rid = fields[pid]
+            rt = runtimes[rid]
             if rt[0] == PC_REMAINDER and rt[6] >= last_inv[p]:
                 continue  # the process has finished its last invocation
             # Load the parts of state nid that the live state does not hold:
@@ -182,10 +206,9 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                 mem.store[:] = stores[sid]
                 held[0] = sid
             for q in range(1, n + 1):
-                if held[q] != key[q]:
-                    envs[q - 1].load_key(runtimes[key[q]])
-                    held[q] = key[q]
-            pid = p + 1
+                if held[q] != fields[q]:
+                    envs[q - 1].load_key(runtimes[fields[q]])
+                    held[q] = fields[q]
             mem.valid[:] = no_readers
             ev = step(work, pid)
             transitions += 1
@@ -202,12 +225,16 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                     add_violation(props[i], path_of(nid) + (pid,),
                                   describe[i](ev, culprits))
 
-            child = list(key)
+            # The live state is now the child: held lists its store and
+            # runtime ids.
+            held[pid] = runtime_ids[envs[p].key()]
+            child = key + ((held[pid] - rid) << (pid * width))
             wrote = ev.kind == "write"
             if wrote:
-                held[0] = child[0] = store_ids[tuple(mem.store)]
-            held[pid] = child[pid] = runtime_ids[envs[p].key()]
-            child[-1] = child_mid
+                held[0] = store_ids[tuple(mem.store)]
+                child += held[0] - sid
+            if child_mid != mid:
+                child += (child_mid - mid) << monitor_shift
 
             if wrote and ev.reg.startswith("Token["):
                 number = token_number(ev.value)
@@ -219,10 +246,9 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                     report.truncation_reason = "token cap"
                     continue
 
-            child_key = tuple(child)
-            if child_key in ids:
+            if child in ids:
                 continue
-            if len(keys) >= max_states:
+            if len(ids) >= max_states:
                 report.truncated = True
                 report.truncation_reason = "max_states"
                 continue
@@ -231,17 +257,16 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                 report.truncated = True
                 report.truncation_reason = "max_depth"
                 continue
-            cid = len(keys)
-            ids[child_key] = cid
-            keys.append(child_key)
+            cid = len(ids)
+            ids[child] = None
             parent.append(nid)
             parent_pid.append(pid)
             depth.append(child_depth)
             if child_depth > report.max_depth:
                 report.max_depth = child_depth
             check_deadlock(cid)
-            stack.append(cid)
+            stack.append((cid, child, held + [child_mid]))
 
-    report.states = len(keys)
+    report.states = len(ids)
     report.transitions = transitions
     return report

@@ -8,7 +8,8 @@ from gmesim.machine import all_active_blocked
 from gmesim.monitors import FAIL, MONITORS, online_props
 from oracle_scans import all_active_blocked as full_scan
 from oracle_explorer import crosscheck_reachable
-from util import check, decoded_key, distinct_sessions, report_digest
+from util import (check, decoded_key, distinct_sessions, explored_workload, report_digest,
+                  unpacked, value_keys)
 
 
 def test_single_process_single_path():
@@ -19,11 +20,6 @@ def test_single_process_single_path():
     from gmesim import RoundRobin
     result = run(state, RoundRobin(), step_cap=100)
     assert report.states == len(result.trace.events) + 1
-
-
-def value_keys(report) -> list:
-    """Each stored state's value key, in state id order."""
-    return [decoded_key(report, nid)[0] for nid in range(report.states)]
 
 
 def test_glb_n2_matches_independent_interleaver():
@@ -55,6 +51,47 @@ def test_bwbgme_n2_matches_independent_interleaver():
     assert report.max_token == 2
 
 
+
+def assert_fields_fit(report, label):
+    """explore() fixes the field width before the search from a bound on
+    the ids: every table it interned must fit, however early a cap
+    stopped the search, and every key must unpack and repack to itself."""
+    for table in (report.stores, report.runtimes, report.monitor_states):
+        assert len(table) < 2 ** report.width, label
+    for key in report.keys:
+        fields = unpacked(report, key)
+        assert sum(f << (i * report.width) for i, f in enumerate(fields)) == key, label
+
+
+def test_bwbgme_n3_packed_keys_match_independent_interleaver():
+    # Decoding every packed key gives exactly the value keys a search
+    # that keeps plain value keys reaches.
+    spec = build_bwbgme(3)
+    wl = Workload.from_sessions([[1], [1], [2]])
+    report = explore(spec, wl)
+    keys, me, deadlocks = crosscheck_reachable(spec, wl)
+    assert report.clean and not report.truncated and me == 0 and deadlocks == 0
+    assert keys == set(value_keys(report))
+    assert_fields_fit(report, "bwbgme {1,1,2}")
+
+
+def test_packing_width_holds_every_id():
+    # Every cap, from the narrowest width (one state) up, at N=2 with two
+    # invocations per process and on the two N=3 configs; glb {1,2,1}
+    # interns 592 stores.
+    runs = [(build(2), explored_workload(), dict(max_states=cap))
+            for build in (build_glb, build_bwbgme) for cap in (1, 2, 50, 2_000_000)]
+    runs += [(build_glb(2), explored_workload(), dict(token_cap=1))]
+    runs += [(build_glb(3), Workload.from_sessions([[1], [2], [1]]), dict(max_states=cap))
+             for cap in (1, 2, 50, 2_000_000)]
+    runs += [(build_bwbgme(3), Workload.from_sessions([[1], [1], [2]]), dict(max_states=cap))
+             for cap in (1, 2, 50)]
+    for spec, wl, caps in runs:
+        report = explore(spec, wl, **caps)
+        assert report.truncated == (caps != dict(max_states=2_000_000)), (spec.name, caps)
+        assert_fields_fit(report, (spec.name, caps))
+
+
 def test_fold_and_explorer_step_the_same_monitors():
     # bl is not FCFS: the fold of an adversarial run, whose entries do
     # overtake, must not step the fcfs monitor the explorer leaves out.
@@ -63,7 +100,8 @@ def test_fold_and_explorer_step_the_same_monitors():
     assert set(build_invocations(trace).first) <= set(online_props("bl"))
     for build in (build_glb, build_bwbgme, build_bl):
         report = explore(build(2), Workload.from_sessions([[1], [2]]), max_states=1)
-        assert len(decoded_key(report, 0)[1]) == len(online_props(report.algorithm))
+        root_key = next(iter(report.keys))
+        assert len(decoded_key(report, root_key)[1]) == len(online_props(report.algorithm))
 
 
 def test_reported_states_replay_as_scripts():
@@ -72,9 +110,10 @@ def test_reported_states_replay_as_scripts():
     spec = build_bwbgme(2)
     wl = Workload.from_sessions([[1], [2]])
     report = explore(spec, wl)
-    assert len(report.keys) == report.states
+    keys = list(report.keys)
+    assert len(keys) == report.states
     for nid in range(0, report.states, 37):
-        path, vkey = report.path_of(nid), decoded_key(report, nid)[0]
+        path, vkey = report.path_of(nid), decoded_key(report, keys[nid])[0]
         state = SystemState(spec, wl)
         result = run(state, Scripted(path), step_cap=len(path) + 1)
         assert len(result.trace.events) == len(path)

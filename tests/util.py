@@ -124,12 +124,25 @@ def distinct_sessions(n, invocations=1, cs_steps=1):
                                   cs_steps=cs_steps)
 
 
-def decoded_key(report, nid) -> tuple:
-    """State nid's (value key, monitor states), looked up in the report's
-    interned tables; the value key is the one SystemState.value_key gives."""
-    sid, *rids, mid = report.keys[nid]
+def unpacked(report, key) -> list:
+    """A packed state key's fields (store id, runtime id of P1..Pn,
+    monitor-state id), each report.width bits wide."""
+    mask = (1 << report.width) - 1
+    return [key >> (i * report.width) & mask for i in range(report.n + 2)]
+
+
+def decoded_key(report, key) -> tuple:
+    """A packed state key's (value key, monitor states), looked up in the
+    report's interned tables; the value key is the one
+    SystemState.value_key gives."""
+    sid, *rids, mid = unpacked(report, key)
     return ((report.stores[sid], tuple(report.runtimes[r] for r in rids)),
             report.monitor_states[mid])
+
+
+def value_keys(report) -> list:
+    """Each stored state's value key, in state id order."""
+    return [decoded_key(report, key)[0] for key in report.keys]
 
 
 def report_digest(report) -> str:
