@@ -27,8 +27,8 @@ to the child's monitor-state id and the violations it reports.
 The search steps and undoes instead of copying state in.  One live
 SystemState serves every state; the search remembers which store and
 runtime ids it holds, and a popped state loads only the store and the
-runtimes whose ids differ.  The DFS stack carries each state's id, key
-and unpacked fields, so nothing is unpacked on pop.  Each successor
+runtimes whose ids differ.  The DFS stack carries each state's fields
+beside its id and key, so a popped key is never unpacked.  Each successor
 steps one process on it; its key is the parent's plus the change of
 each field that moved (the stepped runtime always, the store only on a
 write, the monitor state only when it advanced).  Before the next

@@ -9,7 +9,7 @@ from gmesim.monitors import FAIL, MONITORS, online_props
 from oracle_scans import all_active_blocked as full_scan
 from oracle_explorer import crosscheck_reachable
 from util import (check, decoded_key, distinct_sessions, explored_workload, report_digest,
-                  unpacked, value_keys)
+                  unpacked)
 
 
 def test_single_process_single_path():
@@ -20,6 +20,11 @@ def test_single_process_single_path():
     from gmesim import RoundRobin
     result = run(state, RoundRobin(), step_cap=100)
     assert report.states == len(result.trace.events) + 1
+
+
+def value_keys(report) -> list:
+    """Each stored state's value key, in state id order."""
+    return [decoded_key(report, key)[0] for key in report.keys]
 
 
 def test_glb_n2_matches_independent_interleaver():
@@ -49,7 +54,6 @@ def test_bwbgme_n2_matches_independent_interleaver():
     assert report.clean and me == 0 and deadlocks == 0
     assert keys == set(value_keys(report))
     assert report.max_token == 2
-
 
 
 def assert_fields_fit(report, label):

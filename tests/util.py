@@ -140,11 +140,6 @@ def decoded_key(report, key) -> tuple:
             report.monitor_states[mid])
 
 
-def value_keys(report) -> list:
-    """Each stored state's value key, in state id order."""
-    return [decoded_key(report, key)[0] for key in report.keys]
-
-
 def report_digest(report) -> str:
     """A short digest of everything an exploration reports: its counts,
     caps and truncation, and every violation's property, path and
