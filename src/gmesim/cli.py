@@ -105,13 +105,21 @@ def _override(scenario: Scenario, key: str, flag: str, value) -> None:
         setattr(scenario, key, value)
 
 
-def _run_scenario(scenario: Scenario):
+def _run_scenario(scenario: Scenario, keep_events: bool = False):
     """The one path from a Scenario to a run, for `run` and every sweep
-    job: its RunResult and invocation records."""
+    job: its RunResult and invocation records.
+
+    The fold takes each event as `run` makes it, so no event outlives
+    its step, unless `keep_events` (`run --trace-out`) has the trace
+    keep them all, as a list, for the trace file.
+    """
     state = SystemState(scenario.build_spec(), scenario.build_workload())
     result = run(state, scenario.build_schedule(), step_cap=scenario.step_cap)
-    result.trace.meta["seed"] = scenario.seed
-    return result, build_invocations(result.trace)
+    trace = result.trace
+    trace.meta["seed"] = scenario.seed
+    if keep_events:
+        trace.events = list(trace.events)
+    return result, build_invocations(trace)
 
 
 def cmd_run(args) -> int:
@@ -120,7 +128,7 @@ def cmd_run(args) -> int:
         scenario.seed = args.seed
     _override(scenario, "step_cap", "--steps", args.steps)
 
-    result, records = _run_scenario(scenario)
+    result, records = _run_scenario(scenario, keep_events=bool(args.trace_out))
     trace = result.trace
     verdicts = {name: MONITORS[name](trace, records) for name in CHECKS[scenario.algorithm]}
     check_implications(verdicts, trace)
@@ -132,7 +140,7 @@ def cmd_run(args) -> int:
 
     print(f"scenario {scenario.config_hash}  algorithm={scenario.algorithm} "
           f"n={scenario.n} schedule={scenario.schedule} seed={scenario.seed}")
-    print(f"steps={len(trace.events)} completed={result.completed} "
+    print(f"steps={result.steps} completed={result.completed} "
           f"deadlocked={result.deadlocked} cap_hit={result.cap_hit}")
     for name, verdict in verdicts.items():
         mark = verdict.status.upper()
@@ -246,7 +254,7 @@ def cmd_sweep(args) -> int:
             row = {
                 "config_hash": scenario.config_hash, "algorithm": "bl", "n": n,
                 "total_rmr": sum(r.rmr_total for r in records), "pn_blocks": totals[n],
-                "events": len(result.trace.events),
+                "events": result.steps,
             }
             rows.append(row)
             print(f"bl adversarial n={n}: total_rmr={row['total_rmr']} "

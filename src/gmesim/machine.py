@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .errors import ConfigurationError
 from .memory import Memory, RegisterDecl
@@ -83,11 +83,16 @@ class TraceEvent:
 
 @dataclass
 class Trace:
-    """A full run's event sequence plus the context monitors need."""
+    """A run's events plus the context monitors need.
+
+    The events of a trace `run` returns are the run itself, made one
+    step at a time as they are taken and kept by nobody; a caller that
+    needs them all (a trace file, a test) makes them a list first.
+    """
 
     algorithm: str
     n: int
-    events: list
+    events: Iterable
     meta: dict = field(default_factory=dict)
 
 
@@ -298,36 +303,59 @@ def all_active_blocked(state: SystemState) -> bool:
 
 @dataclass
 class RunResult:
+    """A run's trace, and how the run ended: known once its events are spent."""
+
     trace: Trace
-    completed: bool
-    deadlocked: bool
-    cap_hit: bool
+    completed: bool = False
+    deadlocked: bool = False
+    cap_hit: bool = False
+    steps: int = 0  # events made, the deadlock event included
 
 
 def run(state: SystemState, schedule, step_cap: int = 1_000_000) -> RunResult:
     """Drive the system under a schedule until done, stuck, or capped.
 
-    Steps execute in schedule order; checking the trace is the caller's
-    job (see `gmesim.monitors`).
+    Returns before any step: the run happens as its trace's events are
+    taken, one `step` per event in schedule order, plus a last
+    "deadlock" event when every active process is blocked.  Taking the
+    last event sets `completed`, `deadlocked`, `cap_hit` and `steps`,
+    on the result and in the trace meta.  Checking the events is the
+    caller's job (see `gmesim.monitors`).
     """
-    events: list[TraceEvent] = []
+    spec = state.spec
+    workload_sessions = [[s for s, _ in per_proc] for per_proc in state.workload.invocations]
+    # The end flags keep their place in the meta's key order until the
+    # run settles them.
+    meta = dict(spec.meta, completed=False, deadlocked=False, cap_hit=False,
+                sessions=sorted({s for per_proc in workload_sessions for s in per_proc}),
+                workload_sessions=workload_sessions)
+    result = RunResult(Trace(spec.name, spec.n, None, meta))
+    result.trace.events = _events(state, schedule, step_cap, result)
+    return result
+
+
+def _events(state: SystemState, schedule, step_cap: int, result: RunResult):
+    """The events of `run`'s result, each made as it is taken."""
+    steps = 0
     deadlocked = False
     cap_hit = False
     # Only the stepped process can run out of invocations, and it does so
     # on the step that completes its last exit.
     live = len(state.live_pids())
     while live:
-        if len(events) >= step_cap:
+        if steps >= step_cap:
             cap_hit = True
             break
         pid = schedule.next(state)
         if pid is None:
             break
         ev = step(state, pid)
-        events.append(ev)
+        steps += 1
+        yield ev
         if ev.outcome == "fail" and all_active_blocked(state):
-            events.append(TraceEvent(state.step_index, 0, -1, 0, "deadlock", None,
-                                     None, False, Section.REMAINDER, (), None, None))
+            steps += 1
+            yield TraceEvent(state.step_index, 0, -1, 0, "deadlock", None,
+                             None, False, Section.REMAINDER, (), None, None)
             state.step_index += 1
             deadlocked = True
             break
@@ -335,12 +363,6 @@ def run(state: SystemState, schedule, step_cap: int = 1_000_000) -> RunResult:
             live -= 1
 
     completed = state.all_done()
-    trace = Trace(state.spec.name, state.spec.n, events,
-                  meta=dict(state.spec.meta))
-    trace.meta["completed"] = completed
-    trace.meta["deadlocked"] = deadlocked
-    trace.meta["cap_hit"] = cap_hit
-    workload_sessions = [[s for s, _ in per_proc] for per_proc in state.workload.invocations]
-    trace.meta["sessions"] = sorted({s for per_proc in workload_sessions for s in per_proc})
-    trace.meta["workload_sessions"] = workload_sessions
-    return RunResult(trace, completed, deadlocked, cap_hit)
+    result.completed, result.deadlocked, result.cap_hit = completed, deadlocked, cap_hit
+    result.steps = steps
+    result.trace.meta.update(completed=completed, deadlocked=deadlocked, cap_hit=cap_hit)

@@ -1,12 +1,13 @@
-"""Property monitors: pure functions from a trace and its invocation fold
-to a verdict.
+"""Property monitors: pure functions from a trace's context (algorithm,
+n, meta) and its invocation fold to a verdict.
 
-The caller folds the trace once with `build_invocations`, the one walk
-along its events, and hands the same records to every monitor, as
-`monitor(trace, records)`; no monitor reads the events, rebuilds the
-fold or mutates the records, so running a monitor twice on the same
-inputs always yields the same verdict.  `CHECKS` names the monitors
-(`MONITORS`) each algorithm is checked for.
+The caller folds the run's events once with `build_invocations`, the
+one walk along them, which takes each event as `run` makes it; it hands
+the same records to every monitor, as `monitor(trace, records)`.  No
+monitor reads the events, rebuilds the fold or mutates the records, so
+running a monitor twice on the same inputs always yields the same
+verdict.  `CHECKS` names the monitors (`MONITORS`) each algorithm is
+checked for.
 
 Mutual exclusion, FCFS, the single GlobalColor flip and the N+1 token
 bound are each defined once, as an online monitor (`ONLINE`): a small
@@ -110,8 +111,10 @@ class Invocations(list):
 
 
 def build_invocations(trace: Trace) -> Invocations:
-    """Fold the event stream into per-invocation records, stepping the
-    algorithm's online monitors (`online_props`) along it in the same walk."""
+    """Fold the trace's events into per-invocation records, stepping the
+    algorithm's online monitors (`online_props`) along them in the same
+    walk.  The events may be any iterable: a list, or the stream of a
+    run that `run` has not made yet, which this walk then drives."""
     algorithm = trace.algorithm
     commit_line = {"glb": 5, "bwbgme": 14, "bl": None}[algorithm]
     wait_lines = _WAIT_LINES[algorithm]

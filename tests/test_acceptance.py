@@ -11,14 +11,14 @@ import pytest
 
 from gmesim import (Scripted, SystemState, Workload, bl_adversarial_schedule,
                     bl_adversarial_workload, block_counts, build_bl, build_bwbgme,
-                    build_glb, explore, random_schedule, run)
+                    build_glb, explore, random_schedule)
 from gmesim.memory import BLACK, WHITE
 from gmesim.monitors import (FAIL, PASS, build_invocations, check_bounded_exit,
                              check_concurrent_entry, check_flip_invariant,
                              check_mutual_exclusion, check_token_bound,
                              check_wait_rmr_bounds)
 from util import (check, distinct_sessions, doorway_done, drive, finished,
-                  me_fcfs_against_oracle, report_digest)
+                  me_fcfs_against_oracle, report_digest, run_collected)
 
 pytestmark = pytest.mark.acceptance
 
@@ -102,7 +102,7 @@ def test_criterion_3_burns_lamport_quadratic_witness():
     for n in (2, 4, 6, 8, 10):
         schedule = bl_adversarial_schedule(n)
         state = SystemState(build_bl(n), bl_adversarial_workload(n))
-        result = run(state, schedule, step_cap=10**6)
+        result = run_collected(state, schedule, step_cap=10**6)
         assert result.completed
         records = build_invocations(result.trace)
         assert block_counts(n, records)[n] == n * (n - 1) // 2, n
@@ -121,7 +121,7 @@ def _sweep_max_inv_rmr(build, sizes, seeds, invocations=2):
         top = 0
         for seed in range(seeds):
             state = SystemState(spec, distinct_sessions(n, invocations=invocations))
-            result = run(state, random_schedule(n, seed), step_cap=10**6)
+            result = run_collected(state, random_schedule(n, seed), step_cap=10**6)
             assert result.completed
             for rec in build_invocations(result.trace):
                 if rec.rmr_total > top:
@@ -144,7 +144,7 @@ def test_criterion_5_glb_per_line_rmr_bounds():
     for n in (2, 3, 4, 8):
         for seed in range(10):
             state = SystemState(build_glb(n), distinct_sessions(n, invocations=2))
-            result = run(state, random_schedule(n, seed), step_cap=10**6)
+            result = run_collected(state, random_schedule(n, seed), step_cap=10**6)
             assert result.completed
             verdict = check(check_wait_rmr_bounds, result.trace)
             assert verdict.ok, verdict.detail
@@ -178,7 +178,7 @@ def test_criterion_7_concurrent_entry():
         for seed in range(100):
             wl = Workload.from_sessions([[1]] * n)
             state = SystemState(spec, wl)
-            result = run(state, random_schedule(n, seed), step_cap=10**6)
+            result = run_collected(state, random_schedule(n, seed), step_cap=10**6)
             assert result.completed
             verdict = check(check_concurrent_entry, result.trace)
             assert verdict.status == "pass", verdict.detail
@@ -192,7 +192,7 @@ def test_criterion_8_bounded_exit():
         for n in (2, 4, 6):
             for seed in range(5):
                 state = SystemState(build(n), distinct_sessions(n, invocations=2))
-                result = run(state, random_schedule(n, seed), step_cap=10**6)
+                result = run_collected(state, random_schedule(n, seed), step_cap=10**6)
                 assert result.completed
                 assert check(check_bounded_exit, result.trace).ok
                 for rec in build_invocations(result.trace):
@@ -211,13 +211,13 @@ def test_criterion_9_mutation_sensitivity():
 
     wl, pids = narrative_counterexample_script("unconditional_flip")
     state = SystemState(build_bwbgme(4, WHITE, "unconditional_flip"), wl)
-    bad = run(state, Scripted(pids), step_cap=10**5)
+    bad = run_collected(state, Scripted(pids), step_cap=10**5)
     assert not check(check_mutual_exclusion, bad.trace).ok
     assert not check(check_flip_invariant, bad.trace).ok
     assert me_fcfs_against_oracle(bad.trace)["me"] == FAIL
 
     state = SystemState(build_bwbgme(4, WHITE), wl)
-    good = run(state, Scripted(pids), step_cap=10**5)
+    good = run_collected(state, Scripted(pids), step_cap=10**5)
     assert check(check_mutual_exclusion, good.trace).ok
     assert check(check_flip_invariant, good.trace).ok
     assert check(check_token_bound, good.trace).ok
@@ -227,11 +227,11 @@ def test_criterion_9_mutation_sensitivity():
     # double-flip inside a hanging process's window
     wl, pids = hanging_window_script("no_number_guard")
     state = SystemState(build_bwbgme(3, WHITE, "no_number_guard"), wl)
-    bad = run(state, Scripted(pids), step_cap=10**5)
+    bad = run_collected(state, Scripted(pids), step_cap=10**5)
     assert not check(check_flip_invariant, bad.trace).ok
     me_fcfs_against_oracle(bad.trace)
     state = SystemState(build_bwbgme(3, WHITE), wl)
-    good = run(state, Scripted(pids), step_cap=10**5)
+    good = run_collected(state, Scripted(pids), step_cap=10**5)
     assert check(check_flip_invariant, good.trace).ok
     me_fcfs_against_oracle(good.trace)
     report(9, "mutation sensitivity: naive exit and missing guard are caught")
@@ -242,7 +242,7 @@ def test_criterion_10_starvation_heuristic():
     for build in (build_glb, build_bwbgme):
         spec = build(n)
         state = SystemState(spec, distinct_sessions(n, invocations=10))
-        result = run(state, random_schedule(n, seed=2026), step_cap=10**5)
+        result = run_collected(state, random_schedule(n, seed=2026), step_cap=10**5)
         assert result.completed and not result.deadlocked
         records = build_invocations(result.trace)
         assert len(records) == n * 10

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from gmesim import (Scripted, SystemState, Workload, bl_adversarial_schedule,
                     bl_adversarial_workload, block_counts, build_bl, explore,
-                    random_schedule, run)
+                    random_schedule)
 from gmesim.errors import ConfigurationError
 from gmesim.monitors import build_invocations, check_bounded_exit, check_mutual_exclusion
 from oracle_monitors import block_events
-from util import check, distinct_sessions, drive, exit_writes
+from util import check, distinct_sessions, drive, exit_writes, run_collected
 
 
 def blocks_by_blocker(records) -> dict:
@@ -32,7 +32,7 @@ def assert_blocks_match_oracle(n, trace) -> tuple:
 
 def test_solo_process_enters_without_blocking():
     state = SystemState(build_bl(1), Workload.from_sessions([[1]]))
-    result = run(state, random_schedule(1, 0), step_cap=100)
+    result = run_collected(state, random_schedule(1, 0), step_cap=100)
     assert result.completed
     assert assert_blocks_match_oracle(1, result.trace) == ({1: 0}, {})
 
@@ -69,7 +69,7 @@ def test_exhaustive_me_small_n():
 
 def test_exit_is_one_write():
     state = SystemState(build_bl(3), distinct_sessions(3, invocations=2))
-    result = run(state, random_schedule(3, 5), step_cap=100_000)
+    result = run_collected(state, random_schedule(3, 5), step_cap=100_000)
     assert result.completed
     assert check(check_bounded_exit, result.trace).ok
     writes = exit_writes(result.trace)
@@ -97,8 +97,8 @@ def test_block_counts_match_event_scan_oracle(n, invocations, seed, script,
             (n, workload, Scripted([min(p, n) for p in script])),
             (adversarial_n, bl_adversarial_workload(adversarial_n),
              bl_adversarial_schedule(adversarial_n))):
-        result = run(SystemState(build_bl(size), wl), schedule,
-                     step_cap=10**5 if cap is None else cap)
+        result = run_collected(SystemState(build_bl(size), wl), schedule,
+                               step_cap=10**5 if cap is None else cap)
         assert_blocks_match_oracle(size, result.trace)
 
 
@@ -106,7 +106,7 @@ def test_block_counts_match_event_scan_oracle(n, invocations, seed, script,
 def test_adversarial_block_counts_match_formula(n):
     schedule = bl_adversarial_schedule(n)
     state = SystemState(build_bl(n), bl_adversarial_workload(n))
-    result = run(state, schedule, step_cap=10**6)
+    result = run_collected(state, schedule, step_cap=10**6)
     assert result.completed
     assert check(check_mutual_exclusion, result.trace).ok
     totals, by_blocker = assert_blocks_match_oracle(n, result.trace)
@@ -118,7 +118,7 @@ def test_adversarial_block_counts_match_formula(n):
 def adversarial_total_rmr(n):
     schedule = bl_adversarial_schedule(n)
     state = SystemState(build_bl(n), bl_adversarial_workload(n))
-    result = run(state, schedule, step_cap=10**6)
+    result = run_collected(state, schedule, step_cap=10**6)
     assert result.completed
     return sum(rec.rmr_total for rec in build_invocations(result.trace))
 
@@ -133,7 +133,7 @@ def test_no_reset_after_upscan_begins():
     # until the exit write.
     for seed in range(6):
         state = SystemState(build_bl(4), distinct_sessions(4, invocations=2))
-        result = run(state, random_schedule(4, seed), step_cap=200_000)
+        result = run_collected(state, random_schedule(4, seed), step_cap=200_000)
         assert result.completed
         upscanning = {}
         for ev in result.trace.events:

@@ -3,7 +3,7 @@
 import pytest
 
 from gmesim import (RoundRobin, SystemState, Workload, build_bwbgme,
-                    opposite_color, random_schedule, run, step)
+                    opposite_color, random_schedule, step)
 from gmesim.bwbgme import UndefinedColorError
 from gmesim.errors import ConfigurationError
 from gmesim.memory import BLACK, BOTTOM, WHITE
@@ -12,7 +12,7 @@ from gmesim.monitors import (FAIL, PASS, build_invocations, check_bounded_exit,
                              check_token_bound, check_wait_rmr_bounds)
 from util import (check, distinct_sessions, doorway_done, drive, entered_cs, exit_writes,
                   finished, flip_token_against_oracle, me_fcfs_against_oracle,
-                  run_scripted)
+                  run_collected, run_scripted)
 
 
 def token_of(state, pid):
@@ -71,7 +71,7 @@ def test_solo_process_number_1_and_untouched_color():
     assert global_color(state) == WHITE
     # exit was the token reset alone
     state2 = SystemState(build_bwbgme(3), Workload.from_sessions([[5], [], []]))
-    result = run(state2, RoundRobin(), step_cap=1000)
+    result = run_collected(state2, RoundRobin(), step_cap=1000)
     rec = build_invocations(result.trace)[0]
     assert rec.exit_accesses == 1 and exit_writes(result.trace)[rec.pid, rec.inv] == 1
 
@@ -131,7 +131,7 @@ def test_committed_token_shape():
     # pre-announce, and fully colored once committed.
     for seed in range(6):
         state = SystemState(build_bwbgme(3), distinct_sessions(3, invocations=2))
-        result = run(state, random_schedule(3, seed), step_cap=100_000)
+        result = run_collected(state, random_schedule(3, seed), step_cap=100_000)
         assert result.completed
         for ev in result.trace.events:
             if ev.kind == "write" and ev.reg and ev.reg.startswith("Token["):
@@ -147,7 +147,7 @@ def test_committed_token_shape():
 def test_flippers_always_hold_number_at_least_2():
     for seed in range(8):
         state = SystemState(build_bwbgme(4), distinct_sessions(4, invocations=3))
-        result = run(state, random_schedule(4, seed), step_cap=300_000)
+        result = run_collected(state, random_schedule(4, seed), step_cap=300_000)
         assert result.completed
         records = {(r.pid, r.inv): r for r in build_invocations(result.trace)}
         for ev in result.trace.events:
@@ -158,7 +158,7 @@ def test_flippers_always_hold_number_at_least_2():
 def test_token_bound_on_n6_simulation_sweep():
     for seed in range(5):
         state = SystemState(build_bwbgme(6), distinct_sessions(6, invocations=4))
-        result = run(state, random_schedule(6, seed), step_cap=10**6)
+        result = run_collected(state, random_schedule(6, seed), step_cap=10**6)
         assert result.completed
         verdict = check(check_token_bound, result.trace)
         assert verdict.ok, verdict.detail
@@ -169,7 +169,7 @@ def test_monitors_on_contended_runs():
         for color in (WHITE, BLACK):
             state = SystemState(build_bwbgme(4, initial_color=color),
                                 distinct_sessions(4, invocations=3))
-            result = run(state, random_schedule(4, seed), step_cap=300_000)
+            result = run_collected(state, random_schedule(4, seed), step_cap=300_000)
             assert result.completed
             assert check(check_mutual_exclusion, result.trace).ok
             assert check(check_token_bound, result.trace).ok

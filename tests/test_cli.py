@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+import tracemalloc
 from pathlib import Path
 
 import gmesim.cli
@@ -116,7 +118,7 @@ def test_run_folds_the_trace_once(tmp_path, monkeypatch):
     fold = gmesim.monitors.build_invocations
 
     def counting_fold(trace):
-        calls.append(trace)
+        calls.append(trace.events)
         return fold(trace)
 
     advance = gmesim.monitors.advance
@@ -126,30 +128,67 @@ def test_run_folds_the_trace_once(tmp_path, monkeypatch):
         stepped.append(ev)
         return advance(steps, states, ev)
 
-    class CountingEvents(list):
-        iterations = 0
+    # What the run's event stream handed out, and how many walks took it.
+    made = []
+    walks = []
+
+    class WatchedEvents:
+        def __init__(self, events):
+            self.events = events
 
         def __iter__(self):
-            self.iterations += 1
-            return super().__iter__()
+            walks.append(len(made))
+            for ev in self.events:
+                made.append(ev)
+                yield ev
 
     run = gmesim.cli.run
+    results = []
 
-    def counting_run(*args, **kwargs):
+    def watched_run(*args, **kwargs):
         result = run(*args, **kwargs)
-        result.trace.events = CountingEvents(result.trace.events)
+        result.trace.events = WatchedEvents(result.trace.events)
+        results.append(result)
         return result
 
-    monkeypatch.setattr(gmesim.cli, "run", counting_run)
+    monkeypatch.setattr(gmesim.cli, "run", watched_run)
     monkeypatch.setattr(gmesim.cli, "build_invocations", counting_fold)
     monkeypatch.setattr(gmesim.monitors, "build_invocations", counting_fold)
     monkeypatch.setattr(gmesim.monitors, "advance", counting_advance)
     assert main(["run", "--scenario", write(tmp_path, "glb.scn", GLB_SCENARIO)]) == 0
-    assert len(calls) == 1
-    # the fold is the one walk along the events, and the me and fcfs
-    # monitors are stepped inside it
-    assert calls[0].events.iterations == 1
-    assert stepped == [ev for ev in calls[0].events if gmesim.monitors.monitored(ev)]
+    assert len(calls) == 1 and len(results) == 1
+    # the fold is the one walk along the run's events: it takes them from
+    # the stream itself, from the first to the last, and the me and fcfs
+    # monitors are stepped inside it, once per monitored event
+    assert isinstance(calls[0], WatchedEvents)
+    assert walks == [0]
+    assert len(made) == results[0].steps > 0
+    assert stepped == [ev for ev in made if gmesim.monitors.monitored(ev)]
+
+
+def test_run_memory_is_flat_in_run_length(tmp_path, capsys):
+    """Without --trace-out no event outlives its step.  40k more CS steps
+    (one session, so nobody waits meanwhile) leave the run's allocation
+    peak where it was; keeping those events would add about 7 MB."""
+    def scenario(cs_steps):
+        return write(tmp_path, f"cs{cs_steps}.scn",
+                     "gmesim-scenario v1\nalgorithm = glb\nn = 2\n"
+                     f"cs_steps = {cs_steps}\nsessions[1] = 1\nsessions[2] = 1\n")
+
+    main(["run", "--scenario", scenario(1)])  # first-call costs, untraced
+    capsys.readouterr()
+    steps, peaks = {}, {}
+    for cs_steps in (1, 20_001):
+        path = scenario(cs_steps)
+        tracemalloc.start()
+        try:
+            assert main(["run", "--scenario", path]) == 0
+            peaks[cs_steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps[cs_steps] = int(re.search(r"steps=(\d+)", capsys.readouterr().out).group(1))
+    assert steps[20_001] - steps[1] == 40_000
+    assert peaks[20_001] - peaks[1] < 500_000, peaks
 
 
 def test_explore_truncation_exit_3(tmp_path):

@@ -3,13 +3,13 @@
 import gmesim.explorer
 from gmesim import (Scripted, Section, SystemState, Workload, bl_adversarial_schedule,
                     bl_adversarial_workload, build_bl, build_bwbgme, build_glb,
-                    build_invocations, explore, run, step)
+                    build_invocations, explore, step)
 from gmesim.machine import all_active_blocked
 from gmesim.monitors import FAIL, MONITORS, online_props
 from oracle_scans import all_active_blocked as full_scan
 from oracle_explorer import crosscheck_reachable
 from util import (check, decoded_key, distinct_sessions, explored_workload, report_digest,
-                  unpacked)
+                  run_collected, unpacked)
 
 
 def test_single_process_single_path():
@@ -18,7 +18,7 @@ def test_single_process_single_path():
     # one path: states = steps + 1
     state = SystemState(build_glb(1), Workload.from_sessions([[1]]))
     from gmesim import RoundRobin
-    result = run(state, RoundRobin(), step_cap=100)
+    result = run_collected(state, RoundRobin(), step_cap=100)
     assert report.states == len(result.trace.events) + 1
 
 
@@ -100,7 +100,7 @@ def test_fold_and_explorer_step_the_same_monitors():
     # bl is not FCFS: the fold of an adversarial run, whose entries do
     # overtake, must not step the fcfs monitor the explorer leaves out.
     state = SystemState(build_bl(4), bl_adversarial_workload(4))
-    trace = run(state, bl_adversarial_schedule(4), step_cap=100_000).trace
+    trace = run_collected(state, bl_adversarial_schedule(4), step_cap=100_000).trace
     assert set(build_invocations(trace).first) <= set(online_props("bl"))
     for build in (build_glb, build_bwbgme, build_bl):
         report = explore(build(2), Workload.from_sessions([[1], [2]]), max_states=1)
@@ -119,7 +119,7 @@ def test_reported_states_replay_as_scripts():
     for nid in range(0, report.states, 37):
         path, vkey = report.path_of(nid), decoded_key(report, keys[nid])[0]
         state = SystemState(spec, wl)
-        result = run(state, Scripted(path), step_cap=len(path) + 1)
+        result = run_collected(state, Scripted(path), step_cap=len(path) + 1)
         assert len(result.trace.events) == len(path)
         assert state.value_key() == vkey
 
@@ -202,8 +202,8 @@ def test_merged_states_behave_identically():
         values = []
         for path in (path_a, path_b):
             state = SystemState(spec, wl)
-            run(state, Scripted(path), step_cap=len(path) + 1)
-            tail = run(state, Scripted(suffix), step_cap=len(suffix) + 1)
+            run_collected(state, Scripted(path), step_cap=len(path) + 1)
+            tail = run_collected(state, Scripted(suffix), step_cap=len(suffix) + 1)
             values.append([(e.pid, e.kind, e.reg, e.value) for e in tail.trace.events])
         assert values[0] == values[1]
 
@@ -246,7 +246,7 @@ def assert_witnesses_replay(spec, wl, report):
     for prop, violations in report.violations.items():
         for v in violations:
             state = SystemState(spec, wl)
-            result = run(state, Scripted(v.path), step_cap=len(v.path) + 1)
+            result = run_collected(state, Scripted(v.path), step_cap=len(v.path) + 1)
             assert check(MONITORS[prop], result.trace).status == FAIL, (prop, v)
 
 

@@ -3,13 +3,13 @@
 import pytest
 
 from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_glb,
-                    random_schedule, run, step)
+                    random_schedule, step)
 from gmesim.errors import ConfigurationError
 from gmesim.machine import Section
 from gmesim.monitors import (build_invocations, check_bounded_exit,
                              check_mutual_exclusion, check_wait_rmr_bounds)
 from util import (check, distinct_sessions, doorway_done, drive, entered_cs, exit_writes,
-                  finished)
+                  finished, run_collected)
 
 
 def token_of(state, pid):
@@ -36,7 +36,7 @@ def test_solo_process_token_1_and_no_waiting():
     ev = drive(state, 1, finished)
     # no false wait evaluation on the way to the CS
     state2 = SystemState(build_glb(4), Workload.from_sessions([[7], [], [], []]))
-    result = run(state2, RoundRobin(), step_cap=1000)
+    result = run_collected(state2, RoundRobin(), step_cap=1000)
     assert not any(e.outcome == "fail" for e in result.trace.events)
 
 
@@ -59,7 +59,7 @@ def test_doorway_concurrent_tie_broken_by_pid():
 def test_exit_is_exactly_two_writes():
     for seed in range(6):
         state = SystemState(build_glb(3), distinct_sessions(3, invocations=2))
-        result = run(state, random_schedule(3, seed), step_cap=100_000)
+        result = run_collected(state, random_schedule(3, seed), step_cap=100_000)
         assert result.completed
         assert check(check_bounded_exit, result.trace).ok
         writes = exit_writes(result.trace)
@@ -86,7 +86,7 @@ def test_smallest_key_enters_first():
     # and a live token holds a smaller (token, pid) key.
     for seed in range(10):
         state = SystemState(build_glb(4), distinct_sessions(4, invocations=2))
-        result = run(state, random_schedule(4, seed), step_cap=200_000)
+        result = run_collected(state, random_schedule(4, seed), step_cap=200_000)
         assert result.completed
         records = build_invocations(result.trace)
         # token commit (line 5) and reset (line 12) steps per invocation
@@ -111,7 +111,7 @@ def test_wait_rmr_bounds_hold_on_random_schedules():
     for n in (2, 3, 4):
         for seed in range(8):
             state = SystemState(build_glb(n), distinct_sessions(n, invocations=2))
-            result = run(state, random_schedule(n, seed), step_cap=200_000)
+            result = run_collected(state, random_schedule(n, seed), step_cap=200_000)
             assert result.completed
             verdict = check(check_wait_rmr_bounds, result.trace)
             assert verdict.ok, verdict.detail
@@ -144,7 +144,7 @@ def test_line8_worst_case_is_exactly_five_rmr():
     # finish the run and re-play it through run() for the records
     d(2, finished)
     d(1, finished)
-    result = run(SystemState(spec, wl), Scripted(pids), step_cap=10_000)
+    result = run_collected(SystemState(spec, wl), Scripted(pids), step_cap=10_000)
     assert result.completed
     rec = next(r for r in build_invocations(result.trace) if r.pid == 2)
     wp = next(w for w in rec.wait_passes if w.line == 8 and w.j == 1)

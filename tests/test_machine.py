@@ -9,21 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_bl,
-                    build_bwbgme, build_glb, random_schedule, run, step)
+                    build_bwbgme, build_glb, random_schedule, step)
 from gmesim import machine
 from gmesim.errors import ConfigurationError
 from gmesim.machine import (CS_ENTER, DOORWAY_COMPLETE, DOORWAY_START,
                             EXIT_COMPLETE, PC_REMAINDER, ProcEnv, Section,
                             all_active_blocked)
 from gmesim.memory import Memory
-from gmesim.monitors import build_invocations, check_mutual_exclusion, check_section_order
+from gmesim.monitors import (FAIL, build_invocations, check_mutual_exclusion, check_progress,
+                             check_section_order)
 import oracle_scans
 from oracle_memory import Memory as OracleMemory
 from register_kinds import check_kind, slot_kinds
 from oracle_explorer import crosscheck_reachable
 from util import (RecordingMemory, check, distinct_sessions, doorway_done, drive,
                   effectively_blocked, entered_cs, explored_specs, explored_workload,
-                  finished)
+                  finished, run_collected)
 
 
 def test_first_doorway_step_writes_choosing():
@@ -91,7 +92,7 @@ def test_sessions_must_be_positive():
 
 def test_single_process_trace_shape():
     state = SystemState(build_glb(1), Workload.from_sessions([[1]]))
-    result = run(state, RoundRobin(), step_cap=1000)
+    result = run_collected(state, RoundRobin(), step_cap=1000)
     assert result.completed
     markers = [m for ev in result.trace.events for m in ev.markers]
     assert markers == [DOORWAY_START, DOORWAY_COMPLETE, CS_ENTER, "cs-exit",
@@ -103,7 +104,7 @@ def test_two_conflicting_processes_complete_everywhere():
     for make in (lambda: RoundRobin(), lambda: random_schedule(2, 1),
                  lambda: random_schedule(2, 2)):
         state = SystemState(build_glb(2), distinct_sessions(2))
-        result = run(state, make(), step_cap=10_000)
+        result = run_collected(state, make(), step_cap=10_000)
         assert result.completed
         assert check(check_mutual_exclusion, result.trace).ok
         assert check(check_section_order, result.trace).ok
@@ -111,27 +112,68 @@ def test_two_conflicting_processes_complete_everywhere():
 
 def test_step_cap_truncates_and_flags():
     state = SystemState(build_glb(3), distinct_sessions(3, invocations=5))
-    result = run(state, RoundRobin(), step_cap=10)
+    result = run_collected(state, RoundRobin(), step_cap=10)
     assert result.cap_hit and not result.completed
     assert result.trace.meta["cap_hit"]
     assert len(result.trace.events) == 10
 
 
+def stuck_glb_spec():
+    """glb N=2 with a planted bug: no line-8 evaluation ever passes, and
+    the wait conditions agree, so the two processes end up blocked."""
+    spec = build_glb(2)
+    inner = spec.step_fn
+
+    def step_fn(state, p, env):
+        pc = env.pc
+        out = inner(state, p, env)
+        if out[1] == 8:
+            env.pc = pc
+            return out[:5] + ("fail", out[6])
+        return out
+
+    spec.step_fn = step_fn
+    spec.wait_conds = {pc: lambda env, store, pid: False for pc in spec.wait_conds}
+    return spec
+
+
+def test_run_ends_in_a_counted_deadlock_event():
+    result = run_collected(SystemState(stuck_glb_spec(), distinct_sessions(2)), RoundRobin())
+    events = result.trace.events
+    assert result.deadlocked and not result.completed and not result.cap_hit
+    assert result.trace.meta["deadlocked"] and not result.trace.meta["completed"]
+    last = events[-1]
+    assert (last.kind, last.pid, last.inv) == ("deadlock", 0, -1)
+    assert "deadlock" not in {ev.kind for ev in events[:-1]}
+    # it follows the failed evaluation that left both processes blocked,
+    # and the step count includes it
+    assert events[-2].outcome == "fail" and events[-2].line == 8
+    assert result.steps == len(events) == last.index + 1
+    verdict = check(check_progress, result.trace)
+    assert verdict.status == FAIL and verdict.witness == (last.index,)
+    # the same run, folded as it is made
+    streamed = machine.run(SystemState(stuck_glb_spec(), distinct_sessions(2)), RoundRobin())
+    records = build_invocations(streamed.trace)
+    assert streamed.deadlocked and streamed.steps == result.steps
+    assert records.deadlock_at == last.index
+    assert check_progress(streamed.trace, records).witness == (last.index,)
+
+
 def test_replay_determinism_scripted():
     pids = [1, 2, 3, 1, 1, 2, 3, 3, 2, 1] * 40
-    a = run(SystemState(build_glb(3), distinct_sessions(3)), Scripted(pids),
-            step_cap=10_000)
-    b = run(SystemState(build_glb(3), distinct_sessions(3)), Scripted(pids),
-            step_cap=10_000)
+    a = run_collected(SystemState(build_glb(3), distinct_sessions(3)), Scripted(pids),
+                      step_cap=10_000)
+    b = run_collected(SystemState(build_glb(3), distinct_sessions(3)), Scripted(pids),
+                      step_cap=10_000)
     assert [(e.pid, e.line, e.kind, e.reg, e.value, e.rmr) for e in a.trace.events] \
         == [(e.pid, e.line, e.kind, e.reg, e.value, e.rmr) for e in b.trace.events]
 
 
 def test_replay_determinism_random_seed():
-    a = run(SystemState(build_bwbgme(3), distinct_sessions(3, invocations=2)),
-            random_schedule(3, 42), step_cap=50_000)
-    b = run(SystemState(build_bwbgme(3), distinct_sessions(3, invocations=2)),
-            random_schedule(3, 42), step_cap=50_000)
+    a = run_collected(SystemState(build_bwbgme(3), distinct_sessions(3, invocations=2)),
+                      random_schedule(3, 42), step_cap=50_000)
+    b = run_collected(SystemState(build_bwbgme(3), distinct_sessions(3, invocations=2)),
+                      random_schedule(3, 42), step_cap=50_000)
     assert [(e.pid, e.rmr) for e in a.trace.events] == [(e.pid, e.rmr) for e in b.trace.events]
 
 
@@ -139,7 +181,7 @@ def test_section_markers_ordered_on_random_runs():
     for seed in range(8):
         for build in (build_glb, build_bwbgme, build_bl):
             state = SystemState(build(3), distinct_sessions(3, invocations=2))
-            result = run(state, random_schedule(3, seed), step_cap=100_000)
+            result = run_collected(state, random_schedule(3, seed), step_cap=100_000)
             assert result.completed
             assert check(check_section_order, result.trace).ok
 
@@ -154,7 +196,7 @@ def test_doorway_is_bounded_and_exact():
     for build, name in ((build_glb, "glb"), (build_bwbgme, "bwbgme"), (build_bl, "bl")):
         for n in (1, 2, 4):
             state = SystemState(build(n), distinct_sessions(n))
-            result = run(state, random_schedule(n, 3), step_cap=200_000)
+            result = run_collected(state, random_schedule(n, 3), step_cap=200_000)
             assert result.completed
             for rec in build_invocations(result.trace):
                 own = [ev for ev in result.trace.events
@@ -214,7 +256,7 @@ def test_every_write_matches_its_register_kind(monkeypatch):
         for seed in range(3):
             spec = build(4)
             state = SystemState(spec, Workload.from_sessions([[1, 2], [2, 1], [1, 1], [3, 2]]))
-            assert run(state, random_schedule(4, seed), step_cap=200_000).completed
+            assert run_collected(state, random_schedule(4, seed), step_cap=200_000).completed
             check_writes(spec, state.mem)
 
 
@@ -297,7 +339,7 @@ def test_runs_match_value_cache_oracle(monkeypatch):
         out = []
         for build, n, sessions, seed in cases:
             state = SystemState(build(n), Workload.from_sessions(sessions))
-            result = run(state, random_schedule(n, seed), step_cap=200_000)
+            result = run_collected(state, random_schedule(n, seed), step_cap=200_000)
             assert result.completed
             per_pid = [0] * n
             for rec in build_invocations(result.trace):
@@ -319,7 +361,7 @@ def test_runs_match_value_cache_oracle(monkeypatch):
 def test_arbitrary_schedules_preserve_safety(name, pids):
     build = {"glb": build_glb, "bwbgme": build_bwbgme, "bl": build_bl}[name]
     state = SystemState(build(3), distinct_sessions(3, invocations=2))
-    result = run(state, Scripted(pids), step_cap=len(pids) + 1)
+    result = run_collected(state, Scripted(pids), step_cap=len(pids) + 1)
     assert check(check_mutual_exclusion, result.trace).ok
     assert check(check_section_order, result.trace).ok
     if name == "bwbgme":

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmesim import SystemState, build_bwbgme, build_glb, run
+from gmesim import SystemState, build_bwbgme, build_glb
 from gmesim import machine
 from gmesim.errors import ConsistencyError
 from gmesim.machine import (CS_ENTER, CS_EXIT, DOORWAY_COMPLETE, DOORWAY_START,
@@ -22,7 +22,7 @@ from gmesim.monitors import (CHECKS, FAIL, INAPPLICABLE, MONITORS, PASS, Verdict
 from gmesim.schedules import RoundRobin
 from oracle_memory import Memory as OracleMemory
 from util import (check, distinct_sessions, flip_token_against_oracle,
-                  me_fcfs_against_oracle)
+                  me_fcfs_against_oracle, run_collected)
 
 
 def ev(index, pid, inv=0, line=0, kind="local", reg=None, value=None, rmr=False,
@@ -205,7 +205,7 @@ def test_progress_starvation_detector():
 
 def test_monitors_are_pure():
     state = SystemState(build_bwbgme(3), distinct_sessions(3, invocations=2))
-    result = run(state, RoundRobin(), step_cap=100_000)
+    result = run_collected(state, RoundRobin(), step_cap=100_000)
     records = build_invocations(result.trace)
     for name in CHECKS["bwbgme"]:
         assert MONITORS[name](result.trace, records) == MONITORS[name](result.trace, records)
@@ -242,7 +242,7 @@ def test_build_invocations_sections_sum_to_ledger(monkeypatch):
     # totals the value-cache memory model charges on its own.
     monkeypatch.setattr(machine, "Memory", OracleMemory)
     state = SystemState(build_glb(3), distinct_sessions(3, invocations=2))
-    result = run(state, RoundRobin(), step_cap=100_000)
+    result = run_collected(state, RoundRobin(), step_cap=100_000)
     assert result.completed
     per_pid = {pid: 0 for pid in range(1, 4)}
     for rec in build_invocations(result.trace):

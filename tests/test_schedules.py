@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import oracle_scans
 from gmesim import (RandomSchedule, RoundRobin, Scripted, SystemState, Workload,
-                    build_bwbgme, build_glb, random_schedule, run)
+                    build_bwbgme, build_glb, random_schedule)
 from gmesim.errors import ConfigurationError
-from util import distinct_sessions
+from util import distinct_sessions, run_collected
 
 
 def pid_sequence(seed, n=3, window=None, length=60):
@@ -85,7 +85,7 @@ def test_random_schedule_matches_full_rescan(case):
     events = []
     for schedule in (RandomSchedule(seed, window), oracle_scans.RandomSchedule(seed, window)):
         state = SystemState(build(n), Workload.from_sessions(sessions))
-        result = run(state, schedule, step_cap=100_000)
+        result = run_collected(state, schedule, step_cap=100_000)
         assert result.completed
         events.append(result.trace.events)  # one per pick, carrying its pid
     assert events[0] == events[1]
@@ -116,11 +116,11 @@ def test_round_robin_skips_exhausted():
 def test_scripted_rejects_out_of_range():
     state = SystemState(build_glb(2), distinct_sessions(2))
     with pytest.raises(ConfigurationError):
-        run(state, Scripted([1, 2, 5]), step_cap=100)
+        run_collected(state, Scripted([1, 2, 5]), step_cap=100)
 
 
 def test_scripted_exhaustion_stops_run():
     state = SystemState(build_glb(2), distinct_sessions(2))
-    result = run(state, Scripted([1, 2, 1]), step_cap=100)
+    result = run_collected(state, Scripted([1, 2, 1]), step_cap=100)
     assert len(result.trace.events) == 3
     assert not result.completed and not result.cap_hit

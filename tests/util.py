@@ -107,16 +107,17 @@ def exit_writes(trace) -> Counter:
                    if ev.section is Section.EXIT and ev.kind == "write")
 
 
+def run_collected(state, schedule, step_cap=1_000_000):
+    """`run` to its end with every event kept: the tests' one way to a
+    whole trace, whose events are then a list."""
+    result = run(state, schedule, step_cap=step_cap)
+    result.trace.events = list(result.trace.events)
+    return result
+
+
 def run_scripted(spec, workload, pids, step_cap=200_000):
     state = SystemState(spec, workload)
-    return run(state, Scripted(pids), step_cap=step_cap)
-
-
-def run_to_completion(spec, workload, schedule, step_cap=500_000):
-    state = SystemState(spec, workload)
-    result = run(state, schedule, step_cap=step_cap)
-    assert result.completed, "run did not finish"
-    return result
+    return run_collected(state, Scripted(pids), step_cap=step_cap)
 
 
 def distinct_sessions(n, invocations=1, cs_steps=1):
