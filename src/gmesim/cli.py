@@ -176,7 +176,7 @@ def cmd_explore(args) -> int:
     spec = scenario.build_spec()
     workload = scenario.build_workload()
     report = explore(spec, workload, max_states=scenario.max_states,
-                     max_depth=scenario.max_depth, token_cap=scenario.token_cap)
+                     max_depth=scenario.max_depth)
 
     print(f"scenario {scenario.config_hash}  algorithm={scenario.algorithm} "
           f"n={scenario.n} explore")

@@ -67,8 +67,7 @@ class ExplorationReport:
     max_depth: int = 0
     violations: dict = field(default_factory=dict)  # prop -> [Violation]
     deadlocks: int = 0
-    max_token: int = 0
-    token_cap_hits: int = 0
+    max_token: int = 0  # the largest token number a Token register held
     truncated: bool = False
     truncation_reason: str = ""
     # The state table, by state id (0 is the initial state).  keys is the
@@ -121,33 +120,25 @@ def _typecode(bound: int) -> str:
     return next(t for t in "bhiq" if bound < 1 << (8 * array(t).itemsize - 1))
 
 
-def default_token_cap(n: int, invocations: int) -> int:
-    """explore()'s ceiling on glb's unbounded token numbers, unless given."""
-    return 4 * n * max(1, invocations)
-
-
 def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
-            max_depth: Optional[int] = None,
-            token_cap: Optional[int] = None) -> ExplorationReport:
+            max_depth: Optional[int] = None) -> ExplorationReport:
     """Depth-first search over every enabled-process choice.
 
     Checks deadlock plus the algorithm's online monitors
     (`online_props`).  Caps are reported as truncation, never as a
-    property failure.  For glb the unbounded tokens get a ceiling
-    (default_token_cap); paths that exceed it are cut and counted in
-    token_cap_hits.
+    property failure.  glb's unbounded tokens need no cap: over a
+    finite workload none exceeds the invocation count.  `max_token` is
+    read once the search ends, off the store table, which holds every
+    store a write produced.
     """
     n = spec.n
     report = ExplorationReport(spec.name, n)
 
-    if spec.meta.get("unbounded_token_slots") and token_cap is None:
-        token_cap = default_token_cap(n, sum(map(len, workload.invocations)))
-
     work = SystemState(spec, workload)
     props = online_props(spec.name)
-    sessions = [[s for s, _ in per] for per in workload.invocations]
     color = spec.meta.get("initial_color")
-    starts, mon_steps, describe = zip(*(ONLINE[prop](n, sessions, color) for prop in props))
+    starts, mon_steps, describe = zip(*(ONLINE[prop](n, workload.sessions, color)
+                                        for prop in props))
 
     store_ids, runtime_ids, monitor_ids = _Interned(), _Interned(), _Interned()
     stores = report.stores = store_ids.table
@@ -176,7 +167,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     path_of = report.path_of
     mem, envs = work.mem, work.envs
     no_readers = [0] * len(mem.store)
-    last_inv = [len(per) - 1 for per in workload.invocations]
+    last_inv = [len(per) - 1 for per in workload.sessions]
     held = root[:-1]  # the store and runtime ids the live state holds
 
     def add_violation(prop: str, path: tuple, detail: str) -> None:
@@ -229,22 +220,11 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             # runtime ids.
             held[pid] = runtime_ids[envs[p].key()]
             child = key + ((held[pid] - rid) << (pid * width))
-            wrote = ev.kind == "write"
-            if wrote:
+            if ev.kind == "write":
                 held[0] = store_ids[tuple(mem.store)]
                 child += held[0] - sid
             if child_mid != mid:
                 child += (child_mid - mid) << monitor_shift
-
-            if wrote and ev.reg.startswith("Token["):
-                number = token_number(ev.value)
-                if number > report.max_token:
-                    report.max_token = number
-                if token_cap is not None and number > token_cap:
-                    report.token_cap_hits += 1
-                    report.truncated = True
-                    report.truncation_reason = "token cap"
-                    continue
 
             if child in ids:
                 continue
@@ -269,4 +249,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
 
     report.states = len(ids)
     report.transitions = transitions
+    tokens = [slot for slot, name in enumerate(mem.names) if name.startswith("Token[")]
+    report.max_token = max((token_number(store[slot]) for store in stores for slot in tokens),
+                           default=0)
     return report

@@ -97,24 +97,20 @@ class Trace:
 
 
 class Workload:
-    """Per-process finite sequences of invocations (session, cs_steps)."""
+    """Per process, the session number of each of its invocations, in
+    order; every invocation spends cs_steps local steps in the CS."""
 
-    def __init__(self, invocations: list[list[tuple[int, int]]]):
-        for per_proc in invocations:
-            for session, cs_steps in per_proc:
-                if session <= 0:
-                    raise ConfigurationError("session numbers must be positive")
-                if cs_steps < 0:
-                    raise ConfigurationError("cs_steps must be >= 0")
-        self.invocations = [list(per_proc) for per_proc in invocations]
-
-    @classmethod
-    def from_sessions(cls, sessions: list[list[int]], cs_steps: int = 1) -> "Workload":
-        return cls([[(s, cs_steps) for s in per_proc] for per_proc in sessions])
+    def __init__(self, sessions: list[list[int]], cs_steps: int = 1):
+        if any(s <= 0 for per_proc in sessions for s in per_proc):
+            raise ConfigurationError("session numbers must be positive")
+        if cs_steps < 0:
+            raise ConfigurationError("cs_steps must be >= 0")
+        self.sessions = [list(per_proc) for per_proc in sessions]
+        self.cs_steps = cs_steps
 
     @property
     def n(self) -> int:
-        return len(self.invocations)
+        return len(self.sessions)
 
 
 class ProcEnv:
@@ -194,7 +190,7 @@ class SystemState:
 
     def exhausted(self, pid: int) -> bool:
         env = self.envs[pid - 1]
-        return env.pc == PC_REMAINDER and env.inv + 1 >= len(self.workload.invocations[pid - 1])
+        return env.pc == PC_REMAINDER and env.inv + 1 >= len(self.workload.sessions[pid - 1])
 
     def live_pids(self) -> list:
         return [pid for pid in range(1, self.spec.n + 1) if not self.exhausted(pid)]
@@ -230,7 +226,7 @@ def step(state: SystemState, pid: int) -> TraceEvent:
     mem = state.mem
 
     if env.pc == PC_REMAINDER:
-        per_proc = state.workload.invocations[pid - 1]
+        per_proc = state.workload.sessions[pid - 1]
         if env.inv + 1 >= len(per_proc):
             ev = TraceEvent(state.step_index, pid, -1, 0, "noop", None, None,
                             False, Section.REMAINDER, (), None, None)
@@ -239,7 +235,7 @@ def step(state: SystemState, pid: int) -> TraceEvent:
         # Zero-step transition out of the remainder: starting an invocation
         # immediately executes the first doorway instruction.
         env.inv += 1
-        env.mysession, env.cs_left = per_proc[env.inv]
+        env.mysession, env.cs_left = per_proc[env.inv], state.workload.cs_steps
         env.pc = spec.entry_pc
         env.marks = 0
 
@@ -323,7 +319,7 @@ def run(state: SystemState, schedule, step_cap: int = 1_000_000) -> RunResult:
     caller's job (see `gmesim.monitors`).
     """
     spec = state.spec
-    workload_sessions = [[s for s, _ in per_proc] for per_proc in state.workload.invocations]
+    workload_sessions = state.workload.sessions
     # The end flags keep their place in the meta's key order until the
     # run settles them.
     meta = dict(spec.meta, completed=False, deadlocked=False, cap_hit=False,

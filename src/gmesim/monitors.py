@@ -69,7 +69,9 @@ class WaitPass:
 
 @dataclass
 class InvocationRecord:
-    """Everything the monitors need about one invocation of one process."""
+    """Everything the monitors need about one invocation of one process.
+    `token` is the largest token number its Token writes carried: the
+    one it committed, as its doorway's and exit's Token writes carry 0."""
 
     pid: int
     inv: int
@@ -82,7 +84,7 @@ class InvocationRecord:
     rmr_by_section: dict = field(default_factory=dict)
     entry_steps: int = 0
     exit_accesses: int = 0
-    token_value: object = None
+    token: int = 0
     blocked_transitions: list = field(default_factory=list)
     wait_passes: list = field(default_factory=list)
     gc_spurious_refetches: int = 0
@@ -116,7 +118,6 @@ def build_invocations(trace: Trace) -> Invocations:
     walk.  The events may be any iterable: a list, or the stream of a
     run that `run` has not made yet, which this walk then drives."""
     algorithm = trace.algorithm
-    commit_line = {"glb": 5, "bwbgme": 14, "bl": None}[algorithm]
     wait_lines = _WAIT_LINES[algorithm]
     workload_sessions = trace.meta["workload_sessions"]
 
@@ -169,6 +170,8 @@ def build_invocations(trace: Trace) -> Invocations:
                     opened.setdefault(ev.pid, ev.index)
             for i, culprits in hits:
                 first.setdefault(props[i], (ev, culprits))
+            if ev.kind == "write" and ev.reg.startswith("Token["):
+                rec.token = max(rec.token, token_number(ev.value))
 
         if ev.rmr:
             rec.rmr_by_section[ev.section] = rec.rmr_by_section.get(ev.section, 0) + 1
@@ -176,9 +179,6 @@ def build_invocations(trace: Trace) -> Invocations:
             rec.entry_steps += 1
         if ev.section is Section.EXIT and ev.kind in ("read", "write"):
             rec.exit_accesses += 1
-
-        if commit_line is not None and ev.line == commit_line and ev.kind == "write":
-            rec.token_value = ev.value
 
         # Wait-pass segmentation: a process's events at one wait line for
         # one j are consecutive among its own events.
@@ -222,9 +222,8 @@ def token_number(value) -> int:
 
 
 def max_token_number(records: list) -> int:
-    """The largest committed token number (every other Token write is 0)."""
-    return max((token_number(r.token_value) for r in records
-                if r.token_value is not None), default=0)
+    """The largest token number a Token register held during the run."""
+    return max((r.token for r in records), default=0)
 
 
 # -- online monitors ----------------------------------------------------

@@ -30,7 +30,6 @@ from typing import Optional
 from .bwbgme import MUTANTS, build_bwbgme
 from .burns_lamport import build_bl
 from .errors import ScenarioError
-from .explorer import default_token_cap
 from .glb import build_glb
 from .machine import Workload
 from .memory import BLACK, WHITE
@@ -43,7 +42,7 @@ SCHEDULES = ("round_robin", "random", "scripted", "adversarial")
 
 # The integer keys other than n, each read over the Scenario's default.
 _INT_KEYS = ("seed", "fairness_window", "cs_steps", "step_cap", "max_states",
-             "max_depth", "token_cap")
+             "max_depth")
 
 
 @dataclass
@@ -60,7 +59,6 @@ class Scenario:
     step_cap: int = 1_000_000
     max_states: int = 2_000_000
     max_depth: Optional[int] = None
-    token_cap: Optional[int] = None
     script: tuple = ()
 
     @property
@@ -86,14 +84,11 @@ class Scenario:
                  # config_hash column, the benchmark's expected CSV digests)
                  # includes it.
                  "monitors = default"]
-        # An explore cap is named only when it differs from the value
-        # explore() would use anyway, so every uncapped scenario keeps its hash.
+        # An explore cap is named only when it differs from its default,
+        # so every uncapped scenario keeps its hash.
         defaults = {f.name: f.default for f in fields(self)}
-        if self.algorithm == "glb":
-            invocations = sum(map(len, self.sessions.values()))
-            defaults["token_cap"] = default_token_cap(self.n, invocations)
-        for cap in ("max_states", "max_depth", "token_cap"):
-            if getattr(self, cap) not in (None, defaults[cap]):
+        for cap in ("max_states", "max_depth"):
+            if getattr(self, cap) != defaults[cap]:
                 lines.append(f"{cap} = {getattr(self, cap)}")
         for pid in sorted(self.sessions):
             lines.append(f"sessions[{pid}] = {' '.join(map(str, self.sessions[pid]))}")
@@ -110,7 +105,7 @@ class Scenario:
 
     def build_workload(self) -> Workload:
         per_proc = [self.sessions.get(pid, []) for pid in range(1, self.n + 1)]
-        return Workload.from_sessions(per_proc, cs_steps=self.cs_steps)
+        return Workload(per_proc, cs_steps=self.cs_steps)
 
     def build_schedule(self):
         if self.schedule == "round_robin":
@@ -124,8 +119,7 @@ class Scenario:
 
 # The smallest value each integer setting takes, in a scenario file or
 # as a command-line override.
-LOWER_BOUNDS = {"cs_steps": 0, "step_cap": 0, "max_states": 1, "max_depth": 0,
-                "token_cap": 0}
+LOWER_BOUNDS = {"cs_steps": 0, "step_cap": 0, "max_states": 1, "max_depth": 0}
 
 
 def _fail(lineno: int, msg: str):

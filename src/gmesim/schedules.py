@@ -108,7 +108,7 @@ def random_schedule(n: int, seed: int, window: int = None) -> RandomSchedule:
 
 def bl_adversarial_workload(n: int, cs_steps: int = 1) -> Workload:
     """One invocation per process, all sessions distinct (session = pid)."""
-    return Workload.from_sessions([[pid] for pid in range(1, n + 1)], cs_steps=cs_steps)
+    return Workload([[pid] for pid in range(1, n + 1)], cs_steps=cs_steps)
 
 
 def bl_adversarial_schedule(n: int, cs_steps: int = 1) -> Scripted:

@@ -31,7 +31,7 @@ def assert_blocks_match_oracle(n, trace) -> tuple:
 
 
 def test_solo_process_enters_without_blocking():
-    state = SystemState(build_bl(1), Workload.from_sessions([[1]]))
+    state = SystemState(build_bl(1), Workload([[1]]))
     result = run_collected(state, random_schedule(1, 0), step_cap=100)
     assert result.completed
     assert assert_blocks_match_oracle(1, result.trace) == ({1: 0}, {})

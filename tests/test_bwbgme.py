@@ -51,7 +51,7 @@ def test_sequential_fill_then_reentry_gets_n_plus_1():
     # conflicting session before any flip: it gets N+1.
     n = 5
     spec = build_bwbgme(n)
-    wl = Workload.from_sessions([[1, 6]] + [[pid] for pid in range(2, n + 1)])
+    wl = Workload([[1, 6]] + [[pid] for pid in range(2, n + 1)])
     state = SystemState(spec, wl)
     for pid in range(1, n + 1):
         drive(state, pid, doorway_done)
@@ -64,13 +64,13 @@ def test_sequential_fill_then_reentry_gets_n_plus_1():
 
 
 def test_solo_process_number_1_and_untouched_color():
-    state = SystemState(build_bwbgme(3), Workload.from_sessions([[5], [], []]))
+    state = SystemState(build_bwbgme(3), Workload([[5], [], []]))
     drive(state, 1, doorway_done)
     assert token_of(state, 1) == (5, WHITE, 1)
     drive(state, 1, finished)
     assert global_color(state) == WHITE
     # exit was the token reset alone
-    state2 = SystemState(build_bwbgme(3), Workload.from_sessions([[5], [], []]))
+    state2 = SystemState(build_bwbgme(3), Workload([[5], [], []]))
     result = run_collected(state2, RoundRobin(), step_cap=1000)
     rec = build_invocations(result.trace)[0]
     assert rec.exit_accesses == 1 and exit_writes(result.trace)[rec.pid, rec.inv] == 1
@@ -106,7 +106,7 @@ def test_scan_stops_at_first_hit():
     # is still in the CS: it reads Token[1] (reset), hits white Token[2],
     # and resets its own token without touching GlobalColor.
     spec = build_bwbgme(4, initial_color=WHITE, mutant="no_number_guard")
-    wl = Workload.from_sessions([[1], [1], [1], [2]])
+    wl = Workload([[1], [1], [1], [2]])
     state = SystemState(spec, wl)
     drive(state, 1, entered_cs)
     drive(state, 2, entered_cs)
@@ -152,7 +152,7 @@ def test_flippers_always_hold_number_at_least_2():
         records = {(r.pid, r.inv): r for r in build_invocations(result.trace)}
         for ev in result.trace.events:
             if ev.kind == "write" and ev.reg == "GlobalColor":
-                assert records[(ev.pid, ev.inv)].token_value[2] >= 2
+                assert records[(ev.pid, ev.inv)].token >= 2
 
 
 def test_token_bound_on_n6_simulation_sweep():
@@ -190,7 +190,7 @@ def narrative_counterexample_script(mutant):
     waiting and violates mutual exclusion against P2.
     """
     spec = build_bwbgme(4, initial_color=WHITE, mutant=mutant)
-    wl = Workload.from_sessions([[1], [1], [1], [2]])
+    wl = Workload([[1], [1], [1], [2]])
     state = SystemState(spec, wl)
     pids = []
 
@@ -226,7 +226,7 @@ def test_plain_drive_cannot_reach_violation_without_mutation():
     # stays blocked, so driving it to the CS must fail.
     with pytest.raises(AssertionError):
         spec = build_bwbgme(4, initial_color=WHITE)
-        wl = Workload.from_sessions([[1], [1], [1], [2]])
+        wl = Workload([[1], [1], [1], [2]])
         state = SystemState(spec, wl)
         drive(state, 1, entered_cs)
         drive(state, 2, entered_cs)
@@ -243,7 +243,7 @@ def hanging_window_script(mutant):
     (P1 white, then P2 black) flip twice inside P3's open window.
     """
     spec = build_bwbgme(3, initial_color=WHITE, mutant=mutant)
-    wl = Workload.from_sessions([[1], [1], [1]])
+    wl = Workload([[1], [1], [1]])
     state = SystemState(spec, wl)
     pids = []
 

@@ -346,7 +346,7 @@ def test_run_scripted_sequential_fill_shows_n_plus_1(tmp_path, capsys):
 
     n = 5
     wl_sessions = {1: [1, 6], 2: [2], 3: [3], 4: [4], 5: [5]}
-    wl = Workload.from_sessions([wl_sessions[pid] for pid in range(1, n + 1)])
+    wl = Workload([wl_sessions[pid] for pid in range(1, n + 1)])
     state = SystemState(build_bwbgme(n), wl)
     pids = []
     for pid in range(1, n + 1):

@@ -5,18 +5,18 @@ from gmesim import (Scripted, Section, SystemState, Workload, bl_adversarial_sch
                     bl_adversarial_workload, build_bl, build_bwbgme, build_glb,
                     build_invocations, explore, step)
 from gmesim.machine import all_active_blocked
-from gmesim.monitors import FAIL, MONITORS, online_props
+from gmesim.monitors import FAIL, MONITORS, online_props, token_number
 from oracle_scans import all_active_blocked as full_scan
 from oracle_explorer import crosscheck_reachable
-from util import (check, decoded_key, distinct_sessions, explored_workload, report_digest,
-                  run_collected, unpacked)
+from util import (check, decoded_key, distinct_sessions, explored_specs, explored_workload,
+                  report_digest, run_collected, unpacked)
 
 
 def test_single_process_single_path():
-    report = explore(build_glb(1), Workload.from_sessions([[1]]))
+    report = explore(build_glb(1), Workload([[1]]))
     assert report.clean
     # one path: states = steps + 1
-    state = SystemState(build_glb(1), Workload.from_sessions([[1]]))
+    state = SystemState(build_glb(1), Workload([[1]]))
     from gmesim import RoundRobin
     result = run_collected(state, RoundRobin(), step_cap=100)
     assert report.states == len(result.trace.events) + 1
@@ -29,7 +29,7 @@ def value_keys(report) -> list:
 
 def test_glb_n2_matches_independent_interleaver():
     spec = build_glb(2)
-    wl = Workload.from_sessions([[1], [2]])
+    wl = Workload([[1], [2]])
     report = explore(spec, wl)
     assert report.clean
     keys, me, deadlocks = crosscheck_reachable(spec, wl)
@@ -39,7 +39,7 @@ def test_glb_n2_matches_independent_interleaver():
 
 def test_bl_n2_matches_independent_interleaver():
     spec = build_bl(2)
-    wl = Workload.from_sessions([[1], [2]])
+    wl = Workload([[1], [2]])
     report = explore(spec, wl)
     keys, me, deadlocks = crosscheck_reachable(spec, wl)
     assert report.clean and me == 0 and deadlocks == 0
@@ -48,7 +48,7 @@ def test_bl_n2_matches_independent_interleaver():
 
 def test_bwbgme_n2_matches_independent_interleaver():
     spec = build_bwbgme(2)
-    wl = Workload.from_sessions([[1], [2]])
+    wl = Workload([[1], [2]])
     report = explore(spec, wl)
     keys, me, deadlocks = crosscheck_reachable(spec, wl)
     assert report.clean and me == 0 and deadlocks == 0
@@ -71,7 +71,7 @@ def test_bwbgme_n3_packed_keys_match_independent_interleaver():
     # Decoding every packed key gives exactly the value keys a search
     # that keeps plain value keys reaches.
     spec = build_bwbgme(3)
-    wl = Workload.from_sessions([[1], [1], [2]])
+    wl = Workload([[1], [1], [2]])
     report = explore(spec, wl)
     keys, me, deadlocks = crosscheck_reachable(spec, wl)
     assert report.clean and not report.truncated and me == 0 and deadlocks == 0
@@ -85,10 +85,9 @@ def test_packing_width_holds_every_id():
     # interns 592 stores.
     runs = [(build(2), explored_workload(), dict(max_states=cap))
             for build in (build_glb, build_bwbgme) for cap in (1, 2, 50, 2_000_000)]
-    runs += [(build_glb(2), explored_workload(), dict(token_cap=1))]
-    runs += [(build_glb(3), Workload.from_sessions([[1], [2], [1]]), dict(max_states=cap))
+    runs += [(build_glb(3), Workload([[1], [2], [1]]), dict(max_states=cap))
              for cap in (1, 2, 50, 2_000_000)]
-    runs += [(build_bwbgme(3), Workload.from_sessions([[1], [1], [2]]), dict(max_states=cap))
+    runs += [(build_bwbgme(3), Workload([[1], [1], [2]]), dict(max_states=cap))
              for cap in (1, 2, 50)]
     for spec, wl, caps in runs:
         report = explore(spec, wl, **caps)
@@ -103,7 +102,7 @@ def test_fold_and_explorer_step_the_same_monitors():
     trace = run_collected(state, bl_adversarial_schedule(4), step_cap=100_000).trace
     assert set(build_invocations(trace).first) <= set(online_props("bl"))
     for build in (build_glb, build_bwbgme, build_bl):
-        report = explore(build(2), Workload.from_sessions([[1], [2]]), max_states=1)
+        report = explore(build(2), Workload([[1], [2]]), max_states=1)
         root_key = next(iter(report.keys))
         assert len(decoded_key(report, root_key)[1]) == len(online_props(report.algorithm))
 
@@ -112,7 +111,7 @@ def test_reported_states_replay_as_scripts():
     # Explorer soundness: walking any parent chain as a scripted schedule
     # reproduces the state's value key.
     spec = build_bwbgme(2)
-    wl = Workload.from_sessions([[1], [2]])
+    wl = Workload([[1], [2]])
     report = explore(spec, wl)
     keys = list(report.keys)
     assert len(keys) == report.states
@@ -129,8 +128,8 @@ def test_live_state_is_each_new_state(monkeypatch):
     # Its deadlock check runs once per new state, in id order, so the
     # live state it sees must be exactly each stored state in turn, and
     # give the verdict a fresh load of that state's key gives.
-    for spec, wl in ((build_glb(3), Workload.from_sessions([[1], [2], [1]])),
-                     (build_bwbgme(3), Workload.from_sessions([[1], [1], [2]]))):
+    for spec, wl in ((build_glb(3), Workload([[1], [2], [1]])),
+                     (build_bwbgme(3), Workload([[1], [1], [2]]))):
         fresh = SystemState(spec, wl)
         seen = []
 
@@ -163,7 +162,7 @@ def test_deadlock_check_matches_full_scan_on_every_state(monkeypatch):
             return blocked
 
         monkeypatch.setattr(gmesim.explorer, "all_active_blocked", checked)
-        report = explore(spec, Workload.from_sessions(sessions))
+        report = explore(spec, Workload(sessions))
         assert report.clean and len(verdicts) == report.states
 
 
@@ -194,7 +193,7 @@ def test_merged_states_behave_identically():
     # State-key adequacy: two different histories reaching the same key
     # produce identical value behavior under the same suffix schedule.
     spec = build_glb(2)
-    wl = Workload.from_sessions([[1], [2]])
+    wl = Workload([[1], [2]])
     merges = merged_paths(spec, wl, explore(spec, wl), limit=25)
     assert len(merges) == 25
     suffix = [1, 2] * 20
@@ -211,15 +210,35 @@ def test_merged_states_behave_identically():
 # Digest of each algorithm's N=2 report with two invocations per process
 # (util.report_digest).  Swapping sessions 1 and 2 maps one exploration
 # onto the other state for state, so both workloads give one digest.
-TWO_INVOCATION_REPORTS = {"glb": "323828e2d50e98cd", "bwbgme": "380d4d2d19019969"}
+TWO_INVOCATION_REPORTS = {"glb": "d81869f8abc2ff9b", "bwbgme": "2bfaf21e48800781"}
 
 
 def test_two_invocation_reports_pinned_under_session_relabeling():
     for name, build in (("glb", build_glb), ("bwbgme", build_bwbgme)):
         for sessions in ([[1, 2], [2, 1]], [[2, 1], [1, 2]]):
-            report = explore(build(2), Workload.from_sessions(sessions))
+            report = explore(build(2), Workload(sessions))
             assert report.clean and not report.truncated, (name, sessions)
+            assert report.max_token <= 4, (name, sessions)  # the invocation count
             assert report_digest(report) == TWO_INVOCATION_REPORTS[name], (name, sessions)
+
+
+def test_max_token_is_the_largest_token_the_oracle_reaches():
+    # explore reads max_token off its interned store table; an
+    # independent search must reach a store that holds that number, and
+    # none that holds more.  No token exceeds the workload's invocation
+    # count, 4: a doorway reads only tokens written before it, so the
+    # k-th token written is at most k (Lamport's ticket argument), and
+    # explore needs no token cap.
+    wl = explored_workload()
+    for i, spec in enumerate(explored_specs()):
+        if spec.name == "bl":
+            continue
+        names = SystemState(spec, wl).mem.names
+        tokens = [slot for slot, name in enumerate(names) if name.startswith("Token[")]
+        keys, _, _ = crosscheck_reachable(spec, wl)
+        largest = max(token_number(store[slot]) for store, _ in keys for slot in tokens)
+        report = explore(spec, wl)
+        assert not report.truncated and report.max_token == largest <= 4, i
 
 
 def test_max_states_cap_reports_truncation():
@@ -231,12 +250,6 @@ def test_max_states_cap_reports_truncation():
 def test_max_depth_cap_reports_truncation():
     report = explore(build_glb(2), distinct_sessions(2), max_depth=5)
     assert report.truncated and report.truncation_reason == "max_depth"
-
-
-def test_token_cap_cuts_paths_without_failing():
-    report = explore(build_glb(2), distinct_sessions(2, invocations=2), token_cap=1)
-    assert report.token_cap_hits > 0 and report.truncated
-    assert report.violation_count() == 0
 
 
 def assert_witnesses_replay(spec, wl, report):
@@ -251,12 +264,12 @@ def assert_witnesses_replay(spec, wl, report):
 
 
 # Digest of each mutant's report at sessions {1,1,1} (util.report_digest).
-MUTANT_REPORTS = {"no_number_guard": "8e67985d753c3e5c",
-                  "unconditional_flip": "d36791155527ba61"}
+MUTANT_REPORTS = {"no_number_guard": "e3a0433d85be33e9",
+                  "unconditional_flip": "b8e4e72460826cf9"}
 
 
 def test_guard_mutant_violation_found_and_replays():
-    wl = Workload.from_sessions([[1], [1], [1]])
+    wl = Workload([[1], [1], [1]])
     for mutant in ("no_number_guard", "unconditional_flip"):
         spec = build_bwbgme(3, mutant=mutant)
         report = explore(spec, wl)
@@ -281,7 +294,7 @@ def planted_skip_spec():
         return out
 
     spec.step_fn = step_fn
-    return spec, Workload.from_sessions([[1], [2]])
+    return spec, Workload([[1], [2]])
 
 
 def test_planted_me_and_fcfs_witnesses_replay():
@@ -307,7 +320,7 @@ def planted_token_spec():
         return out
 
     spec.step_fn = step_fn
-    return spec, Workload.from_sessions([[1], [2]])
+    return spec, Workload([[1], [2]])
 
 
 def test_planted_token_bound_witnesses_replay():
@@ -321,5 +334,5 @@ def test_planted_token_bound_witnesses_replay():
 
 
 def test_unmutated_counterpart_is_clean():
-    report = explore(build_bwbgme(3), Workload.from_sessions([[1], [1], [1]]))
+    report = explore(build_bwbgme(3), Workload([[1], [1], [1]]))
     assert report.clean

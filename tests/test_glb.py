@@ -7,7 +7,7 @@ from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_glb,
 from gmesim.errors import ConfigurationError
 from gmesim.machine import Section
 from gmesim.monitors import (build_invocations, check_bounded_exit,
-                             check_mutual_exclusion, check_wait_rmr_bounds)
+                             check_mutual_exclusion, check_wait_rmr_bounds, max_token_number)
 from util import (check, distinct_sessions, doorway_done, drive, entered_cs, exit_writes,
                   finished, run_collected)
 
@@ -30,12 +30,12 @@ def test_sequential_doorways_pick_1_2_3():
 
 
 def test_solo_process_token_1_and_no_waiting():
-    state = SystemState(build_glb(4), Workload.from_sessions([[7], [], [], []]))
+    state = SystemState(build_glb(4), Workload([[7], [], [], []]))
     drive(state, 1, doorway_done)
     assert token_of(state, 1) == 1
     ev = drive(state, 1, finished)
     # no false wait evaluation on the way to the CS
-    state2 = SystemState(build_glb(4), Workload.from_sessions([[7], [], [], []]))
+    state2 = SystemState(build_glb(4), Workload([[7], [], [], []]))
     result = run_collected(state2, RoundRobin(), step_cap=1000)
     assert not any(e.outcome == "fail" for e in result.trace.events)
 
@@ -104,7 +104,18 @@ def test_smallest_key_enters_first():
                 reset = writes[12].get((b.pid, b.inv))
                 live = b.dc <= a.ce and (reset is None or reset > a.ce)
                 if live:
-                    assert not (b.token_value, b.pid) < (a.token_value, a.pid)
+                    assert not (b.token, b.pid) < (a.token, a.pid)
+
+
+def test_token_numbers_stay_within_the_invocation_count():
+    # A doorway reads only tokens written before it, so the k-th token
+    # written is at most k (Lamport's ticket argument): no token exceeds
+    # the workload's invocation count, here 4 processes x 2.
+    for seed in range(8):
+        state = SystemState(build_glb(4), distinct_sessions(4, invocations=2))
+        result = run_collected(state, random_schedule(4, seed), step_cap=200_000)
+        assert result.completed
+        assert 1 <= max_token_number(build_invocations(result.trace)) <= 8, seed
 
 
 def test_wait_rmr_bounds_hold_on_random_schedules():
@@ -124,7 +135,7 @@ def test_line8_worst_case_is_exactly_five_rmr():
     # one.  More is impossible: the neighbor's second invocation cannot
     # reach the CS before the waiter does.
     spec = build_glb(2)
-    wl = Workload.from_sessions([[1, 1], [2]])
+    wl = Workload([[1, 1], [2]])
     state = SystemState(spec, wl)
     pids = []
 

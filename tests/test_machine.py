@@ -70,7 +70,7 @@ def test_not_blocked_in_cs_or_on_true_wait():
 
 
 def test_exhausted_process_noop():
-    state = SystemState(build_glb(1), Workload.from_sessions([[1]]))
+    state = SystemState(build_glb(1), Workload([[1]]))
     drive(state, 1, finished)
     ev = step(state, 1)
     assert ev.kind == "noop" and ev.inv == -1
@@ -78,20 +78,20 @@ def test_exhausted_process_noop():
 
 
 def test_empty_workload_is_exhausted_immediately():
-    state = SystemState(build_glb(2), Workload.from_sessions([[1], []]))
+    state = SystemState(build_glb(2), Workload([[1], []]))
     assert state.exhausted(2)
     assert step(state, 2).kind == "noop"
 
 
 def test_sessions_must_be_positive():
     with pytest.raises(ConfigurationError):
-        Workload.from_sessions([[0]])
+        Workload([[0]])
     with pytest.raises(ConfigurationError):
-        Workload.from_sessions([[-3]])
+        Workload([[-3]])
 
 
 def test_single_process_trace_shape():
-    state = SystemState(build_glb(1), Workload.from_sessions([[1]]))
+    state = SystemState(build_glb(1), Workload([[1]]))
     result = run_collected(state, RoundRobin(), step_cap=1000)
     assert result.completed
     markers = [m for ev in result.trace.events for m in ev.markers]
@@ -255,7 +255,7 @@ def test_every_write_matches_its_register_kind(monkeypatch):
     for build in (build_glb, build_bwbgme, build_bl):
         for seed in range(3):
             spec = build(4)
-            state = SystemState(spec, Workload.from_sessions([[1, 2], [2, 1], [1, 1], [3, 2]]))
+            state = SystemState(spec, Workload([[1, 2], [2, 1], [1, 1], [3, 2]]))
             assert run_collected(state, random_schedule(4, seed), step_cap=200_000).completed
             check_writes(spec, state.mem)
 
@@ -338,7 +338,7 @@ def test_runs_match_value_cache_oracle(monkeypatch):
     def run_all():
         out = []
         for build, n, sessions, seed in cases:
-            state = SystemState(build(n), Workload.from_sessions(sessions))
+            state = SystemState(build(n), Workload(sessions))
             result = run_collected(state, random_schedule(n, seed), step_cap=200_000)
             assert result.completed
             per_pid = [0] * n

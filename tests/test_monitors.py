@@ -48,8 +48,8 @@ def invocation_events(pid, session, base, enter=None, exit_at=None):
         ev(base + 1, pid, markers=(DOORWAY_COMPLETE,), section=Section.DOORWAY),
         ev(enter, pid, markers=(CS_ENTER,), section=Section.WAITING),
         ev(exit_at, pid, markers=(CS_EXIT,), section=Section.CS),
-        ev(exit_at + 1, pid, markers=(EXIT_COMPLETE,), section=Section.EXIT,
-           kind="write"),
+        ev(exit_at + 1, pid, line=13, markers=(EXIT_COMPLETE,), section=Section.EXIT,
+           kind="write", reg=f"Session[{pid}]"),
     ]
 
 

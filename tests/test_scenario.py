@@ -28,7 +28,7 @@ def test_parse_good_scenario():
     assert sc.initial_color == "black" and sc.cs_steps == 2
     assert sc.sessions == {1: [1, 2], 2: [2], 3: [1]}
     wl = sc.build_workload()
-    assert wl.invocations[0] == [(1, 2), (2, 2)]
+    assert wl.sessions[0] == [1, 2] and wl.cs_steps == 2
 
 
 def test_config_hash_is_stable():
@@ -39,18 +39,13 @@ def test_config_hash_is_stable():
 
 def test_config_hash_names_the_explore_caps():
     base = parse_scenario(GOOD).config_hash
-    for cap, value in (("max_states", 40), ("max_depth", 12), ("token_cap", 5)):
+    for cap, value in (("max_states", 40), ("max_depth", 12)):
         capped = parse_scenario(GOOD)
         setattr(capped, cap, value)
         assert capped.config_hash != base, cap
     # a cap left at its default hashes as if unset
     explicit = parse_scenario(GOOD + "max_states = 2000000\n")
     assert explicit.config_hash == base
-    # glb's token cap defaults to 4 * N * invocations (3 * 4 here)
-    glb = GOOD.replace("bwbgme", "glb").replace("initial_color = black\n", "")
-    unset = parse_scenario(glb).config_hash
-    assert parse_scenario(glb + "token_cap = 48\n").config_hash == unset
-    assert parse_scenario(glb + "token_cap = 47\n").config_hash != unset
 
 
 def test_config_hash_resolves_the_initial_color():
@@ -77,6 +72,10 @@ def test_error_carries_line_number():
 
 def test_unknown_key_rejected():
     assert "unknown key" in str(err(GOOD + "turbo = on\n"))
+    # glb's tokens need no cap (each is at most the invocation count), so
+    # no key sets one
+    error = err(GOOD + "token_cap = 5\n")
+    assert "unknown key 'token_cap'" in str(error) and error.lineno == 13
 
 
 def test_unknown_algorithm_rejected():
@@ -99,7 +98,7 @@ def test_session_values_validated():
 def test_out_of_range_values_rejected_with_line_number():
     base = GOOD.replace("cs_steps = 2\n", "").replace("step_cap = 5000\n", "")
     for key, low in (("cs_steps", 0), ("step_cap", 0), ("max_states", 1),
-                     ("max_depth", 0), ("token_cap", 0)):
+                     ("max_depth", 0)):
         error = err(base + f"{key} = {low - 1}\n")
         assert f"{key} must be >= {low}" in str(error) and error.lineno == 11, key
         assert getattr(parse_scenario(base + f"{key} = {low}\n"), key) == low

@@ -43,7 +43,7 @@ def test_fairness_window_is_hard():
     for sessions in ([[1] * 4, [2] * 4, [3] * 4], [[1], [], [3] * 4, [2]]):
         n = len(sessions)
         for window, seed in itertools.product((n, n + 1, 7, 12), (5, 6)):
-            state = SystemState(build_glb(n), Workload.from_sessions(sessions))
+            state = SystemState(build_glb(n), Workload(sessions))
             schedule = random_schedule(n, seed=seed, window=window)
             picks = []
             while True:
@@ -84,7 +84,7 @@ def test_random_schedule_matches_full_rescan(case):
     n = len(sessions)
     events = []
     for schedule in (RandomSchedule(seed, window), oracle_scans.RandomSchedule(seed, window)):
-        state = SystemState(build(n), Workload.from_sessions(sessions))
+        state = SystemState(build(n), Workload(sessions))
         result = run_collected(state, schedule, step_cap=100_000)
         assert result.completed
         events.append(result.trace.events)  # one per pick, carrying its pid
@@ -100,7 +100,7 @@ def test_window_below_n_rejected():
 
 
 def test_round_robin_skips_exhausted():
-    state = SystemState(build_glb(2), Workload.from_sessions([[1], []]))
+    state = SystemState(build_glb(2), Workload([[1], []]))
     rr = RoundRobin()
     from gmesim import step
     seen = set()

@@ -121,7 +121,7 @@ def run_scripted(spec, workload, pids, step_cap=200_000):
 
 
 def distinct_sessions(n, invocations=1, cs_steps=1):
-    return Workload.from_sessions([[pid] * invocations for pid in range(1, n + 1)],
+    return Workload([[pid] * invocations for pid in range(1, n + 1)],
                                   cs_steps=cs_steps)
 
 
@@ -146,7 +146,7 @@ def report_digest(report) -> str:
     caps and truncation, and every violation's property, path and
     detail, in the order the search found them."""
     summary = (report.states, report.transitions, report.max_depth, report.deadlocks,
-               report.max_token, report.token_cap_hits, report.truncated,
+               report.max_token, report.truncated,
                report.truncation_reason,
                [(prop, [(v.path, v.detail) for v in vs])
                 for prop, vs in sorted(report.violations.items())])
@@ -185,5 +185,5 @@ def explored_workload() -> Workload:
     """Two invocations per process for the exhaustive tests.  P1 changes
     session between its two, so every wait line meets both a shared and
     a conflicting session."""
-    return Workload.from_sessions([[1, 2], [1, 1]])
+    return Workload([[1, 2], [1, 1]])
 
