@@ -19,7 +19,6 @@ arrival; repeated polls of the same stuck wait count once.
 
 from __future__ import annotations
 
-from .errors import ConfigurationError
 from .machine import AlgorithmSpec, Section
 from .memory import RegisterDecl
 
@@ -55,66 +54,64 @@ def build_bl(n: int) -> AlgorithmSpec:
         else:
             env.pc = _WAIT_HIGH
 
-    def step_fn(state, p, env):
-        mem = state.mem
+    access = {
+        _L1: lambda env, p: ("write", p, True),
+        _DOWN: lambda env, p: ("read", env.j - 1),
+        _RESET: lambda env, p: ("write", p, False),
+        _WAIT_LOW: lambda env, p: ("read", env.j - 1),
+        _WAIT_HIGH: lambda env, p: ("read", env.j - 1),
+        _CS: lambda env, p: None,
+        _EXIT: lambda env, p: ("write", p, False),
+    }
+
+    def step_fn(env, p, v):
         pc = env.pc
         i1 = p + 1
 
         if pc == _L1:
-            mem.write_slot(p, p, True)
             if i1 == 1:
                 start_upscan(env, i1)
             else:
                 env.j = 1
                 env.pc = _DOWN
-            return ("write", 1, p, True, True, None, None)
+            return (1, None, None)
 
         if pc == _DOWN:
-            jj = env.j
-            v, rmr = mem.read_slot(p, jj - 1)
             if v:
                 env.pc = _RESET
             else:
                 env.j += 1
                 if env.j >= i1:
                     start_upscan(env, i1)
-            return ("read", 3, jj - 1, v, rmr, None, None)
+            return (3, None, None)
 
         if pc == _RESET:
-            mem.write_slot(p, p, False)
             env.pc = _WAIT_LOW
-            return ("write", 4, p, False, True, None, None)
+            return (4, None, None)
 
+        jj = env.j
         if pc == _WAIT_LOW:
-            jj = env.j
-            v, rmr = mem.read_slot(p, jj - 1)
             if v:
-                return ("read", 5, jj - 1, v, rmr, "fail", jj)
+                return (5, "fail", jj)
             env.pc = _L1  # goto L
-            return ("read", 5, jj - 1, v, rmr, "pass", jj)
+            return (5, "pass", jj)
 
         if pc == _WAIT_HIGH:
-            jj = env.j
-            v, rmr = mem.read_slot(p, jj - 1)
             if v:
-                return ("read", 10, jj - 1, v, rmr, "fail", jj)
+                return (10, "fail", jj)
             env.j += 1
             if env.j > n:
                 enter_cs(env)
-            return ("read", 10, jj - 1, v, rmr, "pass", jj)
+            return (10, "pass", jj)
 
         if pc == _CS:
             env.cs_left -= 1
             if env.cs_left == 0:
                 env.pc = _EXIT
-            return ("local", 11, None, None, False, None, None)
+            return (11, None, None)
 
-        if pc == _EXIT:
-            mem.write_slot(p, p, False)
-            env.pc = 0
-            return ("write", 12, p, False, True, None, None)
-
-        raise ConfigurationError(f"bl: invalid pc {pc}")
+        env.pc = 0  # _EXIT
+        return (12, None, None)
 
     def cond_wait(env, store, i1):
         return not store[env.j - 1]
@@ -124,6 +121,7 @@ def build_bl(n: int) -> AlgorithmSpec:
         n=n,
         registers=registers,
         entry_pc=_L1,
+        access=access,
         step_fn=step_fn,
         sections=dict(_SECTIONS),
         wait_conds={_WAIT_LOW: cond_wait, _WAIT_HIGH: cond_wait},

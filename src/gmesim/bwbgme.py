@@ -18,8 +18,9 @@ The exit path checks the token-number guard (line 25), then runs the
 opposite-color scan (line 26, early return on the first hit), then
 conditionally flips GlobalColor in a single write (line 28/30), and
 finally resets the token (line 34).  The ``mutant`` knob disables the
-guard, the scan, or both; it exists so tests can confirm the property
-monitors catch the failure modes each check prevents.
+guard, the scan, or both.  The flip monitor catches no_number_guard and
+unconditional_flip; no_opposite_scan explores clean on every N=3
+one-invocation workload in both colours; whether it breaks anything is open.
 """
 
 from __future__ import annotations
@@ -113,151 +114,145 @@ def build_bwbgme(n: int, initial_color: str = WHITE, mutant: str = None) -> Algo
         else:
             env.pc = _X34
 
-    def step_fn(state, p, env):
-        mem = state.mem
+    def read_token_j(env, p):
+        return ("read", tok0 + env.j - 1)
+
+    access = {
+        _D3: lambda env, p: ("write", tok0 + p, (env.mysession, BOTTOM, 0)),
+        _D4: lambda env, p: ("write", cho0 + p, True),
+        _D5: lambda env, p: ("read", gc_slot),
+        _D6: lambda env, p: None,
+        _D8: read_token_j,
+        _D13: lambda env, p: None,
+        _D14: lambda env, p: ("write", tok0 + p, (env.mysession, env.mycolor, env.mynumber)),
+        _D15: lambda env, p: ("write", cho0 + p, False),
+        _W17_CHOOSING: lambda env, p: ("read", cho0 + env.j - 1),
+        _W17_TOKEN: read_token_j,
+        _W18: read_token_j,
+        _W19: read_token_j,
+        _W21_COLOR: lambda env, p: ("read", gc_slot),
+        _W21_TOKEN: read_token_j,
+        _CS: lambda env, p: None,
+        _X25: lambda env, p: None,
+        _X26: read_token_j,
+        _X_FLIP: lambda env, p: ("write", gc_slot, opposite_color(env.mycolor)),
+        _X34: lambda env, p: ("write", tok0 + p, (0, BOTTOM, 0)),
+    }
+
+    def step_fn(env, p, v):
         pc = env.pc
+        jj = env.j
         s = env.mysession
 
         if pc == _W17_CHOOSING:
-            jj = env.j
-            v, rmr = mem.read_slot(p, cho0 + jj - 1)
             if not v:
                 env.pc = _W18
-                return ("read", 17, cho0 + jj - 1, v, rmr, "pass", jj)
+                return (17, "pass", jj)
             env.pc = _W17_TOKEN
-            return ("read", 17, cho0 + jj - 1, v, rmr, None, jj)
+            return (17, None, jj)
 
         if pc == _W17_TOKEN:
-            jj = env.j
-            tok, rmr = mem.read_slot(p, tok0 + jj - 1)
-            if tok[0] == s:
-                branch_line18(env, tok[1])
-                return ("read", 17, tok0 + jj - 1, tok, rmr, "pass", jj)
+            if v[0] == s:
+                branch_line18(env, v[1])
+                return (17, "pass", jj)
             env.pc = _W17_CHOOSING
-            return ("read", 17, tok0 + jj - 1, tok, rmr, "fail", jj)
+            return (17, "fail", jj)
 
         if pc == _W18:
-            jj = env.j
-            tok, rmr = mem.read_slot(p, tok0 + jj - 1)
-            branch_line18(env, tok[1])
-            return ("read", 18, tok0 + jj - 1, tok, rmr, None, jj)
+            branch_line18(env, v[1])
+            return (18, None, jj)
 
         if pc == _W19:
-            jj = env.j
-            tok, rmr = mem.read_slot(p, tok0 + jj - 1)
-            session, color, number = tok
+            session, color, number = v
             if ((env.mynumber, p + 1) < (number, jj) or color != env.mycolor
                     or session in (0, s)):
                 advance_j(env)
-                return ("read", 19, tok0 + jj - 1, tok, rmr, "pass", jj)
-            return ("read", 19, tok0 + jj - 1, tok, rmr, "fail", jj)
+                return (19, "pass", jj)
+            return (19, "fail", jj)
 
         if pc == _W21_COLOR:
-            jj = env.j
-            v, rmr = mem.read_slot(p, gc_slot)
             if v != env.mycolor:
                 advance_j(env)
-                return ("read", 21, gc_slot, v, rmr, "pass", jj)
+                return (21, "pass", jj)
             env.pc = _W21_TOKEN
-            return ("read", 21, gc_slot, v, rmr, None, jj)
+            return (21, None, jj)
 
         if pc == _W21_TOKEN:
-            jj = env.j
-            tok, rmr = mem.read_slot(p, tok0 + jj - 1)
-            session, color, _ = tok
+            session, color, _ = v
             if color == env.mycolor or session in (0, s):
                 advance_j(env)
-                return ("read", 21, tok0 + jj - 1, tok, rmr, "pass", jj)
+                return (21, "pass", jj)
             env.pc = _W21_COLOR
-            return ("read", 21, tok0 + jj - 1, tok, rmr, "fail", jj)
+            return (21, "fail", jj)
 
         if pc == _D3:
-            v = (s, BOTTOM, 0)
-            mem.write_slot(p, tok0 + p, v)
             env.pc = _D4
-            return ("write", 3, tok0 + p, v, True, None, None)
+            return (3, None, None)
 
         if pc == _D4:
-            mem.write_slot(p, cho0 + p, True)
             env.pc = _D5
-            return ("write", 4, cho0 + p, True, True, None, None)
+            return (4, None, None)
 
         if pc == _D5:
-            v, rmr = mem.read_slot(p, gc_slot)
             env.mycolor = v
             env.pc = _D6
-            return ("read", 5, gc_slot, v, rmr, None, None)
+            return (5, None, None)
 
         if pc == _D6:
             env.mynumber = 0
             env.j = 1
             env.pc = _D8
-            return ("local", 6, None, None, False, None, None)
+            return (6, None, None)
 
         if pc == _D8:
-            jj = env.j
-            tok, rmr = mem.read_slot(p, tok0 + jj - 1)
-            session, color, number = tok
+            session, color, number = v
             if color == env.mycolor and session not in (0, s) and number > env.mynumber:
                 env.mynumber = number
             env.j += 1
             if env.j > n:
                 env.pc = _D13
-            return ("read", 8, tok0 + jj - 1, tok, rmr, None, None)
+            return (8, None, None)
 
         if pc == _D13:
             env.mynumber += 1
             env.pc = _D14
-            return ("local", 13, None, None, False, None, None)
+            return (13, None, None)
 
         if pc == _D14:
-            v = (s, env.mycolor, env.mynumber)
-            mem.write_slot(p, tok0 + p, v)
             env.pc = _D15
-            return ("write", 14, tok0 + p, v, True, None, None)
+            return (14, None, None)
 
         if pc == _D15:
-            mem.write_slot(p, cho0 + p, False)
             env.j = 1
             env.pc = _W17_CHOOSING
-            return ("write", 15, cho0 + p, False, True, None, None)
+            return (15, None, None)
 
         if pc == _CS:
             env.cs_left -= 1
             if env.cs_left == 0:
                 env.pc = _X25
-            return ("local", 24, None, None, False, None, None)
+            return (24, None, None)
 
         if pc == _X25:
             begin_exit(env)
-            return ("local", 25, None, None, False, None, None)
+            return (25, None, None)
 
         if pc == _X26:
-            jj = env.j
-            tok, rmr = mem.read_slot(p, tok0 + jj - 1)
-            session, color, _ = tok
+            session, color, _ = v
             if session != 0 and color == opposite_color(env.mycolor):
                 env.pc = _X34  # found: do not flip
             else:
                 env.j += 1
                 if env.j > n:
                     env.pc = _X_FLIP  # nobody opposite: flip
-            return ("read", 26, tok0 + jj - 1, tok, rmr, None, None)
+            return (26, None, None)
 
         if pc == _X_FLIP:
-            v = opposite_color(env.mycolor)
-            mem.write_slot(p, gc_slot, v)
             env.pc = _X34
-            line = 28 if v == WHITE else 30
-            return ("write", line, gc_slot, v, True, None, None)
+            return (28 if v == WHITE else 30, None, None)
 
-        if pc == _X34:
-            v = (0, BOTTOM, 0)
-            mem.write_slot(p, tok0 + p, v)
-            env.pc = 0
-            return ("write", 34, tok0 + p, v, True, None, None)
-
-        raise ConfigurationError(f"bwbgme: invalid pc {pc}")
+        env.pc = 0  # _X34
+        return (34, None, None)
 
     def cond_line17(env, store, i1):
         jj = env.j
@@ -280,6 +275,7 @@ def build_bwbgme(n: int, initial_color: str = WHITE, mutant: str = None) -> Algo
         n=n,
         registers=registers,
         entry_pc=_D3,
+        access=access,
         step_fn=step_fn,
         sections=dict(_SECTIONS),
         wait_conds={

@@ -27,7 +27,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .burns_lamport import block_counts
 from .errors import ConfigurationError, ScenarioError
@@ -269,6 +268,8 @@ def cmd_sweep(args) -> int:
                 fairness_window=window, cs_steps=args.cs_steps, step_cap=args.steps)
             jobs = [dataclasses.replace(scenario, seed=seed) for seed in range(args.seeds)]
             if args.workers > 1:
+                # Imported here, so no other command pays for importing it.
+                from concurrent.futures import ProcessPoolExecutor
                 with ProcessPoolExecutor(max_workers=args.workers) as pool:
                     results = list(pool.map(_sweep_one, jobs))
             else:

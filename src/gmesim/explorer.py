@@ -185,21 +185,23 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     while stack:
         nid, key, fields = stack.pop()
         sid, mid = fields[0], fields[-1]
+        # Runtimes that may differ from nid's: any, then the last one stepped.
+        stale = range(1, n + 1)
         for p in range(n):
             pid = p + 1
             rid = fields[pid]
             rt = runtimes[rid]
             if rt[0] == PC_REMAINDER and rt[6] >= last_inv[p]:
                 continue  # the process has finished its last invocation
-            # Load the parts of state nid that the live state does not hold:
-            # what the previous state left, or the previous successor's step.
+            # Load the parts of state nid that the live state does not hold.
             if held[0] != sid:
                 mem.store[:] = stores[sid]
                 held[0] = sid
-            for q in range(1, n + 1):
+            for q in stale:
                 if held[q] != fields[q]:
                     envs[q - 1].load_key(runtimes[fields[q]])
                     held[q] = fields[q]
+            stale = (pid,)
             mem.valid[:] = no_readers
             ev = step(work, pid)
             transitions += 1

@@ -11,13 +11,12 @@ lines compile to one read per referenced shared variable per
 evaluation, left to right with short-circuiting:
 
   line 8: read Choosing[j]; only if true, read Session[j]
-  line 9: read Token[i] (own cache), read Token[j]; only if both
-          order disjuncts fail, read Session[j]
+  line 9: read Token[i] (own cache, value acc + 1), read Token[j];
+          only if both order disjuncts fail, read Session[j]
 """
 
 from __future__ import annotations
 
-from .errors import ConfigurationError
 from .machine import AlgorithmSpec, Section
 from .memory import RegisterDecl
 
@@ -56,11 +55,8 @@ def build_glb(n: int) -> AlgorithmSpec:
     ]
     sess0, tok0, cho0 = 0, n, 2 * n
 
-    def first_other(i1: int) -> int:
-        j = 1 if i1 != 1 else 2
-        return j if j <= n else 0
-
     def next_other(j: int, i1: int) -> int:
+        """The next pid after j other than i1, 0 when none is left."""
         j += 1
         if j == i1:
             j += 1
@@ -73,107 +69,99 @@ def build_glb(n: int) -> AlgorithmSpec:
         else:
             env.pc = _W8_CHOOSING
 
-    def step_fn(state, p, env):
-        mem = state.mem
+    access = {
+        _D3: lambda env, p: ("write", cho0 + p, True),
+        _D4: lambda env, p: ("write", sess0 + p, env.mysession),
+        _D5_READ: lambda env, p: ("read", tok0 + env.j - 1),
+        _D5_WRITE: lambda env, p: ("write", tok0 + p, env.acc + 1),
+        _D6: lambda env, p: ("write", cho0 + p, False),
+        _W8_CHOOSING: lambda env, p: ("read", cho0 + env.j - 1),
+        _W8_SESSION: lambda env, p: ("read", sess0 + env.j - 1),
+        _W9_OWN: lambda env, p: ("read", tok0 + p),
+        _W9_TOKEN: lambda env, p: ("read", tok0 + env.j - 1),
+        _W9_SESSION: lambda env, p: ("read", sess0 + env.j - 1),
+        _CS: lambda env, p: None,
+        _X12: lambda env, p: ("write", tok0 + p, 0),
+        _X13: lambda env, p: ("write", sess0 + p, 0),
+    }
+
+    def step_fn(env, p, v):
         pc = env.pc
-        i1 = p + 1
-        s = env.mysession
+        jj = env.j
 
         if pc == _W8_CHOOSING:
-            jj = env.j
-            v, rmr = mem.read_slot(p, cho0 + jj - 1)
             if not v:
                 env.pc = _W9_OWN
-                return ("read", 8, cho0 + jj - 1, v, rmr, "pass", jj)
+                return (8, "pass", jj)
             env.pc = _W8_SESSION
-            return ("read", 8, cho0 + jj - 1, v, rmr, None, jj)
+            return (8, None, jj)
 
         if pc == _W8_SESSION:
-            jj = env.j
-            v, rmr = mem.read_slot(p, sess0 + jj - 1)
-            if v == 0 or v == s:
+            if v == 0 or v == env.mysession:
                 env.pc = _W9_OWN
-                return ("read", 8, sess0 + jj - 1, v, rmr, "pass", jj)
+                return (8, "pass", jj)
             env.pc = _W8_CHOOSING
-            return ("read", 8, sess0 + jj - 1, v, rmr, "fail", jj)
+            return (8, "fail", jj)
 
         if pc == _W9_OWN:
-            v, rmr = mem.read_slot(p, tok0 + p)
             env.pc = _W9_TOKEN
-            return ("read", 9, tok0 + p, v, rmr, None, env.j)
+            return (9, None, jj)
 
         if pc == _W9_TOKEN:
-            jj = env.j
-            tj, rmr = mem.read_slot(p, tok0 + jj - 1)
-            # Own token re-fetched locally: only process i writes Token[i],
-            # so the value read one step earlier is still the store value.
-            ti = mem.store[tok0 + p]
-            if (ti, i1) < (tj, jj) or tj == 0:
+            # Own token from the runtime: only process i writes Token[i],
+            # and it holds the acc + 1 written at line 5 until line 12.
+            if (env.acc + 1, p + 1) < (v, jj) or v == 0:
                 advance_j(env)
-                return ("read", 9, tok0 + jj - 1, tj, rmr, "pass", jj)
+                return (9, "pass", jj)
             env.pc = _W9_SESSION
-            return ("read", 9, tok0 + jj - 1, tj, rmr, None, jj)
+            return (9, None, jj)
 
         if pc == _W9_SESSION:
-            jj = env.j
-            v, rmr = mem.read_slot(p, sess0 + jj - 1)
-            if v == 0 or v == s:
+            if v == 0 or v == env.mysession:
                 advance_j(env)
-                return ("read", 9, sess0 + jj - 1, v, rmr, "pass", jj)
+                return (9, "pass", jj)
             env.pc = _W9_OWN
-            return ("read", 9, sess0 + jj - 1, v, rmr, "fail", jj)
+            return (9, "fail", jj)
 
         if pc == _D3:
-            mem.write_slot(p, cho0 + p, True)
             env.pc = _D4
-            return ("write", 3, cho0 + p, True, True, None, None)
+            return (3, None, None)
 
         if pc == _D4:
-            mem.write_slot(p, sess0 + p, s)
             env.acc = 0
-            env.j = first_other(i1)
+            env.j = next_other(0, p + 1)
             env.pc = _D5_READ if env.j else _D5_WRITE
-            return ("write", 4, sess0 + p, s, True, None, None)
+            return (4, None, None)
 
         if pc == _D5_READ:
-            jj = env.j
-            v, rmr = mem.read_slot(p, tok0 + jj - 1)
             if v > env.acc:
                 env.acc = v
-            env.j = next_other(jj, i1)
+            env.j = next_other(jj, p + 1)
             if not env.j:
                 env.pc = _D5_WRITE
-            return ("read", 5, tok0 + jj - 1, v, rmr, None, None)
+            return (5, None, None)
 
         if pc == _D5_WRITE:
-            v = env.acc + 1
-            mem.write_slot(p, tok0 + p, v)
             env.pc = _D6
-            return ("write", 5, tok0 + p, v, True, None, None)
+            return (5, None, None)
 
         if pc == _D6:
-            mem.write_slot(p, cho0 + p, False)
             env.j = 1
             env.pc = _W8_CHOOSING
-            return ("write", 6, cho0 + p, False, True, None, None)
+            return (6, None, None)
 
         if pc == _CS:
             env.cs_left -= 1
             if env.cs_left == 0:
                 env.pc = _X12
-            return ("local", 11, None, None, False, None, None)
+            return (11, None, None)
 
         if pc == _X12:
-            mem.write_slot(p, tok0 + p, 0)
             env.pc = _X13
-            return ("write", 12, tok0 + p, 0, True, None, None)
+            return (12, None, None)
 
-        if pc == _X13:
-            mem.write_slot(p, sess0 + p, 0)
-            env.pc = 0
-            return ("write", 13, sess0 + p, 0, True, None, None)
-
-        raise ConfigurationError(f"glb: invalid pc {pc}")
+        env.pc = 0  # _X13
+        return (13, None, None)
 
     def cond_line8(env, store, i1):
         jj = env.j
@@ -182,8 +170,7 @@ def build_glb(n: int) -> AlgorithmSpec:
     def cond_line9(env, store, i1):
         jj = env.j
         tj = store[tok0 + jj - 1]
-        ti = store[tok0 + i1 - 1]
-        return ((ti, i1) < (tj, jj) or tj == 0
+        return ((env.acc + 1, i1) < (tj, jj) or tj == 0
                 or store[sess0 + jj - 1] in (0, env.mysession))
 
     spec = AlgorithmSpec(
@@ -191,6 +178,7 @@ def build_glb(n: int) -> AlgorithmSpec:
         n=n,
         registers=registers,
         entry_pc=_D3,
+        access=access,
         step_fn=step_fn,
         sections=dict(_SECTIONS),
         wait_conds={
@@ -200,7 +188,6 @@ def build_glb(n: int) -> AlgorithmSpec:
             _W9_TOKEN: cond_line9,
             _W9_SESSION: cond_line9,
         },
-        meta={"unbounded_token_slots": list(range(tok0, tok0 + n))},
     )
     spec.validate()
     return spec

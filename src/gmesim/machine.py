@@ -1,14 +1,14 @@
 """Step-level execution of N asynchronous processes over shared memory.
 
 Each process is a small state machine compiled from an algorithm's
-pseudocode.  One step performs at most one shared read or one shared
-write (plus any amount of local computation); wait-until lines are
+pseudocode.  The algorithm declares each step's one shared access (or
+none) and moves the program counter given the value accessed; `step`
+makes the access in between, so a step makes at most one shared access
+and its event reports it, by construction.  Wait-until lines are
 compiled to polling, where every evaluation re-reads its shared
 variables left to right with short-circuiting and a false outcome
-leaves the program counter at the wait line.  `step` does not count a
-step's accesses; the test suite proves the one-access rule for every
-pc of every algorithm by exploring each state space, and ties each
-`wait_conds` entry to the wait line it describes the same way.
+leaves the program counter at the wait line.  The test suite ties each
+`wait_conds` entry to its wait line by exploring each state space.
 
 A step's event carries the `rmr` flag its access reported; those flags
 are the only RMR ledger, and every RMR figure is a sum of them.
@@ -143,16 +143,18 @@ class ProcEnv:
 class AlgorithmSpec:
     """An algorithm compiled to a step-level state machine.
 
-    step_fn(state, p, env) executes exactly one step for 0-based process
-    p whose env.pc is already inside the entry/CS/exit code, performing
-    at most one shared access, and returns
-    (kind, line, slot, value, rmr, outcome, target_j).
+    A step of 0-based process p whose env.pc is inside the entry/CS/exit
+    code has two halves that never see the memory.  access[env.pc](env, p)
+    names its one shared access: None, ("read", slot) or ("write", slot,
+    value).  step_fn(env, p, value) takes the value read or written (None
+    for a local step), moves env on and returns (line, outcome, target_j).
     """
 
     name: str
     n: int
     registers: list[RegisterDecl]
     entry_pc: int
+    access: dict[int, Callable]  # pc -> access(env, p) of the step at pc
     step_fn: Callable
     sections: dict[int, Section]
     wait_conds: dict[int, Callable]  # pc -> cond(env, store) over the global store
@@ -222,11 +224,12 @@ class SystemState:
 def step(state: SystemState, pid: int) -> TraceEvent:
     """Execute one atomic step of process pid and record it."""
     spec = state.spec
-    env = state.envs[pid - 1]
+    p = pid - 1
+    env = state.envs[p]
     mem = state.mem
 
     if env.pc == PC_REMAINDER:
-        per_proc = state.workload.sessions[pid - 1]
+        per_proc = state.workload.sessions[p]
         if env.inv + 1 >= len(per_proc):
             ev = TraceEvent(state.step_index, pid, -1, 0, "noop", None, None,
                             False, Section.REMAINDER, (), None, None)
@@ -241,8 +244,20 @@ def step(state: SystemState, pid: int) -> TraceEvent:
 
     # The event belongs to the section of the instruction it executed;
     # its markers are those of the section ranks it newly reached.
-    exec_section = spec.sections[env.pc]
-    kind, line, slot, value, rmr, outcome, target_j = spec.step_fn(state, pid - 1, env)
+    pc = env.pc
+    exec_section = spec.sections[pc]
+    access = spec.access[pc](env, p)
+    if access is None:
+        kind, reg, value, rmr = "local", None, None, False
+    else:
+        kind, slot = access[0], access[1]
+        reg = mem.names[slot]
+        if kind == "read":
+            value, rmr = mem.read_slot(p, slot)
+        else:
+            value, rmr = access[2], True
+            mem.write_slot(p, slot, value)
+    line, outcome, target_j = spec.step_fn(env, p, value)
 
     rank = _RANK[spec.sections[env.pc]]
     if rank > env.marks:
@@ -250,12 +265,8 @@ def step(state: SystemState, pid: int) -> TraceEvent:
         env.marks = rank
     else:
         markers = ()
-    ev = TraceEvent(
-        state.step_index, pid, env.inv, line, kind,
-        None if slot is None else mem.names[slot],
-        value, rmr, exec_section, markers,
-        outcome, target_j,
-    )
+    ev = TraceEvent(state.step_index, pid, env.inv, line, kind, reg, value, rmr,
+                    exec_section, markers, outcome, target_j)
     state.step_index += 1
     return ev
 

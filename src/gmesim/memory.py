@@ -13,10 +13,10 @@ per slot, bit p set iff process p holds a valid copy.  Caches never
 evict: a copy stays valid until some other process writes the register.
 There is no capacity, latency, or DSM modeling.
 
-The store holds whatever values the step machines write.  Which values
-each register may hold, and that a step makes at most one access, are
-properties of the step machines; the test suite checks both over
-exhaustive explorations rather than on every access here.
+The store holds whatever values the step machines write; the test suite
+checks each register's values over exhaustive explorations rather than
+on every access here.  `machine.step` is the only caller of `read_slot`
+and `write_slot`, once per step.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class Memory:
 
     Registers live in dense integer slots, numbered in declaration order;
     the algorithm step machines address them by slot.  A read returns
-    its cost, which the step machine copies into its event's `rmr` flag
+    its cost, which `machine.step` copies into its event's `rmr` flag
     (a write always costs one); the memory keeps no totals.
     """
 

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -328,6 +331,17 @@ def test_sweep_workers_flag(tmp_path):
     assert code == 0
     with open(csv_path) as fh:
         assert len(list(csv.DictReader(fh))) == 2
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # Only `sweep --workers N` with N > 1 needs a process pool; every
+    # other command is spared importing concurrent.futures.
+    src = Path(gmesim.cli.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gmesim.cli; print('concurrent.futures' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -287,9 +287,9 @@ def planted_skip_spec():
     inner = spec.step_fn
     cs_pc = next(pc for pc, section in spec.sections.items() if section is Section.CS)
 
-    def step_fn(state, p, env):
-        out = inner(state, p, env)
-        if p == 1 and out[:2] == ("write", 6):
+    def step_fn(env, p, value):
+        out = inner(env, p, value)
+        if p == 1 and out[0] == 6:
             env.pc = cs_pc
         return out
 
@@ -313,9 +313,9 @@ def planted_token_spec():
     spec = build_bwbgme(2)
     inner = spec.step_fn
 
-    def step_fn(state, p, env):
-        out = inner(state, p, env)
-        if out[1] == 13:
+    def step_fn(env, p, value):
+        out = inner(env, p, value)
+        if out[0] == 13:
             env.mynumber += 1
         return out
 

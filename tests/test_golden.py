@@ -32,7 +32,7 @@ def stdout_without_trace_line(out: str) -> str:
 RUN_DIGESTS = {
     "glb_contended.scn": (0, {
         "stdout": "a2e56f5f5b955e1d8059475370a66f373d39892d9931f0d55937541843b76c65",
-        "trace": "45cc3fcbeeceed65baca9bbf55a108993e231b0b88b1dbec29a0d91006dd7faf",
+        "trace": "967081e3202b11fd6bb28846596bd2b599de5cad3bf314a3956e88f4a8894bf8",
         "csv": "27b18e6d00dc154c212c7fd813ffd81ba72b9ef2ed1d4b93ede1fac6a45ddf82"}),
     "bl_adversarial_n6.scn": (0, {
         "stdout": "bb4177b86c8015ff28c3539f435a4b722623ce5938c631bcba2475f7f611e9d9",

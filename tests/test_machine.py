@@ -1,8 +1,7 @@
-"""Step semantics: one access per step, markers, waits, determinism."""
+"""Step semantics: the declared access, markers, waits, determinism."""
 
 import random
 from collections import defaultdict
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -124,13 +123,13 @@ def stuck_glb_spec():
     spec = build_glb(2)
     inner = spec.step_fn
 
-    def step_fn(state, p, env):
+    def step_fn(env, p, value):
         pc = env.pc
-        out = inner(state, p, env)
-        if out[1] == 8:
+        line, _, j = inner(env, p, value)
+        if line == 8:
             env.pc = pc
-            return out[:5] + ("fail", out[6])
-        return out
+            return (line, "fail", j)
+        return (line, _, j)
 
     spec.step_fn = step_fn
     spec.wait_conds = {pc: lambda env, store, pid: False for pc in spec.wait_conds}
@@ -205,27 +204,49 @@ def test_doorway_is_bounded_and_exact():
                 assert len(own) == DOORWAY_STEPS[name](n)
 
 
-def test_one_shared_access_per_step(monkeypatch):
-    # Every step of every reachable state makes at most one access, and
-    # its event reports that access: the register, the value read or
-    # written, and the cost the memory charged.  A step without an
-    # access is local and free.  Every non-remainder pc of each
-    # algorithm must be stepped somewhere, so no branch goes unchecked.
+def test_step_makes_the_declared_access(monkeypatch):
+    # In every reachable state, asking a step for its access changes
+    # neither the runtime nor the store, and the step then makes exactly
+    # that access: the memory logs it, the store changes only by the
+    # declared write, and the event reports its kind, register and value
+    # (the value written, or the store's value read) with the cost the
+    # memory charged.  A step that declares none is local and free.
+    # Every non-remainder pc of each algorithm must be stepped
+    # somewhere, so no branch goes unchecked.
     monkeypatch.setattr(machine, "Memory", RecordingMemory)
     stepped = defaultdict(set)
     for spec in explored_specs():
-        def take_step(state, pid):
+        declared = []
+
+        def spy(access, declared=declared):
+            def declare(env, p):
+                key = env.key()
+                declared.append(access(env, p))
+                assert env.key() == key, declared
+                return declared[-1]
+            return declare
+
+        def take_step(state, pid, spec=spec, declared=declared):
             mem = state.mem
+            store = list(mem.store)
             mem.log.clear()
+            declared.clear()
             stepped[spec.name].add(state.envs[pid - 1].pc or spec.entry_pc)
             ev = step(state, pid)
-            assert len(mem.log) <= 1, (spec.name, pid, ev, mem.log)
-            if mem.log:
-                kind, slot, value, rmr = mem.log[0]
-                assert (ev.kind, ev.reg, ev.value, ev.rmr) == (kind, mem.names[slot], value, rmr)
-            else:
-                assert (ev.kind, ev.reg, ev.rmr) == ("local", None, False), ev
+            [access] = declared
+            if access is None:
+                assert not mem.log and mem.store == store
+                assert (ev.kind, ev.reg, ev.value, ev.rmr) == ("local", None, None, False), ev
+                return
+            kind, slot = access[:2]
+            if kind == "write":
+                store[slot] = access[2]
+            assert mem.store == store, (spec.name, access)
+            [(logged, logged_slot, value, rmr)] = mem.log
+            assert (logged, logged_slot, value) == (kind, slot, store[slot]), (spec.name, access)
+            assert (ev.kind, ev.reg, ev.value, ev.rmr) == (kind, mem.names[slot], value, rmr)
 
+        spec.access = {pc: spy(access) for pc, access in spec.access.items()}
         crosscheck_reachable(spec, explored_workload(), take_step=take_step)
     for spec in explored_specs():
         assert stepped[spec.name] == set(spec.sections) - {PC_REMAINDER}, spec.name
@@ -260,31 +281,18 @@ def test_every_write_matches_its_register_kind(monkeypatch):
             check_writes(spec, state.mem)
 
 
-class FrozenMemory:
-    """A store the wait-line probe reads for free, leaving no trace."""
-
-    __slots__ = ("store",)
-
-    def __init__(self, store):
-        self.store = store
-
-    def read_slot(self, p, slot):
-        return self.store[slot], False
-
-    def write_slot(self, p, slot, value):
-        raise AssertionError("a wait line wrote")
-
-
 def passes_alone(spec, state, pid) -> bool:
-    """Step a copy of pid alone against the frozen store: True iff it
-    reaches a passing evaluation before it repeats a (pc, j)."""
+    """Step a copy of pid alone, each read taken from the store and
+    nothing written: True iff it reaches a passing evaluation before it
+    repeats a (pc, j)."""
     env = ProcEnv()
     env.load_key(state.envs[pid - 1].key())
-    frozen = SimpleNamespace(mem=FrozenMemory(state.mem.store))
     seen = set()
     while (env.pc, env.j) not in seen:
         seen.add((env.pc, env.j))
-        if spec.step_fn(frozen, pid - 1, env)[5] == "pass":
+        kind, slot = spec.access[env.pc](env, pid - 1)  # a wait line only reads
+        assert kind == "read"
+        if spec.step_fn(env, pid - 1, state.mem.store[slot])[1] == "pass":
             return True
     return False
 

@@ -40,7 +40,7 @@ def test_write_invalidates_other_caches():
 
 def test_every_write_is_one_rmr():
     # A write reports no cost: every write event is flagged as an RMR
-    # (test_machine.test_one_shared_access_per_step).  Here: however
+    # (test_machine.test_step_makes_the_declared_access).  Here: however
     # often it is repeated, it leaves only the writer's copy valid.
     mem = glb_memory()
     slot = mem.names.index("Choosing[3]")
