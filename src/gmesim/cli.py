@@ -27,6 +27,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import time
 
 from .burns_lamport import block_counts
 from .errors import ConfigurationError, ScenarioError
@@ -60,10 +61,8 @@ def _rmr_stats(records) -> dict:
 
 def _write_trace(trace: Trace, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        meta = dict(trace.meta)
-        meta.pop("completed", None)
         header = {"record": "header", "algorithm": trace.algorithm, "n": trace.n,
-                  "meta": meta}
+                  "meta": trace.meta}
         fh.write(json.dumps(header) + "\n")
         for ev in trace.events:
             fh.write(json.dumps({
@@ -174,8 +173,14 @@ def cmd_explore(args) -> int:
 
     spec = scenario.build_spec()
     workload = scenario.build_workload()
+    start = time.perf_counter()
+
+    def progress(states: int, transitions: int, depth: int) -> None:
+        print(f"explore: {states} states, {transitions} transitions, depth {depth}, "
+              f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
+
     report = explore(spec, workload, max_states=scenario.max_states,
-                     max_depth=scenario.max_depth)
+                     max_depth=scenario.max_depth, progress=progress)
 
     print(f"scenario {scenario.config_hash}  algorithm={scenario.algorithm} "
           f"n={scenario.n} explore")

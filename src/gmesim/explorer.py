@@ -18,23 +18,24 @@ collapse compression: field i (store id, runtime id of P1..Pn,
 monitor-state id) sits at shift i*width.  The width is fixed before the
 search from a bound no id can reach (see `explore`).  The visited table
 is the state list: an insertion-ordered dict whose i-th key is state
-i's, beside array columns of each state's parent and depth.  The
-monitor step is memoized: `advance` is a pure function of the monitor
-state and the event fields the monitors read, so each (monitor-state
-id, pid, inv, line, kind, reg, value, markers) is stepped once and maps
-to the child's monitor-state id and the violations it reports.
+i's, beside array columns of each state's parent and depth.
 
-The search steps and undoes instead of copying state in.  One live
-SystemState serves every state; the search remembers which store and
-runtime ids it holds, and a popped state loads only the store and the
-runtimes whose ids differ.  The DFS stack carries each state's fields
-beside its id and key, so a popped key is never unpacked.  Each successor
-steps one process on it; its key is the parent's plus the change of
-each field that moved (the stepped runtime always, the store only on a
-write, the monitor state only when it advanced).  Before the next
-successor the step is undone the same way, and the reader sets are
-emptied before every successor, so each one's reads cost what they
-would from a fresh load.
+One live SystemState serves every state; the search remembers which
+store and runtime ids it holds.  A step reads only the store and its
+own process's runtime, so only those two are loaded before it, and only
+if their ids differ; the other runtimes are loaded only for a new
+state's deadlock check.  Each successor makes its one `machine.step` on
+empty reader sets (the slot it accessed is emptied after it), so its
+reads cost what they would from a fresh load.  What follows the step is
+memoized.  `access` and `step_fn` are pure in the runtime, so (pid,
+runtime id, value accessed) fixes the child runtime id, the slot, whether
+it was written and the event fields the monitors read; (store id, slot,
+value) fixes a write's child store id; and `advance` is pure, so each
+(monitor-state id, event id) is stepped once and maps to the child's
+monitor-state id and the violations it reports.  A successor's key is
+the parent's plus the change of each field that moved, and the DFS
+stack carries each state's fields beside its id and key, so a popped
+key is never unpacked.
 
 Every reported state is reproducible: the report keeps the state table
 the DFS builds (each state's key and parent edge) with the three
@@ -50,6 +51,8 @@ from typing import Optional
 
 from .machine import PC_REMAINDER, SystemState, Workload, all_active_blocked, step
 from .monitors import ONLINE, advance, monitored, online_props, token_number
+
+PROGRESS_EVERY = 1 << 20  # stored states between two calls of explore's progress
 
 
 @dataclass
@@ -121,7 +124,7 @@ def _typecode(bound: int) -> str:
 
 
 def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
-            max_depth: Optional[int] = None) -> ExplorationReport:
+            max_depth: Optional[int] = None, progress=None) -> ExplorationReport:
     """Depth-first search over every enabled-process choice.
 
     Checks deadlock plus the algorithm's online monitors
@@ -129,7 +132,8 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     property failure.  glb's unbounded tokens need no cap: over a
     finite workload none exceeds the invocation count.  `max_token` is
     read once the search ends, off the store table, which holds every
-    store a write produced.
+    store a write produced.  `progress(states, transitions, max_depth)`,
+    if given, is called each time PROGRESS_EVERY more states are stored.
     """
     n = spec.n
     report = ExplorationReport(spec.name, n)
@@ -140,11 +144,15 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     starts, mon_steps, describe = zip(*(ONLINE[prop](n, workload.sessions, color)
                                         for prop in props))
 
-    store_ids, runtime_ids, monitor_ids = _Interned(), _Interned(), _Interned()
+    store_ids, runtime_ids, monitor_ids, event_ids = (_Interned() for _ in range(4))
     stores = report.stores = store_ids.table
     runtimes = report.runtimes = runtime_ids.table
     monitor_states = report.monitor_states = monitor_ids.table
-    # (monitor-state id, the event fields the monitors read) ->
+    # (pid, runtime id, value accessed) -> (child runtime id, slot (0 if
+    # none), whether it was written, id of the monitored event or None)
+    successors = {}
+    writes = {}  # (store id, slot, value written) -> child store id
+    # (monitor-state id, event id) ->
     # (child monitor-state id, (i, culprits) per violated monitor i)
     memo = {}
 
@@ -165,8 +173,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     depth = array(parent.typecode, [0])
     stack = [(0, root_key, root)]  # (state id, key, its fields), per state to expand
     path_of = report.path_of
-    mem, envs = work.mem, work.envs
-    no_readers = [0] * len(mem.store)
+    mem, envs, valid = work.mem, work.envs, work.mem.valid
     last_inv = [len(per) - 1 for per in workload.sessions]
     held = root[:-1]  # the store and runtime ids the live state holds
 
@@ -185,47 +192,51 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     while stack:
         nid, key, fields = stack.pop()
         sid, mid = fields[0], fields[-1]
-        # Runtimes that may differ from nid's: any, then the last one stepped.
-        stale = range(1, n + 1)
         for p in range(n):
             pid = p + 1
             rid = fields[pid]
             rt = runtimes[rid]
             if rt[0] == PC_REMAINDER and rt[6] >= last_inv[p]:
                 continue  # the process has finished its last invocation
-            # Load the parts of state nid that the live state does not hold.
+            # A step reads only the store and its own runtime: load those.
             if held[0] != sid:
                 mem.store[:] = stores[sid]
                 held[0] = sid
-            for q in stale:
-                if held[q] != fields[q]:
-                    envs[q - 1].load_key(runtimes[fields[q]])
-                    held[q] = fields[q]
-            stale = (pid,)
-            mem.valid[:] = no_readers
+            if held[pid] != rid:
+                envs[p].load_key(rt)
             ev = step(work, pid)
             transitions += 1
 
+            value = ev.value
+            succ = successors.get((pid, rid, value))
+            if succ is None:
+                eid = (event_ids[pid, ev.inv, ev.line, ev.kind, ev.reg, value, ev.markers]
+                       if monitored(ev) else None)
+                slot = mem.names.index(ev.reg) if ev.reg else 0
+                succ = successors[pid, rid, value] = (
+                    runtime_ids[envs[p].key()], slot, ev.kind == "write", eid)
+            child_rid, slot, wrote, eid = succ
+            valid[slot] = 0  # no process holds a copy before the next step
+            # The live state is now the child: held[0] and held[pid] are its.
+            held[pid] = child_rid
+            child = key + ((child_rid - rid) << (pid * width))
+            child_sid = sid
+            if wrote:
+                child_sid = writes.get((sid, slot, value))
+                if child_sid is None:
+                    child_sid = writes[sid, slot, value] = store_ids[tuple(mem.store)]
+                held[0] = child_sid
+                child += child_sid - sid
             child_mid = mid
-            if monitored(ev):
-                seen = (mid, ev.pid, ev.inv, ev.line, ev.kind, ev.reg, ev.value, ev.markers)
-                hit = memo.get(seen)
+            if eid is not None:
+                hit = memo.get((mid, eid))
                 if hit is None:
                     after, hits = advance(mon_steps, monitor_states[mid], ev)
-                    hit = memo[seen] = (monitor_ids[after], hits)
+                    hit = memo[mid, eid] = (monitor_ids[after], hits)
                 child_mid, hits = hit
                 for i, culprits in hits:
                     add_violation(props[i], path_of(nid) + (pid,),
                                   describe[i](ev, culprits))
-
-            # The live state is now the child: held lists its store and
-            # runtime ids.
-            held[pid] = runtime_ids[envs[p].key()]
-            child = key + ((held[pid] - rid) << (pid * width))
-            if ev.kind == "write":
-                held[0] = store_ids[tuple(mem.store)]
-                child += held[0] - sid
-            if child_mid != mid:
                 child += (child_mid - mid) << monitor_shift
 
             if child in ids:
@@ -246,8 +257,17 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             depth.append(child_depth)
             if child_depth > report.max_depth:
                 report.max_depth = child_depth
+            if progress is not None and not (cid + 1) % PROGRESS_EVERY:
+                progress(cid + 1, transitions, report.max_depth)
+            child_fields = fields.copy()
+            child_fields[0], child_fields[pid], child_fields[-1] = child_sid, child_rid, child_mid
+            # The deadlock check reads every runtime: load the rest of the child's.
+            for q in range(1, n + 1):
+                if held[q] != child_fields[q]:
+                    envs[q - 1].load_key(runtimes[child_fields[q]])
+                    held[q] = child_fields[q]
             check_deadlock(cid)
-            stack.append((cid, child, held + [child_mid]))
+            stack.append((cid, child, child_fields))
 
     report.states = len(ids)
     report.transitions = transitions

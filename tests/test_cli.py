@@ -103,6 +103,21 @@ def test_run_cap_truncation_exit_3(tmp_path, capsys):
     assert "completed=False deadlocked=False cap_hit=False" in capsys.readouterr().out
 
 
+def test_trace_header_reports_how_the_run_ended(tmp_path):
+    # The header is written once the run has ended, so its end flags are
+    # final: a script that runs out before the work is done reads
+    # completed false, and the shipped contended run reads true.
+    short = write(tmp_path, "short.scn", EXPLORE_SCENARIO + "schedule = scripted\nscript = 1 2\n")
+    metas = {}
+    for scn, code in ((short, 3), (str(SCENARIOS / "glb_contended.scn"), 0)):
+        trace_path = tmp_path / "trace.jsonl"
+        assert main(["run", "--scenario", scn, "--trace-out", str(trace_path)]) == code
+        with open(trace_path) as fh:
+            metas[code] = json.loads(fh.readline())["meta"]
+    assert [metas[3][flag] for flag in ("completed", "deadlocked", "cap_hit")] == [False] * 3
+    assert metas[0]["completed"] is True
+
+
 def test_parse_error_exit_2(tmp_path):
     scn = write(tmp_path, "bad.scn", "not a scenario\n")
     assert main(["run", "--scenario", scn]) == 2

@@ -12,6 +12,26 @@ from util import (check, decoded_key, distinct_sessions, explored_specs, explore
                   report_digest, run_collected, unpacked)
 
 
+def test_step_is_a_function_of_runtime_and_value():
+    # explore memoizes everything after a step on (pid, runtime, value
+    # accessed): the runtime the step leaves and the event fields the
+    # store and the monitors take must follow from those three alone.
+    for spec in explored_specs():
+        outcomes = {}
+
+        def checked(state, pid):
+            before = state.envs[pid - 1].key()
+            ev = step(state, pid)
+            after = (state.envs[pid - 1].key(), ev.kind, ev.reg, ev.line, ev.outcome, ev.j,
+                     ev.markers)
+            assert outcomes.setdefault((pid, before, ev.value), after) == after, \
+                (spec.name, pid, before, ev.value)
+            return ev
+
+        crosscheck_reachable(spec, explored_workload(), take_step=checked)
+        assert outcomes, spec.name
+
+
 def test_single_process_single_path():
     report = explore(build_glb(1), Workload([[1]]))
     assert report.clean
@@ -124,10 +144,12 @@ def test_reported_states_replay_as_scripts():
 
 
 def test_live_state_is_each_new_state(monkeypatch):
-    # The explorer steps each successor on one live state and undoes it.
-    # Its deadlock check runs once per new state, in id order, so the
-    # live state it sees must be exactly each stored state in turn, and
-    # give the verdict a fresh load of that state's key gives.
+    # The explorer steps each successor on one live state, loading only
+    # the store and the stepped runtime before the step and the other
+    # runtimes only once the child is new.  Its deadlock check runs once
+    # per new state, in id order, so the live state it sees must be
+    # exactly each stored state in turn, and give the verdict a fresh
+    # load of that state's key gives.
     for spec, wl in ((build_glb(3), Workload([[1], [2], [1]])),
                      (build_bwbgme(3), Workload([[1], [1], [2]]))):
         fresh = SystemState(spec, wl)

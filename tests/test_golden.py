@@ -9,10 +9,12 @@ is left out of every digest.
 """
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
 
+import gmesim.explorer
 from gmesim.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -32,11 +34,11 @@ def stdout_without_trace_line(out: str) -> str:
 RUN_DIGESTS = {
     "glb_contended.scn": (0, {
         "stdout": "a2e56f5f5b955e1d8059475370a66f373d39892d9931f0d55937541843b76c65",
-        "trace": "967081e3202b11fd6bb28846596bd2b599de5cad3bf314a3956e88f4a8894bf8",
+        "trace": "a1579b2042cf88cf6daa1a34d7f8ee321a5bc1a6261d59fbc13d165aff579a6d",
         "csv": "27b18e6d00dc154c212c7fd813ffd81ba72b9ef2ed1d4b93ede1fac6a45ddf82"}),
     "bl_adversarial_n6.scn": (0, {
         "stdout": "bb4177b86c8015ff28c3539f435a4b722623ce5938c631bcba2475f7f611e9d9",
-        "trace": "dcb34e901e6c594df9b75a4d3855fe27402941e9a620897aa1d5b6dfc4fd405e",
+        "trace": "bd54102458bea4942b9ac1dd551f7a2e8bc4dd144d99f26ebeca4cc6c972efd2",
         "csv": "518bec8ece02aa77ec62543eda8bb6a51983d9ff67b840c787b8223be1b15af4"}),
 }
 
@@ -104,6 +106,23 @@ def test_explore_report_pinned(name, capsys):
     assert code == want_code
     assert out.count("VIOLATION flip:") == want_flips
     assert sha(out) == want
+
+
+def test_explore_progress_leaves_stdout_alone(monkeypatch, capsys):
+    # One stderr line each time PROGRESS_EVERY more states are stored;
+    # stdout stays byte for byte the pinned report.
+    every = 1 << 14
+    monkeypatch.setattr(gmesim.explorer, "PROGRESS_EVERY", every)
+    name = "glb_explore_n3.scn"
+    assert main(["explore", "--scenario", str(SCENARIOS / name)]) == 0
+    captured = capsys.readouterr()
+    assert sha(captured.out) == EXPLORE_DIGESTS[name][2]
+    states = int(re.search(r"states=(\d+)", captured.out).group(1))
+    lines = captured.err.splitlines()
+    assert len(lines) == states // every >= 2
+    for k, line in enumerate(lines, 1):
+        assert re.fullmatch(rf"explore: {k * every} states, \d+ transitions, depth \d+, "
+                            r"\d+\.\d s", line), line
 
 
 @pytest.mark.parametrize("algorithm", sorted(SWEEP_DIGESTS))
