@@ -113,9 +113,6 @@ def build_bl(n: int) -> AlgorithmSpec:
         env.pc = 0  # _EXIT
         return (12, None, None)
 
-    def cond_wait(env, store, i1):
-        return not store[env.j - 1]
-
     spec = AlgorithmSpec(
         name="bl",
         n=n,
@@ -124,7 +121,6 @@ def build_bl(n: int) -> AlgorithmSpec:
         access=access,
         step_fn=step_fn,
         sections=dict(_SECTIONS),
-        wait_conds={_WAIT_LOW: cond_wait, _WAIT_HIGH: cond_wait},
         meta={},
     )
     spec.validate()

@@ -254,22 +254,6 @@ def build_bwbgme(n: int, initial_color: str = WHITE, mutant: str = None) -> Algo
         env.pc = 0  # _X34
         return (34, None, None)
 
-    def cond_line17(env, store, i1):
-        jj = env.j
-        return (not store[cho0 + jj - 1]) or store[tok0 + jj - 1][0] == env.mysession
-
-    def cond_line19(env, store, i1):
-        jj = env.j
-        session, color, number = store[tok0 + jj - 1]
-        return ((env.mynumber, i1) < (number, jj) or color != env.mycolor
-                or session in (0, env.mysession))
-
-    def cond_line21(env, store, i1):
-        jj = env.j
-        session, color, _ = store[tok0 + jj - 1]
-        return (store[gc_slot] != env.mycolor or color == env.mycolor
-                or session in (0, env.mysession))
-
     spec = AlgorithmSpec(
         name="bwbgme",
         n=n,
@@ -278,13 +262,6 @@ def build_bwbgme(n: int, initial_color: str = WHITE, mutant: str = None) -> Algo
         access=access,
         step_fn=step_fn,
         sections=dict(_SECTIONS),
-        wait_conds={
-            _W17_CHOOSING: cond_line17,
-            _W17_TOKEN: cond_line17,
-            _W19: cond_line19,
-            _W21_COLOR: cond_line21,
-            _W21_TOKEN: cond_line21,
-        },
         meta={"initial_color": initial_color, "mutant": mutant},
     )
     spec.validate()

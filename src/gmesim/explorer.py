@@ -23,8 +23,7 @@ i's, beside array columns of each state's parent and depth.
 One live SystemState serves every state; the search remembers which
 store and runtime ids it holds.  A step reads only the store and its
 own process's runtime, so only those two are loaded before it, and only
-if their ids differ; the other runtimes are loaded only for a new
-state's deadlock check.  Each successor makes its one `machine.step` on
+if their ids differ.  Each successor makes its one `machine.step` on
 empty reader sets (the slot it accessed is emptied after it), so its
 reads cost what they would from a fresh load.  What follows the step is
 memoized.  `access` and `step_fn` are pure in the runtime, so (pid,
@@ -36,6 +35,12 @@ monitor-state id and the violations it reports.  A successor's key is
 the parent's plus the change of each field that moved, and the DFS
 stack carries each state's fields beside its id and key, so a popped
 key is never unpacked.
+
+A state is a deadlock when some process is active and every active one
+spins (`machine.all_active_blocked`).  It is checked when the state is
+expanded, and only if every active process's step from it was a read
+that did not pass: a write, a local step or a pass is a process that
+does not spin.  Only then is the rest of the state loaded.
 
 Every reported state is reproducible: the report keeps the state table
 the DFS builds (each state's key and parent edge) with the three
@@ -128,12 +133,13 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     """Depth-first search over every enabled-process choice.
 
     Checks deadlock plus the algorithm's online monitors
-    (`online_props`).  Caps are reported as truncation, never as a
-    property failure.  glb's unbounded tokens need no cap: over a
-    finite workload none exceeds the invocation count.  `max_token` is
-    read once the search ends, off the store table, which holds every
-    store a write produced.  `progress(states, transitions, max_depth)`,
-    if given, is called each time PROGRESS_EVERY more states are stored.
+    (`online_props`); deadlock witnesses are listed in expansion order.
+    Caps are reported as truncation, never as a property failure.
+    glb's unbounded tokens need no cap: over a finite workload none
+    exceeds the invocation count.  `max_token` is read once the search
+    ends, off the store table, which holds every store a write produced.
+    `progress(states, transitions, max_depth)`, if given, is called each
+    time PROGRESS_EVERY more states are stored.
     """
     n = spec.n
     report = ExplorationReport(spec.name, n)
@@ -149,7 +155,8 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     runtimes = report.runtimes = runtime_ids.table
     monitor_states = report.monitor_states = monitor_ids.table
     # (pid, runtime id, value accessed) -> (child runtime id, slot (0 if
-    # none), whether it was written, id of the monitored event or None)
+    # none), whether it was written, id of the monitored event or None,
+    # whether an active process wrote, stepped locally or passed)
     successors = {}
     writes = {}  # (store id, slot, value written) -> child store id
     # (monitor-state id, event id) ->
@@ -180,18 +187,11 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     def add_violation(prop: str, path: tuple, detail: str) -> None:
         report.violations.setdefault(prop, []).append(Violation(path, detail))
 
-    def check_deadlock(nid: int) -> None:
-        # The live state is state nid: the root, or the child just stepped.
-        if all_active_blocked(work):
-            report.deadlocks += 1
-            add_violation("deadlock", path_of(nid), "every active process is blocked")
-
-    check_deadlock(0)
-
     transitions = 0
     while stack:
         nid, key, fields = stack.pop()
         sid, mid = fields[0], fields[-1]
+        quiet = True  # no active process has written, stepped locally or passed
         for p in range(n):
             pid = p + 1
             rid = fields[pid]
@@ -213,9 +213,12 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                 eid = (event_ids[pid, ev.inv, ev.line, ev.kind, ev.reg, value, ev.markers]
                        if monitored(ev) else None)
                 slot = mem.names.index(ev.reg) if ev.reg else 0
+                moves = rt[0] != PC_REMAINDER and (ev.kind != "read" or ev.outcome == "pass")
                 succ = successors[pid, rid, value] = (
-                    runtime_ids[envs[p].key()], slot, ev.kind == "write", eid)
-            child_rid, slot, wrote, eid = succ
+                    runtime_ids[envs[p].key()], slot, ev.kind == "write", eid, moves)
+            child_rid, slot, wrote, eid, moves = succ
+            if moves:
+                quiet = False
             valid[slot] = 0  # no process holds a copy before the next step
             # The live state is now the child: held[0] and held[pid] are its.
             held[pid] = child_rid
@@ -261,13 +264,21 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                 progress(cid + 1, transitions, report.max_depth)
             child_fields = fields.copy()
             child_fields[0], child_fields[pid], child_fields[-1] = child_sid, child_rid, child_mid
-            # The deadlock check reads every runtime: load the rest of the child's.
-            for q in range(1, n + 1):
-                if held[q] != child_fields[q]:
-                    envs[q - 1].load_key(runtimes[child_fields[q]])
-                    held[q] = child_fields[q]
-            check_deadlock(cid)
             stack.append((cid, child, child_fields))
+
+        if quiet:
+            # The deadlock check reads the store and every runtime: load
+            # state nid's back.
+            if held[0] != sid:
+                mem.store[:] = stores[sid]
+                held[0] = sid
+            for q in range(1, n + 1):
+                if held[q] != fields[q]:
+                    envs[q - 1].load_key(runtimes[fields[q]])
+                    held[q] = fields[q]
+            if all_active_blocked(work):
+                report.deadlocks += 1
+                add_violation("deadlock", path_of(nid), "every active process is blocked")
 
     report.states = len(ids)
     report.transitions = transitions

@@ -163,16 +163,6 @@ def build_glb(n: int) -> AlgorithmSpec:
         env.pc = 0  # _X13
         return (13, None, None)
 
-    def cond_line8(env, store, i1):
-        jj = env.j
-        return (not store[cho0 + jj - 1]) or store[sess0 + jj - 1] in (0, env.mysession)
-
-    def cond_line9(env, store, i1):
-        jj = env.j
-        tj = store[tok0 + jj - 1]
-        return ((env.acc + 1, i1) < (tj, jj) or tj == 0
-                or store[sess0 + jj - 1] in (0, env.mysession))
-
     spec = AlgorithmSpec(
         name="glb",
         n=n,
@@ -181,13 +171,6 @@ def build_glb(n: int) -> AlgorithmSpec:
         access=access,
         step_fn=step_fn,
         sections=dict(_SECTIONS),
-        wait_conds={
-            _W8_CHOOSING: cond_line8,
-            _W8_SESSION: cond_line8,
-            _W9_OWN: cond_line9,
-            _W9_TOKEN: cond_line9,
-            _W9_SESSION: cond_line9,
-        },
     )
     spec.validate()
     return spec

@@ -7,8 +7,9 @@ makes the access in between, so a step makes at most one shared access
 and its event reports it, by construction.  Wait-until lines are
 compiled to polling, where every evaluation re-reads its shared
 variables left to right with short-circuiting and a false outcome
-leaves the program counter at the wait line.  The test suite ties each
-`wait_conds` entry to its wait line by exploring each state space.
+leaves the program counter at the wait line.  A process is blocked when
+its own steps alone would poll forever (`spins`), so "blocked" has no
+definition besides the step machine's.
 
 A step's event carries the `rmr` flag its access reported; those flags
 are the only RMR ledger, and every RMR figure is a sum of them.
@@ -157,25 +158,17 @@ class AlgorithmSpec:
     access: dict[int, Callable]  # pc -> access(env, p) of the step at pc
     step_fn: Callable
     sections: dict[int, Section]
-    wait_conds: dict[int, Callable]  # pc -> cond(env, store) over the global store
     meta: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.n < 1:
             raise ConfigurationError("need at least one process")
-        # Doorway certification: no wait line may carry a doorway label.
-        for pc in self.wait_conds:
-            if self.sections[pc] is not Section.WAITING:
-                raise ConfigurationError(
-                    f"{self.name}: wait pc {pc} labeled {self.sections[pc]}, "
-                    "wait lines may only appear in the waiting room"
-                )
 
 
 class SystemState:
     """Global store, reader sets, and every process's runtime."""
 
-    __slots__ = ("spec", "mem", "envs", "workload", "step_index", "awake")
+    __slots__ = ("spec", "mem", "envs", "workload", "step_index")
 
     def __init__(self, spec: AlgorithmSpec, workload: Workload):
         if workload.n != spec.n:
@@ -186,7 +179,6 @@ class SystemState:
         self.envs = [ProcEnv() for _ in range(spec.n)]
         self.workload = workload
         self.step_index = 0
-        self.awake = 0  # pid last seen active and unblocked (see all_active_blocked)
 
     # -- liveness -------------------------------------------------------
 
@@ -271,40 +263,45 @@ def step(state: SystemState, pid: int) -> TraceEvent:
     return ev
 
 
+def spins(spec: AlgorithmSpec, env: ProcEnv, store, p: int) -> bool:
+    """True iff 0-based process p, stepped alone from runtime env over
+    this store, polls forever.
+
+    A copy of env takes the steps, each read straight from the store.
+    It spins once it comes back to a (pc, j) it has already visited
+    before it writes, takes a local step or passes an evaluation: with
+    nothing written, the same evaluation comes out the same way again.
+    """
+    copy = ProcEnv()
+    copy.load_key(env.key())
+    access, step_fn = spec.access, spec.step_fn
+    seen = set()
+    while (at := (copy.pc, copy.j)) not in seen:
+        seen.add(at)
+        acc = access[copy.pc](copy, p)
+        if acc is None or acc[0] != "read":
+            return False
+        if step_fn(copy, p, store[acc[1]])[1] == "pass":
+            return False
+    return True
+
+
 def all_active_blocked(state: SystemState) -> bool:
-    """True iff some process is active and every active one is blocked.
+    """True iff some process is active and every active one spins.
 
-    Active means outside the remainder section.  Blocked processes never
-    write, and a process entering from the remainder cannot make any
-    currently-false wait condition true, so such a state is a deadlock.
-
-    One active, unblocked process is a witness against deadlock, so the
-    one found last time (state.awake) is tried first; the full scan runs
-    only when it has since blocked or returned to the remainder.  Wait
-    conditions are pure reads of the store, so the answer is exact
-    whichever state the hint came from.
+    Active means outside the remainder section.  A spinning process
+    never writes, and a process entering from the remainder cannot make
+    a spinning evaluation pass, so such a state is a deadlock.
     """
     spec = state.spec
-    envs = state.envs
     store = state.mem.store
-    wait_conds = spec.wait_conds
-    pid = state.awake
-    if pid:
-        env = envs[pid - 1]
-        if env.pc != PC_REMAINDER:
-            cond = wait_conds.get(env.pc)
-            if cond is None or cond(env, store, pid):
-                return False
     any_active = False
-    for pid in range(1, spec.n + 1):
-        env = envs[pid - 1]
+    for p, env in enumerate(state.envs):
         if env.pc == PC_REMAINDER:
             continue
-        any_active = True
-        cond = wait_conds.get(env.pc)
-        if cond is None or cond(env, store, pid):
-            state.awake = pid
+        if not spins(spec, env, store, p):
             return False
+        any_active = True
     return any_active
 
 
@@ -349,6 +346,10 @@ def _events(state: SystemState, schedule, step_cap: int, result: RunResult):
     # Only the stepped process can run out of invocations, and it does so
     # on the step that completes its last exit.
     live = len(state.live_pids())
+    # Bit pid is set once pid fails an evaluation, and every bit clears
+    # on any step but a read that does not pass.  A deadlock needs every
+    # live process to spin, so the check waits until each has failed since.
+    failed = 0
     while live:
         if steps >= step_cap:
             cap_hit = True
@@ -359,13 +360,18 @@ def _events(state: SystemState, schedule, step_cap: int, result: RunResult):
         ev = step(state, pid)
         steps += 1
         yield ev
-        if ev.outcome == "fail" and all_active_blocked(state):
-            steps += 1
-            yield TraceEvent(state.step_index, 0, -1, 0, "deadlock", None,
-                             None, False, Section.REMAINDER, (), None, None)
-            state.step_index += 1
-            deadlocked = True
-            break
+        outcome = ev.outcome
+        if outcome == "fail":
+            failed |= 1 << pid
+            if failed.bit_count() == live and all_active_blocked(state):
+                steps += 1
+                yield TraceEvent(state.step_index, 0, -1, 0, "deadlock", None,
+                                 None, False, Section.REMAINDER, (), None, None)
+                state.step_index += 1
+                deadlocked = True
+                break
+        elif outcome or ev.kind != "read":
+            failed = 0
         if EXIT_COMPLETE in ev.markers and state.exhausted(pid):
             live -= 1
 

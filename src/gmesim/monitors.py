@@ -34,9 +34,6 @@ PASS = "pass"
 FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 
-# Wait lines whose per-pass RMR the accounting tracks, per algorithm.
-_WAIT_LINES = {"glb": (8, 9), "bwbgme": (17, 19, 21), "bl": (5, 10)}
-
 # Per-pass RMR ceilings: a single pass of the line for a fixed j may
 # charge at most this many remote references under any schedule.
 _PASS_RMR_BOUNDS = {"glb": {8: 5, 9: 5}, "bwbgme": {17: 5, 19: 2}}
@@ -118,7 +115,6 @@ def build_invocations(trace: Trace) -> Invocations:
     walk.  The events may be any iterable: a list, or the stream of a
     run that `run` has not made yet, which this walk then drives."""
     algorithm = trace.algorithm
-    wait_lines = _WAIT_LINES[algorithm]
     workload_sessions = trace.meta["workload_sessions"]
 
     props = online_props(algorithm)
@@ -180,9 +176,11 @@ def build_invocations(trace: Trace) -> Invocations:
         if ev.section is Section.EXIT and ev.kind in ("read", "write"):
             rec.exit_accesses += 1
 
-        # Wait-pass segmentation: a process's events at one wait line for
-        # one j are consecutive among its own events.
-        if ev.line in wait_lines and ev.j is not None:
+        # Wait-pass segmentation: only the waiting room's polling events
+        # carry j (bwbgme's line-18 branch opens a pass of its own, which
+        # no ceiling reads), and a process's events at one line for one j
+        # are consecutive among its own events.
+        if ev.j is not None:
             cur = open_pass.get(ev.pid)
             if cur is None or cur.line != ev.line or cur.j != ev.j or cur.completed:
                 cur = WaitPass(line=ev.line, j=ev.j, start=ev.index)

@@ -3,15 +3,17 @@
 `crosscheck_reachable` shares only the step semantics with
 `gmesim.explorer.explore`: no monitor states, no parent edges, no caps
 beyond a state budget.  It checks mutual exclusion and deadlock as
-predicates on each reached state, so the tests can compare the
-explorer's reachable value keys and verdicts with an independent search.
+predicates on each reached state, deadlock by the hand-written wait
+conditions (`oracle_scans`), so the tests can compare the explorer's
+reachable value keys and verdicts with an independent search.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from gmesim.machine import Section, SystemState, Workload, all_active_blocked, step
+from gmesim.machine import Section, SystemState, Workload, step
+from oracle_scans import all_active_blocked
 
 
 def crosscheck_reachable(spec, workload: Workload, *, max_states: int = 500_000,

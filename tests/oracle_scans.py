@@ -1,18 +1,19 @@
-"""Reference versions of the per-step scans gmesim.machine and
-gmesim.schedules no longer run.
+"""Reference versions of the fair random schedule and the deadlock test.
 
-Both rescan every process on every call: the fair random schedule reads
-the live set from the state and ages every live process by one step,
-and the deadlock test checks every active process's wait condition.
-This is how gmesim ran before it kept the live set, the pick stamps and
-a deadlock witness across calls; the tests require the same picks and
-the same verdicts from both.
+The schedule rescans every process on every call: it reads the live set
+from the state and ages every live process by one step, as gmesim did
+before it kept the live set and the pick stamps across calls.  The
+deadlock test reads each wait line's condition, written a second time
+by hand, where gmesim steps the process alone (`machine.spins`).  The
+tests require the same picks and the same verdicts from both.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
+from gmesim import burns_lamport, bwbgme, glb
 from gmesim.machine import PC_REMAINDER, SystemState
 
 
@@ -45,16 +46,70 @@ class RandomSchedule:
         return pick
 
 
+def wait_conds(spec) -> dict:
+    """pc -> cond(env, store, i1) at each pc of a wait-line evaluation of
+    spec's algorithm: the line's whole condition for the runtime's j,
+    written by hand over the global store, true iff the line passes."""
+    return _wait_conds(spec.name, spec.n)
+
+
+@functools.cache
+def _wait_conds(name: str, n: int) -> dict:
+    if name == "glb":
+        sess0, tok0, cho0 = 0, n, 2 * n
+
+        def line8(env, store, i1):
+            jj = env.j
+            return (not store[cho0 + jj - 1]) or store[sess0 + jj - 1] in (0, env.mysession)
+
+        def line9(env, store, i1):
+            jj = env.j
+            tj = store[tok0 + jj - 1]
+            return ((env.acc + 1, i1) < (tj, jj) or tj == 0
+                    or store[sess0 + jj - 1] in (0, env.mysession))
+
+        return {glb._W8_CHOOSING: line8, glb._W8_SESSION: line8, glb._W9_OWN: line9,
+                glb._W9_TOKEN: line9, glb._W9_SESSION: line9}
+
+    if name == "bwbgme":
+        gc_slot, tok0, cho0 = 0, 1, 1 + n
+
+        def line17(env, store, i1):
+            jj = env.j
+            return (not store[cho0 + jj - 1]) or store[tok0 + jj - 1][0] == env.mysession
+
+        def line19(env, store, i1):
+            jj = env.j
+            session, color, number = store[tok0 + jj - 1]
+            return ((env.mynumber, i1) < (number, jj) or color != env.mycolor
+                    or session in (0, env.mysession))
+
+        def line21(env, store, i1):
+            jj = env.j
+            session, color, _ = store[tok0 + jj - 1]
+            return (store[gc_slot] != env.mycolor or color == env.mycolor
+                    or session in (0, env.mysession))
+
+        return {bwbgme._W17_CHOOSING: line17, bwbgme._W17_TOKEN: line17,
+                bwbgme._W19: line19, bwbgme._W21_COLOR: line21, bwbgme._W21_TOKEN: line21}
+
+    def competing_clear(env, store, i1):
+        return not store[env.j - 1]
+
+    return {burns_lamport._WAIT_LOW: competing_clear, burns_lamport._WAIT_HIGH: competing_clear}
+
+
 def all_active_blocked(state: SystemState) -> bool:
-    """True iff some process is active and every active one is blocked."""
-    spec = state.spec
+    """True iff some process is active and every active one sits at a
+    wait line whose condition is false."""
+    conds = wait_conds(state.spec)
     any_active = False
-    for pid in range(1, spec.n + 1):
+    for pid in range(1, state.spec.n + 1):
         env = state.envs[pid - 1]
         if env.pc == PC_REMAINDER:
             continue
         any_active = True
-        cond = spec.wait_conds.get(env.pc)
+        cond = conds.get(env.pc)
         if cond is None or cond(env, state.mem.store, pid):
             return False
     return any_active

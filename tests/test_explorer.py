@@ -1,15 +1,17 @@
 """Explorer: soundness, cross-checks, caps, mutation sensitivity."""
 
+from collections import Counter
+
 import gmesim.explorer
 from gmesim import (Scripted, Section, SystemState, Workload, bl_adversarial_schedule,
                     bl_adversarial_workload, build_bl, build_bwbgme, build_glb,
                     build_invocations, explore, step)
-from gmesim.machine import all_active_blocked
+from gmesim.machine import PC_REMAINDER, all_active_blocked
 from gmesim.monitors import FAIL, MONITORS, online_props, token_number
 from oracle_scans import all_active_blocked as full_scan
 from oracle_explorer import crosscheck_reachable
 from util import (check, decoded_key, distinct_sessions, explored_specs, explored_workload,
-                  report_digest, run_collected, unpacked)
+                  report_digest, run_collected, stuck_glb_spec, unpacked)
 
 
 def test_step_is_a_function_of_runtime_and_value():
@@ -145,11 +147,11 @@ def test_reported_states_replay_as_scripts():
 
 def test_live_state_is_each_new_state(monkeypatch):
     # The explorer steps each successor on one live state, loading only
-    # the store and the stepped runtime before the step and the other
-    # runtimes only once the child is new.  Its deadlock check runs once
-    # per new state, in id order, so the live state it sees must be
-    # exactly each stored state in turn, and give the verdict a fresh
-    # load of that state's key gives.
+    # the store and the stepped runtime before the step.  Its deadlock
+    # check runs as a state is expanded, after loading the rest of that
+    # state back, so the live state it sees must be a stored state, each
+    # at most once (value keys repeat across monitor states), and give
+    # the verdict a fresh load of its key gives.
     for spec, wl in ((build_glb(3), Workload([[1], [2], [1]])),
                      (build_bwbgme(3), Workload([[1], [1], [2]]))):
         fresh = SystemState(spec, wl)
@@ -166,26 +168,70 @@ def test_live_state_is_each_new_state(monkeypatch):
         monkeypatch.setattr(gmesim.explorer, "all_active_blocked", recording)
         report = explore(spec, wl)
         assert report.clean and not report.truncated
-        assert seen == value_keys(report)
+        assert seen and not Counter(seen) - Counter(value_keys(report))
+
+
+def quiet_states(spec, wl, report) -> list:
+    """The stored states whose every active process's step reads
+    without passing: the ones the explorer's deadlock check must see."""
+    state = SystemState(spec, wl)
+    quiet = []
+    for vkey in value_keys(report):
+        moves = False
+        for pid in range(1, spec.n + 1):
+            state.load_value_key(vkey)
+            if state.envs[pid - 1].pc == PC_REMAINDER:
+                continue
+            ev = step(state, pid)
+            moves = moves or ev.kind != "read" or ev.outcome == "pass"
+        if not moves:
+            quiet.append(vkey)
+    return quiet
 
 
 def test_deadlock_check_matches_full_scan_on_every_state(monkeypatch):
-    # The live state moves between stored states, so the process the
-    # check remembers as awake comes from another state most of the time.
+    # The check runs only on the states whose every active step reads
+    # without passing, and there agrees with the full scan over the
+    # hand-written wait conditions; every other stored state has a
+    # process that writes, steps locally or passes, and the full scan
+    # finds no deadlock there either.
     for spec, sessions in ((build_glb(2), [[1, 2], [2, 1]]),
                            (build_bwbgme(2), [[1, 2], [2, 1]]),
                            (build_bl(2), [[1, 1], [2]])):
-        verdicts = []
+        checked = []
 
-        def checked(state):
+        def check(state):
             blocked = all_active_blocked(state)
             assert blocked == full_scan(state), state.value_key()
-            verdicts.append(blocked)
+            checked.append(state.value_key())
             return blocked
 
-        monkeypatch.setattr(gmesim.explorer, "all_active_blocked", checked)
-        report = explore(spec, Workload(sessions))
-        assert report.clean and len(verdicts) == report.states
+        monkeypatch.setattr(gmesim.explorer, "all_active_blocked", check)
+        wl = Workload(sessions)
+        report = explore(spec, wl)
+        assert report.clean
+        assert Counter(checked) == Counter(quiet_states(spec, wl, report))
+        state = SystemState(spec, wl)
+        for vkey in value_keys(report):
+            state.load_value_key(vkey)
+            assert not full_scan(state), vkey
+
+
+def test_explorer_finds_every_deadlock_of_a_planted_bug():
+    # glb whose line 8 never passes: the deadlock counts are pinned, and
+    # each witness, replayed as a script, ends with every active process
+    # blocked.
+    for sessions, deadlocks in (([[1], [2]], 7), ([[1], [2], [1]], 57)):
+        spec, wl = stuck_glb_spec(len(sessions)), Workload(sessions)
+        report = explore(spec, wl)
+        assert not report.truncated
+        assert report.deadlocks == report.violation_count() == deadlocks
+        for witness in report.violations["deadlock"]:
+            state = SystemState(spec, wl)
+            schedule = Scripted(witness.path)
+            while (pid := schedule.next(state)) is not None:
+                step(state, pid)
+            assert all_active_blocked(state), witness.path
 
 
 def merged_paths(spec, wl, report, limit):

@@ -12,8 +12,8 @@ from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_bl,
 from gmesim import machine
 from gmesim.errors import ConfigurationError
 from gmesim.machine import (CS_ENTER, DOORWAY_COMPLETE, DOORWAY_START,
-                            EXIT_COMPLETE, PC_REMAINDER, ProcEnv, Section,
-                            all_active_blocked)
+                            EXIT_COMPLETE, PC_REMAINDER, Section, all_active_blocked,
+                            spins)
 from gmesim.memory import Memory
 from gmesim.monitors import (FAIL, build_invocations, check_mutual_exclusion, check_progress,
                              check_section_order)
@@ -23,7 +23,7 @@ from register_kinds import check_kind, slot_kinds
 from oracle_explorer import crosscheck_reachable
 from util import (RecordingMemory, check, distinct_sessions, doorway_done, drive,
                   effectively_blocked, entered_cs, explored_specs, explored_workload,
-                  finished, run_collected)
+                  finished, run_collected, stuck_glb_spec)
 
 
 def test_first_doorway_step_writes_choosing():
@@ -117,25 +117,6 @@ def test_step_cap_truncates_and_flags():
     assert len(result.trace.events) == 10
 
 
-def stuck_glb_spec():
-    """glb N=2 with a planted bug: no line-8 evaluation ever passes, and
-    the wait conditions agree, so the two processes end up blocked."""
-    spec = build_glb(2)
-    inner = spec.step_fn
-
-    def step_fn(env, p, value):
-        pc = env.pc
-        line, _, j = inner(env, p, value)
-        if line == 8:
-            env.pc = pc
-            return (line, "fail", j)
-        return (line, _, j)
-
-    spec.step_fn = step_fn
-    spec.wait_conds = {pc: lambda env, store, pid: False for pc in spec.wait_conds}
-    return spec
-
-
 def test_run_ends_in_a_counted_deadlock_event():
     result = run_collected(SystemState(stuck_glb_spec(), distinct_sessions(2)), RoundRobin())
     events = result.trace.events
@@ -147,6 +128,9 @@ def test_run_ends_in_a_counted_deadlock_event():
     # it follows the failed evaluation that left both processes blocked,
     # and the step count includes it
     assert events[-2].outcome == "fail" and events[-2].line == 8
+    # The check waits until both processes have failed since the last
+    # write, which P2's last evaluation completes.
+    assert [ev.pid for ev in events[-3:-1]] == [1, 2] and result.steps == 13
     assert result.steps == len(events) == last.index + 1
     verdict = check(check_progress, result.trace)
     assert verdict.status == FAIL and verdict.witness == (last.index,)
@@ -281,42 +265,37 @@ def test_every_write_matches_its_register_kind(monkeypatch):
             check_writes(spec, state.mem)
 
 
-def passes_alone(spec, state, pid) -> bool:
-    """Step a copy of pid alone, each read taken from the store and
-    nothing written: True iff it reaches a passing evaluation before it
-    repeats a (pc, j)."""
-    env = ProcEnv()
-    env.load_key(state.envs[pid - 1].key())
-    seen = set()
-    while (env.pc, env.j) not in seen:
-        seen.add((env.pc, env.j))
-        kind, slot = spec.access[env.pc](env, pid - 1)  # a wait line only reads
-        assert kind == "read"
-        if spec.step_fn(env, pid - 1, state.mem.store[slot])[1] == "pass":
-            return True
-    return False
-
-
-def test_wait_conds_match_the_wait_lines():
-    # The deadlock check reads wait_conds, a hand-written copy of every
-    # wait line; in every reachable state each one must agree with what
-    # the step machine itself does at that pc when nobody else moves.
+def test_spins_matches_the_wait_conditions():
+    # At a wait line, a process spins iff the line's condition, written
+    # by hand in oracle_scans, is false: checked for every process at a
+    # wait line in every reachable state of the N=2 explorations and of
+    # the N=3 configs the explore benchmark runs.  (Elsewhere a process
+    # may spin too, by reading its way into a wait line that fails.)
+    # Every step that reports an outcome is in the waiting room, so no
+    # wait line sits in the doorway.
     probed = defaultdict(set)
-    for spec in explored_specs():
-        def take_step(state, pid):
-            env = state.envs[pid - 1]
-            cond = spec.wait_conds.get(env.pc)
-            if cond is not None:
-                want = passes_alone(spec, state, pid)
-                assert bool(cond(env, state.mem.store, pid)) == want, \
-                    (spec.name, spec.meta, pid, env.key(), state.mem.store)
-                probed[spec.name].add((env.pc, want))
-            step(state, pid)
+    cases = [(spec, explored_workload()) for spec in explored_specs()]
+    cases += [(build_glb(3), Workload([[1], [2], [1]])),
+              (build_bwbgme(3), Workload([[1], [1], [2]]))]
+    for spec, wl in cases:
+        conds = oracle_scans.wait_conds(spec)
 
-        crosscheck_reachable(spec, explored_workload(), take_step=take_step)
+        def take_step(state, pid, spec=spec, conds=conds):
+            env = state.envs[pid - 1]
+            cond = conds.get(env.pc)
+            if cond is not None:
+                store = state.mem.store
+                want = not cond(env, store, pid)
+                assert spins(spec, env, store, pid - 1) == want, \
+                    (spec.name, spec.meta, pid, env.key(), store)
+                probed[spec.name, spec.n].add((env.pc, want))
+            ev = step(state, pid)
+            assert ev.outcome is None or ev.section is Section.WAITING, (spec.name, ev)
+
+        crosscheck_reachable(spec, wl, take_step=take_step)
     for spec in explored_specs():
-        assert probed[spec.name] == {(pc, want) for pc in spec.wait_conds
-                                     for want in (True, False)}, spec.name
+        assert probed[spec.name, 2] == {(pc, want) for pc in oracle_scans.wait_conds(spec)
+                                        for want in (True, False)}, spec.name
 
 
 def test_value_key_roundtrip():
@@ -378,65 +357,25 @@ def test_arbitrary_schedules_preserve_safety(name, pids):
         assert check(check_flip_invariant, result.trace).ok
 
 
-def hint_status(state) -> str:
-    """Where the process all_active_blocked will try first stands now."""
-    if not state.awake:
-        return "none"
-    if state.envs[state.awake - 1].pc == PC_REMAINDER:
-        return "remainder"
-    return "blocked" if effectively_blocked(state, state.awake) else "awake"
-
-
 def test_deadlock_check_matches_full_scan_at_every_step():
-    # The check tries the process last found awake first; the oracle
-    # scans every process.  Compared after every step of random runs, so
-    # the remembered process is often blocked or back in the remainder.
+    # The check steps each active process alone; the oracle reads each
+    # wait line's hand-written condition.  Compared at every process at a
+    # wait line, and as a verdict, after every step of random runs up to
+    # N=5.
     seen = set()
-    for build in (build_glb, build_bwbgme):
+    for build in (build_glb, build_bwbgme, build_bl):
         for n, seed in ((2, 0), (3, 1), (4, 2), (5, 3)):
             state = SystemState(build(n), distinct_sessions(n, invocations=2))
+            conds = oracle_scans.wait_conds(state.spec)
             schedule = random_schedule(n, seed)
             while (pid := schedule.next(state)) is not None:
                 step(state, pid)
-                seen.add(hint_status(state))
+                for q, env in enumerate(state.envs, 1):
+                    cond = conds.get(env.pc)
+                    if cond is not None:
+                        blocked = not cond(env, state.mem.store, q)
+                        assert effectively_blocked(state, q) == blocked, (build, n, q)
+                        seen.add(blocked)
                 assert all_active_blocked(state) == oracle_scans.all_active_blocked(state)
             assert state.all_done()
-    assert {"remainder", "blocked", "awake"} <= seen
-
-
-def test_deadlock_check_when_the_remembered_process_stops():
-    # The states with every active process blocked are forged (glb is
-    # deadlock-free); the check reads only the store and each pc, so it
-    # must agree with the full scan on them too.
-    def agree(state):
-        blocked = all_active_blocked(state)
-        assert blocked == oracle_scans.all_active_blocked(state)
-        return blocked
-
-    def start():
-        state = SystemState(build_glb(2), distinct_sessions(2))
-        drive(state, 2, lambda ev: ev.line == 4 and ev.kind == "write")  # Choosing[2] set
-        drive(state, 1, lambda ev: ev.outcome == "fail")  # P1 waits on P2
-        assert not agree(state) and state.awake == 2
-        return state
-
-    # The remembered process blocks: P2 finishes its doorway, which frees
-    # P1, and waits on P1's smaller token.
-    state = start()
-    drive(state, 2, lambda ev: ev.outcome == "fail")
-    assert hint_status(state) == "blocked"
-    assert not agree(state) and state.awake == 1
-    # Setting Choosing[2] again blocks P1 as well.
-    state.mem.store[state.mem.names.index("Choosing[2]")] = True
-    assert hint_status(state) == "blocked"
-    assert agree(state)
-
-    # The remembered process parks in the remainder with Choosing[2] set:
-    # P1 is the only active process, and it is blocked.
-    state = start()
-    state.envs[1].pc = PC_REMAINDER
-    assert hint_status(state) == "remainder"
-    assert agree(state)
-    # With P1 back in the remainder as well, nobody is active.
-    state.envs[0].pc = PC_REMAINDER
-    assert not agree(state)
+    assert seen == {True, False}

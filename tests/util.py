@@ -7,7 +7,8 @@ import oracle_monitors
 from gmesim import (BLACK, WHITE, Scripted, SystemState, Workload, build_bl, build_bwbgme,
                     build_glb, run, step)
 from gmesim.bwbgme import MUTANTS
-from gmesim.machine import CS_ENTER, DOORWAY_COMPLETE, EXIT_COMPLETE, Section, Trace
+from gmesim.machine import (CS_ENTER, DOORWAY_COMPLETE, EXIT_COMPLETE, PC_REMAINDER, Section,
+                            Trace, spins)
 from gmesim.memory import Memory
 from gmesim.monitors import (FAIL, build_invocations, check_fcfs, check_flip_invariant,
                              check_mutual_exclusion, check_token_bound)
@@ -73,16 +74,28 @@ def drive(state, pid, until, pids=None, limit=100_000):
 
 
 def effectively_blocked(state, pid) -> bool:
-    """True iff pid sits at a wait line whose full condition is false.
-
-    Evaluated against the current global store, so a blocked process
-    cannot advance past the line by any number of its own steps.
-    """
+    """True iff pid is active and spins: against the current global
+    store, no number of its own steps gets it past its wait line."""
     env = state.envs[pid - 1]
-    cond = state.spec.wait_conds.get(env.pc)
-    if cond is None:
-        return False
-    return not cond(env, state.mem.store, pid)
+    return env.pc != PC_REMAINDER and spins(state.spec, env, state.mem.store, pid - 1)
+
+
+def stuck_glb_spec(n=2):
+    """glb with a planted bug: no line-8 evaluation ever passes, so the
+    processes end up blocked."""
+    spec = build_glb(n)
+    inner = spec.step_fn
+
+    def step_fn(env, p, value):
+        pc = env.pc
+        line, outcome, j = inner(env, p, value)
+        if line == 8:
+            env.pc = pc
+            return (line, "fail", j)
+        return (line, outcome, j)
+
+    spec.step_fn = step_fn
+    return spec
 
 
 def until_marker(marker):
