@@ -37,6 +37,7 @@ INAPPLICABLE = "inapplicable"
 # Per-pass RMR ceilings: a single pass of the line for a fixed j may
 # charge at most this many remote references under any schedule.
 _PASS_RMR_BOUNDS = {"glb": {8: 5, 9: 5}, "bwbgme": {17: 5, 19: 2}}
+_INF = float("inf")
 
 
 @dataclass
@@ -54,21 +55,25 @@ class Verdict:
 
 @dataclass
 class WaitPass:
-    """One stay at a wait line for a fixed j, until the condition passed."""
+    """One stay at a wait line for a fixed j, until the condition passed.
+    The fold keeps only each process's open pass; a record keeps its
+    first pass over a ceiling (`over_ceiling`)."""
 
     line: int
     j: int
+    start: int
     rmr: int = 0
     blocked: bool = False  # some evaluation came out false
-    completed: bool = False
-    start: int = 0
+    refetch: bool = False  # the last GlobalColor read was an RMR
 
 
 @dataclass
 class InvocationRecord:
     """Everything the monitors need about one invocation of one process.
     `token` is the largest token number its Token writes carried: the
-    one it committed, as its doorway's and exit's Token writes carry 0."""
+    one it committed, as its doorway's and exit's Token writes carry 0.
+    `over_ceiling` is its first wait pass over its line's RMR ceiling,
+    whose `rmr` goes on counting to the pass's end."""
 
     pid: int
     inv: int
@@ -83,7 +88,7 @@ class InvocationRecord:
     exit_accesses: int = 0
     token: int = 0
     blocked_transitions: list = field(default_factory=list)
-    wait_passes: list = field(default_factory=list)
+    over_ceiling: Optional[WaitPass] = None
     gc_spurious_refetches: int = 0
 
     @property
@@ -114,10 +119,10 @@ def build_invocations(trace: Trace) -> Invocations:
     algorithm's online monitors (`online_props`) along them in the same
     walk.  The events may be any iterable: a list, or the stream of a
     run that `run` has not made yet, which this walk then drives."""
-    algorithm = trace.algorithm
     workload_sessions = trace.meta["workload_sessions"]
+    ceilings = _PASS_RMR_BOUNDS.get(trace.algorithm, {})
 
-    props = online_props(algorithm)
+    props = online_props(trace.algorithm)
     states, steps, _ = zip(*(ONLINE[p](trace.n, workload_sessions,
                                        trace.meta.get("initial_color")) for p in props))
     flip = props.index("flip") if "flip" in props else None
@@ -126,7 +131,6 @@ def build_invocations(trace: Trace) -> Invocations:
     first, flips, opened = order.first, order.flips, order.opened
     records: dict = {}
     open_pass: dict = {}
-    pending_gc_rmr: dict = {}
 
     for ev in trace.events:
         if ev.pid == 0 or ev.inv < 0:
@@ -176,39 +180,31 @@ def build_invocations(trace: Trace) -> Invocations:
         if ev.section is Section.EXIT and ev.kind in ("read", "write"):
             rec.exit_accesses += 1
 
-        # Wait-pass segmentation: only the waiting room's polling events
-        # carry j (bwbgme's line-18 branch opens a pass of its own, which
-        # no ceiling reads), and a process's events at one line for one j
-        # are consecutive among its own events.
+        # Wait passes: only the waiting room's polling events carry j, and
+        # a process's events at one line for one j are consecutive among
+        # its own events.  Each RMR a pass charges is checked against its
+        # line's ceiling, if the line has one.  A GlobalColor read arms the
+        # pass with its RMR, and a false evaluation after an armed read is
+        # a spurious refetch.
         if ev.j is not None:
             cur = open_pass.get(ev.pid)
-            if cur is None or cur.line != ev.line or cur.j != ev.j or cur.completed:
-                cur = WaitPass(line=ev.line, j=ev.j, start=ev.index)
-                open_pass[ev.pid] = cur
-                rec.wait_passes.append(cur)
-            cur.rmr += 1 if ev.rmr else 0
+            if cur is None or cur.line != ev.line or cur.j != ev.j:
+                cur = open_pass[ev.pid] = WaitPass(ev.line, ev.j, ev.index)
+            if ev.rmr:
+                cur.rmr += 1
+                if rec.over_ceiling is None and cur.rmr > ceilings.get(ev.line, _INF):
+                    rec.over_ceiling = cur
+            if ev.reg == "GlobalColor":
+                cur.refetch = ev.rmr
             if ev.outcome == "fail":
+                rec.gc_spurious_refetches += cur.refetch
                 if not cur.blocked:
                     cur.blocked = True
                     rec.blocked_transitions.append((ev.index, ev.line, ev.j))
             elif ev.outcome == "pass":
-                cur.completed = True
+                del open_pass[ev.pid]
         else:
             open_pass.pop(ev.pid, None)
-
-        # Spurious GlobalColor refetches: an RMR on the line-21 color read
-        # followed by the evaluation still coming out false.
-        if algorithm == "bwbgme" and ev.line == 21:
-            if ev.reg == "GlobalColor":
-                if ev.outcome == "pass":
-                    pending_gc_rmr.pop(ev.pid, None)
-                else:
-                    pending_gc_rmr[ev.pid] = ev.rmr
-            else:
-                if ev.outcome == "fail" and pending_gc_rmr.pop(ev.pid, False):
-                    rec.gc_spurious_refetches += 1
-                elif ev.outcome == "pass":
-                    pending_gc_rmr.pop(ev.pid, None)
 
     return order
 
@@ -481,17 +477,17 @@ def check_wait_rmr_bounds(trace: Trace, records: list) -> Verdict:
     glb: one pass of line 8 or line 9 for a fixed j costs at most 5 RMR.
     bwbgme: line 17 at most 5, line 19 at most 2; additionally the
     spurious GlobalColor refetches while blocked at line 21 stay below N
-    per invocation (amortized bound N-1).
+    per invocation (amortized bound N-1).  The fold decides both as it
+    walks; no wait line of glb reads GlobalColor.
     """
-    bounds = _PASS_RMR_BOUNDS[trace.algorithm]
     for rec in records:
-        for wp in rec.wait_passes:
-            bound = bounds.get(wp.line)
-            if bound is not None and wp.rmr > bound:
-                return Verdict(FAIL, witness=(wp.start, rec.pid),
-                               detail=f"P{rec.pid} inv {rec.inv}: line {wp.line} pass "
-                                      f"for j={wp.j} cost {wp.rmr} RMR > {bound}")
-        if trace.algorithm == "bwbgme" and rec.gc_spurious_refetches > trace.n - 1:
+        wp = rec.over_ceiling
+        if wp is not None:
+            return Verdict(FAIL, witness=(wp.start, rec.pid),
+                           detail=f"P{rec.pid} inv {rec.inv}: line {wp.line} pass "
+                                  f"for j={wp.j} cost {wp.rmr} RMR > "
+                                  f"{_PASS_RMR_BOUNDS[trace.algorithm][wp.line]}")
+        if rec.gc_spurious_refetches > trace.n - 1:
             return Verdict(FAIL, witness=(rec.pid, rec.inv),
                            detail=f"P{rec.pid} inv {rec.inv}: {rec.gc_spurious_refetches} "
                                   f"spurious GlobalColor refetches > N-1")

@@ -10,6 +10,9 @@ the online monitors to agree with them on the verdict status, and on a
 witness that these definitions also call a violation.  `block_events`
 is the Burns-Lamport block count gmesim once read off the events; the
 counts it now reads off the invocation records must equal it.
+`wait_passes` is the wait-pass segmentation gmesim once kept in every
+invocation record, judged against the ceilings afterwards; the fold now
+decides them as it walks, and its verdict must be the same.
 """
 
 from __future__ import annotations
@@ -123,3 +126,52 @@ def block_events(trace: Trace):
         else:
             waiting_at.pop(ev.pid, None)
     return totals, by_blocker
+
+
+def wait_passes(trace: Trace, ceilings: dict):
+    """The wait_rmr verdict under `ceilings` (line -> RMR per pass), and
+    each invocation's spurious GlobalColor refetch count by (pid, inv).
+
+    Every invocation's passes are kept in order, then scanned for the
+    first whose whole cost exceeds its line's ceiling; an invocation
+    fails on its refetches after its passes.  A pass is a process's
+    consecutive events at one wait line for one j, up to a passing
+    evaluation.  A refetch is a bwbgme line-21 GlobalColor read charged
+    as an RMR, after which the evaluation still comes out false.
+    """
+    passes: dict = {}     # (pid, inv) -> [[line, j, rmr, start]], in first-step order
+    refetches: dict = {}  # (pid, inv) -> count
+    open_pass: dict = {}  # pid -> its open pass
+    pending: dict = {}    # pid -> whether its line-21 color read was an RMR
+    for ev in trace.events:
+        if ev.pid == 0 or ev.inv < 0:
+            continue
+        key = (ev.pid, ev.inv)
+        mine = passes.setdefault(key, [])
+        refetches.setdefault(key, 0)
+        if ev.j is None:
+            open_pass.pop(ev.pid, None)
+        else:
+            cur = open_pass.get(ev.pid)
+            if cur is None or cur[:2] != [ev.line, ev.j]:
+                cur = open_pass[ev.pid] = [ev.line, ev.j, 0, ev.index]
+                mine.append(cur)
+            cur[2] += ev.rmr
+            if ev.outcome == "pass":
+                del open_pass[ev.pid]
+        if trace.algorithm == "bwbgme" and ev.line == 21:
+            if ev.reg == "GlobalColor" and ev.outcome != "pass":
+                pending[ev.pid] = ev.rmr
+            elif pending.pop(ev.pid, False) and ev.outcome == "fail":
+                refetches[key] += 1
+    for (pid, inv), mine in passes.items():
+        for line, j, rmr, start in mine:
+            if rmr > ceilings.get(line, _INF):
+                return Verdict(FAIL, witness=(start, pid),
+                               detail=f"P{pid} inv {inv}: line {line} pass for j={j} "
+                                      f"cost {rmr} RMR > {ceilings[line]}"), refetches
+        if refetches[pid, inv] > trace.n - 1:
+            return Verdict(FAIL, witness=(pid, inv),
+                           detail=f"P{pid} inv {inv}: {refetches[pid, inv]} "
+                                  "spurious GlobalColor refetches > N-1"), refetches
+    return Verdict(PASS), refetches

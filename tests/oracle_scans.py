@@ -47,9 +47,12 @@ class RandomSchedule:
 
 
 def wait_conds(spec) -> dict:
-    """pc -> cond(env, store, i1) at each pc of a wait-line evaluation of
-    spec's algorithm: the line's whole condition for the runtime's j,
-    written by hand over the global store, true iff the line passes."""
+    """pc -> cond(env, store, i1) at each pc of spec's algorithm from
+    which a process may spin, written by hand over the global store and
+    true iff it gets past: at a wait-line evaluation, the line's whole
+    condition for the runtime's j; at bwbgme's line-18 branch, the
+    condition of the line it branches to; at bl's downward scan, that
+    it resets its bit, enters the CS or passes its first line-10 wait."""
     return _wait_conds(spec.name, spec.n)
 
 
@@ -90,13 +93,23 @@ def _wait_conds(name: str, n: int) -> dict:
             return (store[gc_slot] != env.mycolor or color == env.mycolor
                     or session in (0, env.mysession))
 
-        return {bwbgme._W17_CHOOSING: line17, bwbgme._W17_TOKEN: line17,
+        def line18(env, store, i1):
+            same = store[tok0 + env.j - 1][1] == env.mycolor
+            return (line19 if same else line21)(env, store, i1)
+
+        return {bwbgme._W17_CHOOSING: line17, bwbgme._W17_TOKEN: line17, bwbgme._W18: line18,
                 bwbgme._W19: line19, bwbgme._W21_COLOR: line21, bwbgme._W21_TOKEN: line21}
 
     def competing_clear(env, store, i1):
         return not store[env.j - 1]
 
-    return {burns_lamport._WAIT_LOW: competing_clear, burns_lamport._WAIT_HIGH: competing_clear}
+    def down(env, store, i1):
+        # Competing[j..i-1] holds a set bit, or the upward scan is empty,
+        # or its first wait, on Competing[i+1], passes.
+        return any(store[env.j - 1:i1 - 1]) or i1 == n or not store[i1]
+
+    return {burns_lamport._DOWN: down, burns_lamport._WAIT_LOW: competing_clear,
+            burns_lamport._WAIT_HIGH: competing_clear}
 
 
 def all_active_blocked(state: SystemState) -> bool:

@@ -91,6 +91,26 @@ def test_run_detects_violation_exit_1(tmp_path):
     assert code == 1
 
 
+def test_run_replays_an_explored_flip_witness_exit_1(tmp_path, capsys):
+    # The first flip violation `explore` prints, replayed by `run` as its
+    # script: the flip check fails with a witness whose second flip is
+    # the script's last step, and the run exits 1.
+    mutant = SCENARIOS / "bwbgme_mutant_guard.scn"
+    assert main(["explore", "--scenario", str(mutant)]) == 1
+    out = capsys.readouterr().out
+    replay = out.split("VIOLATION flip:", 1)[1].split("replay: ", 1)[1].split("\n", 1)[0]
+    script = replay.split()
+    scn = write(tmp_path, "replay.scn",
+                mutant.read_text() + f"schedule = scripted\nscript = {replay}\n")
+    assert main(["run", "--scenario", scn]) == 1
+    [flip] = [line for line in capsys.readouterr().out.splitlines()
+              if line.split()[0] == "flip"]
+    assert flip.split()[1] == "FAIL", flip
+    first, second, pid = map(int, re.search(r"witness=\((\d+), (\d+), (\d+)\)", flip).groups())
+    assert first < second == len(script) - 1
+    assert f"VIOLATION flip: second GlobalColor flip inside window of [{pid}]" in out
+
+
 def test_run_cap_truncation_exit_3(tmp_path, capsys):
     scn = write(tmp_path, "glb.scn", GLB_SCENARIO)
     code = main(["run", "--scenario", scn, "--steps", "7"])

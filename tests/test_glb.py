@@ -2,11 +2,11 @@
 
 import pytest
 
-from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_glb,
+from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_glb, monitors,
                     random_schedule, step)
 from gmesim.errors import ConfigurationError
 from gmesim.machine import Section
-from gmesim.monitors import (build_invocations, check_bounded_exit,
+from gmesim.monitors import (FAIL, build_invocations, check_bounded_exit,
                              check_mutual_exclusion, check_wait_rmr_bounds, max_token_number)
 from util import (check, distinct_sessions, doorway_done, drive, entered_cs, exit_writes,
                   finished, run_collected)
@@ -128,12 +128,13 @@ def test_wait_rmr_bounds_hold_on_random_schedules():
             assert verdict.ok, verdict.detail
 
 
-def test_line8_worst_case_is_exactly_five_rmr():
+def test_line8_worst_case_is_exactly_five_rmr(monkeypatch):
     # Adversarial schedule realizing the five-RMR ceiling of one line-8
     # pass: three Choosing fetches and two Session fetches, while the
     # watched neighbor finishes an invocation and opens a new conflicting
     # one.  More is impossible: the neighbor's second invocation cannot
-    # reach the CS before the waiter does.
+    # reach the CS before the waiter does.  The verdict shows the pass is
+    # tight: a ceiling of 4 fails on it, the real one of 5 holds.
     spec = build_glb(2)
     wl = Workload([[1, 1], [2]])
     state = SystemState(spec, wl)
@@ -157,8 +158,10 @@ def test_line8_worst_case_is_exactly_five_rmr():
     d(1, finished)
     result = run_collected(SystemState(spec, wl), Scripted(pids), step_cap=10_000)
     assert result.completed
-    rec = next(r for r in build_invocations(result.trace) if r.pid == 2)
-    wp = next(w for w in rec.wait_passes if w.line == 8 and w.j == 1)
-    assert wp.rmr == 5 and wp.completed
-    assert check(check_wait_rmr_bounds, result.trace).ok
     assert check(check_mutual_exclusion, result.trace).ok
+    assert monitors._PASS_RMR_BOUNDS["glb"][8] == 5
+    assert check(check_wait_rmr_bounds, result.trace).ok
+    monkeypatch.setitem(monitors._PASS_RMR_BOUNDS["glb"], 8, 4)
+    verdict = check(check_wait_rmr_bounds, result.trace)
+    assert verdict.status == FAIL and verdict.witness[1] == 2
+    assert verdict.detail == "P2 inv 0: line 8 pass for j=1 cost 5 RMR > 4"

@@ -11,7 +11,7 @@ from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_bl,
                     build_bwbgme, build_glb, random_schedule, step)
 from gmesim import machine
 from gmesim.errors import ConfigurationError
-from gmesim.machine import (CS_ENTER, DOORWAY_COMPLETE, DOORWAY_START,
+from gmesim.machine import (CS_ENTER, CS_EXIT, DOORWAY_COMPLETE, DOORWAY_START,
                             EXIT_COMPLETE, PC_REMAINDER, Section, all_active_blocked,
                             spins)
 from gmesim.memory import Memory
@@ -87,6 +87,13 @@ def test_sessions_must_be_positive():
         Workload([[0]])
     with pytest.raises(ConfigurationError):
         Workload([[-3]])
+
+
+def test_workload_must_fit_the_spec():
+    with pytest.raises(ConfigurationError, match="cs_steps must be >= 0"):
+        Workload([[1]], cs_steps=-1)
+    with pytest.raises(ConfigurationError, match="workload has 3 processes, algorithm has 2"):
+        SystemState(build_glb(2), Workload([[1], [2], [3]]))
 
 
 def test_single_process_trace_shape():
@@ -266,36 +273,37 @@ def test_every_write_matches_its_register_kind(monkeypatch):
 
 
 def test_spins_matches_the_wait_conditions():
-    # At a wait line, a process spins iff the line's condition, written
-    # by hand in oracle_scans, is false: checked for every process at a
-    # wait line in every reachable state of the N=2 explorations and of
-    # the N=3 configs the explore benchmark runs.  (Elsewhere a process
-    # may spin too, by reading its way into a wait line that fails.)
-    # Every step that reports an outcome is in the waiting room, so no
-    # wait line sits in the doorway.
+    # An active process spins iff oracle_scans has a condition, written
+    # by hand, for its pc and that condition is false; a pc without one
+    # never spins.  Checked for every active process in every reachable
+    # state of the N=2 explorations, of the N=3 configs the explore
+    # benchmark runs and of bl at N=3, whose downward scan can spin only
+    # below the top process.  Every step that reports an outcome is in
+    # the waiting room, so no wait line sits in the doorway.
     probed = defaultdict(set)
     cases = [(spec, explored_workload()) for spec in explored_specs()]
     cases += [(build_glb(3), Workload([[1], [2], [1]])),
-              (build_bwbgme(3), Workload([[1], [1], [2]]))]
+              (build_bwbgme(3), Workload([[1], [1], [2]])),
+              (build_bl(3), Workload([[1], [2], [3]]))]
     for spec, wl in cases:
         conds = oracle_scans.wait_conds(spec)
 
         def take_step(state, pid, spec=spec, conds=conds):
             env = state.envs[pid - 1]
-            cond = conds.get(env.pc)
-            if cond is not None:
+            if env.pc != PC_REMAINDER:
                 store = state.mem.store
-                want = not cond(env, store, pid)
+                cond = conds.get(env.pc)
+                want = cond is not None and not cond(env, store, pid)
                 assert spins(spec, env, store, pid - 1) == want, \
                     (spec.name, spec.meta, pid, env.key(), store)
-                probed[spec.name, spec.n].add((env.pc, want))
+                probed[spec.name].add((env.pc, want))
             ev = step(state, pid)
             assert ev.outcome is None or ev.section is Section.WAITING, (spec.name, ev)
 
         crosscheck_reachable(spec, wl, take_step=take_step)
     for spec in explored_specs():
-        assert probed[spec.name, 2] == {(pc, want) for pc in oracle_scans.wait_conds(spec)
-                                        for want in (True, False)}, spec.name
+        assert {(pc, want) for pc in oracle_scans.wait_conds(spec)
+                for want in (True, False)} <= probed[spec.name], spec.name
 
 
 def test_value_key_roundtrip():
@@ -355,6 +363,25 @@ def test_arbitrary_schedules_preserve_safety(name, pids):
         from gmesim.monitors import check_flip_invariant, check_token_bound
         assert check(check_token_bound, result.trace).ok
         assert check(check_flip_invariant, result.trace).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["glb", "bwbgme", "bl"]), st.integers(min_value=0, max_value=2),
+       st.lists(st.integers(min_value=1, max_value=3), max_size=200))
+def test_step_announces_markers_in_rank_order(name, cs_steps, pids):
+    # What check_section_order checks holds by construction: under any
+    # schedule, each invocation's markers, in step order, are a prefix of
+    # the five in rank order.  A CS of 0 steps enters and leaves in one.
+    build = {"glb": build_glb, "bwbgme": build_bwbgme, "bl": build_bl}[name]
+    state = SystemState(build(3), Workload([[1, 2], [2], [1, 1]], cs_steps=cs_steps))
+    ranked = (DOORWAY_START, DOORWAY_COMPLETE, CS_ENTER, CS_EXIT, EXIT_COMPLETE)
+    announced = defaultdict(tuple)
+    for pid in pids:
+        ev = step(state, pid)
+        if ev.markers:
+            announced[ev.pid, ev.inv] += ev.markers
+    for markers in announced.values():
+        assert markers == ranked[:len(markers)], markers
 
 
 def test_deadlock_check_matches_full_scan_at_every_step():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmesim import SystemState, build_bwbgme, build_glb
-from gmesim import machine
+from gmesim import SystemState, Workload, build_bwbgme, build_glb, random_schedule
+from gmesim import machine, monitors
 from gmesim.errors import ConsistencyError
 from gmesim.machine import (CS_ENTER, CS_EXIT, DOORWAY_COMPLETE, DOORWAY_START,
                             EXIT_COMPLETE, Section, Trace, TraceEvent)
@@ -17,9 +17,10 @@ from gmesim.monitors import (CHECKS, FAIL, INAPPLICABLE, MONITORS, PASS, Verdict
                              build_invocations,
                              check_bounded_exit, check_concurrent_entry,
                              check_fcfs, check_flip_invariant, check_implications,
-                             check_mutual_exclusion, check_progress,
-                             check_token_bound)
+                             check_mutual_exclusion, check_progress, check_section_order,
+                             check_token_bound, check_wait_rmr_bounds)
 from gmesim.schedules import RoundRobin
+import oracle_monitors
 from oracle_memory import Memory as OracleMemory
 from util import (check, distinct_sessions, flip_token_against_oracle,
                   me_fcfs_against_oracle, run_collected)
@@ -156,6 +157,27 @@ def test_bounded_exit_detector():
     assert check(check_bounded_exit, trace).status == FAIL  # 3 accesses != 2
 
 
+def test_bounded_exit_counts_glb_exits_exactly():
+    # A completed glb exit of one write is as wrong as one of three.
+    trace = synthetic("glb", 1, invocation_events(1, 1, base=0), [[1]])
+    verdict = check(check_bounded_exit, trace)
+    assert (verdict.status, verdict.witness, verdict.detail) == (
+        FAIL, (1, 0), "P1 inv 0: 1 exit accesses, expected exactly 2")
+
+
+def test_section_order_detector():
+    def markers(*seq):
+        return synthetic("glb", 1, [ev(i, 1, markers=(m,)) for i, m in enumerate(seq)], [[1]])
+
+    assert check(check_section_order, markers(DOORWAY_START, DOORWAY_COMPLETE, CS_ENTER)).ok
+    verdict = check(check_section_order, markers(DOORWAY_START, CS_ENTER, DOORWAY_COMPLETE))
+    assert (verdict.status, verdict.detail) == (
+        FAIL, "P1 inv 0: markers out of order [0, 2, 1, None, None]")
+    verdict = check(check_section_order, markers(DOORWAY_START, CS_ENTER))
+    assert (verdict.status, verdict.witness, verdict.detail) == (
+        FAIL, (1, 0), "P1 inv 0: marker gap [0, None, 1, None, None]")
+
+
 def test_token_bound_detector():
     events = [ev(0, 1, line=14, kind="write", reg="Token[1]",
                  value=(1, WHITE, 4), section=Section.DOORWAY)]
@@ -183,6 +205,65 @@ def test_flip_invariant_detector():
     events[2] = ev(2, 3, line=30, kind="write", reg="GlobalColor", value=BLACK,
                    section=Section.EXIT)
     assert check(check_flip_invariant, trace).status == PASS
+
+
+def test_wait_rmr_counts_spurious_refetches():
+    # P1 waits at line 21 on P2: each round reads GlobalColor remotely,
+    # then finds Token[2] still of the other colour.  N-1 = 1 such round
+    # is allowed, the second fails the invocation.
+    def rounds(k):
+        events = []
+        for r in range(k):
+            events += [ev(2 * r, 1, line=21, kind="read", reg="GlobalColor", value=WHITE,
+                          rmr=True, j=2),
+                       ev(2 * r + 1, 1, line=21, kind="read", reg="Token[2]",
+                          value=(2, BLACK, 1), outcome="fail", j=2)]
+        return synthetic("bwbgme", 2, events, [[1], [2]])
+
+    assert check(check_wait_rmr_bounds, rounds(1)).ok
+    trace = rounds(2)
+    verdict = check(check_wait_rmr_bounds, trace)
+    assert (verdict.status, verdict.witness, verdict.detail) == (
+        FAIL, (1, 0), "P1 inv 0: 2 spurious GlobalColor refetches > N-1")
+    assert oracle_monitors.wait_passes(trace, {17: 5, 19: 2}) == (verdict, {(1, 0): 2})
+
+
+def random_run(rnd):
+    """A random glb or bwbgme run to its end: N=2-6, 1-4 invocations per
+    process over 1-3 sessions, either initial colour, a random seed."""
+    n = rnd.randint(2, 6)
+    n_sessions = rnd.randint(1, 3)
+    sessions = [[rnd.randint(1, n_sessions) for _ in range(rnd.randint(1, 4))]
+                for _ in range(n)]
+    spec = build_glb(n) if rnd.random() < 0.5 else build_bwbgme(n, rnd.choice((WHITE, BLACK)))
+    result = run_collected(SystemState(spec, Workload(sessions)),
+                           random_schedule(n, rnd.randrange(1 << 16)))
+    assert result.completed
+    return result.trace
+
+
+def test_wait_rmr_fold_matches_pass_list_oracle(monkeypatch):
+    # The fold decides each pass against its ceiling as it walks; the
+    # oracle keeps every pass and judges them afterwards.  Compared on
+    # random runs under every ceiling from 0 to 5: the verdict (status,
+    # witness, detail, which reports the failing pass's whole cost) and
+    # every record's refetch count.
+    rnd = random.Random(19)
+    seen = Counter()
+    for _ in range(160):
+        trace = random_run(rnd)
+        for ceiling in range(6):
+            ceilings = dict.fromkeys(monitors._PASS_RMR_BOUNDS[trace.algorithm], ceiling)
+            monkeypatch.setitem(monitors._PASS_RMR_BOUNDS, trace.algorithm, ceilings)
+            records = build_invocations(trace)
+            verdict = check_wait_rmr_bounds(trace, records)
+            want, refetches = oracle_monitors.wait_passes(trace, ceilings)
+            assert (verdict.status, verdict.witness, verdict.detail) == \
+                (want.status, want.witness, want.detail), (trace.algorithm, ceiling)
+            assert {(r.pid, r.inv): r.gc_spurious_refetches for r in records} == refetches
+            seen[verdict.status] += 1
+            seen["refetched"] += any(refetches.values())
+    assert seen[PASS] and seen[FAIL] and seen["refetched"], seen
 
 
 def test_progress_deadlock_detector():

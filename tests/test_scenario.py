@@ -120,6 +120,36 @@ def test_out_of_range_values_rejected_with_line_number():
         assert message in str(error) and error.lineno == lineno, (message, str(error))
 
 
+GLB = GOOD.replace("algorithm = bwbgme", "algorithm = glb").replace("initial_color = black\n", "")
+
+
+@pytest.mark.parametrize("text, message, lineno", [
+    (GOOD + "turbo\n", "expected 'key = value'", 13),
+    (GOOD + "sessions[x] = 1\n", "bad process index in 'sessions[x]'", 13),
+    (GOOD.replace("sessions[2] = 2", "sessions[2] = two"),
+     "sessions must be integers, got 'two'", 11),
+    (GOOD + "seed = 3\n", "duplicate key 'seed'", 13),
+    (GOOD.replace("algorithm = bwbgme\n", ""), "missing required key 'algorithm'", 1),
+    (GOOD.replace("n = 3\n", ""), "missing required key 'n'", 1),
+    (GOOD.replace("n = 3", "n = 0"), "n must be >= 1", 3),
+    (GOOD.replace("schedule = random", "schedule = lottery"), "unknown schedule 'lottery'", 4),
+    (GOOD.replace("initial_color = black", "initial_color = grey"),
+     "initial_color must be black or white", 7),
+    (GOOD + "mutant = no_guard\n", "unknown mutant 'no_guard'", 13),
+    (GLB + "mutant = no_number_guard\n", "mutant applies only to bwbgme", 12),
+    (GOOD + "script = 1 two\n", "script must be a list of pids", 13),
+])
+def test_bad_input_rejected_with_its_line(text, message, lineno):
+    error = err(text)
+    assert (str(error), error.lineno) == (f"line {lineno}: {message}", lineno)
+
+
+def test_mutant_none_is_no_mutant():
+    sc = parse_scenario(GOOD + "mutant = none\n")
+    assert sc.mutant is None and sc.config_hash == parse_scenario(GOOD).config_hash
+    assert parse_scenario(GLB + "mutant = none\n").mutant is None
+
+
 def test_window_must_cover_n():
     assert "fairness_window" in str(err(GOOD.replace("fairness_window = 12",
                                                      "fairness_window = 2")))
