@@ -134,5 +134,5 @@ def block_counts(n: int, records) -> dict:
     pid 1..n."""
     totals = dict.fromkeys(range(1, n + 1), 0)
     for rec in records:
-        totals[rec.pid] += len(rec.blocked_transitions)
+        totals[rec.pid] += rec.blocked
     return totals

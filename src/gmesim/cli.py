@@ -85,7 +85,7 @@ def _write_run_csv(path: str, scenario: Scenario, records) -> None:
                         scenario.seed, r.pid, r.inv, r.session,
                         r.rmr_in(Section.DOORWAY), r.rmr_in(Section.WAITING),
                         r.rmr_in(Section.EXIT), r.rmr_total, r.entry_steps,
-                        r.exit_accesses, len(r.blocked_transitions),
+                        r.exit_accesses, r.blocked,
                         int(r.xc is not None)])
 
 

@@ -55,13 +55,8 @@ EXIT_COMPLETE = "exit-complete"
 # invocation (a goto back into the doorway, as in Burns-Lamport, must
 # not announce the doorway again).
 _MARKERS = (DOORWAY_START, DOORWAY_COMPLETE, CS_ENTER, CS_EXIT, EXIT_COMPLETE)
-_RANK = {
-    Section.DOORWAY: 1,
-    Section.WAITING: 2,
-    Section.CS: 3,
-    Section.EXIT: 4,
-    Section.REMAINDER: 5,
-}
+_RANK = {Section.DOORWAY: 1, Section.WAITING: 2, Section.CS: 3, Section.EXIT: 4,
+         Section.REMAINDER: 5}
 
 
 @dataclass(slots=True)
@@ -219,14 +214,14 @@ def step(state: SystemState, pid: int) -> TraceEvent:
     p = pid - 1
     env = state.envs[p]
     mem = state.mem
+    index = state.step_index
+    state.step_index = index + 1
 
     if env.pc == PC_REMAINDER:
         per_proc = state.workload.sessions[p]
         if env.inv + 1 >= len(per_proc):
-            ev = TraceEvent(state.step_index, pid, -1, 0, "noop", None, None,
-                            False, Section.REMAINDER, (), None, None)
-            state.step_index += 1
-            return ev
+            return TraceEvent(index, pid, -1, 0, "noop", None, None,
+                              False, Section.REMAINDER, (), None, None)
         # Zero-step transition out of the remainder: starting an invocation
         # immediately executes the first doorway instruction.
         env.inv += 1
@@ -236,8 +231,9 @@ def step(state: SystemState, pid: int) -> TraceEvent:
 
     # The event belongs to the section of the instruction it executed;
     # its markers are those of the section ranks it newly reached.
+    sections = spec.sections
     pc = env.pc
-    exec_section = spec.sections[pc]
+    exec_section = sections[pc]
     access = spec.access[pc](env, p)
     if access is None:
         kind, reg, value, rmr = "local", None, None, False
@@ -251,16 +247,14 @@ def step(state: SystemState, pid: int) -> TraceEvent:
             mem.write_slot(p, slot, value)
     line, outcome, target_j = spec.step_fn(env, p, value)
 
-    rank = _RANK[spec.sections[env.pc]]
+    rank = _RANK[sections[env.pc]]
     if rank > env.marks:
         markers = _MARKERS[env.marks:rank]
         env.marks = rank
     else:
         markers = ()
-    ev = TraceEvent(state.step_index, pid, env.inv, line, kind, reg, value, rmr,
-                    exec_section, markers, outcome, target_j)
-    state.step_index += 1
-    return ev
+    return TraceEvent(index, pid, env.inv, line, kind, reg, value, rmr,
+                      exec_section, markers, outcome, target_j)
 
 
 def spins(spec: AlgorithmSpec, env: ProcEnv, store, p: int) -> bool:
@@ -350,11 +344,12 @@ def _events(state: SystemState, schedule, step_cap: int, result: RunResult):
     # on any step but a read that does not pass.  A deadlock needs every
     # live process to spin, so the check waits until each has failed since.
     failed = 0
+    next_pid = schedule.next
     while live:
         if steps >= step_cap:
             cap_hit = True
             break
-        pid = schedule.next(state)
+        pid = next_pid(state)
         if pid is None:
             break
         ev = step(state, pid)

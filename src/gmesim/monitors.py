@@ -38,6 +38,11 @@ INAPPLICABLE = "inapplicable"
 # charge at most this many remote references under any schedule.
 _PASS_RMR_BOUNDS = {"glb": {8: 5, 9: 5}, "bwbgme": {17: 5, 19: 2}}
 _INF = float("inf")
+# Bound once: every `Section.X` is a lookup on the enum class.
+_DOORWAY, _WAITING, _EXIT = Section.DOORWAY, Section.WAITING, Section.EXIT
+# The record field each marker's step index goes to.
+_MARK_FIELDS = {DOORWAY_START: "ds", DOORWAY_COMPLETE: "dc", CS_ENTER: "ce",
+                CS_EXIT: "cx", EXIT_COMPLETE: "xc"}
 
 
 @dataclass
@@ -72,8 +77,10 @@ class InvocationRecord:
     """Everything the monitors need about one invocation of one process.
     `token` is the largest token number its Token writes carried: the
     one it committed, as its doorway's and exit's Token writes carry 0.
-    `over_ceiling` is its first wait pass over its line's RMR ceiling,
-    whose `rmr` goes on counting to the pass's end."""
+    `blocked` counts its wait passes with a false evaluation, and
+    `first_blocked` is the first one's (index, line, j) at that
+    evaluation, or None.  `over_ceiling` is its first wait pass over its
+    line's RMR ceiling, whose `rmr` goes on counting to the pass's end."""
 
     pid: int
     inv: int
@@ -87,7 +94,8 @@ class InvocationRecord:
     entry_steps: int = 0
     exit_accesses: int = 0
     token: int = 0
-    blocked_transitions: list = field(default_factory=list)
+    blocked: int = 0
+    first_blocked: Optional[tuple] = None
     over_ceiling: Optional[WaitPass] = None
     gc_spurious_refetches: int = 0
 
@@ -118,44 +126,41 @@ def build_invocations(trace: Trace) -> Invocations:
     """Fold the trace's events into per-invocation records, stepping the
     algorithm's online monitors (`online_props`) along them in the same
     walk.  The events may be any iterable: a list, or the stream of a
-    run that `run` has not made yet, which this walk then drives."""
+    run that `run` has not made yet, which this walk then drives.
+    A process's events reach its current record directly; only a change
+    of invocation looks the record up by (pid, inv)."""
+    n = trace.n
     workload_sessions = trace.meta["workload_sessions"]
     ceilings = _PASS_RMR_BOUNDS.get(trace.algorithm, {})
 
     props = online_props(trace.algorithm)
-    states, steps, _ = zip(*(ONLINE[p](trace.n, workload_sessions,
+    states, steps, _ = zip(*(ONLINE[p](n, workload_sessions,
                                        trace.meta.get("initial_color")) for p in props))
     flip = props.index("flip") if "flip" in props else None
 
     order = Invocations()
     first, flips, opened = order.first, order.flips, order.opened
     records: dict = {}
-    open_pass: dict = {}
+    current = [None] * (n + 1)    # pid -> the record of its last event
+    open_pass = [None] * (n + 1)  # pid -> its open wait pass, or None
 
     for ev in trace.events:
-        if ev.pid == 0 or ev.inv < 0:
+        pid, inv = ev.pid, ev.inv
+        if pid == 0 or inv < 0:
             if ev.kind == "deadlock":
                 order.deadlock_at = ev.index
             continue
-        key = (ev.pid, ev.inv)
-        rec = records.get(key)
-        if rec is None:
-            rec = records[key] = InvocationRecord(
-                pid=ev.pid, inv=ev.inv, session=workload_sessions[ev.pid - 1][ev.inv])
-            order.append(rec)
-
-        markers = ev.markers
-        if markers:
-            if DOORWAY_START in markers:
-                rec.ds = ev.index
-            if DOORWAY_COMPLETE in markers:
-                rec.dc = ev.index
-            if CS_ENTER in markers:
-                rec.ce = ev.index
-            if CS_EXIT in markers:
-                rec.cx = ev.index
-            if EXIT_COMPLETE in markers:
-                rec.xc = ev.index
+        rec = current[pid]
+        if rec is None or rec.inv != inv:
+            rec = records.get((pid, inv))
+            if rec is None:
+                rec = records[pid, inv] = InvocationRecord(
+                    pid=pid, inv=inv, session=workload_sessions[pid - 1][inv])
+                order.append(rec)
+            current[pid] = rec
+        index, section, rmr, j = ev.index, ev.section, ev.rmr, ev.j
+        for marker in ev.markers:
+            setattr(rec, _MARK_FIELDS[marker], index)
 
         if monitored(ev):
             before = states
@@ -163,21 +168,22 @@ def build_invocations(trace: Trace) -> Invocations:
             if flip is not None and "flip" not in first and states[flip] is not before[flip]:
                 gc, wins = states[flip]
                 if gc != before[flip][0]:
-                    flips.append(ev.index)
-                if wins[ev.pid - 1] < 0:
-                    opened.pop(ev.pid, None)
+                    flips.append(index)
+                if wins[pid - 1] < 0:
+                    opened.pop(pid, None)
                 else:
-                    opened.setdefault(ev.pid, ev.index)
+                    opened.setdefault(pid, index)
             for i, culprits in hits:
                 first.setdefault(props[i], (ev, culprits))
             if ev.kind == "write" and ev.reg.startswith("Token["):
                 rec.token = max(rec.token, token_number(ev.value))
 
-        if ev.rmr:
-            rec.rmr_by_section[ev.section] = rec.rmr_by_section.get(ev.section, 0) + 1
-        if ev.section in (Section.DOORWAY, Section.WAITING):
+        if rmr:
+            by_section = rec.rmr_by_section
+            by_section[section] = by_section.get(section, 0) + 1
+        if section is _DOORWAY or section is _WAITING:
             rec.entry_steps += 1
-        if ev.section is Section.EXIT and ev.kind in ("read", "write"):
+        elif section is _EXIT and ev.kind in ("read", "write"):
             rec.exit_accesses += 1
 
         # Wait passes: only the waiting room's polling events carry j, and
@@ -186,25 +192,28 @@ def build_invocations(trace: Trace) -> Invocations:
         # line's ceiling, if the line has one.  A GlobalColor read arms the
         # pass with its RMR, and a false evaluation after an armed read is
         # a spurious refetch.
-        if ev.j is not None:
-            cur = open_pass.get(ev.pid)
-            if cur is None or cur.line != ev.line or cur.j != ev.j:
-                cur = open_pass[ev.pid] = WaitPass(ev.line, ev.j, ev.index)
-            if ev.rmr:
+        if j is not None:
+            cur = open_pass[pid]
+            line = ev.line
+            if cur is None or cur.line != line or cur.j != j:
+                cur = open_pass[pid] = WaitPass(line, j, index)
+            if rmr:
                 cur.rmr += 1
-                if rec.over_ceiling is None and cur.rmr > ceilings.get(ev.line, _INF):
+                if rec.over_ceiling is None and cur.rmr > ceilings.get(line, _INF):
                     rec.over_ceiling = cur
             if ev.reg == "GlobalColor":
-                cur.refetch = ev.rmr
-            if ev.outcome == "fail":
+                cur.refetch = rmr
+            outcome = ev.outcome
+            if outcome == "fail":
                 rec.gc_spurious_refetches += cur.refetch
                 if not cur.blocked:
                     cur.blocked = True
-                    rec.blocked_transitions.append((ev.index, ev.line, ev.j))
-            elif ev.outcome == "pass":
-                del open_pass[ev.pid]
+                    rec.first_blocked = rec.first_blocked or (index, line, j)
+                    rec.blocked += 1
+            elif outcome == "pass":
+                open_pass[pid] = None
         else:
-            open_pass.pop(ev.pid, None)
+            open_pass[pid] = None
 
     return order
 
@@ -414,8 +423,8 @@ def check_concurrent_entry(trace: Trace, records: list) -> Verdict:
     if len(trace.meta["sessions"]) > 1:
         return Verdict(INAPPLICABLE, detail="workload uses more than one session")
     for rec in records:
-        if rec.blocked_transitions:
-            step, line, j = rec.blocked_transitions[0]
+        if rec.first_blocked is not None:
+            step, line, j = rec.first_blocked
             return Verdict(FAIL, witness=(step, rec.pid),
                            detail=f"P{rec.pid} waited at line {line} on P{j} "
                                   "despite a conflict-free workload")
@@ -503,13 +512,9 @@ def check_section_order(trace: Trace, records: list) -> Verdict:
             return Verdict(FAIL, witness=(rec.pid, rec.inv),
                            detail=f"P{rec.pid} inv {rec.inv}: markers out of order {seq}")
         # A later marker must not exist without the earlier ones.
-        seen_none = False
-        for x in seq:
-            if x is None:
-                seen_none = True
-            elif seen_none:
-                return Verdict(FAIL, witness=(rec.pid, rec.inv),
-                               detail=f"P{rec.pid} inv {rec.inv}: marker gap {seq}")
+        if seq[:len(present)] != present:
+            return Verdict(FAIL, witness=(rec.pid, rec.inv),
+                           detail=f"P{rec.pid} inv {rec.inv}: marker gap {seq}")
     return Verdict(PASS)
 
 

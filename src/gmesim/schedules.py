@@ -55,7 +55,9 @@ class RandomSchedule:
     steps: once a process has waited w - n steps it is overdue, and the
     one that has waited longest (the lowest pid among those never
     picked) goes first, which keeps each gap <= w (random_schedule
-    checks w >= n).
+    checks w >= n).  Otherwise it picks a live pid at random, drawn as
+    `random.Random.choice` draws it: `getrandbits(k)`, for k the live
+    count's bit length, until a draw falls below that count.
 
     The caller steps each pid this returns, and nothing else, before the
     next call: only the previous pick can have run out of invocations,
@@ -64,8 +66,9 @@ class RandomSchedule:
 
     def __init__(self, seed: int, window: int):
         self.window = window
-        self.rng = random.Random(seed)
+        self.getrandbits = random.Random(seed).getrandbits
         self.live = None  # ascending live pids, set on the first call
+        self.slack = 0  # w - n, the wait that makes a process overdue
         # pid -> call count at its last pick (0 if never picked), kept in
         # order of last pick, so the first entry has waited longest.
         self.stamps: dict = {}
@@ -79,6 +82,7 @@ class RandomSchedule:
             # again, so the first call's live set covers every later one.
             live = self.live = state.live_pids()
             self.stamps = dict.fromkeys(live, 0)
+            self.slack = self.window - state.spec.n
         elif live and state.exhausted(self.last):
             live.remove(self.last)
             del self.stamps[self.last]
@@ -87,10 +91,16 @@ class RandomSchedule:
         stamps = self.stamps
         calls = self.calls
         oldest = next(iter(stamps))
-        if calls - stamps[oldest] >= self.window - state.spec.n:
+        if calls - stamps[oldest] >= self.slack:
             pick = oldest
         else:
-            pick = self.rng.choice(live)
+            count = len(live)
+            k = count.bit_length()
+            getrandbits = self.getrandbits
+            r = getrandbits(k)
+            while r >= count:
+                r = getrandbits(k)
+            pick = live[r]
         del stamps[pick]
         self.calls = stamps[pick] = calls + 1
         self.last = pick

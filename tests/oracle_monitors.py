@@ -12,12 +12,16 @@ is the Burns-Lamport block count gmesim once read off the events; the
 counts it now reads off the invocation records must equal it.
 `wait_passes` is the wait-pass segmentation gmesim once kept in every
 invocation record, judged against the ceilings afterwards; the fold now
-decides them as it walks, and its verdict must be the same.
+decides them as it walks, and its verdict must be the same.  `records`
+reads each invocation's markers, RMR, step counts and blocked passes off
+the events by (pid, inv), where the fold reaches a process's current
+record directly; the two must give the same records.
 """
 
 from __future__ import annotations
 
-from gmesim.machine import EXIT_COMPLETE, Trace
+from gmesim.machine import (CS_ENTER, CS_EXIT, DOORWAY_COMPLETE, DOORWAY_START,
+                            EXIT_COMPLETE, Section, Trace)
 from gmesim.monitors import FAIL, PASS, Verdict, build_invocations
 
 _INF = float("inf")
@@ -175,3 +179,58 @@ def wait_passes(trace: Trace, ceilings: dict):
                            detail=f"P{pid} inv {inv}: {refetches[pid, inv]} "
                                   "spurious GlobalColor refetches > N-1"), refetches
     return Verdict(PASS), refetches
+
+
+_MARK_FIELDS = {DOORWAY_START: "ds", DOORWAY_COMPLETE: "dc", CS_ENTER: "ce",
+                CS_EXIT: "cx", EXIT_COMPLETE: "xc"}
+
+
+def records(trace: Trace) -> dict:
+    """(pid, inv) -> its invocation's fields, in order of first step: the
+    index of each marker's step ("ds" .. "xc"), the RMR per section
+    ("rmr"), "entry_steps", "exit_accesses", and its blocked wait passes
+    ("blocked", and "first_blocked", the first one's (index, line, j) at
+    its first false evaluation, or None).
+
+    Each event is filed under its own (pid, inv).  Wait passes are cut
+    afterwards from each process's own events: a pass is a run of
+    consecutive events at one wait line for one j, ended by a passing
+    evaluation; a pass is blocked if one of its evaluations failed.
+    """
+    out: dict = {}
+    mine: dict = {}  # pid -> its events, in order
+    for ev in trace.events:
+        if ev.pid == 0 or ev.inv < 0:
+            continue
+        rec = out.setdefault((ev.pid, ev.inv), {
+            "ds": None, "dc": None, "ce": None, "cx": None, "xc": None, "rmr": {},
+            "entry_steps": 0, "exit_accesses": 0, "blocked": 0, "first_blocked": None})
+        for marker in ev.markers:
+            rec[_MARK_FIELDS[marker]] = ev.index
+        if ev.rmr:
+            rec["rmr"][ev.section] = rec["rmr"].get(ev.section, 0) + 1
+        if ev.section in (Section.DOORWAY, Section.WAITING):
+            rec["entry_steps"] += 1
+        if ev.section == Section.EXIT and ev.kind in ("read", "write"):
+            rec["exit_accesses"] += 1
+        mine.setdefault(ev.pid, []).append(ev)
+    for events in mine.values():
+        passes, cur = [], None
+        for ev in events:
+            if ev.j is None:
+                cur = None
+                continue
+            if cur is None or (cur[0].line, cur[0].j) != (ev.line, ev.j):
+                cur = []
+                passes.append(cur)
+            cur.append(ev)
+            if ev.outcome == "pass":
+                cur = None
+        for wait in passes:
+            fails = [ev for ev in wait if ev.outcome == "fail"]
+            if fails:
+                rec = out[fails[0].pid, fails[0].inv]
+                rec["blocked"] += 1
+                if rec["first_blocked"] is None:
+                    rec["first_blocked"] = (fails[0].index, fails[0].line, fails[0].j)
+    return out

@@ -82,10 +82,7 @@ def test_run_passes_and_exports(tmp_path, capsys):
     assert all(int(row["rmr_total"]) > 0 for row in rows)
 
 
-def test_run_detects_violation_exit_1(tmp_path):
-    # mutant scenario driven by a fair random schedule long enough to trip
-    # the flip monitor is not guaranteed; use explore for detection and a
-    # crafted run below for the exit code path.
+def test_explore_detects_violation_exit_1(tmp_path):
     scn = write(tmp_path, "mut.scn", MUTANT_SCENARIO)
     code = main(["explore", "--scenario", scn])
     assert code == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmesim import SystemState, Workload, build_bwbgme, build_glb, random_schedule
+from gmesim import SystemState, Workload, build_bl, build_bwbgme, build_glb, random_schedule
 from gmesim import machine, monitors
 from gmesim.errors import ConsistencyError
 from gmesim.machine import (CS_ENTER, CS_EXIT, DOORWAY_COMPLETE, DOORWAY_START,
@@ -264,6 +264,62 @@ def test_wait_rmr_fold_matches_pass_list_oracle(monkeypatch):
             seen[verdict.status] += 1
             seen["refetched"] += any(refetches.values())
     assert seen[PASS] and seen[FAIL] and seen["refetched"], seen
+
+
+def fold_fields(trace) -> dict:
+    """The fold's records in `oracle_monitors.records`' shape, in order."""
+    return {(r.pid, r.inv): {
+        "ds": r.ds, "dc": r.dc, "ce": r.ce, "cx": r.cx, "xc": r.xc, "rmr": r.rmr_by_section,
+        "entry_steps": r.entry_steps, "exit_accesses": r.exit_accesses,
+        "blocked": r.blocked, "first_blocked": r.first_blocked}
+        for r in build_invocations(trace)}
+
+
+def test_fold_matches_event_scan_oracle():
+    # The fold reaches each process's current record directly; the oracle
+    # files every event under its (pid, inv).  Same records, in the same
+    # order, on seeded random runs of every algorithm at N = 2..8.
+    rnd = random.Random(21)
+    blocked = 0
+    for n in range(2, 9):
+        for build in (build_glb, lambda n: build_bwbgme(n, rnd.choice((WHITE, BLACK))),
+                      build_bl):
+            sessions = [[rnd.randint(1, 3) for _ in range(rnd.randint(1, 3))]
+                        for _ in range(n)]
+            result = run_collected(SystemState(build(n), Workload(sessions)),
+                                   random_schedule(n, rnd.randrange(1 << 16)))
+            assert result.completed
+            want = oracle_monitors.records(result.trace)
+            got = fold_fields(result.trace)
+            assert list(got) == list(want) and got == want, (result.trace.algorithm, n)
+            blocked += sum(r["blocked"] for r in want.values())
+    assert blocked
+
+
+def test_fold_returns_to_an_earlier_invocation():
+    # P1's events go back to its invocation 0 after invocation 1 began:
+    # they must land in the first record, not open a third.
+    events = [
+        ev(0, 1, inv=0, kind="write", reg="Competing[1]", rmr=True, section=Section.DOORWAY,
+           markers=(DOORWAY_START,)),
+        ev(1, 1, inv=1, kind="read", reg="Competing[2]", rmr=True, section=Section.DOORWAY,
+           markers=(DOORWAY_START,)),
+        ev(2, 2, inv=0, line=5, kind="read", reg="Competing[1]", rmr=True,
+           markers=(DOORWAY_START, DOORWAY_COMPLETE), outcome="fail", j=1),
+        ev(3, 1, inv=0, line=10, kind="read", reg="Competing[2]", rmr=True,
+           markers=(DOORWAY_COMPLETE,), outcome="fail", j=2),
+        ev(4, 1, inv=0, line=10, kind="read", reg="Competing[2]", outcome="fail", j=2),
+        ev(5, 1, inv=1, kind="write", reg="Competing[1]", rmr=True, section=Section.EXIT),
+        ev(6, 1, inv=0, line=10, kind="read", reg="Competing[2]", outcome="pass", j=2),
+        ev(7, 1, inv=0, section=Section.CS, markers=(CS_ENTER,)),
+    ]
+    trace = synthetic("bl", 2, events, [[1, 1], [2]])
+    want = oracle_monitors.records(trace)
+    assert list(want) == [(1, 0), (1, 1), (2, 0)]
+    assert want[1, 0]["blocked"] == 1 and want[1, 0]["first_blocked"] == (3, 10, 2)
+    assert want[1, 0]["entry_steps"] == 4 and want[1, 1]["exit_accesses"] == 1
+    got = fold_fields(trace)
+    assert list(got) == list(want) and got == want
 
 
 def test_progress_deadlock_detector():

@@ -91,6 +91,23 @@ def test_random_schedule_matches_full_rescan(case):
     assert events[0] == events[1]
 
 
+@pytest.mark.parametrize("build, n, seed, step_cap", [
+    (build_glb, 24, 7, 100_000), (build_bwbgme, 24, 8, 100_000), (build_glb, 64, 9, 20_000)])
+def test_random_schedule_matches_full_rescan_at_benchmark_sizes(build, n, seed, step_cap):
+    # The draw takes k = 5 bits at N = 24 and k = 7 at N = 64, where the
+    # schedule's own rejection loop stands in for Random.choice, which
+    # the oracle still calls.  N = 24 runs to its end, so the live count
+    # falls through every bit length; N = 64 stops at the step cap.
+    sessions = [[pid % 3 + 1] for pid in range(n)]
+    events = []
+    for schedule in (RandomSchedule(seed, 4 * n), oracle_scans.RandomSchedule(seed, 4 * n)):
+        result = run_collected(SystemState(build(n), Workload(sessions)), schedule,
+                               step_cap=step_cap)
+        assert result.completed if n == 24 else result.cap_hit
+        events.append(result.trace.events)
+    assert events[0] == events[1]
+
+
 def test_window_below_n_rejected():
     with pytest.raises(ConfigurationError):
         random_schedule(4, 0, window=3)
