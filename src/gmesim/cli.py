@@ -1,7 +1,8 @@
 """Batch front end: run, explore, and sweep commands.
 
 Exit status: 0 all checks pass, 1 property violation or deadlock,
-2 usage or scenario parse error, 3 the run or search stopped early.
+2 usage or scenario parse error, or a path that cannot be read or
+written (a missing file, a directory), 3 the run or search stopped early.
 
 CSV schemas (stable, one header row per file):
 
@@ -64,12 +65,13 @@ def _write_trace(trace: Trace, path: str) -> None:
         header = {"record": "header", "algorithm": trace.algorithm, "n": trace.n,
                   "meta": trace.meta}
         fh.write(json.dumps(header) + "\n")
-        for ev in trace.events:
+        for (index, pid, inv, line, kind, reg, value, rmr, section, markers, outcome,
+             j) in trace.events:
             fh.write(json.dumps({
-                "record": "event", "index": ev.index, "pid": ev.pid, "inv": ev.inv,
-                "line": ev.line, "kind": ev.kind, "reg": ev.reg, "value": ev.value,
-                "rmr": ev.rmr, "section": ev.section.value,
-                "markers": list(ev.markers), "outcome": ev.outcome, "j": ev.j,
+                "record": "event", "index": index, "pid": pid, "inv": inv,
+                "line": line, "kind": kind, "reg": reg, "value": value,
+                "rmr": rmr, "section": section.value,
+                "markers": list(markers), "outcome": outcome, "j": j,
             }) + "\n")
 
 
@@ -358,7 +360,8 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigurationError, FileNotFoundError) as exc:
+    except (ConfigurationError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -40,7 +40,10 @@ A state is a deadlock when some process is active and every active one
 spins (`machine.all_active_blocked`).  It is checked when the state is
 expanded, and only if every active process's step from it was a read
 that did not pass: a write, a local step or a pass is a process that
-does not spin.  Only then is the rest of the state loaded.
+does not spin.  The check reads the interned store and runtime values,
+not the live state, and is memoized on the key's store and runtime
+fields, so each quiet value key is checked once however many monitor
+states it is stored with.
 
 Every reported state is reproducible: the report keeps the state table
 the DFS builds (each state's key and parent edge) with the three
@@ -162,6 +165,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     # (monitor-state id, event id) ->
     # (child monitor-state id, (i, culprits) per violated monitor i)
     memo = {}
+    blocked = {}  # a key's store and runtime fields -> all_active_blocked's verdict
 
     # The root interns one value in each table and a transition at most
     # one more per table.  At most max(max_states, 1) states are stored,
@@ -170,6 +174,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     stored = max(max_states, 1)
     width = report.width = (1 + stored * n).bit_length()
     monitor_shift = (n + 1) * width
+    value_mask = (1 << monitor_shift) - 1
     root_store, root_envs = work.value_key()
     root = [store_ids[root_store], *map(runtime_ids.__getitem__, root_envs),
             monitor_ids[starts]]
@@ -207,15 +212,16 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             ev = step(work, pid)
             transitions += 1
 
-            value = ev.value
+            value = ev[6]
             succ = successors.get((pid, rid, value))
             if succ is None:
-                eid = (event_ids[pid, ev.inv, ev.line, ev.kind, ev.reg, value, ev.markers]
+                _, _, inv, line, kind, reg, _, _, _, markers, outcome, _ = ev
+                eid = (event_ids[pid, inv, line, kind, reg, value, markers]
                        if monitored(ev) else None)
-                slot = mem.names.index(ev.reg) if ev.reg else 0
-                moves = rt[0] != PC_REMAINDER and (ev.kind != "read" or ev.outcome == "pass")
+                slot = mem.names.index(reg) if reg else 0
+                moves = rt[0] != PC_REMAINDER and (kind != "read" or outcome == "pass")
                 succ = successors[pid, rid, value] = (
-                    runtime_ids[envs[p].key()], slot, ev.kind == "write", eid, moves)
+                    runtime_ids[envs[p].key()], slot, kind == "write", eid, moves)
             child_rid, slot, wrote, eid, moves = succ
             if moves:
                 quiet = False
@@ -267,16 +273,12 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             stack.append((cid, child, child_fields))
 
         if quiet:
-            # The deadlock check reads the store and every runtime: load
-            # state nid's back.
-            if held[0] != sid:
-                mem.store[:] = stores[sid]
-                held[0] = sid
-            for q in range(1, n + 1):
-                if held[q] != fields[q]:
-                    envs[q - 1].load_key(runtimes[fields[q]])
-                    held[q] = fields[q]
-            if all_active_blocked(work):
+            value_key = key & value_mask
+            stuck = blocked.get(value_key)
+            if stuck is None:
+                stuck = blocked[value_key] = all_active_blocked(
+                    spec, stores[sid], (runtimes[r] for r in fields[1:-1]))
+            if stuck:
                 report.deadlocks += 1
                 add_violation("deadlock", path_of(nid), "every active process is blocked")
 

@@ -11,8 +11,9 @@ leaves the program counter at the wait line.  A process is blocked when
 its own steps alone would poll forever (`spins`), so "blocked" has no
 definition besides the step machine's.
 
-A step's event carries the `rmr` flag its access reported; those flags
-are the only RMR ledger, and every RMR figure is a sum of them.
+A step's event is a plain tuple in `TraceEvent`'s field order.  It
+carries the `rmr` flag its access reported; those flags are the only
+RMR ledger, and every RMR figure is a sum of them.
 
 The scheduler owns all interleaving; there are no real threads.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .errors import ConfigurationError
 from .memory import Memory, RegisterDecl
@@ -57,11 +58,19 @@ EXIT_COMPLETE = "exit-complete"
 _MARKERS = (DOORWAY_START, DOORWAY_COMPLETE, CS_ENTER, CS_EXIT, EXIT_COMPLETE)
 _RANK = {Section.DOORWAY: 1, Section.WAITING: 2, Section.CS: 3, Section.EXIT: 4,
          Section.REMAINDER: 5}
+_REMAINDER = Section.REMAINDER
 
 
-@dataclass(slots=True)
-class TraceEvent:
-    """Observable record of one atomic step."""
+class TraceEvent(NamedTuple):
+    """The fields of the observable record of one atomic step, in order.
+
+    `step` and `run` make each event as a plain tuple in this order, not
+    as an instance: building and reading a plain tuple costs a fraction
+    of a named one, so gmesim reads events by position.  A reader that
+    wants the names views an event as `TraceEvent._make(ev)`.  The
+    positions: index 0, pid 1, inv 2, line 3, kind 4, reg 5, value 6,
+    rmr 7, section 8, markers 9, outcome 10, j 11.
+    """
 
     index: int
     pid: int
@@ -208,8 +217,9 @@ class SystemState:
         self.step_index = 0
 
 
-def step(state: SystemState, pid: int) -> TraceEvent:
-    """Execute one atomic step of process pid and record it."""
+def step(state: SystemState, pid: int) -> tuple:
+    """Execute one atomic step of process pid; return its event, a plain
+    tuple in `TraceEvent`'s field order."""
     spec = state.spec
     p = pid - 1
     env = state.envs[p]
@@ -220,8 +230,8 @@ def step(state: SystemState, pid: int) -> TraceEvent:
     if env.pc == PC_REMAINDER:
         per_proc = state.workload.sessions[p]
         if env.inv + 1 >= len(per_proc):
-            return TraceEvent(index, pid, -1, 0, "noop", None, None,
-                              False, Section.REMAINDER, (), None, None)
+            return (index, pid, -1, 0, "noop", None, None, False, _REMAINDER, (),
+                    None, None)
         # Zero-step transition out of the remainder: starting an invocation
         # immediately executes the first doorway instruction.
         env.inv += 1
@@ -253,21 +263,22 @@ def step(state: SystemState, pid: int) -> TraceEvent:
         env.marks = rank
     else:
         markers = ()
-    return TraceEvent(index, pid, env.inv, line, kind, reg, value, rmr,
-                      exec_section, markers, outcome, target_j)
+    return (index, pid, env.inv, line, kind, reg, value, rmr, exec_section, markers,
+            outcome, target_j)
 
 
-def spins(spec: AlgorithmSpec, env: ProcEnv, store, p: int) -> bool:
-    """True iff 0-based process p, stepped alone from runtime env over
-    this store, polls forever.
+def spins(spec: AlgorithmSpec, runtime: tuple, store, p: int) -> bool:
+    """True iff 0-based process p, stepped alone from `runtime` (a
+    `ProcEnv.key()` tuple) over this store, polls forever.
 
-    A copy of env takes the steps, each read straight from the store.
-    It spins once it comes back to a (pc, j) it has already visited
-    before it writes, takes a local step or passes an evaluation: with
-    nothing written, the same evaluation comes out the same way again.
+    A runtime loaded from the tuple takes the steps, each read straight
+    from the store.  It spins once it comes back to a (pc, j) it has
+    already visited before it writes, takes a local step or passes an
+    evaluation: with nothing written, the same evaluation comes out the
+    same way again.
     """
     copy = ProcEnv()
-    copy.load_key(env.key())
+    copy.load_key(runtime)
     access, step_fn = spec.access, spec.step_fn
     seen = set()
     while (at := (copy.pc, copy.j)) not in seen:
@@ -280,20 +291,22 @@ def spins(spec: AlgorithmSpec, env: ProcEnv, store, p: int) -> bool:
     return True
 
 
-def all_active_blocked(state: SystemState) -> bool:
-    """True iff some process is active and every active one spins.
+def all_active_blocked(spec: AlgorithmSpec, store, runtimes: Iterable) -> bool:
+    """True iff some process is active and every active one spins, over
+    this store, given every process's runtime (`ProcEnv.key()` tuples,
+    P1's first).
 
     Active means outside the remainder section.  A spinning process
     never writes, and a process entering from the remainder cannot make
-    a spinning evaluation pass, so such a state is a deadlock.
+    a spinning evaluation pass, so such a state is a deadlock.  The
+    runtimes are taken one at a time, so a generator of them is made
+    only up to the first process that does not spin.
     """
-    spec = state.spec
-    store = state.mem.store
     any_active = False
-    for p, env in enumerate(state.envs):
-        if env.pc == PC_REMAINDER:
+    for p, runtime in enumerate(runtimes):
+        if runtime[0] == PC_REMAINDER:
             continue
-        if not spins(spec, env, store, p):
+        if not spins(spec, runtime, store, p):
             return False
         any_active = True
     return any_active
@@ -355,19 +368,20 @@ def _events(state: SystemState, schedule, step_cap: int, result: RunResult):
         ev = step(state, pid)
         steps += 1
         yield ev
-        outcome = ev.outcome
+        outcome = ev[10]  # the event's outcome; ev[4] is its kind, ev[9] its markers
         if outcome == "fail":
             failed |= 1 << pid
-            if failed.bit_count() == live and all_active_blocked(state):
+            if failed.bit_count() == live and all_active_blocked(
+                    state.spec, state.mem.store, (env.key() for env in state.envs)):
                 steps += 1
-                yield TraceEvent(state.step_index, 0, -1, 0, "deadlock", None,
-                                 None, False, Section.REMAINDER, (), None, None)
+                yield (state.step_index, 0, -1, 0, "deadlock", None, None, False,
+                       _REMAINDER, (), None, None)
                 state.step_index += 1
                 deadlocked = True
                 break
-        elif outcome or ev.kind != "read":
+        elif outcome or ev[4] != "read":
             failed = 0
-        if EXIT_COMPLETE in ev.markers and state.exhausted(pid):
+        if EXIT_COMPLETE in ev[9] and state.exhausted(pid):
             live -= 1
 
     completed = state.all_done()

@@ -145,10 +145,10 @@ def build_invocations(trace: Trace) -> Invocations:
     open_pass = [None] * (n + 1)  # pid -> its open wait pass, or None
 
     for ev in trace.events:
-        pid, inv = ev.pid, ev.inv
+        index, pid, inv, line, kind, reg, value, rmr, section, markers, outcome, j = ev
         if pid == 0 or inv < 0:
-            if ev.kind == "deadlock":
-                order.deadlock_at = ev.index
+            if kind == "deadlock":
+                order.deadlock_at = index
             continue
         rec = current[pid]
         if rec is None or rec.inv != inv:
@@ -158,8 +158,7 @@ def build_invocations(trace: Trace) -> Invocations:
                     pid=pid, inv=inv, session=workload_sessions[pid - 1][inv])
                 order.append(rec)
             current[pid] = rec
-        index, section, rmr, j = ev.index, ev.section, ev.rmr, ev.j
-        for marker in ev.markers:
+        for marker in markers:
             setattr(rec, _MARK_FIELDS[marker], index)
 
         if monitored(ev):
@@ -175,15 +174,15 @@ def build_invocations(trace: Trace) -> Invocations:
                     opened.setdefault(pid, index)
             for i, culprits in hits:
                 first.setdefault(props[i], (ev, culprits))
-            if ev.kind == "write" and ev.reg.startswith("Token["):
-                rec.token = max(rec.token, token_number(ev.value))
+            if kind == "write" and reg.startswith("Token["):
+                rec.token = max(rec.token, token_number(value))
 
         if rmr:
             by_section = rec.rmr_by_section
             by_section[section] = by_section.get(section, 0) + 1
         if section is _DOORWAY or section is _WAITING:
             rec.entry_steps += 1
-        elif section is _EXIT and ev.kind in ("read", "write"):
+        elif section is _EXIT and kind in ("read", "write"):
             rec.exit_accesses += 1
 
         # Wait passes: only the waiting room's polling events carry j, and
@@ -194,16 +193,14 @@ def build_invocations(trace: Trace) -> Invocations:
         # a spurious refetch.
         if j is not None:
             cur = open_pass[pid]
-            line = ev.line
             if cur is None or cur.line != line or cur.j != j:
                 cur = open_pass[pid] = WaitPass(line, j, index)
             if rmr:
                 cur.rmr += 1
                 if rec.over_ceiling is None and cur.rmr > ceilings.get(line, _INF):
                     rec.over_ceiling = cur
-            if ev.reg == "GlobalColor":
+            if reg == "GlobalColor":
                 cur.refetch = rmr
-            outcome = ev.outcome
             if outcome == "fail":
                 rec.gc_spurious_refetches += cur.refetch
                 if not cur.blocked:
@@ -235,16 +232,18 @@ def max_token_number(records: list) -> int:
 # monitor returns a hashable start state, step(state, ev) -> (state,
 # culprits), culprits being the pids ev violates the property against,
 # and describe(ev, culprits), how an explored edge that violates it
-# reads.  A state is a function of the explorer's value key plus the
-# obligations it tracks (FCFS masks, flip windows), so carrying it in
-# the key never splits a state the explorer would merge.
+# reads.  Each reads the event's fields by position (`TraceEvent`): pid
+# 1, inv 2, line 3, kind 4, reg 5, value 6, markers 9.  A state is a
+# function of the explorer's value key plus the obligations it tracks
+# (FCFS masks, flip windows), so carrying it in the key never splits a
+# state the explorer would merge.
 
 
 def monitored(ev) -> bool:
     """Whether ev can move an online monitor: it has markers, touches
     GlobalColor or writes a Token.  Monitors are stepped only over these."""
-    return bool(ev.markers or ev.reg == "GlobalColor"
-                or ev.kind == "write" and ev.reg.startswith("Token["))
+    reg = ev[5]
+    return bool(ev[9] or reg == "GlobalColor" or ev[4] == "write" and reg.startswith("Token["))
 
 
 def advance(steps, states, ev):
@@ -268,18 +267,19 @@ def me_monitor(n: int, sessions: list, color):
     CS, else 0.  Culprits: the processes of another session in the CS
     when one enters."""
     def step(in_cs, ev):
-        if not ev.markers:
+        markers = ev[9]
+        if not markers:
             return in_cs, ()
-        p = ev.pid - 1
+        p = ev[1] - 1
         culprits = ()
-        if CS_ENTER in ev.markers:
-            s = sessions[p][ev.inv]
+        if CS_ENTER in markers:
+            s = sessions[p][ev[2]]
             culprits = [q + 1 for q, t in enumerate(in_cs) if t and t != s]
             in_cs = _put(in_cs, p, s)
-        if CS_EXIT in ev.markers:
+        if CS_EXIT in markers:
             in_cs = _put(in_cs, p, 0)
         return in_cs, culprits
-    return ((0,) * n, step, lambda ev, pids: f"P{ev.pid} entered the CS while {pids} "
+    return ((0,) * n, step, lambda ev, pids: f"P{ev[1]} entered the CS while {pids} "
                                              "of another session were in it")
 
 
@@ -290,25 +290,26 @@ def fcfs_monitor(n: int, sessions: list, color):
     doorway began and have not entered since.  Culprits: the entering
     process's mask."""
     def step(state, ev):
-        if not ev.markers:
+        markers = ev[9]
+        if not markers:
             return state, ()
         waiting, masks = state
-        p = ev.pid - 1
+        p = ev[1] - 1
         culprits = ()
-        if DOORWAY_START in ev.markers:
-            s = sessions[p][ev.inv]
+        if DOORWAY_START in markers:
+            s = sessions[p][ev[2]]
             masks = _put(masks, p, sum(1 << q for q, t in enumerate(waiting)
                                        if t and t != s))
-        if DOORWAY_COMPLETE in ev.markers:
-            waiting = _put(waiting, p, sessions[p][ev.inv])
-        if CS_ENTER in ev.markers:
+        if DOORWAY_COMPLETE in markers:
+            waiting = _put(waiting, p, sessions[p][ev[2]])
+        if CS_ENTER in markers:
             culprits = [q + 1 for q in range(n) if masks[p] >> q & 1]
             waiting = _put(waiting, p, 0)
             keep = ~(1 << p)
             masks = tuple(0 if q == p else m & keep for q, m in enumerate(masks))
         return (waiting, masks), culprits
     return (((0,) * n, (0,) * n), step,
-            lambda ev, pids: f"P{ev.pid} entered the CS overtaking {pids}")
+            lambda ev, pids: f"P{ev[1]} entered the CS overtaking {pids}")
 
 
 def flip_monitor(n: int, sessions: list, color):
@@ -318,17 +319,18 @@ def flip_monitor(n: int, sessions: list, color):
     open window or -1.  Culprits: the processes a flip leaves with two."""
     def step(state, ev):
         gc, wins = state
-        p = ev.pid - 1
+        _, pid, _, line, kind, reg, value, _, _, markers, _, _ = ev
+        p = pid - 1
         culprits = ()
-        if ev.reg == "GlobalColor" and ev.kind == "write" and ev.value != gc:
-            gc = ev.value
+        if reg == "GlobalColor" and kind == "write" and value != gc:
+            gc = value
             wins = tuple(w + 1 if w >= 0 else w for w in wins)
             culprits = [q + 1 for q, w in enumerate(wins) if w >= 2]
-        elif ev.reg == "GlobalColor" and ev.kind == "read" and ev.line == 5:
+        elif reg == "GlobalColor" and kind == "read" and line == 5:
             wins = _put(wins, p, 0)
-        elif EXIT_COMPLETE not in ev.markers:
+        elif EXIT_COMPLETE not in markers:
             return state, ()
-        if EXIT_COMPLETE in ev.markers:
+        if EXIT_COMPLETE in markers:
             wins = _put(wins, p, -1)
         return (gc, wins), culprits
     return ((color, (-1,) * n), step,
@@ -339,11 +341,12 @@ def token_bound_monitor(n: int, sessions: list, color):
     """Token numbers never exceed N+1.  Stateless.  Culprit: the process
     whose Token write carries a larger number."""
     def step(state, ev):
-        over = (ev.kind == "write" and ev.reg and ev.reg.startswith("Token[")
-                and token_number(ev.value) > n + 1)
-        return state, [ev.pid] if over else ()
-    return ((), step, lambda ev, pids: f"P{ev.pid} committed token number "
-                                       f"{token_number(ev.value)} > {n + 1}")
+        reg = ev[5]
+        over = (ev[4] == "write" and reg and reg.startswith("Token[")
+                and token_number(ev[6]) > n + 1)
+        return state, [ev[1]] if over else ()
+    return ((), step, lambda ev, pids: f"P{ev[1]} committed token number "
+                                       f"{token_number(ev[6])} > {n + 1}")
 
 
 ONLINE = {
@@ -375,8 +378,9 @@ def check_mutual_exclusion(trace: Trace, records: list) -> Verdict:
     if hit is None:
         return Verdict(PASS)
     ev, culprits = hit
-    a = _earliest(records, culprits, "ce", ev.index)
-    b = _earliest(records, (ev.pid,), "ce", ev.index)
+    index, pid = ev[0], ev[1]
+    a = _earliest(records, culprits, "ce", index)
+    b = _earliest(records, (pid,), "ce", index)
     return Verdict(FAIL, witness=(a.ce, b.ce, a.pid, b.pid),
                    detail=f"P{a.pid} (session {a.session}) and P{b.pid} "
                           f"(session {b.session}) overlap in the CS")
@@ -392,10 +396,11 @@ def check_fcfs(trace: Trace, records: list) -> Verdict:
     if hit is None:
         return Verdict(PASS)
     ev, culprits = hit
-    a = _earliest(records, culprits, "dc", ev.index)
-    return Verdict(FAIL, witness=(a.dc, ev.index, a.pid, ev.pid),
-                   detail=f"P{a.pid} completed its doorway before P{ev.pid} "
-                          f"started, yet P{ev.pid} entered the CS first")
+    index, pid = ev[0], ev[1]
+    a = _earliest(records, culprits, "dc", index)
+    return Verdict(FAIL, witness=(a.dc, index, a.pid, pid),
+                   detail=f"P{a.pid} completed its doorway before P{pid} "
+                          f"started, yet P{pid} entered the CS first")
 
 
 def check_bounded_exit(trace: Trace, records: list) -> Verdict:
@@ -452,8 +457,8 @@ def check_token_bound(trace: Trace, records: list) -> Verdict:
     if hit is None:
         return Verdict(PASS, detail=f"max token number {max_token_number(records)}")
     ev = hit[0]
-    return Verdict(FAIL, witness=(ev.index, ev.pid),
-                   detail=f"token number {token_number(ev.value)} > N+1 = {trace.n + 1}")
+    return Verdict(FAIL, witness=(ev[0], ev[1]),
+                   detail=f"token number {token_number(ev[6])} > N+1 = {trace.n + 1}")
 
 
 def check_progress(trace: Trace, records: list) -> Verdict:

@@ -250,5 +250,11 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    """Parse the scenario file at path, which must be UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        _fail(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text ({exc.reason})")
+    return parse_scenario(text)

@@ -149,13 +149,13 @@ def bl_adversarial_schedule(n: int, cs_steps: int = 1) -> Scripted:
         raise ConsistencyError(f"adversarial driver stalled on P{pid}")
 
     def bit_set(ev) -> bool:
-        return ev.line == 1 and ev.kind == "write"
+        return ev[3] == 1 and ev[4] == "write"  # line, kind
 
     def blocked(ev) -> bool:
-        return ev.outcome == "fail"
+        return ev[10] == "fail"  # outcome
 
     def finished(ev) -> bool:
-        return EXIT_COMPLETE in ev.markers
+        return EXIT_COMPLETE in ev[9]  # markers
 
     for r in range(1, n + 1):
         drive(n, bit_set)

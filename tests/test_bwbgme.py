@@ -11,7 +11,7 @@ from gmesim.monitors import (FAIL, PASS, build_invocations, check_bounded_exit,
                              check_flip_invariant, check_mutual_exclusion,
                              check_token_bound, check_wait_rmr_bounds)
 from util import (check, distinct_sessions, doorway_done, drive, entered_cs, exit_writes,
-                  finished, flip_token_against_oracle, me_fcfs_against_oracle,
+                  finished, flip_token_against_oracle, me_fcfs_against_oracle, named,
                   run_collected, run_scripted)
 
 
@@ -116,7 +116,7 @@ def test_scan_stops_at_first_hit():
     scan_reads = []
     writes = []
     for _ in range(50):
-        ev = step(state, 3)
+        ev = named(step(state, 3))
         if ev.line == 26:
             scan_reads.append(ev.reg)
         if ev.kind == "write":

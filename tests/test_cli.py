@@ -141,6 +141,28 @@ def test_parse_error_exit_2(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "missing.scn")]) == 2
 
 
+def test_unreadable_paths_exit_2(tmp_path, capsys):
+    # A scenario path that names a directory or a file that is not UTF-8,
+    # and an output path that names a directory, are usage errors: exit
+    # 2 with one line on stderr, not a traceback and the violation code.
+    scn = write(tmp_path, "glb.scn", GLB_SCENARIO)
+    latin1 = tmp_path / "latin1.scn"
+    latin1.write_bytes(GLB_SCENARIO.encode() + "# caf\xe9\n".encode("latin-1"))
+    sweep = ["sweep", "--algorithm", "glb", "--sizes", "2", "--seeds", "1"]
+    for argv, message in (
+            (["run", "--scenario", str(tmp_path)], "error: "),
+            (["explore", "--scenario", str(tmp_path)], "error: "),
+            (["run", "--scenario", str(latin1)], "scenario error: line 9: not UTF-8 text"),
+            (["explore", "--scenario", str(latin1)], "scenario error: line 9: not UTF-8 text"),
+            (["run", "--scenario", scn, "--csv-out", str(tmp_path)], "error: "),
+            (["run", "--scenario", scn, "--trace-out", str(tmp_path)], "error: "),
+            (sweep + ["--csv-out", str(tmp_path)], "error: ")):
+        assert main(argv) == 2, argv
+        errors = capsys.readouterr().err
+        assert errors.startswith(message) and errors.count("\n") == 1, (argv, errors)
+        assert "Traceback" not in errors, argv
+
+
 def test_explore_clean_exit_0(tmp_path, capsys):
     scn = write(tmp_path, "explore.scn", EXPLORE_SCENARIO)
     assert main(["explore", "--scenario", scn]) == 0

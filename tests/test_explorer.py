@@ -10,8 +10,9 @@ from gmesim.machine import PC_REMAINDER, all_active_blocked
 from gmesim.monitors import FAIL, MONITORS, online_props, token_number
 from oracle_scans import all_active_blocked as full_scan
 from oracle_explorer import crosscheck_reachable
-from util import (check, decoded_key, distinct_sessions, explored_specs, explored_workload,
-                  report_digest, run_collected, stuck_glb_spec, unpacked)
+from util import (all_blocked, check, decoded_key, distinct_sessions, explored_specs,
+                  explored_workload, named, report_digest, run_collected, stuck_glb_spec,
+                  unpacked)
 
 
 def test_step_is_a_function_of_runtime_and_value():
@@ -23,7 +24,7 @@ def test_step_is_a_function_of_runtime_and_value():
 
         def checked(state, pid):
             before = state.envs[pid - 1].key()
-            ev = step(state, pid)
+            ev = named(step(state, pid))
             after = (state.envs[pid - 1].key(), ev.kind, ev.reg, ev.line, ev.outcome, ev.j,
                      ev.markers)
             assert outcomes.setdefault((pid, before, ev.value), after) == after, \
@@ -148,27 +149,28 @@ def test_reported_states_replay_as_scripts():
 def test_live_state_is_each_new_state(monkeypatch):
     # The explorer steps each successor on one live state, loading only
     # the store and the stepped runtime before the step.  Its deadlock
-    # check runs as a state is expanded, after loading the rest of that
-    # state back, so the live state it sees must be a stored state, each
-    # at most once (value keys repeat across monitor states), and give
-    # the verdict a fresh load of its key gives.
+    # check, as a state is expanded, reads no live state: the store and
+    # runtimes it is given must form a stored state's value key, each at
+    # most once (value keys repeat across monitor states, and the
+    # verdict is memoized), and give the verdict a fresh load of that
+    # value key gives.
     for spec, wl in ((build_glb(3), Workload([[1], [2], [1]])),
                      (build_bwbgme(3), Workload([[1], [1], [2]]))):
         fresh = SystemState(spec, wl)
         seen = []
 
-        def recording(state):
-            vkey = state.value_key()
+        def recording(spec, store, runtimes):
+            vkey = (store, tuple(runtimes))
             seen.append(vkey)
             fresh.load_value_key(vkey)
-            blocked = all_active_blocked(state)
-            assert blocked == all_active_blocked(fresh), vkey
+            blocked = all_active_blocked(spec, store, vkey[1])
+            assert blocked == all_blocked(fresh), vkey
             return blocked
 
         monkeypatch.setattr(gmesim.explorer, "all_active_blocked", recording)
         report = explore(spec, wl)
         assert report.clean and not report.truncated
-        assert seen and not Counter(seen) - Counter(value_keys(report))
+        assert seen and not Counter(seen) - Counter(set(value_keys(report)))
 
 
 def quiet_states(spec, wl, report) -> list:
@@ -182,7 +184,7 @@ def quiet_states(spec, wl, report) -> list:
             state.load_value_key(vkey)
             if state.envs[pid - 1].pc == PC_REMAINDER:
                 continue
-            ev = step(state, pid)
+            ev = named(step(state, pid))
             moves = moves or ev.kind != "read" or ev.outcome == "pass"
         if not moves:
             quiet.append(vkey)
@@ -191,27 +193,30 @@ def quiet_states(spec, wl, report) -> list:
 
 def test_deadlock_check_matches_full_scan_on_every_state(monkeypatch):
     # The check runs only on the states whose every active step reads
-    # without passing, and there agrees with the full scan over the
-    # hand-written wait conditions; every other stored state has a
-    # process that writes, steps locally or passes, and the full scan
-    # finds no deadlock there either.
+    # without passing, once per distinct value key among them (its
+    # verdict is memoized across monitor states), and there agrees with
+    # the full scan over the hand-written wait conditions; every other
+    # stored state has a process that writes, steps locally or passes,
+    # and the full scan finds no deadlock there either.
     for spec, sessions in ((build_glb(2), [[1, 2], [2, 1]]),
                            (build_bwbgme(2), [[1, 2], [2, 1]]),
                            (build_bl(2), [[1, 1], [2]])):
+        wl = Workload(sessions)
+        state = SystemState(spec, wl)
         checked = []
 
-        def check(state):
-            blocked = all_active_blocked(state)
-            assert blocked == full_scan(state), state.value_key()
-            checked.append(state.value_key())
+        def checking(spec, store, runtimes):
+            vkey = (store, tuple(runtimes))
+            blocked = all_active_blocked(spec, store, vkey[1])
+            state.load_value_key(vkey)
+            assert blocked == full_scan(state), vkey
+            checked.append(vkey)
             return blocked
 
-        monkeypatch.setattr(gmesim.explorer, "all_active_blocked", check)
-        wl = Workload(sessions)
+        monkeypatch.setattr(gmesim.explorer, "all_active_blocked", checking)
         report = explore(spec, wl)
         assert report.clean
-        assert Counter(checked) == Counter(quiet_states(spec, wl, report))
-        state = SystemState(spec, wl)
+        assert Counter(checked) == Counter(set(quiet_states(spec, wl, report)))
         for vkey in value_keys(report):
             state.load_value_key(vkey)
             assert not full_scan(state), vkey
@@ -231,7 +236,7 @@ def test_explorer_finds_every_deadlock_of_a_planted_bug():
             schedule = Scripted(witness.path)
             while (pid := schedule.next(state)) is not None:
                 step(state, pid)
-            assert all_active_blocked(state), witness.path
+            assert all_blocked(state), witness.path
 
 
 def merged_paths(spec, wl, report, limit):

@@ -12,8 +12,7 @@ from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_bl,
 from gmesim import machine
 from gmesim.errors import ConfigurationError
 from gmesim.machine import (CS_ENTER, CS_EXIT, DOORWAY_COMPLETE, DOORWAY_START,
-                            EXIT_COMPLETE, PC_REMAINDER, Section, all_active_blocked,
-                            spins)
+                            EXIT_COMPLETE, PC_REMAINDER, Section, TraceEvent, spins)
 from gmesim.memory import Memory
 from gmesim.monitors import (FAIL, build_invocations, check_mutual_exclusion, check_progress,
                              check_section_order)
@@ -21,14 +20,14 @@ import oracle_scans
 from oracle_memory import Memory as OracleMemory
 from register_kinds import check_kind, slot_kinds
 from oracle_explorer import crosscheck_reachable
-from util import (RecordingMemory, check, distinct_sessions, doorway_done, drive,
+from util import (RecordingMemory, all_blocked, check, distinct_sessions, doorway_done, drive,
                   effectively_blocked, entered_cs, explored_specs, explored_workload,
-                  finished, run_collected, stuck_glb_spec)
+                  finished, named, run_collected, stuck_glb_spec)
 
 
 def test_first_doorway_step_writes_choosing():
     state = SystemState(build_glb(2), distinct_sessions(2))
-    ev = step(state, 1)
+    ev = named(step(state, 1))
     assert ev.kind == "write" and ev.reg == "Choosing[1]" and ev.value is True
     assert ev.line == 3
     assert DOORWAY_START in ev.markers
@@ -44,7 +43,7 @@ def test_wait_line_polls_without_advancing():
     ev = drive(state, 1, lambda ev: ev.outcome == "fail")
     assert ev.line == 8 and ev.j == 2
     assert effectively_blocked(state, 1)
-    lines = {step(state, 1).line for _ in range(20)}
+    lines = {named(step(state, 1)).line for _ in range(20)}
     assert lines == {8}
     assert effectively_blocked(state, 1)
 
@@ -55,7 +54,7 @@ def test_blocked_process_cannot_pass_alone():
     drive(state, 2, lambda ev: ev.line == 4 and ev.kind == "write")
     blocked_at = drive(state, 1, lambda ev: ev.outcome == "fail").line
     for _ in range(100):
-        assert step(state, 1).line == blocked_at
+        assert named(step(state, 1)).line == blocked_at
 
 
 def test_not_blocked_in_cs_or_on_true_wait():
@@ -71,7 +70,7 @@ def test_not_blocked_in_cs_or_on_true_wait():
 def test_exhausted_process_noop():
     state = SystemState(build_glb(1), Workload([[1]]))
     drive(state, 1, finished)
-    ev = step(state, 1)
+    ev = named(step(state, 1))
     assert ev.kind == "noop" and ev.inv == -1
     assert state.all_done()
 
@@ -79,7 +78,7 @@ def test_exhausted_process_noop():
 def test_empty_workload_is_exhausted_immediately():
     state = SystemState(build_glb(2), Workload([[1], []]))
     assert state.exhausted(2)
-    assert step(state, 2).kind == "noop"
+    assert named(step(state, 2)).kind == "noop"
 
 
 def test_sessions_must_be_positive():
@@ -147,6 +146,30 @@ def test_run_ends_in_a_counted_deadlock_event():
     assert streamed.deadlocked and streamed.steps == result.steps
     assert records.deadlock_at == last.index
     assert check_progress(streamed.trace, records).witness == (last.index,)
+
+
+def test_events_are_plain_tuples_in_field_order():
+    # step's normal and noop events and run's deadlock event are plain
+    # tuples, not TraceEvent instances, with TraceEvent's fields in its
+    # order: the named view of each equals the event built by name.
+    state = SystemState(build_glb(1), Workload([[1]]))
+    first = step(state, 1)
+    drive(state, 1, finished)
+    noop = step(state, 1)
+    stuck = machine.run(SystemState(stuck_glb_spec(), distinct_sessions(2)), RoundRobin())
+    deadlock = list(stuck.trace.events)[-1]
+    for ev, want in (
+            (first, TraceEvent(index=0, pid=1, inv=0, line=3, kind="write", reg="Choosing[1]",
+                               value=True, rmr=True, section=Section.DOORWAY,
+                               markers=(DOORWAY_START,), outcome=None, j=None)),
+            (noop, TraceEvent(index=state.step_index - 1, pid=1, inv=-1, line=0, kind="noop",
+                              reg=None, value=None, rmr=False, section=Section.REMAINDER,
+                              markers=(), outcome=None, j=None)),
+            (deadlock, TraceEvent(index=12, pid=0, inv=-1, line=0, kind="deadlock", reg=None,
+                                  value=None, rmr=False, section=Section.REMAINDER,
+                                  markers=(), outcome=None, j=None))):
+        assert type(ev) is tuple and len(ev) == len(TraceEvent._fields), ev
+        assert TraceEvent._make(ev) == want
 
 
 def test_replay_determinism_scripted():
@@ -223,7 +246,7 @@ def test_step_makes_the_declared_access(monkeypatch):
             mem.log.clear()
             declared.clear()
             stepped[spec.name].add(state.envs[pid - 1].pc or spec.entry_pc)
-            ev = step(state, pid)
+            ev = named(step(state, pid))
             [access] = declared
             if access is None:
                 assert not mem.log and mem.store == store
@@ -294,10 +317,10 @@ def test_spins_matches_the_wait_conditions():
                 store = state.mem.store
                 cond = conds.get(env.pc)
                 want = cond is not None and not cond(env, store, pid)
-                assert spins(spec, env, store, pid - 1) == want, \
+                assert spins(spec, env.key(), store, pid - 1) == want, \
                     (spec.name, spec.meta, pid, env.key(), store)
                 probed[spec.name].add((env.pc, want))
-            ev = step(state, pid)
+            ev = named(step(state, pid))
             assert ev.outcome is None or ev.section is Section.WAITING, (spec.name, ev)
 
         crosscheck_reachable(spec, wl, take_step=take_step)
@@ -377,7 +400,7 @@ def test_step_announces_markers_in_rank_order(name, cs_steps, pids):
     ranked = (DOORWAY_START, DOORWAY_COMPLETE, CS_ENTER, CS_EXIT, EXIT_COMPLETE)
     announced = defaultdict(tuple)
     for pid in pids:
-        ev = step(state, pid)
+        ev = named(step(state, pid))
         if ev.markers:
             announced[ev.pid, ev.inv] += ev.markers
     for markers in announced.values():
@@ -403,6 +426,6 @@ def test_deadlock_check_matches_full_scan_at_every_step():
                         blocked = not cond(env, state.mem.store, q)
                         assert effectively_blocked(state, q) == blocked, (build, n, q)
                         seen.add(blocked)
-                assert all_active_blocked(state) == oracle_scans.all_active_blocked(state)
+                assert all_blocked(state) == oracle_scans.all_active_blocked(state)
             assert state.all_done()
     assert seen == {True, False}

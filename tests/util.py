@@ -8,10 +8,15 @@ from gmesim import (BLACK, WHITE, Scripted, SystemState, Workload, build_bl, bui
                     build_glb, run, step)
 from gmesim.bwbgme import MUTANTS
 from gmesim.machine import (CS_ENTER, DOORWAY_COMPLETE, EXIT_COMPLETE, PC_REMAINDER, Section,
-                            Trace, spins)
+                            Trace, TraceEvent, all_active_blocked, spins)
 from gmesim.memory import Memory
 from gmesim.monitors import (FAIL, build_invocations, check_fcfs, check_flip_invariant,
                              check_mutual_exclusion, check_token_bound)
+
+
+# The tests' one named view of an event: `step` and `run` make each as a
+# plain tuple in TraceEvent's field order, and the tests read it by name.
+named = TraceEvent._make
 
 
 def check(monitor, trace):
@@ -63,9 +68,10 @@ def flip_token_against_oracle(trace) -> dict:
 
 
 def drive(state, pid, until, pids=None, limit=100_000):
-    """Step pid until the predicate accepts an event; returns that event."""
+    """Step pid until the predicate accepts an event; returns that event,
+    viewed by name, as the predicate sees it."""
     for _ in range(limit):
-        ev = step(state, pid)
+        ev = named(step(state, pid))
         if pids is not None:
             pids.append(pid)
         if until(ev):
@@ -77,7 +83,12 @@ def effectively_blocked(state, pid) -> bool:
     """True iff pid is active and spins: against the current global
     store, no number of its own steps gets it past its wait line."""
     env = state.envs[pid - 1]
-    return env.pc != PC_REMAINDER and spins(state.spec, env, state.mem.store, pid - 1)
+    return env.pc != PC_REMAINDER and spins(state.spec, env.key(), state.mem.store, pid - 1)
+
+
+def all_blocked(state) -> bool:
+    """`machine.all_active_blocked` over a live state's store and runtimes."""
+    return all_active_blocked(state.spec, state.mem.store, [env.key() for env in state.envs])
 
 
 def stuck_glb_spec(n=2):
@@ -122,9 +133,9 @@ def exit_writes(trace) -> Counter:
 
 def run_collected(state, schedule, step_cap=1_000_000):
     """`run` to its end with every event kept: the tests' one way to a
-    whole trace, whose events are then a list."""
+    whole trace, whose events are then a list of named views."""
     result = run(state, schedule, step_cap=step_cap)
-    result.trace.events = list(result.trace.events)
+    result.trace.events = list(map(named, result.trace.events))
     return result
 
 
