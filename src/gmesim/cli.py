@@ -2,7 +2,8 @@
 
 Exit status: 0 all checks pass, 1 property violation or deadlock,
 2 usage or scenario parse error, or a path that cannot be read or
-written (a missing file, a directory), 3 the run or search stopped early.
+written (a missing file, a directory, a closed standard output), 3 the
+run or search stopped early.
 
 CSV schemas (stable, one header row per file):
 
@@ -27,6 +28,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -356,7 +358,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # As the Python docs' note on SIGPIPE advises: stdout goes to
+        # devnull, so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the report was written",
+              file=sys.stderr)
+        return EXIT_USAGE
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,7 +12,8 @@ never loses one.  Every property, mutual exclusion included, is checked
 on the edge whose event violates it.
 
 Each component is stored once, in one of three interned tables (the
-stores, the `ProcEnv.key()` runtimes and the monitor-state tuples), and
+stores, the `ProcEnv.key()` runtimes, which the live state keeps, and
+the monitor-state tuples), and
 a state's key packs their small-int ids into one int, as in SPIN's
 collapse compression: field i (store id, runtime id of P1..Pn,
 monitor-state id) sits at shift i*width.  The width is fixed before the
@@ -20,18 +21,21 @@ search from a bound no id can reach (see `explore`).  The visited table
 is the state list: an insertion-ordered dict whose i-th key is state
 i's, beside array columns of each state's parent and depth.
 
-One live SystemState serves every state; the search remembers which
-store and runtime ids it holds.  A step reads only the store and its
-own process's runtime, so only those two are loaded before it, and only
-if their ids differ.  Each successor makes its one `machine.step` on
-empty reader sets (the slot it accessed is emptied after it), so its
-reads cost what they would from a fresh load.  What follows the step is
-memoized.  `access` and `step_fn` are pure in the runtime, so (pid,
-runtime id, value accessed) fixes the child runtime id, the slot, whether
-it was written and the event fields the monitors read; (store id, slot,
-value) fixes a write's child store id; and `advance` is pure, so each
-(monitor-state id, event id) is stepped once and maps to the child's
-monitor-state id and the violations it reports.  A successor's key is
+One live SystemState serves every state, in interned mode
+(`SystemState.intern`): the state owns the runtime table and memoizes
+each step but its access.  A step reads only the store and its own
+process's runtime, so the search loads the store only if its id differs
+from the one the live state holds, sets the stepped process's runtime
+id, and reads the child's back after the step.  Each successor makes its
+one `machine.step`, and so its one memory access, on empty reader sets
+(the slot it accessed is emptied after it), so its reads cost what they
+would from a fresh load.  What follows the step is memoized here.
+`access` and `step_fn` are pure in the runtime, so (pid, runtime id,
+value accessed) fixes the slot, whether it was written and the event
+fields the monitors read; (store id, slot, value) fixes a write's child
+store id; and `advance` is pure, so each (monitor-state id, event id) is
+stepped once and maps to the child's monitor-state id and the
+violations it reports.  A successor's key is
 the parent's plus the change of each field that moved, and the DFS
 stack carries each state's fields beside its id and key, so a popped
 key is never unpacked.
@@ -57,7 +61,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .machine import PC_REMAINDER, SystemState, Workload, all_active_blocked, step
+from .machine import PC_REMAINDER, Interned, SystemState, Workload, all_active_blocked, step
 from .monitors import ONLINE, advance, monitored, online_props, token_number
 
 PROGRESS_EVERY = 1 << 20  # stored states between two calls of explore's progress
@@ -112,20 +116,6 @@ class ExplorationReport:
         return self.violation_count() == 0 and self.deadlocks == 0
 
 
-class _Interned(dict):
-    """Value -> small int id, handing out the next id to each new value;
-    `table` lists the values in id order."""
-
-    def __init__(self):
-        super().__init__()
-        self.table = []
-
-    def __missing__(self, value):
-        self[value] = i = len(self.table)
-        self.table.append(value)
-        return i
-
-
 def _typecode(bound: int) -> str:
     """The narrowest signed array typecode that holds every int in [-1, bound]."""
     return next(t for t in "bhiq" if bound < 1 << (8 * array(t).itemsize - 1))
@@ -148,18 +138,19 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     report = ExplorationReport(spec.name, n)
 
     work = SystemState(spec, workload)
+    work.intern()
     props = online_props(spec.name)
     color = spec.meta.get("initial_color")
     starts, mon_steps, describe = zip(*(ONLINE[prop](n, workload.sessions, color)
                                         for prop in props))
 
-    store_ids, runtime_ids, monitor_ids, event_ids = (_Interned() for _ in range(4))
+    store_ids, monitor_ids, event_ids = Interned(), Interned(), Interned()
     stores = report.stores = store_ids.table
-    runtimes = report.runtimes = runtime_ids.table
+    runtimes = report.runtimes = work.runtime_ids.table
     monitor_states = report.monitor_states = monitor_ids.table
-    # (pid, runtime id, value accessed) -> (child runtime id, slot (0 if
-    # none), whether it was written, id of the monitored event or None,
-    # whether an active process wrote, stepped locally or passed)
+    # (pid, runtime id, value accessed) -> (slot (0 if none), whether it
+    # was written, id of the monitored event or None, whether an active
+    # process wrote, stepped locally or passed)
     successors = {}
     writes = {}  # (store id, slot, value written) -> child store id
     # (monitor-state id, event id) ->
@@ -175,9 +166,8 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     width = report.width = (1 + stored * n).bit_length()
     monitor_shift = (n + 1) * width
     value_mask = (1 << monitor_shift) - 1
-    root_store, root_envs = work.value_key()
-    root = [store_ids[root_store], *map(runtime_ids.__getitem__, root_envs),
-            monitor_ids[starts]]
+    mem, rids, valid = work.mem, work.rids, work.mem.valid
+    root = [store_ids[tuple(mem.store)], *rids, monitor_ids[starts]]
     root_key = sum(f << (i * width) for i, f in enumerate(root))
     ids = report.keys = {root_key: None}
     parent = report.parent = array(_typecode(stored), [-1])
@@ -185,9 +175,8 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     depth = array(parent.typecode, [0])
     stack = [(0, root_key, root)]  # (state id, key, its fields), per state to expand
     path_of = report.path_of
-    mem, envs, valid = work.mem, work.envs, work.mem.valid
     last_inv = [len(per) - 1 for per in workload.sessions]
-    held = root[:-1]  # the store and runtime ids the live state holds
+    held = root[0]  # the id of the store the live state holds
 
     def add_violation(prop: str, path: tuple, detail: str) -> None:
         report.violations.setdefault(prop, []).append(Violation(path, detail))
@@ -203,15 +192,15 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             rt = runtimes[rid]
             if rt[0] == PC_REMAINDER and rt[6] >= last_inv[p]:
                 continue  # the process has finished its last invocation
-            # A step reads only the store and its own runtime: load those.
-            if held[0] != sid:
+            # A step reads only the store and its own runtime: set those.
+            if held != sid:
                 mem.store[:] = stores[sid]
-                held[0] = sid
-            if held[pid] != rid:
-                envs[p].load_key(rt)
+                held = sid
+            rids[p] = rid
             ev = step(work, pid)
             transitions += 1
 
+            child_rid = rids[p]
             value = ev[6]
             succ = successors.get((pid, rid, value))
             if succ is None:
@@ -220,21 +209,18 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                        if monitored(ev) else None)
                 slot = mem.names.index(reg) if reg else 0
                 moves = rt[0] != PC_REMAINDER and (kind != "read" or outcome == "pass")
-                succ = successors[pid, rid, value] = (
-                    runtime_ids[envs[p].key()], slot, kind == "write", eid, moves)
-            child_rid, slot, wrote, eid, moves = succ
+                succ = successors[pid, rid, value] = (slot, kind == "write", eid, moves)
+            slot, wrote, eid, moves = succ
             if moves:
                 quiet = False
             valid[slot] = 0  # no process holds a copy before the next step
-            # The live state is now the child: held[0] and held[pid] are its.
-            held[pid] = child_rid
             child = key + ((child_rid - rid) << (pid * width))
             child_sid = sid
             if wrote:
                 child_sid = writes.get((sid, slot, value))
                 if child_sid is None:
                     child_sid = writes[sid, slot, value] = store_ids[tuple(mem.store)]
-                held[0] = child_sid
+                held = child_sid  # the live store is now the child's
                 child += child_sid - sid
             child_mid = mid
             if eid is not None:

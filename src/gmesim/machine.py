@@ -15,6 +15,14 @@ A step's event is a plain tuple in `TraceEvent`'s field order.  It
 carries the `rmr` flag its access reported; those flags are the only
 RMR ledger, and every RMR figure is a sum of them.
 
+`explore` steps an interned state (`SystemState.intern`): each runtime
+is an id in a table the state owns, and `step` looks up all of a step
+but its access.  (pid, runtime id) gives the access, which is still
+made through the memory; (pid, runtime id, value accessed) gives the
+child runtime id and the event's fields.  Only a miss runs `access` and
+`step_fn`.  `run` steps plain states, which intern nothing: glb's tokens
+grow without bound over a long run.
+
 The scheduler owns all interleaving; there are no real threads.
 """
 
@@ -169,10 +177,43 @@ class AlgorithmSpec:
             raise ConfigurationError("need at least one process")
 
 
+class Interned(dict):
+    """Value -> small int id, handing out the next id to each new value;
+    `table` lists the values in id order."""
+
+    def __init__(self):
+        super().__init__()
+        self.table = []
+
+    def __missing__(self, value):
+        self[value] = i = len(self.table)
+        self.table.append(value)
+        return i
+
+
+class _Peek:
+    """The memory a replayed step sees (`SystemState.intern`): a real
+    memory's values, read at no cost and written nowhere.  It keeps the
+    slot the step accessed and the value it wrote (None for a read)."""
+
+    __slots__ = ("real", "names", "access")
+
+    def __init__(self, real: Memory):
+        self.real, self.names, self.access = real, real.names, None
+
+    def read_slot(self, p: int, slot: int):
+        self.access = (slot, None)
+        return self.real.store[slot], True
+
+    def write_slot(self, p: int, slot: int, value: Any) -> None:
+        self.access = (slot, value)
+
+
 class SystemState:
     """Global store, reader sets, and every process's runtime."""
 
-    __slots__ = ("spec", "mem", "envs", "workload", "step_index")
+    __slots__ = ("spec", "mem", "envs", "workload", "step_index",
+                 "runtime_ids", "rids", "rows", "replay")
 
     def __init__(self, spec: AlgorithmSpec, workload: Workload):
         if workload.n != spec.n:
@@ -183,6 +224,34 @@ class SystemState:
         self.envs = [ProcEnv() for _ in range(spec.n)]
         self.workload = workload
         self.step_index = 0
+        # Interned mode only (see `intern`).
+        self.runtime_ids = self.rids = self.rows = self.replay = None
+
+    def intern(self) -> None:
+        """Switch this state to interned mode, the one `explore` steps in.
+
+        Each runtime is then named by an id: `runtime_ids` maps each
+        `ProcEnv.key()` tuple to its id, in first-seen order (the current
+        runtimes first, P1's first), and its `table` lists the tuples by
+        id.  `rids` holds each process's current runtime id: the caller
+        may set it before a step, and the step leaves the child's there.
+        `envs` no longer follows the steps, nor does what reads it
+        (`exhausted`, `value_key`).
+
+        A step is then memoized, and still makes its one access through
+        the memory.  `rows[p]` maps a runtime id to the access process p
+        makes from it, and that row maps each value accessed to the child
+        runtime id and the event's fields.  A row that is missing is
+        learned by replaying the step on `replay`, a plain state whose
+        memory reads this one's values and writes nowhere; `replay.rids`
+        holds the runtime id each of its envs holds.
+        """
+        self.runtime_ids = ids = Interned()
+        self.rids = [ids[env.key()] for env in self.envs]
+        self.rows = [{} for _ in self.envs]
+        self.replay = replay = SystemState(self.spec, self.workload)
+        replay.mem = _Peek(self.mem)
+        replay.rids = [-1] * self.spec.n
 
     # -- liveness -------------------------------------------------------
 
@@ -219,9 +288,38 @@ class SystemState:
 
 def step(state: SystemState, pid: int) -> tuple:
     """Execute one atomic step of process pid; return its event, a plain
-    tuple in `TraceEvent`'s field order."""
-    spec = state.spec
+    tuple in `TraceEvent`'s field order.  On an interned state (see
+    `SystemState.intern`) the step is looked up, all but its access."""
     p = pid - 1
+    rows = state.rows
+    if rows is not None:
+        # Interned: the access follows from (pid, runtime id) alone, the
+        # rest of the step from those and the value accessed.
+        rids = state.rids
+        rid = rids[p]
+        row = rows[p].get(rid)
+        if row is None:
+            row = _learn(state, p, rid)
+        kind, slot, value, reg, after = row
+        mem = state.mem
+        if kind == "read":
+            value, rmr = mem.read_slot(p, slot)
+        elif kind == "write":
+            mem.write_slot(p, slot, value)
+            rmr = True
+        else:
+            rmr = False
+        rest = after.get(value)
+        if rest is None:
+            _learn(state, p, rid)
+            rest = after[value]
+        rids[p], inv, line, exec_section, markers, outcome, target_j = rest
+        index = state.step_index
+        state.step_index = index + 1
+        return (index, pid, inv, line, kind, reg, value, rmr, exec_section, markers,
+                outcome, target_j)
+
+    spec = state.spec
     env = state.envs[p]
     mem = state.mem
     index = state.step_index
@@ -265,6 +363,33 @@ def step(state: SystemState, pid: int) -> tuple:
         markers = ()
     return (index, pid, env.inv, line, kind, reg, value, rmr, exec_section, markers,
             outcome, target_j)
+
+
+# `_learn` replays through this name, so a wrapper put on `step` sees one
+# call per transition.
+_plain_step = step
+
+
+def _learn(state: SystemState, p: int, rid: int) -> tuple:
+    """Replay 0-based process p's step from runtime id rid on an interned
+    state's replay and record it: the access row of (p, rid) if it is
+    new, and in it the child and event fields of the value accessed,
+    which the replay reads off the state's store.  Returns the row."""
+    replay = state.replay
+    env = replay.envs[p]
+    if replay.rids[p] != rid:
+        env.load_key(state.runtime_ids.table[rid])
+    peek = replay.mem
+    peek.access = None
+    ev = _plain_step(replay, p + 1)
+    rows = state.rows[p]
+    row = rows.get(rid)
+    if row is None:
+        slot, written = peek.access or (0, None)
+        row = rows[rid] = (ev[4], slot, written, ev[5], {})
+    child = replay.rids[p] = state.runtime_ids[env.key()]
+    row[4][ev[6]] = (child, ev[2], ev[3], ev[8], ev[9], ev[10], ev[11])
+    return row
 
 
 def spins(spec: AlgorithmSpec, runtime: tuple, store, p: int) -> bool:

@@ -9,6 +9,8 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import gmesim.cli
 import gmesim.monitors
 from gmesim.cli import main
@@ -396,6 +398,26 @@ def test_cli_import_leaves_the_process_pool_unloaded():
          "import sys, gmesim.cli; print('concurrent.futures' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore", "--scenario", "scenarios/glb_explore_n3.scn"],
+    ["run", "--scenario", "scenarios/bl_adversarial_n6.scn"],
+])
+def test_closed_stdout_exits_2(argv):
+    # A reader that goes away before the report is written is a path
+    # that cannot be written: exit 2 and one stderr line, no traceback,
+    # and the flush at exit does not raise again.
+    root = Path(gmesim.cli.__file__).resolve().parents[2]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gmesim.cli", *argv], cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 2
+    assert "Traceback" not in err and "Exception" not in err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

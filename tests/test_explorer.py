@@ -5,26 +5,32 @@ from collections import Counter
 import gmesim.explorer
 from gmesim import (Scripted, Section, SystemState, Workload, bl_adversarial_schedule,
                     bl_adversarial_workload, build_bl, build_bwbgme, build_glb,
-                    build_invocations, explore, step)
+                    build_invocations, explore, machine, step)
 from gmesim.machine import PC_REMAINDER, all_active_blocked
 from gmesim.monitors import FAIL, MONITORS, online_props, token_number
 from oracle_scans import all_active_blocked as full_scan
 from oracle_explorer import crosscheck_reachable
-from util import (all_blocked, check, decoded_key, distinct_sessions, explored_specs,
-                  explored_workload, named, report_digest, run_collected, stuck_glb_spec,
-                  unpacked)
+from util import (RecordingMemory, all_blocked, check, decoded_key, distinct_sessions,
+                  explored_specs, explored_workload, named, report_digest, run_collected,
+                  stuck_glb_spec, unpacked)
 
 
 def test_step_is_a_function_of_runtime_and_value():
-    # explore memoizes everything after a step on (pid, runtime, value
-    # accessed): the runtime the step leaves and the event fields the
-    # store and the monitors take must follow from those three alone.
+    # An interned step (the explorer's) looks its access up on (pid,
+    # runtime) before the value is known, and everything after the
+    # access on (pid, runtime, value accessed): the access (kind,
+    # register, value written) must follow from the first two alone, and
+    # the runtime the step leaves and the event fields the store and the
+    # monitors take from all three.
     for spec in explored_specs():
-        outcomes = {}
+        accesses, outcomes = {}, {}
 
         def checked(state, pid):
             before = state.envs[pid - 1].key()
             ev = named(step(state, pid))
+            access = (ev.kind, ev.reg, ev.value if ev.kind == "write" else None)
+            assert accesses.setdefault((pid, before), access) == access, \
+                (spec.name, pid, before)
             after = (state.envs[pid - 1].key(), ev.kind, ev.reg, ev.line, ev.outcome, ev.j,
                      ev.markers)
             assert outcomes.setdefault((pid, before, ev.value), after) == after, \
@@ -32,7 +38,47 @@ def test_step_is_a_function_of_runtime_and_value():
             return ev
 
         crosscheck_reachable(spec, explored_workload(), take_step=checked)
-        assert outcomes, spec.name
+        assert outcomes and len(accesses) < len(outcomes), spec.name
+
+
+def test_interned_step_matches_plain_step(monkeypatch):
+    # Every step from every reachable state, taken twice: plainly, from a
+    # freshly loaded state, and on one interned state that keeps its memo
+    # across all of them, given the same store, reader sets and runtime.
+    # The two must make the same Memory calls, one per read or write
+    # step, and give the same event and the same child runtime, whether
+    # the memo's access row and value row hit or miss.
+    monkeypatch.setattr(machine, "Memory", RecordingMemory)
+    configs = [(spec, explored_workload()) for spec in explored_specs()]
+    configs += [(build_glb(3), Workload([[1], [2], [1]])),
+                (build_bwbgme(3), Workload([[1], [1], [2]]))]
+    for spec, wl in configs:
+        interned = SystemState(spec, wl)
+        interned.intern()
+        ids, mem = interned.runtime_ids, interned.mem
+        steps = []
+
+        def checked(state, pid):
+            steps.append(pid)
+            p = pid - 1
+            mem.store[:], mem.valid[:] = state.mem.store, state.mem.valid
+            interned.rids[p] = ids[state.envs[p].key()]
+            interned.step_index = state.step_index
+            state.mem.log.clear()
+            mem.log.clear()
+            ev = step(state, pid)
+            assert step(interned, pid) == ev, (spec.name, pid)
+            assert ids.table[interned.rids[p]] == state.envs[p].key(), (spec.name, pid)
+            assert mem.log == state.mem.log, (spec.name, pid)
+            assert len(mem.log) == (ev[4] in ("read", "write")), ev
+            return ev
+
+        crosscheck_reachable(spec, wl, take_step=checked)
+        # Both paths ran: some step found its access row learned and its
+        # value row not (a row with two values), and most steps hit both.
+        rows = [row for per_proc in interned.rows for row in per_proc.values()]
+        assert any(len(row[4]) > 1 for row in rows), spec.name
+        assert sum(len(row[4]) for row in rows) < len(steps) / 2, spec.name
 
 
 def test_single_process_single_path():

@@ -12,7 +12,7 @@ from gmesim import (RoundRobin, Scripted, SystemState, Workload, build_bl,
 from gmesim import machine
 from gmesim.errors import ConfigurationError
 from gmesim.machine import (CS_ENTER, CS_EXIT, DOORWAY_COMPLETE, DOORWAY_START,
-                            EXIT_COMPLETE, PC_REMAINDER, Section, TraceEvent, spins)
+                            EXIT_COMPLETE, PC_REMAINDER, Section, TraceEvent, run, spins)
 from gmesim.memory import Memory
 from gmesim.monitors import (FAIL, build_invocations, check_mutual_exclusion, check_progress,
                              check_section_order)
@@ -429,3 +429,15 @@ def test_deadlock_check_matches_full_scan_at_every_step():
                 assert all_blocked(state) == oracle_scans.all_active_blocked(state)
             assert state.all_done()
     assert seen == {True, False}
+
+
+def test_run_interns_nothing():
+    # Only explore steps on an interned state.  glb's tokens grow without
+    # bound over a long run, so a run that interned its runtimes, or
+    # memoized its steps on them, would grow with its length.
+    state = SystemState(build_glb(4), Workload([[1 + pid % 2] * 300 for pid in range(4)]))
+    result = run(state, random_schedule(4, 1))
+    for _ in result.trace.events:
+        pass
+    assert result.completed
+    assert state.runtime_ids is state.rids is state.rows is state.replay is None
