@@ -126,8 +126,7 @@ def _run_scenario(scenario: Scenario, keep_events: bool = False):
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario.seed = args.seed
+    _override(scenario, "seed", "--seed", args.seed)
     _override(scenario, "step_cap", "--steps", args.steps)
 
     result, records = _run_scenario(scenario, keep_events=bool(args.trace_out))

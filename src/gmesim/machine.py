@@ -19,9 +19,10 @@ RMR ledger, and every RMR figure is a sum of them.
 is an id in a table the state owns, and `step` looks up all of a step
 but its access.  (pid, runtime id) gives the access, which is still
 made through the memory; (pid, runtime id, value accessed) gives the
-child runtime id and the event's fields.  Only a miss runs `access` and
-`step_fn`.  `run` steps plain states, which intern nothing: glb's tokens
-grow without bound over a long run.
+child runtime id and the event's fields.  A miss loads the runtime into
+the process's env and takes the plain step, which makes the access and
+is then recorded.  `run` steps plain states, which intern nothing:
+glb's tokens grow without bound over a long run.
 
 The scheduler owns all interleaving; there are no real threads.
 """
@@ -191,29 +192,11 @@ class Interned(dict):
         return i
 
 
-class _Peek:
-    """The memory a replayed step sees (`SystemState.intern`): a real
-    memory's values, read at no cost and written nowhere.  It keeps the
-    slot the step accessed and the value it wrote (None for a read)."""
-
-    __slots__ = ("real", "names", "access")
-
-    def __init__(self, real: Memory):
-        self.real, self.names, self.access = real, real.names, None
-
-    def read_slot(self, p: int, slot: int):
-        self.access = (slot, None)
-        return self.real.store[slot], True
-
-    def write_slot(self, p: int, slot: int, value: Any) -> None:
-        self.access = (slot, value)
-
-
 class SystemState:
     """Global store, reader sets, and every process's runtime."""
 
     __slots__ = ("spec", "mem", "envs", "workload", "step_index",
-                 "runtime_ids", "rids", "rows", "replay")
+                 "runtime_ids", "rids", "rows")
 
     def __init__(self, spec: AlgorithmSpec, workload: Workload):
         if workload.n != spec.n:
@@ -225,7 +208,7 @@ class SystemState:
         self.workload = workload
         self.step_index = 0
         # Interned mode only (see `intern`).
-        self.runtime_ids = self.rids = self.rows = self.replay = None
+        self.runtime_ids = self.rids = self.rows = None
 
     def intern(self) -> None:
         """Switch this state to interned mode, the one `explore` steps in.
@@ -241,17 +224,13 @@ class SystemState:
         A step is then memoized, and still makes its one access through
         the memory.  `rows[p]` maps a runtime id to the access process p
         makes from it, and that row maps each value accessed to the child
-        runtime id and the event's fields.  A row that is missing is
-        learned by replaying the step on `replay`, a plain state whose
-        memory reads this one's values and writes nowhere; `replay.rids`
-        holds the runtime id each of its envs holds.
+        runtime id and the event's fields.  When either row is missing,
+        the step loads the runtime into `envs[p]`, takes the plain step
+        and records what it did.
         """
         self.runtime_ids = ids = Interned()
         self.rids = [ids[env.key()] for env in self.envs]
         self.rows = [{} for _ in self.envs]
-        self.replay = replay = SystemState(self.spec, self.workload)
-        replay.mem = _Peek(self.mem)
-        replay.rids = [-1] * self.spec.n
 
     # -- liveness -------------------------------------------------------
 
@@ -294,30 +273,29 @@ def step(state: SystemState, pid: int) -> tuple:
     rows = state.rows
     if rows is not None:
         # Interned: the access follows from (pid, runtime id) alone, the
-        # rest of the step from those and the value accessed.
-        rids = state.rids
-        rid = rids[p]
+        # rest of the step from those and the value accessed, which a read
+        # takes off the store before it is made.
+        rid = state.rids[p]
         row = rows[p].get(rid)
-        if row is None:
-            row = _learn(state, p, rid)
-        kind, slot, value, reg, after = row
-        mem = state.mem
-        if kind == "read":
-            value, rmr = mem.read_slot(p, slot)
-        elif kind == "write":
-            mem.write_slot(p, slot, value)
-            rmr = True
-        else:
-            rmr = False
-        rest = after.get(value)
-        if rest is None:
-            _learn(state, p, rid)
-            rest = after[value]
-        rids[p], inv, line, exec_section, markers, outcome, target_j = rest
-        index = state.step_index
-        state.step_index = index + 1
-        return (index, pid, inv, line, kind, reg, value, rmr, exec_section, markers,
-                outcome, target_j)
+        if row is not None:
+            kind, slot, value, reg, after = row
+            mem = state.mem
+            rest = after.get(mem.store[slot] if kind == "read" else value)
+            if rest is not None:
+                if kind == "read":
+                    value, rmr = mem.read_slot(p, slot)
+                elif kind == "write":
+                    mem.write_slot(p, slot, value)
+                    rmr = True
+                else:
+                    rmr = False
+                state.rids[p], inv, line, exec_section, markers, outcome, target_j = rest
+                index = state.step_index
+                state.step_index = index + 1
+                return (index, pid, inv, line, kind, reg, value, rmr, exec_section, markers,
+                        outcome, target_j)
+        # A miss: take the plain step from the runtime, and learn it.
+        state.envs[p].load_key(state.runtime_ids.table[rid])
 
     spec = state.spec
     env = state.envs[p]
@@ -361,35 +339,27 @@ def step(state: SystemState, pid: int) -> tuple:
         env.marks = rank
     else:
         markers = ()
-    return (index, pid, env.inv, line, kind, reg, value, rmr, exec_section, markers,
-            outcome, target_j)
+    ev = (index, pid, env.inv, line, kind, reg, value, rmr, exec_section, markers,
+          outcome, target_j)
+    if rows is not None:
+        _learn(state, p, access, ev)
+    return ev
 
 
-# `_learn` replays through this name, so a wrapper put on `step` sees one
-# call per transition.
-_plain_step = step
-
-
-def _learn(state: SystemState, p: int, rid: int) -> tuple:
-    """Replay 0-based process p's step from runtime id rid on an interned
-    state's replay and record it: the access row of (p, rid) if it is
-    new, and in it the child and event fields of the value accessed,
-    which the replay reads off the state's store.  Returns the row."""
-    replay = state.replay
-    env = replay.envs[p]
-    if replay.rids[p] != rid:
-        env.load_key(state.runtime_ids.table[rid])
-    peek = replay.mem
-    peek.access = None
-    ev = _plain_step(replay, p + 1)
-    rows = state.rows[p]
+def _learn(state: SystemState, p: int, access, ev: tuple) -> None:
+    """Record the plain step 0-based process p just took on an interned
+    state, given its access and event: the access row of its runtime id
+    if it is new, and in it the child runtime id and event fields of the
+    value accessed.  Leaves the child's runtime id in `rids[p]`."""
+    rids, rows = state.rids, state.rows[p]
+    rid = rids[p]
     row = rows.get(rid)
     if row is None:
-        slot, written = peek.access or (0, None)
-        row = rows[rid] = (ev[4], slot, written, ev[5], {})
-    child = replay.rids[p] = state.runtime_ids[env.key()]
+        kind = ev[4]
+        row = rows[rid] = (kind, 0 if access is None else access[1],
+                           ev[6] if kind == "write" else None, ev[5], {})
+    child = rids[p] = state.runtime_ids[state.envs[p].key()]
     row[4][ev[6]] = (child, ev[2], ev[3], ev[8], ev[9], ev[10], ev[11])
-    return row
 
 
 def spins(spec: AlgorithmSpec, runtime: tuple, store, p: int) -> bool:

@@ -119,7 +119,7 @@ class Scenario:
 
 # The smallest value each integer setting takes, in a scenario file or
 # as a command-line override.
-LOWER_BOUNDS = {"cs_steps": 0, "step_cap": 0, "max_states": 1, "max_depth": 0}
+LOWER_BOUNDS = {"seed": 0, "cs_steps": 0, "step_cap": 0, "max_states": 1, "max_depth": 0}
 
 
 def _fail(lineno: int, msg: str):

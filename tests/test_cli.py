@@ -260,6 +260,8 @@ def test_overrides_obey_the_scenario_bounds(tmp_path, capsys):
     explore_scn = write(tmp_path, "explore.scn", EXPLORE_SCENARIO)
     for argv, message in ((["run", "--scenario", run_scn, "--steps", "-5"],
                            "--steps must be >= 0"),
+                          (["run", "--scenario", run_scn, "--seed", "-1"],
+                           "--seed must be >= 0"),
                           (["explore", "--scenario", explore_scn, "--max-states", "0"],
                            "--max-states must be >= 1"),
                           (["explore", "--scenario", explore_scn, "--max-depth", "-1"],
@@ -269,6 +271,7 @@ def test_overrides_obey_the_scenario_bounds(tmp_path, capsys):
         assert message in errors and out == "", argv
     # each bound itself is accepted: a capped result, not a usage error
     assert main(["run", "--scenario", run_scn, "--steps", "0"]) == 3
+    assert main(["run", "--scenario", run_scn, "--seed", "0"]) == 0
     assert main(["explore", "--scenario", explore_scn, "--max-states", "1"]) == 3
     assert main(["explore", "--scenario", explore_scn, "--max-depth", "0"]) == 3
 

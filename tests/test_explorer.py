@@ -3,7 +3,7 @@
 from collections import Counter
 
 import gmesim.explorer
-from gmesim import (Scripted, Section, SystemState, Workload, bl_adversarial_schedule,
+from gmesim import (WHITE, Scripted, Section, SystemState, Workload, bl_adversarial_schedule,
                     bl_adversarial_workload, build_bl, build_bwbgme, build_glb,
                     build_invocations, explore, machine, step)
 from gmesim.machine import PC_REMAINDER, all_active_blocked
@@ -79,6 +79,33 @@ def test_interned_step_matches_plain_step(monkeypatch):
         rows = [row for per_proc in interned.rows for row in per_proc.values()]
         assert any(len(row[4]) > 1 for row in rows), spec.name
         assert sum(len(row[4]) for row in rows) < len(steps) / 2, spec.name
+
+
+def test_each_explored_transition_is_one_step_and_one_access(monkeypatch):
+    # The N=3 acceptance explores, with every Memory call logged and
+    # `step` counted under both the names it is called by.  The step
+    # memo must neither hide a transition's step or access nor add one:
+    # one call per transition, and one access per read or write
+    # transition, each on empty reader sets and so one RMR.  The totals
+    # are perfbench/expected.json's.
+    monkeypatch.setattr(machine, "Memory", RecordingMemory)
+    calls = Counter()
+
+    def counted(state, pid):
+        calls[state.mem] += 1
+        return step(state, pid)
+
+    monkeypatch.setattr(machine, "step", counted)
+    monkeypatch.setattr(gmesim.explorer, "step", counted)
+    for spec, sessions, transitions, accesses in (
+            (build_glb(3), [[1], [2], [1]], 252_895, 248_458),
+            (build_bwbgme(3, WHITE), [[1], [1], [2]], 224_457, 205_921)):
+        calls.clear()
+        report = explore(spec, Workload(sessions))
+        assert report.clean and report.transitions == transitions, spec.name
+        assert sum(calls.values()) == transitions, spec.name
+        [mem] = calls  # one live state takes every step
+        assert len(mem.log) == sum(rmr for *_, rmr in mem.log) == accesses, spec.name
 
 
 def test_single_process_single_path():

@@ -440,4 +440,4 @@ def test_run_interns_nothing():
     for _ in result.trace.events:
         pass
     assert result.completed
-    assert state.runtime_ids is state.rids is state.rows is state.replay is None
+    assert state.runtime_ids is state.rids is state.rows is None

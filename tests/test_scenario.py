@@ -132,6 +132,9 @@ GLB = GOOD.replace("algorithm = bwbgme", "algorithm = glb").replace("initial_col
     (GOOD.replace("algorithm = bwbgme\n", ""), "missing required key 'algorithm'", 1),
     (GOOD.replace("n = 3\n", ""), "missing required key 'n'", 1),
     (GOOD.replace("n = 3", "n = 0"), "n must be >= 1", 3),
+    # random.Random seeds on the absolute value, so -1 would run as 1
+    # under another config hash
+    (GOOD.replace("seed = 9", "seed = -1"), "seed must be >= 0", 5),
     (GOOD.replace("schedule = random", "schedule = lottery"), "unknown schedule 'lottery'", 4),
     (GOOD.replace("initial_color = black", "initial_color = grey"),
      "initial_color must be black or white", 7),
