@@ -396,6 +396,15 @@ def test_max_states_cap_reports_truncation():
 def test_max_depth_cap_reports_truncation():
     report = explore(build_glb(2), distinct_sessions(2), max_depth=5)
     assert report.truncated and report.truncation_reason == "max_depth"
+    # The counts pin which states the cap keeps: each lies at most 20
+    # steps from the root along the DFS path that first stored it.
+    for spec, sessions, states, transitions in (
+            (build_glb(3), [[1], [2], [1]], 10_875, 32_616),
+            (build_bwbgme(3), [[1], [1], [2]], 3_142, 9_426)):
+        report = explore(spec, Workload(sessions), max_depth=20)
+        assert (report.states, report.transitions, report.max_depth) \
+            == (states, transitions, 20), spec.name
+        assert report.truncated and report.truncation_reason == "max_depth"
 
 
 def assert_witnesses_replay(spec, wl, report):

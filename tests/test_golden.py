@@ -40,6 +40,16 @@ RUN_DIGESTS = {
         "stdout": "bb4177b86c8015ff28c3539f435a4b722623ce5938c631bcba2475f7f611e9d9",
         "trace": "bd54102458bea4942b9ac1dd551f7a2e8bc4dd144d99f26ebeca4cc6c972efd2",
         "csv": "518bec8ece02aa77ec62543eda8bb6a51983d9ff67b840c787b8223be1b15af4"}),
+    # Failing runs: these pin the me/fcfs and flip FAIL lines, witnesses
+    # and details.
+    "bwbgme_mutant_me.scn": (1, {
+        "stdout": "5db278715c57755de791320e18db63ec272443ae5d15384c038a8311f11a29d6",
+        "trace": "3a168ea5d4a8ab860cd5aafa77b2e756ab2a3f418dbe7246d9e83dcd59e20ce9",
+        "csv": "ee15c7760b327cc746eaca989ab8249dfbfb213140e89ee77e8408572e7b5bb2"}),
+    "bwbgme_mutant_fcfs.scn": (1, {
+        "stdout": "f88904d7eb4bf45668048fa63fad6c66e86968be4842bee17f3d6f1481e65f1d",
+        "trace": "d671fbb4cc24c93b13180774b24c6a519bb51ca8349e01bec64693250a557ce4",
+        "csv": "76f1139b8313bfe5c0227a31b8cd254fd275c94f5dc981d7287ac394ae43ca89"}),
 }
 
 # name -> (exit code, flip witnesses printed, stdout digest)
