@@ -64,16 +64,9 @@ _SECTIONS = {
 }
 
 
-class UndefinedColorError(ValueError):
-    """opposite_color is undefined for the bottom color."""
-
-
-def opposite_color(c: str) -> str:
-    if c == BLACK:
-        return WHITE
-    if c == WHITE:
-        return BLACK
-    raise UndefinedColorError("opposite color is undefined for bottom")
+# A process reads mycolor from GlobalColor (line 5) before any exit step
+# asks for its opposite, so bottom has none.
+opposite_color = {BLACK: WHITE, WHITE: BLACK}
 
 
 def build_bwbgme(n: int, initial_color: str = WHITE, mutant: str = None) -> AlgorithmSpec:
@@ -135,7 +128,7 @@ def build_bwbgme(n: int, initial_color: str = WHITE, mutant: str = None) -> Algo
         _CS: lambda env, p: None,
         _X25: lambda env, p: None,
         _X26: read_token_j,
-        _X_FLIP: lambda env, p: ("write", gc_slot, opposite_color(env.mycolor)),
+        _X_FLIP: lambda env, p: ("write", gc_slot, opposite_color[env.mycolor]),
         _X34: lambda env, p: ("write", tok0 + p, (0, BOTTOM, 0)),
     }
 
@@ -239,7 +232,7 @@ def build_bwbgme(n: int, initial_color: str = WHITE, mutant: str = None) -> Algo
 
         if pc == _X26:
             session, color, _ = v
-            if session != 0 and color == opposite_color(env.mycolor):
+            if session != 0 and color == opposite_color[env.mycolor]:
                 env.pc = _X34  # found: do not flip
             else:
                 env.j += 1

@@ -237,6 +237,9 @@ def cmd_sweep(args) -> int:
             f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigurationError(f"--sizes must be strictly ascending, got {args.sizes!r}")
+    least = 2 if args.schedule == "adversarial" else 1
+    if sizes[0] < least:
+        raise ConfigurationError(f"--sizes must be >= {least}, got {args.sizes!r}")
     _check_bound("step_cap", "--steps", args.steps)
     _check_bound("cs_steps", "--cs-steps", args.cs_steps)
     for flag in ("seeds", "invocations", "workers"):

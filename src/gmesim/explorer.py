@@ -19,7 +19,8 @@ collapse compression: field i (store id, runtime id of P1..Pn,
 monitor-state id) sits at shift i*width.  The width is fixed before the
 search from a bound no id can reach (see `explore`).  The visited table
 is the state list: an insertion-ordered dict whose i-th key is state
-i's, beside array columns of each state's parent and depth.
+i's, beside array columns of each state's parent and the pid that
+stepped to it.
 
 One live SystemState serves every state, in interned mode
 (`SystemState.intern`): the state owns the runtime table and memoizes
@@ -37,8 +38,8 @@ store id; and `advance` is pure, so each (monitor-state id, event id) is
 stepped once and maps to the child's monitor-state id and the
 violations it reports.  A successor's key is
 the parent's plus the change of each field that moved, and the DFS
-stack carries each state's fields beside its id and key, so a popped
-key is never unpacked.
+stack carries each state's fields and depth beside its id and key, so a
+popped key is never unpacked.
 
 A state is a deadlock when some process is active and every active one
 spins (`machine.all_active_blocked`).  It is checked when the state is
@@ -172,8 +173,8 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     ids = report.keys = {root_key: None}
     parent = report.parent = array(_typecode(stored), [-1])
     parent_pid = report.parent_pid = array(_typecode(n), [0])
-    depth = array(parent.typecode, [0])
-    stack = [(0, root_key, root)]  # (state id, key, its fields), per state to expand
+    # (state id, key, its fields, its depth), per state to expand
+    stack = [(0, root_key, root, 0)]
     path_of = report.path_of
     last_inv = [len(per) - 1 for per in workload.sessions]
     held = root[0]  # the id of the store the live state holds
@@ -183,7 +184,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
 
     transitions = 0
     while stack:
-        nid, key, fields = stack.pop()
+        nid, key, fields, depth = stack.pop()
         sid, mid = fields[0], fields[-1]
         quiet = True  # no active process has written, stepped locally or passed
         for p in range(n):
@@ -240,7 +241,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                 report.truncated = True
                 report.truncation_reason = "max_states"
                 continue
-            child_depth = depth[nid] + 1
+            child_depth = depth + 1
             if max_depth is not None and child_depth > max_depth:
                 report.truncated = True
                 report.truncation_reason = "max_depth"
@@ -249,14 +250,13 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             ids[child] = None
             parent.append(nid)
             parent_pid.append(pid)
-            depth.append(child_depth)
             if child_depth > report.max_depth:
                 report.max_depth = child_depth
             if progress is not None and not (cid + 1) % PROGRESS_EVERY:
                 progress(cid + 1, transitions, report.max_depth)
             child_fields = fields.copy()
             child_fields[0], child_fields[pid], child_fields[-1] = child_sid, child_rid, child_mid
-            stack.append((cid, child, child_fields))
+            stack.append((cid, child, child_fields, child_depth))
 
         if quiet:
             value_key = key & value_mask

@@ -13,11 +13,11 @@ Mutual exclusion, FCFS, the single GlobalColor flip and the N+1 token
 bound are each defined once, as an online monitor (`ONLINE`): a small
 hashable state and a step over events.  `advance` steps them together:
 along a trace inside that walk, whose result their four checkers share,
-each then looking its witness up in the records; and along every edge
-that `explore` takes, which keeps their states in its key.  A failing
-verdict carries a witness naming the event indices and processes that
-realize a violation; for these four properties it is the first
-violating event in trace order.
+each then taking its witness from what the walk kept at the first
+violating event; and along every edge that `explore` takes, which keeps
+their states in its key.  A failing verdict carries a witness naming the
+event indices and processes that realize a violation; for these four
+properties it is the first violating event in trace order.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ class InvocationRecord:
     `blocked` counts its wait passes with a false evaluation, and
     `first_blocked` is the first one's (index, line, j) at that
     evaluation, or None.  `over_ceiling` is its first wait pass over its
-    line's RMR ceiling, whose `rmr` goes on counting to the pass's end."""
+    line's RMR ceiling, whose `rmr` goes on counting to the pass's end.
+    `window` is the step its GlobalColor flip window opened at, or None."""
 
     pid: int
     inv: int
@@ -98,6 +99,7 @@ class InvocationRecord:
     first_blocked: Optional[tuple] = None
     over_ceiling: Optional[WaitPass] = None
     gc_spurious_refetches: int = 0
+    window: Optional[int] = None
 
     @property
     def rmr_total(self) -> int:
@@ -110,16 +112,17 @@ class InvocationRecord:
 class Invocations(list):
     """A run's invocation records, in order of their first step, and what
     the same walk along its events found besides: per violated online
-    property its first violating event and culprits (`first`); up to the
-    first flip violation, the steps that flipped GlobalColor (`flips`)
-    and the step each open flip window opened at (`opened`); and the
-    index of the deadlock event, or None (`deadlock_at`)."""
+    property, taken at its first violating event, that event, its
+    process's record, the culprits' records and the step of the
+    GlobalColor flip before the latest one (`first`); how often
+    GlobalColor flipped (`flips`); and the index of the deadlock event,
+    or None (`deadlock_at`)."""
 
-    __slots__ = ("first", "flips", "opened", "deadlock_at")
+    __slots__ = ("first", "flips", "deadlock_at")
 
     def __init__(self):
         super().__init__()
-        self.first, self.flips, self.opened, self.deadlock_at = {}, [], {}, None
+        self.first, self.flips, self.deadlock_at = {}, 0, None
 
 
 def build_invocations(trace: Trace) -> Invocations:
@@ -139,7 +142,8 @@ def build_invocations(trace: Trace) -> Invocations:
     flip = props.index("flip") if "flip" in props else None
 
     order = Invocations()
-    first, flips, opened = order.first, order.flips, order.opened
+    first = order.first
+    last_flip = previous_flip = None
     records: dict = {}
     current = [None] * (n + 1)    # pid -> the record of its last event
     open_pass = [None] * (n + 1)  # pid -> its open wait pass, or None
@@ -164,16 +168,17 @@ def build_invocations(trace: Trace) -> Invocations:
         if monitored(ev):
             before = states
             states, hits = advance(steps, states, ev)
-            if flip is not None and "flip" not in first and states[flip] is not before[flip]:
-                gc, wins = states[flip]
-                if gc != before[flip][0]:
-                    flips.append(index)
-                if wins[pid - 1] < 0:
-                    opened.pop(pid, None)
-                else:
-                    opened.setdefault(pid, index)
+            if flip is not None and states[flip] is not before[flip]:
+                (gc, wins), (gc_before, wins_before) = states[flip], before[flip]
+                if gc != gc_before:
+                    order.flips += 1
+                    previous_flip, last_flip = last_flip, index
+                if wins_before[pid - 1] < 0 <= wins[pid - 1]:
+                    rec.window = index
             for i, culprits in hits:
-                first.setdefault(props[i], (ev, culprits))
+                if props[i] not in first:
+                    first[props[i]] = (ev, rec, [current[q] for q in culprits],
+                                       previous_flip)
             if kind == "write" and reg.startswith("Token["):
                 rec.token = max(rec.token, token_number(value))
 
@@ -357,17 +362,6 @@ ONLINE = {
 }
 
 
-def _earliest(records: list, pids, mark: str, at: int) -> InvocationRecord:
-    """Of each pid's latest invocation whose `mark` step is at or before
-    step `at`, the one whose `mark` step came first."""
-    latest = {}
-    for r in records:
-        step_at = getattr(r, mark)
-        if r.pid in pids and step_at is not None and step_at <= at:
-            latest[r.pid] = r
-    return min(latest.values(), key=attrgetter(mark))
-
-
 def check_mutual_exclusion(trace: Trace, records: list) -> Verdict:
     """No two conflicting invocations may overlap in the critical section.
 
@@ -377,10 +371,8 @@ def check_mutual_exclusion(trace: Trace, records: list) -> Verdict:
     hit = records.first.get("me")
     if hit is None:
         return Verdict(PASS)
-    ev, culprits = hit
-    index, pid = ev[0], ev[1]
-    a = _earliest(records, culprits, "ce", index)
-    b = _earliest(records, (pid,), "ce", index)
+    _, b, culprits, _ = hit
+    a = min(culprits, key=attrgetter("ce"))
     return Verdict(FAIL, witness=(a.ce, b.ce, a.pid, b.pid),
                    detail=f"P{a.pid} (session {a.session}) and P{b.pid} "
                           f"(session {b.session}) overlap in the CS")
@@ -395,9 +387,9 @@ def check_fcfs(trace: Trace, records: list) -> Verdict:
     hit = records.first.get("fcfs")
     if hit is None:
         return Verdict(PASS)
-    ev, culprits = hit
+    ev, _, culprits, _ = hit
     index, pid = ev[0], ev[1]
-    a = _earliest(records, culprits, "dc", index)
+    a = min(culprits, key=attrgetter("dc"))
     return Verdict(FAIL, witness=(a.dc, index, a.pid, pid),
                    detail=f"P{a.pid} completed its doorway before P{pid} "
                           f"started, yet P{pid} entered the CS first")
@@ -442,13 +434,14 @@ def check_flip_invariant(trace: Trace, records: list) -> Verdict:
     The witness names the two flips and, of the processes whose window
     they both fall in, the one whose window opened first.
     """
-    flips = records.flips
-    if "flip" not in records.first:
-        return Verdict(PASS, detail=f"{len(flips)} flips observed")
-    pid = min(records.first["flip"][1], key=records.opened.__getitem__)
-    return Verdict(FAIL, witness=(flips[-2], flips[-1], pid),
-                   detail=f"GlobalColor flipped twice (steps {flips[-2]}, "
-                          f"{flips[-1]}) inside P{pid}'s window")
+    hit = records.first.get("flip")
+    if hit is None:
+        return Verdict(PASS, detail=f"{records.flips} flips observed")
+    ev, _, culprits, previous = hit
+    pid = min(culprits, key=attrgetter("window")).pid
+    return Verdict(FAIL, witness=(previous, ev[0], pid),
+                   detail=f"GlobalColor flipped twice (steps {previous}, "
+                          f"{ev[0]}) inside P{pid}'s window")
 
 
 def check_token_bound(trace: Trace, records: list) -> Verdict:

@@ -4,7 +4,6 @@ import pytest
 
 from gmesim import (RoundRobin, SystemState, Workload, build_bwbgme,
                     opposite_color, random_schedule, step)
-from gmesim.bwbgme import UndefinedColorError
 from gmesim.errors import ConfigurationError
 from gmesim.memory import BLACK, BOTTOM, WHITE
 from gmesim.monitors import (FAIL, PASS, build_invocations, check_bounded_exit,
@@ -33,10 +32,10 @@ def test_zero_processes_rejected():
 
 
 def test_opposite_color():
-    assert opposite_color(WHITE) == BLACK
-    assert opposite_color(BLACK) == WHITE
-    with pytest.raises(UndefinedColorError):
-        opposite_color(BOTTOM)
+    assert opposite_color[WHITE] == BLACK
+    assert opposite_color[BLACK] == WHITE
+    with pytest.raises(KeyError):
+        opposite_color[BOTTOM]
 
 
 def test_initial_tokens_and_color():

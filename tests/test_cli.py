@@ -289,6 +289,8 @@ def test_sweep_rejects_bad_flags(capsys):
                           # a sweep of nothing must not read as a pass
                           (["--sizes", ""], "error: --sizes must name at least one size"),
                           (["--sizes", ","], "error: --sizes must name at least one size"),
+                          (["--sizes", "0"], "error: --sizes must be >= "),
+                          (["--sizes", "0,4"], "error: --sizes must be >= "),
                           (["--workers", "0"], "error: --workers must be >= 1"),
                           (["--workers", "-3"], "error: --workers must be >= 1")):
         for schedule in (["--algorithm", "glb"],
@@ -297,6 +299,12 @@ def test_sweep_rejects_bad_flags(capsys):
             assert code == 2, argv
             out, errors = capsys.readouterr()
             assert errors.startswith(message) and out == "", (argv, errors)
+    # an adversarial schedule needs two processes; a random one runs one
+    assert main(["sweep", "--algorithm", "bl", "--schedule", "adversarial",
+                 "--sizes", "1,2"]) == 2
+    assert capsys.readouterr().err \
+        == "error: --sizes must be >= 2, got '1,2'\n"
+    assert main(["sweep", "--algorithm", "glb", "--sizes", "1", "--seeds", "1"]) == 0
     # the bounds themselves are accepted
     assert main(["sweep", "--algorithm", "glb", "--sizes", "2", "--seeds", "1",
                  "--cs-steps", "0"]) == 0

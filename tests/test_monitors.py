@@ -95,6 +95,22 @@ def test_witnesses_name_the_earliest_violation():
         key=lambda e: e.index)
     trace = synthetic("glb", 3, events, [[1], [2], [2]])
     assert check(check_fcfs, trace).witness == (1, 10, 1, 3)
+    # P3 enters while P1 (since 8) and P2 (since 6) are in the CS: P2 is named.
+    events = sorted(
+        invocation_events(1, 1, base=2, enter=8, exit_at=20)
+        + invocation_events(2, 1, base=0, enter=6, exit_at=23)
+        + invocation_events(3, 2, base=4, enter=10, exit_at=12),
+        key=lambda e: e.index)
+    trace = synthetic("glb", 3, events, [[1], [1], [2]])
+    assert check(check_mutual_exclusion, trace).witness == (6, 10, 2, 3)
+    # P3 overtakes P1 (doorway done at 3) and P2 (done at 1): P2 is named.
+    events = sorted(
+        invocation_events(1, 1, base=2, enter=20, exit_at=21)
+        + invocation_events(2, 1, base=0, enter=30, exit_at=31)
+        + invocation_events(3, 2, base=4, enter=10, exit_at=11),
+        key=lambda e: e.index)
+    trace = synthetic("glb", 3, events, [[1], [1], [2]])
+    assert check(check_fcfs, trace).witness == (1, 10, 2, 3)
 
 
 def test_fcfs_fails_on_reversed_entry():
