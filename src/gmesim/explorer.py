@@ -26,20 +26,22 @@ One live SystemState serves every state, in interned mode
 (`SystemState.intern`): the state owns the runtime table and memoizes
 each step but its access.  A step reads only the store and its own
 process's runtime, so the search loads the store only if its id differs
-from the one the live state holds, sets the stepped process's runtime
-id, and reads the child's back after the step.  Each successor makes its
-one `machine.step`, and so its one memory access, on empty reader sets
-(the slot it accessed is emptied after it), so its reads cost what they
-would from a fresh load.  What follows the step is memoized here.
-`access` and `step_fn` are pure in the runtime, so (pid, runtime id,
-value accessed) fixes the slot, whether it was written and the event
-fields the monitors read; (store id, slot, value) fixes a write's child
-store id; and `advance` is pure, so each (monitor-state id, event id) is
-stepped once and maps to the child's monitor-state id and the
-violations it reports.  A successor's key is
-the parent's plus the change of each field that moved, and the DFS
-stack carries each state's fields and depth beside its id and key, so a
-popped key is never unpacked.
+from the one the live state holds and sets the stepped process's runtime
+id.  Each successor makes its one `machine.step`, and so its one memory
+access, on empty reader sets (the slot it accessed is emptied after it),
+so its reads cost what they would from a fresh load, and what the shared
+event in the step's record says.  `access` and `step_fn` are pure in the
+runtime, so (pid, runtime id, value accessed) fixes the whole record,
+and with it the note the search makes for it once: the slot, whether
+the step moves an active process, the key's change in the runtime field
+and two memos, shared by the notes that write the same value to the same
+slot and by those of the same monitored event.  A write's child store id
+follows from the parent's store id, and since `advance` is pure, each
+monitor-state id is stepped over each monitored event once, giving the
+child's monitor-state id and the violations it reports.  A successor's
+key is the parent's plus the change of each field that moved, and the
+DFS stack carries each state's fields and depth beside its id and key,
+so a popped key is never unpacked.
 
 A state is a deadlock when some process is active and every active one
 spins (`machine.all_active_blocked`).  It is checked when the state is
@@ -59,6 +61,7 @@ reaches it from the initial state.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -139,24 +142,18 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     report = ExplorationReport(spec.name, n)
 
     work = SystemState(spec, workload)
-    work.intern()
     props = online_props(spec.name)
     color = spec.meta.get("initial_color")
     starts, mon_steps, describe = zip(*(ONLINE[prop](n, workload.sessions, color)
                                         for prop in props))
 
-    store_ids, monitor_ids, event_ids = Interned(), Interned(), Interned()
+    store_ids, monitor_ids = Interned(), Interned()
     stores = report.stores = store_ids.table
-    runtimes = report.runtimes = work.runtime_ids.table
     monitor_states = report.monitor_states = monitor_ids.table
-    # (pid, runtime id, value accessed) -> (slot (0 if none), whether it
-    # was written, id of the monitored event or None, whether an active
-    # process wrote, stepped locally or passed)
-    successors = {}
-    writes = {}  # (store id, slot, value written) -> child store id
-    # (monitor-state id, event id) ->
-    # (child monitor-state id, (i, culprits) per violated monitor i)
-    memo = {}
+    # (slot, value written) -> {store id: child store id}
+    store_memos = defaultdict(dict)
+    # event fields -> {monitor-state id: (child id, (i, culprits) per violated i)}
+    monitor_memos = defaultdict(dict)
     blocked = {}  # a key's store and runtime fields -> all_active_blocked's verdict
 
     # The root interns one value in each table and a transition at most
@@ -167,6 +164,20 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     width = report.width = (1 + stored * n).bit_length()
     monitor_shift = (n + 1) * width
     value_mask = (1 << monitor_shift) - 1
+
+    def note(ev, rid, child):
+        """A step's slot (0 if none), whether it moves an active process (a
+        write, a local step or a pass), its key delta and its two memos."""
+        _, pid, inv, line, kind, reg, value, _, _, markers, outcome, _ = ev
+        slot = mem.names.index(reg) if reg else 0
+        return (slot, runtimes[rid][0] != PC_REMAINDER and (kind != "read" or outcome == "pass"),
+                (child - rid) << (pid * width),
+                store_memos[slot, value] if kind == "write" else None,
+                monitor_memos[pid, inv, line, kind, reg, value, markers]
+                if monitored(ev) else None)
+
+    work.intern(note)
+    runtimes = report.runtimes = work.runtime_ids.table
     mem, rids, valid = work.mem, work.rids, work.mem.valid
     root = [store_ids[tuple(mem.store)], *rids, monitor_ids[starts]]
     root_key = sum(f << (i * width) for i, f in enumerate(root))
@@ -198,37 +209,25 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                 mem.store[:] = stores[sid]
                 held = sid
             rids[p] = rid
-            ev = step(work, pid)
+            child_rid, ev, (slot, moves, delta, store_memo, monitor_memo) = step(work, pid)
             transitions += 1
-
-            child_rid = rids[p]
-            value = ev[6]
-            succ = successors.get((pid, rid, value))
-            if succ is None:
-                _, _, inv, line, kind, reg, _, _, _, markers, outcome, _ = ev
-                eid = (event_ids[pid, inv, line, kind, reg, value, markers]
-                       if monitored(ev) else None)
-                slot = mem.names.index(reg) if reg else 0
-                moves = rt[0] != PC_REMAINDER and (kind != "read" or outcome == "pass")
-                succ = successors[pid, rid, value] = (slot, kind == "write", eid, moves)
-            slot, wrote, eid, moves = succ
             if moves:
                 quiet = False
             valid[slot] = 0  # no process holds a copy before the next step
-            child = key + ((child_rid - rid) << (pid * width))
+            child = key + delta
             child_sid = sid
-            if wrote:
-                child_sid = writes.get((sid, slot, value))
+            if store_memo is not None:
+                child_sid = store_memo.get(sid)
                 if child_sid is None:
-                    child_sid = writes[sid, slot, value] = store_ids[tuple(mem.store)]
+                    child_sid = store_memo[sid] = store_ids[tuple(mem.store)]
                 held = child_sid  # the live store is now the child's
                 child += child_sid - sid
             child_mid = mid
-            if eid is not None:
-                hit = memo.get((mid, eid))
+            if monitor_memo is not None:
+                hit = monitor_memo.get(mid)
                 if hit is None:
                     after, hits = advance(mon_steps, monitor_states[mid], ev)
-                    hit = memo[mid, eid] = (monitor_ids[after], hits)
+                    hit = monitor_memo[mid] = (monitor_ids[after], hits)
                 child_mid, hits = hit
                 for i, culprits in hits:
                     add_violation(props[i], path_of(nid) + (pid,),

@@ -19,10 +19,11 @@ RMR ledger, and every RMR figure is a sum of them.
 is an id in a table the state owns, and `step` looks up all of a step
 but its access.  (pid, runtime id) gives the access, which is still
 made through the memory; (pid, runtime id, value accessed) gives the
-child runtime id and the event's fields.  A miss loads the runtime into
-the process's env and takes the plain step, which makes the access and
-is then recorded.  `run` steps plain states, which intern nothing:
-glb's tokens grow without bound over a long run.
+step's record, built once when the step is first taken: the child
+runtime id, the event, and the caller's note on it.  A miss loads the
+runtime into the process's env and takes the plain step, which makes
+the access and is then recorded.  `run` steps plain states, which
+intern nothing: glb's tokens grow without bound over a long run.
 
 The scheduler owns all interleaving; there are no real threads.
 """
@@ -196,7 +197,7 @@ class SystemState:
     """Global store, reader sets, and every process's runtime."""
 
     __slots__ = ("spec", "mem", "envs", "workload", "step_index",
-                 "runtime_ids", "rids", "rows")
+                 "runtime_ids", "rids", "rows", "note")
 
     def __init__(self, spec: AlgorithmSpec, workload: Workload):
         if workload.n != spec.n:
@@ -208,9 +209,9 @@ class SystemState:
         self.workload = workload
         self.step_index = 0
         # Interned mode only (see `intern`).
-        self.runtime_ids = self.rids = self.rows = None
+        self.runtime_ids = self.rids = self.rows = self.note = None
 
-    def intern(self) -> None:
+    def intern(self, note: Callable) -> None:
         """Switch this state to interned mode, the one `explore` steps in.
 
         Each runtime is then named by an id: `runtime_ids` maps each
@@ -219,18 +220,22 @@ class SystemState:
         id.  `rids` holds each process's current runtime id: the caller
         may set it before a step, and the step leaves the child's there.
         `envs` no longer follows the steps, nor does what reads it
-        (`exhausted`, `value_key`).
+        (`exhausted`, `value_key`), and `step_index` no longer counts them.
 
         A step is then memoized, and still makes its one access through
         the memory.  `rows[p]` maps a runtime id to the access process p
-        makes from it, and that row maps each value accessed to the child
-        runtime id and the event's fields.  When either row is missing,
-        the step loads the runtime into `envs[p]`, takes the plain step
-        and records what it did.
+        makes from it, and that row maps each value accessed to the step's
+        record: (child runtime id, event, note(event, runtime id, child
+        runtime id)).  When either row is missing, the step loads the
+        runtime into `envs[p]` and takes the plain step, whose record every
+        later hit returns.  The shared event has index 0, and its `rmr` is
+        right only if each step starts on empty reader sets, as the caller
+        keeps them.
         """
         self.runtime_ids = ids = Interned()
         self.rids = [ids[env.key()] for env in self.envs]
         self.rows = [{} for _ in self.envs]
+        self.note = note
 
     # -- liveness -------------------------------------------------------
 
@@ -268,7 +273,8 @@ class SystemState:
 def step(state: SystemState, pid: int) -> tuple:
     """Execute one atomic step of process pid; return its event, a plain
     tuple in `TraceEvent`'s field order.  On an interned state (see
-    `SystemState.intern`) the step is looked up, all but its access."""
+    `SystemState.intern`) the step is looked up, all but its access, and
+    returns its record: (child runtime id, event, note)."""
     p = pid - 1
     rows = state.rows
     if rows is not None:
@@ -278,24 +284,20 @@ def step(state: SystemState, pid: int) -> tuple:
         rid = state.rids[p]
         row = rows[p].get(rid)
         if row is not None:
-            kind, slot, value, reg, after = row
+            kind, slot, value, after = row
             mem = state.mem
-            rest = after.get(mem.store[slot] if kind == "read" else value)
-            if rest is not None:
+            record = after.get(mem.store[slot] if kind == "read" else value)
+            if record is not None:
                 if kind == "read":
-                    value, rmr = mem.read_slot(p, slot)
+                    mem.read_slot(p, slot)
                 elif kind == "write":
                     mem.write_slot(p, slot, value)
-                    rmr = True
-                else:
-                    rmr = False
-                state.rids[p], inv, line, exec_section, markers, outcome, target_j = rest
-                index = state.step_index
-                state.step_index = index + 1
-                return (index, pid, inv, line, kind, reg, value, rmr, exec_section, markers,
-                        outcome, target_j)
+                state.rids[p] = record[0]
+                return record
         # A miss: take the plain step from the runtime, and learn it.
+        # Explore has no trace order, so a learned event's index is 0.
         state.envs[p].load_key(state.runtime_ids.table[rid])
+        state.step_index = 0
 
     spec = state.spec
     env = state.envs[p]
@@ -306,8 +308,8 @@ def step(state: SystemState, pid: int) -> tuple:
     if env.pc == PC_REMAINDER:
         per_proc = state.workload.sessions[p]
         if env.inv + 1 >= len(per_proc):
-            return (index, pid, -1, 0, "noop", None, None, False, _REMAINDER, (),
-                    None, None)
+            ev = (index, pid, -1, 0, "noop", None, None, False, _REMAINDER, (), None, None)
+            return ev if rows is None else _learn(state, p, None, ev)
         # Zero-step transition out of the remainder: starting an invocation
         # immediately executes the first doorway instruction.
         env.inv += 1
@@ -341,25 +343,24 @@ def step(state: SystemState, pid: int) -> tuple:
         markers = ()
     ev = (index, pid, env.inv, line, kind, reg, value, rmr, exec_section, markers,
           outcome, target_j)
-    if rows is not None:
-        _learn(state, p, access, ev)
-    return ev
+    return ev if rows is None else _learn(state, p, access, ev)
 
 
-def _learn(state: SystemState, p: int, access, ev: tuple) -> None:
+def _learn(state: SystemState, p: int, access, ev: tuple) -> tuple:
     """Record the plain step 0-based process p just took on an interned
     state, given its access and event: the access row of its runtime id
-    if it is new, and in it the child runtime id and event fields of the
-    value accessed.  Leaves the child's runtime id in `rids[p]`."""
+    if it is new, and in it the record of the value accessed, which it
+    returns.  Leaves the child's runtime id in `rids[p]`."""
     rids, rows = state.rids, state.rows[p]
     rid = rids[p]
     row = rows.get(rid)
     if row is None:
         kind = ev[4]
         row = rows[rid] = (kind, 0 if access is None else access[1],
-                           ev[6] if kind == "write" else None, ev[5], {})
+                           ev[6] if kind == "write" else None, {})
     child = rids[p] = state.runtime_ids[state.envs[p].key()]
-    row[4][ev[6]] = (child, ev[2], ev[3], ev[8], ev[9], ev[10], ev[11])
+    record = row[3][ev[6]] = (child, ev, state.note(ev, rid, child))
+    return record
 
 
 def spins(spec: AlgorithmSpec, runtime: tuple, store, p: int) -> bool:

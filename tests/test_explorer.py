@@ -42,34 +42,43 @@ def test_step_is_a_function_of_runtime_and_value():
 
 
 def test_interned_step_matches_plain_step(monkeypatch):
-    # Every step from every reachable state, taken twice: plainly, from a
-    # freshly loaded state, and on one interned state that keeps its memo
+    # Every step from every reachable state, taken plainly from a freshly
+    # loaded state, and twice on one interned state that keeps its memo
     # across all of them, given the same store, reader sets and runtime.
-    # The two must make the same Memory calls, one per read or write
-    # step, and give the same event and the same child runtime, whether
-    # the memo's access row and value row hit or miss.
+    # Each interned step must make the same Memory calls as the plain
+    # one, one per read or write step, and its record must carry the
+    # plain event's fields and child runtime, whether the memo's access
+    # row and value row hit or miss.  The record's event is shared: the
+    # second step returns the same object, whose index is 0.
     monkeypatch.setattr(machine, "Memory", RecordingMemory)
     configs = [(spec, explored_workload()) for spec in explored_specs()]
     configs += [(build_glb(3), Workload([[1], [2], [1]])),
                 (build_bwbgme(3), Workload([[1], [1], [2]]))]
     for spec, wl in configs:
         interned = SystemState(spec, wl)
-        interned.intern()
+        interned.intern(lambda ev, rid, child: (rid, child))
         ids, mem = interned.runtime_ids, interned.mem
         steps = []
 
         def checked(state, pid):
             steps.append(pid)
             p = pid - 1
-            mem.store[:], mem.valid[:] = state.mem.store, state.mem.valid
-            interned.rids[p] = ids[state.envs[p].key()]
-            interned.step_index = state.step_index
+            store, valid, rid = state.mem.store[:], state.mem.valid[:], ids[state.envs[p].key()]
             state.mem.log.clear()
-            mem.log.clear()
             ev = step(state, pid)
-            assert step(interned, pid) == ev, (spec.name, pid)
-            assert ids.table[interned.rids[p]] == state.envs[p].key(), (spec.name, pid)
-            assert mem.log == state.mem.log, (spec.name, pid)
+            records = []
+            for _ in range(2):
+                mem.store[:], mem.valid[:] = store, valid
+                interned.rids[p] = rid
+                mem.log.clear()
+                records.append(step(interned, pid))
+                assert interned.rids[p] == records[-1][0], (spec.name, pid)
+                assert mem.log == state.mem.log, (spec.name, pid)
+            (child, shared, note), again = records
+            assert again[1] is shared and shared[0] == 0, (spec.name, pid)
+            assert shared[1:] == ev[1:], (spec.name, pid)
+            assert note == (rid, child), (spec.name, pid)
+            assert ids.table[child] == state.envs[p].key(), (spec.name, pid)
             assert len(mem.log) == (ev[4] in ("read", "write")), ev
             return ev
 
@@ -77,8 +86,57 @@ def test_interned_step_matches_plain_step(monkeypatch):
         # Both paths ran: some step found its access row learned and its
         # value row not (a row with two values), and most steps hit both.
         rows = [row for per_proc in interned.rows for row in per_proc.values()]
-        assert any(len(row[4]) > 1 for row in rows), spec.name
-        assert sum(len(row[4]) for row in rows) < len(steps) / 2, spec.name
+        assert any(len(row[3]) > 1 for row in rows), spec.name
+        assert sum(len(row[3]) for row in rows) < len(steps) / 2, spec.name
+
+
+def test_interned_step_of_a_finished_process_is_a_record():
+    # explore never steps a process past its last invocation, but an
+    # interned step of one still returns a record, learned and then hit:
+    # a noop that leaves its runtime as it was.
+    state = SystemState(build_glb(1), Workload([[1]]))
+    state.intern(lambda ev, rid, child: None)
+    kinds = []
+    while not kinds or kinds[-1] != "noop":
+        assert len(kinds) < 100, kinds
+        rid = state.rids[0]
+        child, ev, _ = record = step(state, 1)
+        kinds.append(ev[4])
+    assert child == rid and ev == (0, 1, -1, 0, "noop", None, None, False,
+                                   Section.REMAINDER, (), None, None)
+    assert step(state, 1) is record
+
+
+def test_explored_steps_start_on_empty_reader_sets(monkeypatch):
+    # A record's event is built once and returned by every step that
+    # hits it, so its `rmr` is right only because explore empties the
+    # reader set each step touched.  Every explored step must start on
+    # empty reader sets, and its event's kind, value and cost must be
+    # those of the one access its Memory call logged.
+    monkeypatch.setattr(machine, "Memory", RecordingMemory)
+    checked = Counter()
+
+    def recorded(state, pid):
+        mem = state.mem
+        assert not any(mem.valid), (pid, mem.valid)
+        mem.log.clear()
+        record = step(state, pid)
+        ev = record[1]
+        if ev[4] in ("read", "write"):
+            [(kind, slot, value, rmr)] = mem.log
+            assert (ev[4], ev[5], ev[6], ev[7]) == (kind, mem.names[slot], value, rmr), ev
+            checked[ev[4]] += 1
+        else:
+            assert not mem.log and not ev[7], ev
+        return record
+
+    monkeypatch.setattr(gmesim.explorer, "step", recorded)
+    for spec, sessions in ((build_glb(3), [[1], [2], [1]]),
+                           (build_bwbgme(3, WHITE), [[1], [1], [2]])):
+        checked.clear()
+        report = explore(spec, Workload(sessions))
+        assert report.clean, spec.name
+        assert checked["read"] and checked["write"], spec.name
 
 
 def test_each_explored_transition_is_one_step_and_one_access(monkeypatch):

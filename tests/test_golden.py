@@ -58,6 +58,8 @@ EXPLORE_DIGESTS = {
         0, 0, "f240ba821aa876780b7cd7b7bd49c7d90ed026e44720febae298744458bf33a9"),
     "bwbgme_mutant_guard.scn": (
         1, 135, "953002d2faa068541df3d2d8ce2c9008b9936410b4b2dc177d80de39b562953c"),
+    "bwbgme_mutant_me.scn": (
+        1, 892, "d2359c2fddd2d229ef090198b691ec27f89ce13ac0ecd080cbd056f564375cdf"),
     "glb_explore_n3.scn": (
         0, 0, "bb51a21726958a0deb04615c25b3069998b82ebde5618fdab9269b84f025d117"),
 }
