@@ -218,6 +218,18 @@ def test_doorway_is_bounded_and_exact():
                 assert len(own) == DOORWAY_STEPS[name](n)
 
 
+# Each section's lines in the paper's listings, as the algorithm modules'
+# docstrings give them.
+PAPER_LINES = {
+    "glb": {Section.DOORWAY: range(3, 7), Section.WAITING: range(7, 11),
+            Section.CS: range(11, 12), Section.EXIT: range(12, 14)},
+    "bwbgme": {Section.DOORWAY: range(3, 16), Section.WAITING: range(16, 24),
+               Section.CS: range(24, 25), Section.EXIT: range(25, 35)},
+    "bl": {Section.DOORWAY: range(1, 2), Section.WAITING: range(3, 11),
+           Section.CS: range(11, 12), Section.EXIT: range(12, 13)},
+}
+
+
 def test_step_makes_the_declared_access(monkeypatch):
     # In every reachable state, asking a step for its access changes
     # neither the runtime nor the store, and the step then makes exactly
@@ -225,6 +237,7 @@ def test_step_makes_the_declared_access(monkeypatch):
     # declared write, and the event reports its kind, register and value
     # (the value written, or the store's value read) with the cost the
     # memory charged.  A step that declares none is local and free.
+    # The event's line lies in its section's lines in the paper.
     # Every non-remainder pc of each algorithm must be stepped
     # somewhere, so no branch goes unchecked.
     monkeypatch.setattr(machine, "Memory", RecordingMemory)
@@ -247,6 +260,7 @@ def test_step_makes_the_declared_access(monkeypatch):
             declared.clear()
             stepped[spec.name].add(state.envs[pid - 1].pc or spec.entry_pc)
             ev = named(step(state, pid))
+            assert ev.line in PAPER_LINES[spec.name][ev.section], (spec.name, ev)
             [access] = declared
             if access is None:
                 assert not mem.log and mem.store == store
