@@ -10,7 +10,8 @@ Entry: set own bit (line 1, label L); scan lower-numbered processes
 that bit to clear (line 5), and goto L, which re-executes the bit-set
 write and restarts the downward scan from j=1.  Then wait on each
 higher-numbered bit in turn (line 10) without resetting the own bit.
-Exit is the single write Competing[i] := false (line 12).
+Exit is the single write Competing[i] := false (line 12).  So the
+doorway is line 1, the waiting room lines 3-10 and the CS line 11.
 
 block_counts counts, per process, how many times it transitions into
 waiting at line 5 or line 10, i.e. evaluations that came out false on
@@ -30,15 +31,6 @@ _WAIT_HIGH = 5  # wait until not Competing[j], j > i
 _CS = 6
 _EXIT = 7      # Competing[i] := false
 
-_SECTIONS = {
-    0: Section.REMAINDER,
-    _L1: Section.DOORWAY,
-    _DOWN: Section.WAITING, _RESET: Section.WAITING,
-    _WAIT_LOW: Section.WAITING, _WAIT_HIGH: Section.WAITING,
-    _CS: Section.CS,
-    _EXIT: Section.EXIT,
-}
-
 
 def build_bl(n: int) -> AlgorithmSpec:
     """Compile the algorithm for n processes into a step machine."""
@@ -54,14 +46,16 @@ def build_bl(n: int) -> AlgorithmSpec:
         else:
             env.pc = _WAIT_HIGH
 
-    access = {
-        _L1: lambda env, p: ("write", p, True),
-        _DOWN: lambda env, p: ("read", env.j - 1),
-        _RESET: lambda env, p: ("write", p, False),
-        _WAIT_LOW: lambda env, p: ("read", env.j - 1),
-        _WAIT_HIGH: lambda env, p: ("read", env.j - 1),
-        _CS: lambda env, p: None,
-        _EXIT: lambda env, p: ("write", p, False),
+    W = Section.WAITING
+    pcs = {
+        0: (Section.REMAINDER, None),
+        _L1: (Section.DOORWAY, lambda env, p: ("write", p, True)),
+        _DOWN: (W, lambda env, p: ("read", env.j - 1)),
+        _RESET: (W, lambda env, p: ("write", p, False)),
+        _WAIT_LOW: (W, lambda env, p: ("read", env.j - 1)),
+        _WAIT_HIGH: (W, lambda env, p: ("read", env.j - 1)),
+        _CS: (Section.CS, lambda env, p: None),
+        _EXIT: (Section.EXIT, lambda env, p: ("write", p, False)),
     }
 
     def step_fn(env, p, v):
@@ -118,9 +112,8 @@ def build_bl(n: int) -> AlgorithmSpec:
         n=n,
         registers=registers,
         entry_pc=_L1,
-        access=access,
+        pcs=pcs,
         step_fn=step_fn,
-        sections=dict(_SECTIONS),
         meta={},
     )
     spec.validate()

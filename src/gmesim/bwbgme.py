@@ -51,18 +51,6 @@ _X26 = 17        # opposite-color scan
 _X_FLIP = 18     # GlobalColor := opposite(mycolor)
 _X34 = 19        # Token[i] := (0, bottom, 0)
 
-_SECTIONS = {
-    0: Section.REMAINDER,
-    _D3: Section.DOORWAY, _D4: Section.DOORWAY, _D5: Section.DOORWAY,
-    _D6: Section.DOORWAY, _D8: Section.DOORWAY, _D13: Section.DOORWAY,
-    _D14: Section.DOORWAY, _D15: Section.DOORWAY,
-    _W17_CHOOSING: Section.WAITING, _W17_TOKEN: Section.WAITING,
-    _W18: Section.WAITING, _W19: Section.WAITING,
-    _W21_COLOR: Section.WAITING, _W21_TOKEN: Section.WAITING,
-    _CS: Section.CS,
-    _X25: Section.EXIT, _X26: Section.EXIT, _X_FLIP: Section.EXIT, _X34: Section.EXIT,
-}
-
 
 # A process reads mycolor from GlobalColor (line 5) before any exit step
 # asks for its opposite, so bottom has none.
@@ -110,26 +98,28 @@ def build_bwbgme(n: int, initial_color: str = WHITE, mutant: str = None) -> Algo
     def read_token_j(env, p):
         return ("read", tok0 + env.j - 1)
 
-    access = {
-        _D3: lambda env, p: ("write", tok0 + p, (env.mysession, BOTTOM, 0)),
-        _D4: lambda env, p: ("write", cho0 + p, True),
-        _D5: lambda env, p: ("read", gc_slot),
-        _D6: lambda env, p: None,
-        _D8: read_token_j,
-        _D13: lambda env, p: None,
-        _D14: lambda env, p: ("write", tok0 + p, (env.mysession, env.mycolor, env.mynumber)),
-        _D15: lambda env, p: ("write", cho0 + p, False),
-        _W17_CHOOSING: lambda env, p: ("read", cho0 + env.j - 1),
-        _W17_TOKEN: read_token_j,
-        _W18: read_token_j,
-        _W19: read_token_j,
-        _W21_COLOR: lambda env, p: ("read", gc_slot),
-        _W21_TOKEN: read_token_j,
-        _CS: lambda env, p: None,
-        _X25: lambda env, p: None,
-        _X26: read_token_j,
-        _X_FLIP: lambda env, p: ("write", gc_slot, opposite_color[env.mycolor]),
-        _X34: lambda env, p: ("write", tok0 + p, (0, BOTTOM, 0)),
+    D, W, X = Section.DOORWAY, Section.WAITING, Section.EXIT
+    pcs = {
+        0: (Section.REMAINDER, None),
+        _D3: (D, lambda env, p: ("write", tok0 + p, (env.mysession, BOTTOM, 0))),
+        _D4: (D, lambda env, p: ("write", cho0 + p, True)),
+        _D5: (D, lambda env, p: ("read", gc_slot)),
+        _D6: (D, lambda env, p: None),
+        _D8: (D, read_token_j),
+        _D13: (D, lambda env, p: None),
+        _D14: (D, lambda env, p: ("write", tok0 + p, (env.mysession, env.mycolor, env.mynumber))),
+        _D15: (D, lambda env, p: ("write", cho0 + p, False)),
+        _W17_CHOOSING: (W, lambda env, p: ("read", cho0 + env.j - 1)),
+        _W17_TOKEN: (W, read_token_j),
+        _W18: (W, read_token_j),
+        _W19: (W, read_token_j),
+        _W21_COLOR: (W, lambda env, p: ("read", gc_slot)),
+        _W21_TOKEN: (W, read_token_j),
+        _CS: (Section.CS, lambda env, p: None),
+        _X25: (X, lambda env, p: None),
+        _X26: (X, read_token_j),
+        _X_FLIP: (X, lambda env, p: ("write", gc_slot, opposite_color[env.mycolor])),
+        _X34: (X, lambda env, p: ("write", tok0 + p, (0, BOTTOM, 0))),
     }
 
     def step_fn(env, p, v):
@@ -252,9 +242,8 @@ def build_bwbgme(n: int, initial_color: str = WHITE, mutant: str = None) -> Algo
         n=n,
         registers=registers,
         entry_pc=_D3,
-        access=access,
+        pcs=pcs,
         step_fn=step_fn,
-        sections=dict(_SECTIONS),
         meta={"initial_color": initial_color, "mutant": mutant},
     )
     spec.validate()

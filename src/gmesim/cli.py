@@ -36,8 +36,7 @@ from .burns_lamport import block_counts
 from .errors import ConfigurationError, ScenarioError
 from .explorer import explore
 from .machine import Section, SystemState, Trace, run
-from .monitors import (CHECKS, FAIL, MONITORS, build_invocations, check_implications,
-                       max_token_number)
+from .monitors import CHECKS, MONITORS, build_invocations, check_implications, max_token_number
 from .scenario import LOWER_BOUNDS, Scenario, load_scenario
 
 EXIT_OK = 0
@@ -72,7 +71,7 @@ def _write_trace(trace: Trace, path: str) -> None:
             fh.write(json.dumps({
                 "record": "event", "index": index, "pid": pid, "inv": inv,
                 "line": line, "kind": kind, "reg": reg, "value": value,
-                "rmr": rmr, "section": section.value,
+                "rmr": rmr, "section": section.name.lower(),
                 "markers": list(markers), "outcome": outcome, "j": j,
             }) + "\n")
 
@@ -146,7 +145,7 @@ def cmd_run(args) -> int:
     for name, verdict in verdicts.items():
         mark = verdict.status.upper()
         extra = f"  ({verdict.detail})" if verdict.detail else ""
-        if verdict.status == FAIL and verdict.witness:
+        if not verdict.ok and verdict.witness:
             extra += f"  witness={verdict.witness}"
         print(f"  {name:<18} {mark}{extra}")
     stats = _rmr_stats(records)
@@ -162,7 +161,7 @@ def cmd_run(args) -> int:
     if args.trace_out:
         print(f"  trace              {args.trace_out}")
 
-    if any(v.status == FAIL for v in verdicts.values()) or result.deadlocked:
+    if not all(v.ok for v in verdicts.values()) or result.deadlocked:
         return EXIT_VIOLATION
     if not result.completed:
         return EXIT_TRUNCATED
@@ -197,7 +196,7 @@ def cmd_explore(args) -> int:
             print(f"    replay: {' '.join(map(str, v.path))}")
     print(f"  deadlock states: {report.deadlocks}")
 
-    if report.violation_count() or report.deadlocks:
+    if not report.clean:
         return EXIT_VIOLATION
     if report.truncated:
         return EXIT_TRUNCATED

@@ -35,16 +35,6 @@ _CS = 11
 _X12 = 12
 _X13 = 13
 
-_SECTIONS = {
-    0: Section.REMAINDER,
-    _D3: Section.DOORWAY, _D4: Section.DOORWAY, _D5_READ: Section.DOORWAY,
-    _D5_WRITE: Section.DOORWAY, _D6: Section.DOORWAY,
-    _W8_CHOOSING: Section.WAITING, _W8_SESSION: Section.WAITING,
-    _W9_OWN: Section.WAITING, _W9_TOKEN: Section.WAITING, _W9_SESSION: Section.WAITING,
-    _CS: Section.CS,
-    _X12: Section.EXIT, _X13: Section.EXIT,
-}
-
 
 def build_glb(n: int) -> AlgorithmSpec:
     """Compile the algorithm for n processes into a step machine."""
@@ -69,20 +59,22 @@ def build_glb(n: int) -> AlgorithmSpec:
         else:
             env.pc = _W8_CHOOSING
 
-    access = {
-        _D3: lambda env, p: ("write", cho0 + p, True),
-        _D4: lambda env, p: ("write", sess0 + p, env.mysession),
-        _D5_READ: lambda env, p: ("read", tok0 + env.j - 1),
-        _D5_WRITE: lambda env, p: ("write", tok0 + p, env.acc + 1),
-        _D6: lambda env, p: ("write", cho0 + p, False),
-        _W8_CHOOSING: lambda env, p: ("read", cho0 + env.j - 1),
-        _W8_SESSION: lambda env, p: ("read", sess0 + env.j - 1),
-        _W9_OWN: lambda env, p: ("read", tok0 + p),
-        _W9_TOKEN: lambda env, p: ("read", tok0 + env.j - 1),
-        _W9_SESSION: lambda env, p: ("read", sess0 + env.j - 1),
-        _CS: lambda env, p: None,
-        _X12: lambda env, p: ("write", tok0 + p, 0),
-        _X13: lambda env, p: ("write", sess0 + p, 0),
+    D, W, X = Section.DOORWAY, Section.WAITING, Section.EXIT
+    pcs = {
+        0: (Section.REMAINDER, None),
+        _D3: (D, lambda env, p: ("write", cho0 + p, True)),
+        _D4: (D, lambda env, p: ("write", sess0 + p, env.mysession)),
+        _D5_READ: (D, lambda env, p: ("read", tok0 + env.j - 1)),
+        _D5_WRITE: (D, lambda env, p: ("write", tok0 + p, env.acc + 1)),
+        _D6: (D, lambda env, p: ("write", cho0 + p, False)),
+        _W8_CHOOSING: (W, lambda env, p: ("read", cho0 + env.j - 1)),
+        _W8_SESSION: (W, lambda env, p: ("read", sess0 + env.j - 1)),
+        _W9_OWN: (W, lambda env, p: ("read", tok0 + p)),
+        _W9_TOKEN: (W, lambda env, p: ("read", tok0 + env.j - 1)),
+        _W9_SESSION: (W, lambda env, p: ("read", sess0 + env.j - 1)),
+        _CS: (Section.CS, lambda env, p: None),
+        _X12: (X, lambda env, p: ("write", tok0 + p, 0)),
+        _X13: (X, lambda env, p: ("write", sess0 + p, 0)),
     }
 
     def step_fn(env, p, v):
@@ -168,9 +160,8 @@ def build_glb(n: int) -> AlgorithmSpec:
         n=n,
         registers=registers,
         entry_pc=_D3,
-        access=access,
+        pcs=pcs,
         step_fn=step_fn,
-        sections=dict(_SECTIONS),
     )
     spec.validate()
     return spec

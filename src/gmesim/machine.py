@@ -1,10 +1,13 @@
 """Step-level execution of N asynchronous processes over shared memory.
 
 Each process is a small state machine compiled from an algorithm's
-pseudocode.  The algorithm declares each step's one shared access (or
-none) and moves the program counter given the value accessed; `step`
-makes the access in between, so a step makes at most one shared access
-and its event reports it, by construction.  Wait-until lines are
+pseudocode.  The algorithm declares each program counter once, as its
+section and the step's one shared access (or none), and moves the
+program counter given the value accessed; `step` makes the access in
+between, so a step makes at most one shared access and its event
+reports it, by construction.  A section is its own rank, the order in
+which an invocation passes through the sections, so the section a step
+lands in also says which markers it announces.  Wait-until lines are
 compiled to polling, where every evaluation re-reads its shared
 variables left to right with short-circuiting and a false outcome
 leaves the program counter at the wait line.  A process is blocked when
@@ -31,7 +34,7 @@ The scheduler owns all interleaving; there are no real threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .errors import ConfigurationError
@@ -40,16 +43,16 @@ from .memory import Memory, RegisterDecl
 PC_REMAINDER = 0
 
 
-class Section(Enum):
-    REMAINDER = "remainder"
-    DOORWAY = "doorway"
-    WAITING = "waiting"
-    CS = "cs"
-    EXIT = "exit"
+class Section(IntEnum):
+    """The part of an invocation a pc belongs to, valued by its rank: the
+    order in which an invocation passes through them, the remainder last.
+    Traces name a section in lower case (`section.name.lower()`)."""
 
-    # Members are singletons compared by identity; Enum's own __hash__
-    # hashes the name in Python on every rank lookup.
-    __hash__ = object.__hash__
+    DOORWAY = 1
+    WAITING = 2
+    CS = 3
+    EXIT = 4
+    REMAINDER = 5
 
 
 DOORWAY_START = "doorway-start"
@@ -58,16 +61,14 @@ CS_ENTER = "cs-enter"
 CS_EXIT = "cs-exit"
 EXIT_COMPLETE = "exit-complete"
 
-# The marker of section rank k is _MARKERS[k - 1].  A step's rank is that
-# of the section its pc lands in; every step starts inside the entry, CS
-# or exit code, so landing in the remainder completes the exit, rank 5.
-# A step announces the markers of the ranks above the highest one its
+# The marker of section rank k is _MARKERS[k - 1].  A step's rank is the
+# section its pc lands in; every step starts inside the entry, CS or exit
+# code, so landing in the remainder completes the exit, rank 5.  A step
+# announces the markers of the ranks above the highest one its
 # invocation announced so far, so each marker fires at most once per
 # invocation (a goto back into the doorway, as in Burns-Lamport, must
 # not announce the doorway again).
 _MARKERS = (DOORWAY_START, DOORWAY_COMPLETE, CS_ENTER, CS_EXIT, EXIT_COMPLETE)
-_RANK = {Section.DOORWAY: 1, Section.WAITING: 2, Section.CS: 3, Section.EXIT: 4,
-         Section.REMAINDER: 5}
 _REMAINDER = Section.REMAINDER
 
 
@@ -158,20 +159,22 @@ class ProcEnv:
 class AlgorithmSpec:
     """An algorithm compiled to a step-level state machine.
 
-    A step of 0-based process p whose env.pc is inside the entry/CS/exit
-    code has two halves that never see the memory.  access[env.pc](env, p)
-    names its one shared access: None, ("read", slot) or ("write", slot,
-    value).  step_fn(env, p, value) takes the value read or written (None
-    for a local step), moves env on and returns (line, outcome, target_j).
+    `pcs` declares each program counter once: pcs[pc] is (section,
+    access), and pc 0 is (Section.REMAINDER, None).  A step of 0-based
+    process p whose env.pc is inside the entry/CS/exit code belongs to
+    the section of that pc, and has two halves that never see the memory.
+    access(env, p) names its one shared access: None, ("read", slot) or
+    ("write", slot, value).  step_fn(env, p, value) takes the value read
+    or written (None for a local step), moves env on and returns (line,
+    outcome, target_j).
     """
 
     name: str
     n: int
     registers: list[RegisterDecl]
     entry_pc: int
-    access: dict[int, Callable]  # pc -> access(env, p) of the step at pc
+    pcs: dict[int, tuple]  # pc -> (section, access(env, p) of the step at pc)
     step_fn: Callable
-    sections: dict[int, Section]
     meta: dict = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -319,10 +322,9 @@ def step(state: SystemState, pid: int) -> tuple:
 
     # The event belongs to the section of the instruction it executed;
     # its markers are those of the section ranks it newly reached.
-    sections = spec.sections
-    pc = env.pc
-    exec_section = sections[pc]
-    access = spec.access[pc](env, p)
+    pcs = spec.pcs
+    section, declared = pcs[env.pc]
+    access = declared(env, p)
     if access is None:
         kind, reg, value, rmr = "local", None, None, False
     else:
@@ -335,13 +337,13 @@ def step(state: SystemState, pid: int) -> tuple:
             mem.write_slot(p, slot, value)
     line, outcome, target_j = spec.step_fn(env, p, value)
 
-    rank = _RANK[sections[env.pc]]
+    rank = pcs[env.pc][0]
     if rank > env.marks:
         markers = _MARKERS[env.marks:rank]
         env.marks = rank
     else:
         markers = ()
-    ev = (index, pid, env.inv, line, kind, reg, value, rmr, exec_section, markers,
+    ev = (index, pid, env.inv, line, kind, reg, value, rmr, section, markers,
           outcome, target_j)
     return ev if rows is None else _learn(state, p, access, ev)
 
@@ -375,11 +377,11 @@ def spins(spec: AlgorithmSpec, runtime: tuple, store, p: int) -> bool:
     """
     copy = ProcEnv()
     copy.load_key(runtime)
-    access, step_fn = spec.access, spec.step_fn
+    pcs, step_fn = spec.pcs, spec.step_fn
     seen = set()
     while (at := (copy.pc, copy.j)) not in seen:
         seen.add(at)
-        acc = access[copy.pc](copy, p)
+        acc = pcs[copy.pc][1](copy, p)
         if acc is None or acc[0] != "read":
             return False
         if step_fn(copy, p, store[acc[1]])[1] == "pass":

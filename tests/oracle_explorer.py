@@ -36,7 +36,7 @@ def crosscheck_reachable(spec, workload: Workload, *, max_states: int = 500_000,
 
     def predicates(st: SystemState) -> tuple:
         sessions = {env.mysession for env in st.envs
-                    if spec.sections[env.pc] is Section.CS}
+                    if spec.pcs[env.pc][0] is Section.CS}
         return (len(sessions) > 1, all_active_blocked(st))
 
     me0, dl0 = predicates(work)

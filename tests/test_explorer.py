@@ -3,9 +3,9 @@
 from collections import Counter
 
 import gmesim.explorer
-from gmesim import (WHITE, Scripted, Section, SystemState, Workload, bl_adversarial_schedule,
-                    bl_adversarial_workload, build_bl, build_bwbgme, build_glb,
-                    build_invocations, explore, machine, step)
+from gmesim import (BLACK, WHITE, Scripted, Section, SystemState, Workload,
+                    bl_adversarial_schedule, bl_adversarial_workload, build_bl, build_bwbgme,
+                    build_glb, build_invocations, explore, machine, step)
 from gmesim.machine import PC_REMAINDER, all_active_blocked
 from gmesim.monitors import FAIL, MONITORS, online_props, token_number
 from oracle_scans import all_active_blocked as full_scan
@@ -492,13 +492,47 @@ def test_guard_mutant_violation_found_and_replays():
         assert_witnesses_replay(spec, wl, report)
 
 
+# The bwbgme mutant kill matrix at N=2, the same in both colours.  The
+# configs in the order they are tried, smallest first.
+KILL_CONFIGS = ([[1], [1]], [[1], [2]], [[1, 1], [1]], [[1, 2], [1]], [[1, 1], [2]],
+                [[1], [1, 1]])
+# Per killed mutant: its first killing config, that report's state count
+# and its violations per property.
+KILLS = {"unconditional_flip": ([[1], [1]], 572, {"flip": 2}),
+         "no_number_guard": ([[1, 1], [1]], 1951, {"flip": 17})}
+# Mutants that no explored check kills on KILL_CONFIGS, with the reason
+# each stays listed.
+UNKILLED = {"no_opposite_scan": "clean on every config, but not state-equivalent to the "
+                                "algorithm ({1},{2}: 746 states against 750), so a check "
+                                "explore lacks may yet kill it"}
+
+
+def test_bwbgme_mutant_kill_matrix_at_n2():
+    for color in (WHITE, BLACK):
+        for config in KILL_CONFIGS:
+            for mutant in (None, *UNKILLED):
+                assert explore(build_bwbgme(2, color, mutant), Workload(config)).clean, \
+                    (mutant, color, config)
+        assert [explore(build_bwbgme(2, color, mutant), Workload([[1], [2]])).states
+                for mutant in (None, "no_opposite_scan")] == [750, 746]
+        for mutant, (killer, states, kills) in KILLS.items():
+            for config in KILL_CONFIGS[:KILL_CONFIGS.index(killer)]:
+                assert explore(build_bwbgme(2, color, mutant), Workload(config)).clean, \
+                    (mutant, color, config)
+            spec, wl = build_bwbgme(2, color, mutant), Workload(killer)
+            report = explore(spec, wl)
+            assert (report.states, report.deadlocks) == (states, 0), (mutant, color)
+            assert {prop: len(vs) for prop, vs in report.violations.items()} == kills
+            assert_witnesses_replay(spec, wl, report)
+
+
 def planted_skip_spec():
     """glb N=2 with a planted bug: P2 goes from its line-6 write straight
     to the CS, skipping the waiting room, so it can both overlap P1 in
     the CS and overtake it."""
     spec = build_glb(2)
     inner = spec.step_fn
-    cs_pc = next(pc for pc, section in spec.sections.items() if section is Section.CS)
+    cs_pc = next(pc for pc, (section, _) in spec.pcs.items() if section is Section.CS)
 
     def step_fn(env, p, value):
         out = inner(env, p, value)

@@ -74,7 +74,7 @@ def test_cs_implies_token_positive_and_session_set():
     while (pid := schedule.next(state)) is not None:
         step(state, pid)
         for p, env in enumerate(state.envs):
-            if spec.sections[env.pc] is Section.CS:
+            if spec.pcs[env.pc][0] is Section.CS:
                 assert token_of(state, p + 1) > 0
                 sess = state.mem.store[state.mem.names.index(f"Session[{p + 1}]")]
                 assert sess == env.mysession

@@ -218,8 +218,7 @@ def test_doorway_is_bounded_and_exact():
                 assert len(own) == DOORWAY_STEPS[name](n)
 
 
-# Each section's lines in the paper's listings, as the algorithm modules'
-# docstrings give them.
+# Each section's lines in the paper's listings of the three algorithms.
 PAPER_LINES = {
     "glb": {Section.DOORWAY: range(3, 7), Section.WAITING: range(7, 11),
             Section.CS: range(11, 12), Section.EXIT: range(12, 14)},
@@ -274,10 +273,11 @@ def test_step_makes_the_declared_access(monkeypatch):
             assert (logged, logged_slot, value) == (kind, slot, store[slot]), (spec.name, access)
             assert (ev.kind, ev.reg, ev.value, ev.rmr) == (kind, mem.names[slot], value, rmr)
 
-        spec.access = {pc: spy(access) for pc, access in spec.access.items()}
+        spec.pcs = {pc: (section, access and spy(access))
+                    for pc, (section, access) in spec.pcs.items()}
         crosscheck_reachable(spec, explored_workload(), take_step=take_step)
     for spec in explored_specs():
-        assert stepped[spec.name] == set(spec.sections) - {PC_REMAINDER}, spec.name
+        assert stepped[spec.name] == set(spec.pcs) - {PC_REMAINDER}, spec.name
 
 
 def test_every_write_matches_its_register_kind(monkeypatch):
