@@ -37,7 +37,7 @@ from .errors import ConfigurationError, ScenarioError
 from .explorer import explore
 from .machine import Section, SystemState, Trace, run
 from .monitors import CHECKS, MONITORS, build_invocations, check_implications, max_token_number
-from .scenario import LOWER_BOUNDS, Scenario, load_scenario
+from .scenario import Scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -92,18 +92,22 @@ def _write_run_csv(path: str, scenario: Scenario, records) -> None:
                         int(r.xc is not None)])
 
 
-def _check_bound(key: str, flag: str, value) -> None:
-    """A command-line flag, if given, obeys the bound of the scenario
-    file's key it stands for."""
-    if value is not None and value < LOWER_BOUNDS[key]:
-        raise ConfigurationError(f"{flag} must be >= {LOWER_BOUNDS[key]}")
+# The flag that sets each scenario key on the command line.
+FLAGS = {"n": "--sizes", "seed": "--seed", "fairness_window": "--fairness-window",
+         "cs_steps": "--cs-steps", "step_cap": "--steps", "max_states": "--max-states",
+         "max_depth": "--max-depth"}
 
 
-def _override(scenario: Scenario, key: str, flag: str, value) -> None:
-    """Set a scenario value from a command-line flag, if given."""
-    _check_bound(key, flag, value)
-    if value is not None:
-        setattr(scenario, key, value)
+def _override(scenario: Scenario, **values) -> None:
+    """Set each scenario key whose flag was given, then check the
+    scenario, naming each key by its flag."""
+    for key, value in values.items():
+        if value is not None:
+            setattr(scenario, key, value)
+
+    def fail(key, message):
+        raise ConfigurationError(message)
+    scenario.check(fail, lambda key: FLAGS.get(key, key))
 
 
 def _run_scenario(scenario: Scenario, keep_events: bool = False):
@@ -125,8 +129,7 @@ def _run_scenario(scenario: Scenario, keep_events: bool = False):
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    _override(scenario, "seed", "--seed", args.seed)
-    _override(scenario, "step_cap", "--steps", args.steps)
+    _override(scenario, seed=args.seed, step_cap=args.steps)
 
     result, records = _run_scenario(scenario, keep_events=bool(args.trace_out))
     trace = result.trace
@@ -170,8 +173,7 @@ def cmd_run(args) -> int:
 
 def cmd_explore(args) -> int:
     scenario = load_scenario(args.scenario)
-    _override(scenario, "max_states", "--max-states", args.max_states)
-    _override(scenario, "max_depth", "--max-depth", args.max_depth)
+    _override(scenario, max_states=args.max_states, max_depth=args.max_depth)
 
     spec = scenario.build_spec()
     workload = scenario.build_workload()
@@ -236,27 +238,26 @@ def cmd_sweep(args) -> int:
             f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigurationError(f"--sizes must be strictly ascending, got {args.sizes!r}")
-    least = 2 if args.schedule == "adversarial" else 1
-    if sizes[0] < least:
-        raise ConfigurationError(f"--sizes must be >= {least}, got {args.sizes!r}")
-    _check_bound("step_cap", "--steps", args.steps)
-    _check_bound("cs_steps", "--cs-steps", args.cs_steps)
     for flag in ("seeds", "invocations", "workers"):
         if getattr(args, flag) < 1:
             raise ConfigurationError(f"--{flag} must be >= 1")
-    if args.fairness_window is not None and args.fairness_window < max(sizes):
-        raise ConfigurationError(f"--fairness-window {args.fairness_window} < n={max(sizes)}")
+    adversarial = args.schedule == "adversarial"
+    scenarios = []
+    for n in sizes:
+        # An adversarial row runs the scenario `run` reads from a file, so
+        # it has the same hash; a random row names the window it runs.
+        invocations = 1 if adversarial else args.invocations
+        scenario = Scenario(args.algorithm, n, schedule=args.schedule,
+                            sessions={pid: [pid] * invocations for pid in range(1, n + 1)},
+                            fairness_window=None if adversarial else 4 * n)
+        _override(scenario, fairness_window=args.fairness_window,
+                  cs_steps=args.cs_steps, step_cap=args.steps)
+        scenarios.append(scenario)
     rows = []
     truncated = False
 
-    if args.schedule == "adversarial":
-        if args.algorithm != "bl":
-            raise ConfigurationError("adversarial sweeps only drive bl")
-        for n in sizes:
-            # The same scenario `run` reads from a file, so the same hash.
-            scenario = Scenario(algorithm="bl", n=n, schedule="adversarial",
-                                sessions={pid: [pid] for pid in range(1, n + 1)},
-                                cs_steps=args.cs_steps, step_cap=args.steps)
+    if adversarial:
+        for n, scenario in zip(sizes, scenarios):
             result, records = _run_scenario(scenario)
             truncated |= not result.completed
             totals = block_counts(n, records)
@@ -270,12 +271,7 @@ def cmd_sweep(args) -> int:
                   f"P{n}_blocks={row['pn_blocks']}")
         header = ["config_hash", "algorithm", "n", "total_rmr", "pn_blocks", "events"]
     else:
-        for n in sizes:
-            window = 4 * n if args.fairness_window is None else args.fairness_window
-            scenario = Scenario(
-                algorithm=args.algorithm, n=n, schedule="random",
-                sessions={pid: [pid] * args.invocations for pid in range(1, n + 1)},
-                fairness_window=window, cs_steps=args.cs_steps, step_cap=args.steps)
+        for n, scenario in zip(sizes, scenarios):
             jobs = [dataclasses.replace(scenario, seed=seed) for seed in range(args.seeds)]
             if args.workers > 1:
                 # Imported here, so no other command pays for importing it.

@@ -85,10 +85,8 @@ class ExplorationReport:
     transitions: int = 0
     max_depth: int = 0
     violations: dict = field(default_factory=dict)  # prop -> [Violation]
-    deadlocks: int = 0
     max_token: int = 0  # the largest token number a Token register held
-    truncated: bool = False
-    truncation_reason: str = ""
+    truncation_reason: str = ""  # the cap that stopped the search, if one did
     # The state table, by state id (0 is the initial state).  keys is the
     # visited dict in id order, each key an int packing (store id, runtime
     # id of P1..Pn, monitor-state id), field i at shift i*width; parent and
@@ -116,8 +114,16 @@ class ExplorationReport:
         return sum(len(v) for v in self.violations.values())
 
     @property
+    def deadlocks(self) -> int:
+        return self.violation_count("deadlock")
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncation_reason != ""
+
+    @property
     def clean(self) -> bool:
-        return self.violation_count() == 0 and self.deadlocks == 0
+        return self.violation_count() == 0
 
 
 def _typecode(bound: int) -> str:
@@ -237,12 +243,10 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             if child in ids:
                 continue
             if len(ids) >= max_states:
-                report.truncated = True
                 report.truncation_reason = "max_states"
                 continue
             child_depth = depth + 1
             if max_depth is not None and child_depth > max_depth:
-                report.truncated = True
                 report.truncation_reason = "max_depth"
                 continue
             cid = len(ids)
@@ -264,7 +268,6 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                 stuck = blocked[value_key] = all_active_blocked(
                     spec, stores[sid], (runtimes[r] for r in fields[1:-1]))
             if stuck:
-                report.deadlocks += 1
                 add_violation("deadlock", path_of(nid), "every active process is blocked")
 
     report.states = len(ids)

@@ -15,10 +15,12 @@ Example::
     sessions[2] = 2
     sessions[3] = 1
 
-Unknown keys, malformed values, and fields that do not belong to the
-chosen algorithm are rejected with the offending line number.  What a
-run is checked for follows from the algorithm alone
-(`gmesim.monitors.CHECKS`), so there is no key to choose monitors.
+Unknown keys, malformed values, values out of bounds, and keys that the
+chosen algorithm or schedule does not read (a seed outside `random`, a
+colour outside bwbgme) are rejected with the offending line number;
+`Scenario.check` states each rule once.  What a run is checked for
+follows from the algorithm alone (`gmesim.monitors.CHECKS`), so there
+is no key to choose monitors.
 """
 
 from __future__ import annotations
@@ -40,9 +42,25 @@ HEADER = "gmesim-scenario v1"
 ALGORITHMS = ("glb", "bwbgme", "bl")
 SCHEDULES = ("round_robin", "random", "scripted", "adversarial")
 
-# The integer keys other than n, each read over the Scenario's default.
-_INT_KEYS = ("seed", "fairness_window", "cs_steps", "step_cap", "max_states",
-             "max_depth")
+# Each setting but the sessions, once: the values it may take (its
+# lowest value, or its choices; None where a rule in Scenario.check
+# relates it to n) and the algorithm or schedule that reads it (None:
+# every one).  A setting that the scenario's algorithm or schedule does
+# not read must keep its default.
+SETTINGS = {
+    "algorithm": (ALGORITHMS, None),
+    "n": (1, None),
+    "schedule": (SCHEDULES, None),
+    "seed": (0, "random"),
+    "fairness_window": (None, "random"),
+    "initial_color": ((None, BLACK, WHITE), "bwbgme"),
+    "mutant": (MUTANTS, "bwbgme"),
+    "cs_steps": (0, None),
+    "step_cap": (0, None),
+    "max_states": (1, None),
+    "max_depth": (0, None),
+    "script": (None, "scripted"),
+}
 
 
 @dataclass
@@ -86,9 +104,8 @@ class Scenario:
                  "monitors = default"]
         # An explore cap is named only when it differs from its default,
         # so every uncapped scenario keeps its hash.
-        defaults = {f.name: f.default for f in fields(self)}
         for cap in ("max_states", "max_depth"):
-            if getattr(self, cap) != defaults[cap]:
+            if getattr(self, cap) != _DEFAULTS[cap]:
                 lines.append(f"{cap} = {getattr(self, cap)}")
         for pid in sorted(self.sessions):
             lines.append(f"sessions[{pid}] = {' '.join(map(str, self.sessions[pid]))}")
@@ -116,10 +133,52 @@ class Scenario:
             return Scripted(self.script)
         return bl_adversarial_schedule(self.n, cs_steps=self.cs_steps)
 
+    def check(self, fail, name=lambda key: key) -> None:
+        """Reject a setting that breaks a rule: fail(key, message) raises
+        for the key at fault, and name(key) is how a message names a key
+        (a file names it by itself, the command line by its flag)."""
+        for key, (allowed, reader) in SETTINGS.items():
+            value = getattr(self, key)
+            if isinstance(allowed, int) and value is not None and value < allowed:
+                fail(key, f"{name(key)} must be >= {allowed}")
+            if isinstance(allowed, tuple) and value not in allowed:
+                fail(key, "initial_color must be black or white" if key == "initial_color"
+                     else f"unknown {key} {value!r}")
+            if reader not in (None, self.algorithm, self.schedule) and value != _DEFAULTS[key]:
+                where = f"the {reader} schedule" if reader in SCHEDULES else reader
+                fail(key, f"{name(key)} applies only to {where}")
 
-# The smallest value each integer setting takes, in a scenario file or
-# as a command-line override.
-LOWER_BOUNDS = {"seed": 0, "cs_steps": 0, "step_cap": 0, "max_states": 1, "max_depth": 0}
+        n = self.n
+        for pid, sessions in self.sessions.items():
+            if not 1 <= pid <= n:
+                fail(f"sessions[{pid}]", f"process index {pid} outside 1..{n}")
+            if any(s <= 0 for s in sessions):
+                fail(f"sessions[{pid}]", "session numbers must be positive")
+        for pid in self.script:
+            if not 1 <= pid <= n:
+                fail("script", f"script pid {pid} outside 1..{n}")
+        if self.schedule == "scripted" and not self.script:
+            fail("script", "schedule = scripted requires a script")
+        if self.schedule == "adversarial":
+            # The adversarial pid sequence is computed for bl with exactly one
+            # invocation per process; on any other workload it drives some
+            # other run, or stops before the work is done.
+            if self.algorithm != "bl":
+                fail("schedule", "the adversarial schedule only drives bl")
+            if n < 2:
+                fail("schedule", f"the adversarial schedule needs {name('n')} >= 2")
+            for pid in range(1, n + 1):
+                if pid not in self.sessions:
+                    fail("schedule",
+                         f"the adversarial schedule needs sessions[{pid}] (one invocation)")
+                if len(self.sessions[pid]) != 1:
+                    fail(f"sessions[{pid}]",
+                         "the adversarial schedule needs exactly one invocation per process")
+        if self.fairness_window is not None and self.fairness_window < n:
+            fail("fairness_window", f"{name('fairness_window')} must be >= n = {n}")
+
+
+_DEFAULTS = {f.name: f.default for f in fields(Scenario)}
 
 
 def _fail(lineno: int, msg: str):
@@ -160,92 +219,32 @@ def parse_scenario(text: str) -> Scenario:
         values[key] = value
         lineno_of[key] = lineno
 
-    def pop_int(key: str, default=None):
-        if key not in values:
-            return default
-        try:
-            return int(values.pop(key))
-        except ValueError:
-            _fail(lineno_of[key], f"{key} must be an integer")
-
-    algorithm = values.pop("algorithm", None)
-    if algorithm is None:
-        _fail(1, "missing required key 'algorithm'")
-    if algorithm not in ALGORITHMS:
-        _fail(lineno_of["algorithm"], f"unknown algorithm {algorithm!r}")
-    n = pop_int("n")
-    if n is None:
-        _fail(1, "missing required key 'n'")
-    if n < 1:
-        _fail(lineno_of["n"], "n must be >= 1")
-
-    sc = Scenario(algorithm=algorithm, n=n, sessions=sessions)
-
-    if "schedule" in values:
-        sched = values.pop("schedule")
-        if sched not in SCHEDULES:
-            _fail(lineno_of["schedule"], f"unknown schedule {sched!r}")
-        sc.schedule = sched
-    for key in _INT_KEYS:
-        setattr(sc, key, pop_int(key, getattr(sc, key)))
-    for key, low in LOWER_BOUNDS.items():
-        if getattr(sc, key) is not None and getattr(sc, key) < low:
-            _fail(lineno_of[key], f"{key} must be >= {low}")
-
-    if "initial_color" in values:
-        color = values.pop("initial_color")
-        if color not in (BLACK, WHITE):
-            _fail(lineno_of["initial_color"], f"initial_color must be black or white")
-        if algorithm != "bwbgme":
-            _fail(lineno_of["initial_color"], "initial_color applies only to bwbgme")
-        sc.initial_color = color
-    if "mutant" in values:
-        mutant = values.pop("mutant")
-        if mutant in ("none", ""):
-            mutant = None
-        if mutant not in MUTANTS:
-            _fail(lineno_of["mutant"], f"unknown mutant {mutant!r}")
-        if algorithm != "bwbgme" and mutant is not None:
-            _fail(lineno_of["mutant"], "mutant applies only to bwbgme")
-        sc.mutant = mutant
-    if "script" in values:
-        try:
-            sc.script = tuple(int(tok) for tok in values.pop("script").split())
-        except ValueError:
-            _fail(lineno_of["script"], "script must be a list of pids")
-
+    settings: dict = {}
+    for f in fields(Scenario):
+        if f.name not in SETTINGS or f.name not in values:
+            continue
+        value = values.pop(f.name)
+        if f.type in ("int", "Optional[int]"):
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(lineno_of[f.name], f"{f.name} must be an integer")
+        elif f.name == "script":
+            try:
+                value = tuple(int(tok) for tok in value.split())
+            except ValueError:
+                _fail(lineno_of["script"], "script must be a list of pids")
+        elif f.name == "mutant" and value in ("none", ""):
+            value = None
+        settings[f.name] = value
     for key in values:
         _fail(lineno_of[key], f"unknown key {key!r}")
+    for key in ("algorithm", "n"):
+        if key not in settings:
+            _fail(1, f"missing required key {key!r}")
 
-    for pid in sessions:
-        if not 1 <= pid <= n:
-            _fail(lineno_of[f"sessions[{pid}]"], f"process index {pid} outside 1..{n}")
-        for s in sessions[pid]:
-            if s <= 0:
-                _fail(lineno_of[f"sessions[{pid}]"], "session numbers must be positive")
-
-    for pid in sc.script:
-        if not 1 <= pid <= n:
-            _fail(lineno_of["script"], f"script pid {pid} outside 1..{n}")
-    if sc.schedule == "scripted" and not sc.script:
-        _fail(1, "schedule = scripted requires a script")
-    if sc.schedule == "adversarial":
-        # The adversarial pid sequence is computed for bl with exactly one
-        # invocation per process; on any other workload it drives some
-        # other run, or stops before the work is done.
-        if algorithm != "bl":
-            _fail(lineno_of["schedule"], "the adversarial schedule only drives bl")
-        if n < 2:
-            _fail(lineno_of["schedule"], "the adversarial schedule needs n >= 2")
-        for pid in range(1, n + 1):
-            if pid not in sessions:
-                _fail(lineno_of["schedule"],
-                      f"the adversarial schedule needs sessions[{pid}] (one invocation)")
-            if len(sessions[pid]) != 1:
-                _fail(lineno_of[f"sessions[{pid}]"],
-                      "the adversarial schedule needs exactly one invocation per process")
-    if sc.fairness_window is not None and sc.fairness_window < n:
-        _fail(lineno_of["fairness_window"], f"fairness_window must be >= n = {n}")
+    sc = Scenario(sessions=sessions, **settings)
+    sc.check(lambda key, message: _fail(lineno_of.get(key, 1), message))
     return sc
 
 

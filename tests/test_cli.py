@@ -262,6 +262,9 @@ def test_overrides_obey_the_scenario_bounds(tmp_path, capsys):
                            "--steps must be >= 0"),
                           (["run", "--scenario", run_scn, "--seed", "-1"],
                            "--seed must be >= 0"),
+                          # the round-robin schedule never reads a seed
+                          (["run", "--scenario", run_scn, "--seed", "5"],
+                           "--seed applies only to the random schedule"),
                           (["explore", "--scenario", explore_scn, "--max-states", "0"],
                            "--max-states must be >= 1"),
                           (["explore", "--scenario", explore_scn, "--max-depth", "-1"],
@@ -303,7 +306,12 @@ def test_sweep_rejects_bad_flags(capsys):
     assert main(["sweep", "--algorithm", "bl", "--schedule", "adversarial",
                  "--sizes", "1,2"]) == 2
     assert capsys.readouterr().err \
-        == "error: --sizes must be >= 2, got '1,2'\n"
+        == "error: the adversarial schedule needs --sizes >= 2\n"
+    # and it reads no fairness window
+    assert main(["sweep", "--algorithm", "bl", "--schedule", "adversarial",
+                 "--sizes", "2", "--fairness-window", "8"]) == 2
+    assert capsys.readouterr().err \
+        == "error: --fairness-window applies only to the random schedule\n"
     assert main(["sweep", "--algorithm", "glb", "--sizes", "1", "--seeds", "1"]) == 0
     # the bounds themselves are accepted
     assert main(["sweep", "--algorithm", "glb", "--sizes", "2", "--seeds", "1",
@@ -342,8 +350,8 @@ def test_sweep_rejects_bad_counts_and_window(tmp_path, capsys):
     sweep = ["sweep", "--algorithm", "glb", "--sizes", "2,4", "--seeds", "2"]
     for extra, message in ((["--seeds", "0"], "--seeds must be >= 1"),
                            (["--invocations", "0"], "--invocations must be >= 1"),
-                           (["--fairness-window", "0"], "--fairness-window 0 < n=4"),
-                           (["--fairness-window", "3"], "--fairness-window 3 < n=4")):
+                           (["--fairness-window", "0"], "--fairness-window must be >= n = 2"),
+                           (["--fairness-window", "3"], "--fairness-window must be >= n = 4")):
         csv_path = tmp_path / "sweep.csv"
         assert main(sweep + extra + ["--csv-out", str(csv_path)]) == 2, extra
         out, errors = capsys.readouterr()
@@ -388,7 +396,7 @@ def test_run_bl_adversarial_block_table(tmp_path, capsys):
 
 def test_usage_error_exit_2(capsys):
     assert main(["sweep", "--algorithm", "glb", "--schedule", "adversarial"]) == 2
-    assert capsys.readouterr().err == "error: adversarial sweeps only drive bl\n"
+    assert capsys.readouterr().err == "error: the adversarial schedule only drives bl\n"
 
 
 def test_sweep_workers_flag(tmp_path):

@@ -1,10 +1,16 @@
 """Scenario file parsing and validation."""
 
-import pytest
+import dataclasses
 
-from gmesim import parse_scenario
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gmesim import Scenario, parse_scenario
+from gmesim.bwbgme import MUTANTS
 from gmesim.cli import main
 from gmesim.errors import ScenarioError
+from gmesim.scenario import ALGORITHMS, SCHEDULES
 
 GOOD = """gmesim-scenario v1
 algorithm = bwbgme
@@ -53,6 +59,75 @@ def test_config_hash_resolves_the_initial_color():
     unset = parse_scenario(GOOD.replace("initial_color = black\n", ""))
     assert white.config_hash == unset.config_hash
     assert parse_scenario(GOOD).config_hash != unset.config_hash
+
+
+@st.composite
+def scenarios(draw, algorithm=None, schedule=None, n=None):
+    """A valid Scenario: each key that depends on the algorithm or the
+    schedule is drawn only where they read it.  The algorithm, schedule
+    and n are drawn too, unless given."""
+    algorithm = algorithm or draw(st.sampled_from(ALGORITHMS))
+    schedule = schedule or draw(st.sampled_from(
+        SCHEDULES if algorithm == "bl" else SCHEDULES[:-1]))
+    n = n or draw(st.integers(2 if schedule == "adversarial" else 1, 5))
+    pids = range(1, n + 1)
+    if schedule == "adversarial":
+        sessions = {pid: [draw(st.integers(1, 4))] for pid in pids}
+    else:
+        sessions = draw(st.dictionaries(st.sampled_from(pids),
+                                        st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    random, bwbgme = schedule == "random", algorithm == "bwbgme"
+    return Scenario(
+        algorithm, n, sessions, schedule,
+        seed=draw(st.integers(0, 2**31)) if random else 0,
+        fairness_window=draw(st.none() | st.integers(n, 4 * n + 2)) if random else None,
+        initial_color=draw(st.sampled_from([None, "black", "white"])) if bwbgme else None,
+        mutant=draw(st.sampled_from(MUTANTS)) if bwbgme else None,
+        cs_steps=draw(st.integers(0, 3)),
+        step_cap=draw(st.sampled_from([0, 1000, 1_000_000])),
+        max_states=draw(st.sampled_from([1, 40, 2_000_000])),
+        max_depth=draw(st.sampled_from([None, 0, 12])),
+        script=(tuple(draw(st.lists(st.sampled_from(pids), min_size=1, max_size=6)))
+                if schedule == "scripted" else ()))
+
+
+def scenario_text(sc) -> str:
+    """The scenario file that sets each of sc's fields that has a value."""
+    lines = ["gmesim-scenario v1"]
+    for f in dataclasses.fields(sc):
+        value = getattr(sc, f.name)
+        if f.name == "sessions":
+            lines += [f"sessions[{pid}] = {' '.join(map(str, s))}" for pid, s in value.items()]
+        elif f.name == "script" and value:
+            lines.append(f"script = {' '.join(map(str, value))}")
+        elif value not in (None, ()):
+            lines.append(f"{f.name} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def same_configuration(a, b) -> bool:
+    """Equal fields, an explicit white counting as an unset colour."""
+    def resolved(sc):
+        color = None if sc.initial_color == "white" else sc.initial_color
+        return dataclasses.replace(sc, initial_color=color)
+    return resolved(a) == resolved(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_config_hash_names_one_configuration(data):
+    sc = data.draw(scenarios())
+    parsed = parse_scenario(scenario_text(sc))
+    assert parsed == sc and parsed.config_hash == sc.config_hash
+    # another scenario, and sc with one key drawn again under its
+    # algorithm, schedule and n
+    other = data.draw(scenarios())
+    key = data.draw(st.sampled_from(
+        [f.name for f in dataclasses.fields(sc) if f.name not in ("algorithm", "schedule", "n")]))
+    again = data.draw(scenarios(sc.algorithm, sc.schedule, sc.n))
+    one_key = dataclasses.replace(sc, **{key: getattr(again, key)})
+    for b in (other, one_key):
+        assert (b.config_hash == sc.config_hash) == same_configuration(sc, b), (sc, b)
 
 
 def err(text):
@@ -121,6 +196,7 @@ def test_out_of_range_values_rejected_with_line_number():
 
 
 GLB = GOOD.replace("algorithm = bwbgme", "algorithm = glb").replace("initial_color = black\n", "")
+ROUND_ROBIN = GOOD.replace("schedule = random", "schedule = round_robin")
 
 
 @pytest.mark.parametrize("text, message, lineno", [
@@ -141,6 +217,11 @@ GLB = GOOD.replace("algorithm = bwbgme", "algorithm = glb").replace("initial_col
     (GOOD + "mutant = no_guard\n", "unknown mutant 'no_guard'", 13),
     (GLB + "mutant = no_number_guard\n", "mutant applies only to bwbgme", 12),
     (GOOD + "script = 1 two\n", "script must be a list of pids", 13),
+    # a key that the chosen schedule never reads would only change the hash
+    (ROUND_ROBIN, "seed applies only to the random schedule", 5),
+    (ROUND_ROBIN.replace("seed = 9\n", ""),
+     "fairness_window applies only to the random schedule", 5),
+    (GOOD + "script = 1 2\n", "script applies only to the scripted schedule", 13),
 ])
 def test_bad_input_rejected_with_its_line(text, message, lineno):
     error = err(text)
@@ -159,12 +240,14 @@ def test_window_must_cover_n():
 
 
 def test_scripted_needs_script():
-    bad = GOOD.replace("schedule = random", "schedule = scripted")
+    bad = GOOD.replace("schedule = random", "schedule = scripted").replace(
+        "seed = 9\nfairness_window = 12\n", "")
     assert "script" in str(err(bad))
 
 
 def test_adversarial_only_for_bl():
-    bad = GOOD.replace("schedule = random", "schedule = adversarial")
+    bad = GOOD.replace("schedule = random", "schedule = adversarial").replace(
+        "seed = 9\nfairness_window = 12\n", "")
     assert "adversarial" in str(err(bad))
 
 
