@@ -5,20 +5,8 @@ Exit status: 0 all checks pass, 1 property violation or deadlock,
 written (a missing file, a directory, a closed standard output), 3 the
 run or search stopped early.
 
-CSV schemas (stable, one header row per file):
-
-run --csv-out, one row per invocation:
-    config_hash, algorithm, n, seed, pid, inv, session,
-    rmr_doorway, rmr_waiting, rmr_exit, rmr_total,
-    entry_steps, exit_accesses, blocked, completed
-
-sweep --csv-out (random schedules), one row per (algorithm, n):
-    config_hash, algorithm, n, seeds, invocations,
-    max_inv_rmr, mean_inv_rmr, max_doorway_rmr, max_waiting_rmr,
-    max_exit_rmr, runs
-
-sweep --csv-out (adversarial bl), one row per n:
-    config_hash, algorithm, n, total_rmr, pn_blocks, events
+The CSV schemas are stable: one header row per file, naming the
+columns each writer below writes (README, "Output formats", lists them).
 """
 
 from __future__ import annotations
@@ -209,7 +197,7 @@ def _sweep_config_hash(scenario: Scenario, seeds: int) -> str:
     """Hash of a random sweep row: its seed-0 scenario plus the seed count.
 
     The scenario carries every other input of the row's runs (sessions
-    and invocations, cs_steps, the resolved fairness window, the step
+    and invocations, cs_steps, the fairness window, the step
     cap), so two sweeps share a hash only if they ran the same jobs.
     """
     text = f"{scenario.canonical_text()}\nseeds = {seeds}"
@@ -238,18 +226,22 @@ def cmd_sweep(args) -> int:
             f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigurationError(f"--sizes must be strictly ascending, got {args.sizes!r}")
+    adversarial = args.schedule == "adversarial"
+    # An adversarial sweep runs one job of one invocation per process.
+    for flag, default in (("seeds", 50), ("invocations", 2)):
+        if getattr(args, flag) is None:
+            setattr(args, flag, 1 if adversarial else default)
+        elif adversarial:
+            raise ConfigurationError(f"--{flag} applies only to the random schedule")
     for flag in ("seeds", "invocations", "workers"):
         if getattr(args, flag) < 1:
             raise ConfigurationError(f"--{flag} must be >= 1")
-    adversarial = args.schedule == "adversarial"
     scenarios = []
     for n in sizes:
         # An adversarial row runs the scenario `run` reads from a file, so
-        # it has the same hash; a random row names the window it runs.
-        invocations = 1 if adversarial else args.invocations
+        # it has the same hash.
         scenario = Scenario(args.algorithm, n, schedule=args.schedule,
-                            sessions={pid: [pid] * invocations for pid in range(1, n + 1)},
-                            fairness_window=None if adversarial else 4 * n)
+                            sessions={pid: [pid] * args.invocations for pid in range(1, n + 1)})
         _override(scenario, fairness_window=args.fairness_window,
                   cs_steps=args.cs_steps, step_cap=args.steps)
         scenarios.append(scenario)
@@ -336,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="RMR scaling sweep across N and seeds")
     p_sw.add_argument("--algorithm", required=True, choices=("glb", "bwbgme", "bl"))
     p_sw.add_argument("--sizes", default="4,8,16")
-    p_sw.add_argument("--seeds", type=int, default=50)
-    p_sw.add_argument("--invocations", type=int, default=2)
+    p_sw.add_argument("--seeds", type=int, default=None)
+    p_sw.add_argument("--invocations", type=int, default=None)
     p_sw.add_argument("--cs-steps", type=int, default=1)
     p_sw.add_argument("--schedule", default="random", choices=("random", "adversarial"))
     p_sw.add_argument("--fairness-window", type=int, default=None)

@@ -13,35 +13,37 @@ on the edge whose event violates it.
 
 Each component is stored once, in one of three interned tables (the
 stores, the `ProcEnv.key()` runtimes, which the live state keeps, and
-the monitor-state tuples), and
-a state's key packs their small-int ids into one int, as in SPIN's
-collapse compression: field i (store id, runtime id of P1..Pn,
-monitor-state id) sits at shift i*width.  The width is fixed before the
-search from a bound no id can reach (see `explore`).  The visited table
-is the state list: an insertion-ordered dict whose i-th key is state
-i's, beside array columns of each state's parent and the pid that
-stepped to it.
+the monitor-state tuples), and a state's key packs their small-int ids
+into one int, as in SPIN's collapse compression: field i (store id,
+runtime id of P1..Pn, monitor-state id) sits at shift i*width.  The
+width is fixed before the search from a bound no id can reach (see
+`explore`).  The visited table is the state list: an insertion-ordered
+dict whose i-th key is state i's, beside array columns of each state's
+parent and the pid that stepped to it.
 
 One live SystemState serves every state, in interned mode
-(`SystemState.intern`): the state owns the runtime table and memoizes
-each step but its access.  A step reads only the store and its own
-process's runtime, so the search loads the store only if its id differs
-from the one the live state holds and sets the stepped process's runtime
-id.  Each successor makes its one `machine.step`, and so its one memory
-access, on empty reader sets (the slot it accessed is emptied after it),
-so its reads cost what they would from a fresh load, and what the shared
-event in the step's record says.  `access` and `step_fn` are pure in the
-runtime, so (pid, runtime id, value accessed) fixes the whole record,
-and with it the note the search makes for it once: the slot, whether
-the step moves an active process, the key's change in the runtime field
-and two memos, shared by the notes that write the same value to the same
-slot and by those of the same monitored event.  A write's child store id
-follows from the parent's store id, and since `advance` is pure, each
-monitor-state id is stepped over each monitored event once, giving the
-child's monitor-state id and the violations it reports.  A successor's
-key is the parent's plus the change of each field that moved, and the
-DFS stack carries each state's fields and depth beside its id and key,
-so a popped key is never unpacked.
+(`SystemState.intern`), where each step is memoized but its access.  A
+step reads only the store and its own process's runtime, so the search
+loads a popped state's store once, if the live state holds another, and
+undoes each write in place once the child's store id is known; it sets
+the stepped process's runtime id before each step.  Each successor makes
+its one `machine.step`, and so its one memory access, on empty reader
+sets (the slot it accessed is emptied after it), so its reads cost what
+they would from a fresh load, and what the shared event in the step's
+record says.  `access` and `step_fn` are pure in the runtime, so (pid,
+runtime id, value accessed) fixes the whole record, and with it the note
+the search makes for it once, whose fields follow the event in the
+record: the slot, whether the step moves an active process, the key's
+change in the runtime field, two memos (shared by the notes that write
+the same value to the same slot and by those of the same monitored
+event), and whether the process has then finished its last invocation.
+A write's child store id follows from the parent's store id, and since
+`advance` is pure, each monitor-state id is stepped over each monitored
+event once, giving the child's monitor-state id and the violations it
+reports.  A successor's key is the parent's plus the change of each
+field that moved.  The DFS stack carries each state's fields, depth and
+live pids (those not yet finished, the only ones stepped) beside its id
+and key, so a popped key is never unpacked.
 
 A state is a deadlock when some process is active and every active one
 spins (`machine.all_active_blocked`).  It is checked when the state is
@@ -87,11 +89,8 @@ class ExplorationReport:
     violations: dict = field(default_factory=dict)  # prop -> [Violation]
     max_token: int = 0  # the largest token number a Token register held
     truncation_reason: str = ""  # the cap that stopped the search, if one did
-    # The state table, by state id (0 is the initial state).  keys is the
-    # visited dict in id order, each key an int packing (store id, runtime
-    # id of P1..Pn, monitor-state id), field i at shift i*width; parent and
-    # parent_pid are arrays of the parent's id and the pid stepped from it.
-    # The ids index the interned tables.
+    # The state table, by state id (0 is the initial state): the packed
+    # keys in id order, each state's parent and the pid stepped from it.
     width: int = 0
     keys: dict = field(default_factory=dict, repr=False)
     parent: array = field(default_factory=lambda: array("i"), repr=False)
@@ -142,7 +141,8 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     exceeds the invocation count.  `max_token` is read once the search
     ends, off the store table, which holds every store a write produced.
     `progress(states, transitions, max_depth)`, if given, is called each
-    time PROGRESS_EVERY more states are stored.
+    time PROGRESS_EVERY more states are stored; its transitions include
+    every step of the state being expanded.
     """
     n = spec.n
     report = ExplorationReport(spec.name, n)
@@ -170,53 +170,61 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     width = report.width = (1 + stored * n).bit_length()
     monitor_shift = (n + 1) * width
     value_mask = (1 << monitor_shift) - 1
+    last_inv = [len(per) - 1 for per in workload.sessions]
 
     def note(ev, rid, child):
         """A step's slot (0 if none), whether it moves an active process (a
-        write, a local step or a pass), its key delta and its two memos."""
+        write, a local step or a pass), its key delta, its two memos, and
+        whether the step finished the process's last invocation."""
         _, pid, inv, line, kind, reg, value, _, _, markers, outcome, _ = ev
         slot = mem.names.index(reg) if reg else 0
+        after = runtimes[child]
         return (slot, runtimes[rid][0] != PC_REMAINDER and (kind != "read" or outcome == "pass"),
                 (child - rid) << (pid * width),
                 store_memos[slot, value] if kind == "write" else None,
                 monitor_memos[pid, inv, line, kind, reg, value, markers]
-                if monitored(ev) else None)
+                if monitored(ev) else None,
+                after[0] == PC_REMAINDER and after[6] >= last_inv[pid - 1])
 
     work.intern(note)
     runtimes = report.runtimes = work.runtime_ids.table
     mem, rids, valid = work.mem, work.rids, work.mem.valid
-    root = [store_ids[tuple(mem.store)], *rids, monitor_ids[starts]]
+    store = mem.store
+    root = [store_ids[tuple(store)], *rids, monitor_ids[starts]]
     root_key = sum(f << (i * width) for i, f in enumerate(root))
     ids = report.keys = {root_key: None}
     parent = report.parent = array(_typecode(stored), [-1])
     parent_pid = report.parent_pid = array(_typecode(n), [0])
-    # (state id, key, its fields, its depth), per state to expand
-    stack = [(0, root_key, root, 0)]
+    # (state id, key, its fields, its depth, its live pids: those that have
+    # not finished their last invocation), per state to expand.  Every
+    # process starts in the remainder, finished if it has no invocation.
+    stack = [(0, root_key, root, 0, tuple(p for p in range(1, n + 1) if last_inv[p - 1] >= 0))]
     path_of = report.path_of
-    last_inv = [len(per) - 1 for per in workload.sessions]
     held = root[0]  # the id of the store the live state holds
+    # No state is deeper than the count of states stored before it, so
+    # without a depth cap, `stored` never stops the search.
+    depth_cap = stored if max_depth is None else max_depth
+    deepest = 0
+    # The state id on which progress is next called (never, without one).
+    progress_at = PROGRESS_EVERY - 1 if progress is not None else -1
 
     def add_violation(prop: str, path: tuple, detail: str) -> None:
         report.violations.setdefault(prop, []).append(Violation(path, detail))
 
     transitions = 0
     while stack:
-        nid, key, fields, depth = stack.pop()
+        nid, key, fields, depth, live = stack.pop()
         sid, mid = fields[0], fields[-1]
+        # The store is loaded once per state: each write is undone after its step.
+        parent_store = stores[sid]
+        if held != sid:
+            store[:] = parent_store
+            held = sid
+        transitions += len(live)
         quiet = True  # no active process has written, stepped locally or passed
-        for p in range(n):
-            pid = p + 1
-            rid = fields[pid]
-            rt = runtimes[rid]
-            if rt[0] == PC_REMAINDER and rt[6] >= last_inv[p]:
-                continue  # the process has finished its last invocation
-            # A step reads only the store and its own runtime: set those.
-            if held != sid:
-                mem.store[:] = stores[sid]
-                held = sid
-            rids[p] = rid
-            child_rid, ev, (slot, moves, delta, store_memo, monitor_memo) = step(work, pid)
-            transitions += 1
+        for pid in live:
+            rids[pid - 1] = fields[pid]
+            child_rid, ev, slot, moves, delta, store_memo, monitor_memo, done = step(work, pid)
             if moves:
                 quiet = False
             valid[slot] = 0  # no process holds a copy before the next step
@@ -225,8 +233,8 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             if store_memo is not None:
                 child_sid = store_memo.get(sid)
                 if child_sid is None:
-                    child_sid = store_memo[sid] = store_ids[tuple(mem.store)]
-                held = child_sid  # the live store is now the child's
+                    child_sid = store_memo[sid] = store_ids[tuple(store)]
+                store[slot] = parent_store[slot]
                 child += child_sid - sid
             child_mid = mid
             if monitor_memo is not None:
@@ -242,24 +250,25 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
 
             if child in ids:
                 continue
-            if len(ids) >= max_states:
+            cid = len(ids)
+            if cid >= max_states:
                 report.truncation_reason = "max_states"
                 continue
-            child_depth = depth + 1
-            if max_depth is not None and child_depth > max_depth:
+            if depth >= depth_cap:
                 report.truncation_reason = "max_depth"
                 continue
-            cid = len(ids)
             ids[child] = None
             parent.append(nid)
             parent_pid.append(pid)
-            if child_depth > report.max_depth:
-                report.max_depth = child_depth
-            if progress is not None and not (cid + 1) % PROGRESS_EVERY:
-                progress(cid + 1, transitions, report.max_depth)
+            if depth >= deepest:
+                deepest = depth + 1
+            if cid == progress_at:
+                progress(cid + 1, transitions, deepest)
+                progress_at += PROGRESS_EVERY
             child_fields = fields.copy()
             child_fields[0], child_fields[pid], child_fields[-1] = child_sid, child_rid, child_mid
-            stack.append((cid, child, child_fields, child_depth))
+            stack.append((cid, child, child_fields, depth + 1,
+                          tuple(q for q in live if q != pid) if done else live))
 
         if quiet:
             value_key = key & value_mask
@@ -271,6 +280,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                 add_violation("deadlock", path_of(nid), "every active process is blocked")
 
     report.states = len(ids)
+    report.max_depth = deepest
     report.transitions = transitions
     tokens = [slot for slot, name in enumerate(mem.names) if name.startswith("Token[")]
     report.max_token = max((token_number(store[slot]) for store in stores for slot in tokens),

@@ -18,15 +18,9 @@ A step's event is a plain tuple in `TraceEvent`'s field order.  It
 carries the `rmr` flag its access reported; those flags are the only
 RMR ledger, and every RMR figure is a sum of them.
 
-`explore` steps an interned state (`SystemState.intern`): each runtime
-is an id in a table the state owns, and `step` looks up all of a step
-but its access.  (pid, runtime id) gives the access, which is still
-made through the memory; (pid, runtime id, value accessed) gives the
-step's record, built once when the step is first taken: the child
-runtime id, the event, and the caller's note on it.  A miss loads the
-runtime into the process's env and takes the plain step, which makes
-the access and is then recorded.  `run` steps plain states, which
-intern nothing: glb's tokens grow without bound over a long run.
+`explore` steps an interned state, on which `step` looks up all of a
+step but its access (`SystemState.intern`).  `run` steps plain states,
+which intern nothing: glb's tokens grow without bound over a long run.
 
 The scheduler owns all interleaving; there are no real threads.
 """
@@ -228,12 +222,12 @@ class SystemState:
         A step is then memoized, and still makes its one access through
         the memory.  `rows[p]` maps a runtime id to the access process p
         makes from it, and that row maps each value accessed to the step's
-        record: (child runtime id, event, note(event, runtime id, child
-        runtime id)).  When either row is missing, the step loads the
-        runtime into `envs[p]` and takes the plain step, whose record every
-        later hit returns.  The shared event has index 0, and its `rmr` is
-        right only if each step starts on empty reader sets, as the caller
-        keeps them.
+        record, one flat tuple: (child runtime id, event, *note(event,
+        runtime id, child runtime id)), so `note` returns a tuple.  When
+        either row is missing, the step loads the runtime into `envs[p]`
+        and takes the plain step, whose record every later hit returns.
+        The shared event has index 0, and its `rmr` is right only if each
+        step starts on empty reader sets, as the caller keeps them.
         """
         self.runtime_ids = ids = Interned()
         self.rids = [ids[env.key()] for env in self.envs]
@@ -361,7 +355,7 @@ def _learn(state: SystemState, p: int, access, ev: tuple) -> tuple:
         row = rows[rid] = (kind, 0 if access is None else access[1],
                            ev[6] if kind == "write" else None, {})
     child = rids[p] = state.runtime_ids[state.envs[p].key()]
-    record = row[3][ev[6]] = (child, ev, state.note(ev, rid, child))
+    record = row[3][ev[6]] = (child, ev, *state.note(ev, rid, child))
     return record
 
 

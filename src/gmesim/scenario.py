@@ -84,15 +84,17 @@ class Scenario:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
 
     def canonical_text(self) -> str:
-        # The color is named only when it differs from the white that
-        # build_spec would use, so an explicit white hashes as unset.
+        # The color and the window are named only when they differ from
+        # the white and the 4n that an unset one means, so an explicit
+        # default hashes as unset.
         color = None if self.initial_color == WHITE else self.initial_color
+        window = None if self.fairness_window == 4 * self.n else self.fairness_window
         lines = [HEADER,
                  f"algorithm = {self.algorithm}",
                  f"n = {self.n}",
                  f"schedule = {self.schedule}",
                  f"seed = {self.seed}",
-                 f"fairness_window = {self.fairness_window}",
+                 f"fairness_window = {window}",
                  f"initial_color = {color}",
                  f"mutant = {self.mutant}",
                  f"cs_steps = {self.cs_steps}",

@@ -296,9 +296,9 @@ def test_sweep_rejects_bad_flags(capsys):
                           (["--sizes", "0,4"], "error: --sizes must be >= "),
                           (["--workers", "0"], "error: --workers must be >= 1"),
                           (["--workers", "-3"], "error: --workers must be >= 1")):
-        for schedule in (["--algorithm", "glb"],
+        for schedule in (["--algorithm", "glb", "--seeds", "1"],
                          ["--algorithm", "bl", "--schedule", "adversarial"]):
-            code = main(["sweep", *schedule, "--seeds", "1", "--sizes", "2", *argv])
+            code = main(["sweep", *schedule, "--sizes", "2", *argv])
             assert code == 2, argv
             out, errors = capsys.readouterr()
             assert errors.startswith(message) and out == "", (argv, errors)
@@ -312,6 +312,13 @@ def test_sweep_rejects_bad_flags(capsys):
                  "--sizes", "2", "--fairness-window", "8"]) == 2
     assert capsys.readouterr().err \
         == "error: --fairness-window applies only to the random schedule\n"
+    # nor a seed count or an invocation count: it runs one job, one
+    # invocation per process
+    for flag in ("--seeds", "--invocations"):
+        assert main(["sweep", "--algorithm", "bl", "--schedule", "adversarial",
+                     "--sizes", "2", flag, "9"]) == 2
+        out, errors = capsys.readouterr()
+        assert errors == f"error: {flag} applies only to the random schedule\n" and out == ""
     assert main(["sweep", "--algorithm", "glb", "--sizes", "1", "--seeds", "1"]) == 0
     # the bounds themselves are accepted
     assert main(["sweep", "--algorithm", "glb", "--sizes", "2", "--seeds", "1",

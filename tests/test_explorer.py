@@ -56,7 +56,7 @@ def test_interned_step_matches_plain_step(monkeypatch):
                 (build_bwbgme(3), Workload([[1], [1], [2]]))]
     for spec, wl in configs:
         interned = SystemState(spec, wl)
-        interned.intern(lambda ev, rid, child: (rid, child))
+        interned.intern(lambda ev, rid, child: (ev, rid, child))
         ids, mem = interned.runtime_ids, interned.mem
         steps = []
 
@@ -74,10 +74,12 @@ def test_interned_step_matches_plain_step(monkeypatch):
                 records.append(step(interned, pid))
                 assert interned.rids[p] == records[-1][0], (spec.name, pid)
                 assert mem.log == state.mem.log, (spec.name, pid)
-            (child, shared, note), again = records
+            # A record is flat: the child runtime id, the event, then the
+            # fields of the note made on them.
+            (child, shared, *note), again = records
             assert again[1] is shared and shared[0] == 0, (spec.name, pid)
             assert shared[1:] == ev[1:], (spec.name, pid)
-            assert note == (rid, child), (spec.name, pid)
+            assert note == [shared, rid, child], (spec.name, pid)
             assert ids.table[child] == state.envs[p].key(), (spec.name, pid)
             assert len(mem.log) == (ev[4] in ("read", "write")), ev
             return ev
@@ -95,12 +97,13 @@ def test_interned_step_of_a_finished_process_is_a_record():
     # interned step of one still returns a record, learned and then hit:
     # a noop that leaves its runtime as it was.
     state = SystemState(build_glb(1), Workload([[1]]))
-    state.intern(lambda ev, rid, child: None)
+    state.intern(lambda ev, rid, child: (rid,))
     kinds = []
     while not kinds or kinds[-1] != "noop":
         assert len(kinds) < 100, kinds
         rid = state.rids[0]
-        child, ev, _ = record = step(state, 1)
+        child, ev, noted = record = step(state, 1)
+        assert noted == rid, kinds
         kinds.append(ev[4])
     assert child == rid and ev == (0, 1, -1, 0, "noop", None, None, False,
                                    Section.REMAINDER, (), None, None)
@@ -164,6 +167,28 @@ def test_each_explored_transition_is_one_step_and_one_access(monkeypatch):
         assert sum(calls.values()) == transitions, spec.name
         [mem] = calls  # one live state takes every step
         assert len(mem.log) == sum(rmr for *_, rmr in mem.log) == accesses, spec.name
+
+
+def test_transitions_step_each_unfinished_process_of_each_state():
+    # explore steps, from each state it stores, exactly the processes
+    # that have not finished their last invocation: its transition count
+    # is their sum over the stored states, read off each state's
+    # runtimes by the machine's own `live_pids`, however a cap cut the
+    # search.  P2 of the last workload has no invocation at all.
+    workloads = [explored_workload(), Workload([[1], [2]]), Workload([[2, 1], []], cs_steps=0)]
+    for spec in explored_specs():
+        for wl in workloads:
+            state = SystemState(spec, wl)
+            whole = explore(spec, wl)
+            for report in (whole, explore(spec, wl, max_states=whole.states // 2),
+                           explore(spec, wl, max_depth=whole.max_depth // 2)):
+                label = (spec.name, wl.sessions, report.truncation_reason)
+                assert report.truncated == (report is not whole), label
+                live = 0
+                for key in report.keys:
+                    state.load_value_key(decoded_key(report, key)[0])
+                    live += len(state.live_pids())
+                assert report.transitions == live, label
 
 
 def test_single_process_single_path():

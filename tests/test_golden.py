@@ -33,9 +33,9 @@ def stdout_without_trace_line(out: str) -> str:
 
 RUN_DIGESTS = {
     "glb_contended.scn": (0, {
-        "stdout": "a2e56f5f5b955e1d8059475370a66f373d39892d9931f0d55937541843b76c65",
+        "stdout": "585fc64ac045124410bb2e5430a4241681262719967151afc4da71f231f122fe",
         "trace": "a1579b2042cf88cf6daa1a34d7f8ee321a5bc1a6261d59fbc13d165aff579a6d",
-        "csv": "27b18e6d00dc154c212c7fd813ffd81ba72b9ef2ed1d4b93ede1fac6a45ddf82"}),
+        "csv": "2415602d5c4efbc2f4129b4a769890053e3eaf77f4b122cd7644a65afc5b668b"}),
     "bl_adversarial_n6.scn": (0, {
         "stdout": "bb4177b86c8015ff28c3539f435a4b722623ce5938c631bcba2475f7f611e9d9",
         "trace": "bd54102458bea4942b9ac1dd551f7a2e8bc4dd144d99f26ebeca4cc6c972efd2",
@@ -67,10 +67,10 @@ EXPLORE_DIGESTS = {
 SWEEP_DIGESTS = {
     "glb": {
         "stdout": "c00095b823a7f4d96bbbdb5d25f671c49306ec8ee86d2c9d3ed481db2459d46b",
-        "csv": "a5026c5d88704b579aeb6f8967856f8964b53a779bed70b61ec9bd16263416d7"},
+        "csv": "dd7d240c694354a2a8cb01386202c4216ed663e3b8f85a3b92c74b380893de13"},
     "bwbgme": {
         "stdout": "13c9940276e59c25d7bf064f5d4bb398c89b3ad99f6e005e1385ce1d3522772b",
-        "csv": "42f1130b9a4bc2ee5ccfb42e91460132a04c0a73161255be956e1b9ee1ab4d3a"},
+        "csv": "eec3fd858b2290d5de5c2f84384b1095bf1b8057fd378e8493e6cd2a5474eb68"},
 }
 
 # N=16 and 32 reach the fair schedule's overdue queue and let processes
@@ -78,10 +78,10 @@ SWEEP_DIGESTS = {
 WIDE_SWEEP_DIGESTS = {
     "glb": {
         "stdout": "d8bbae405404583da9d273f27d30e876747916a2255d5aa71652441c714bfd67",
-        "csv": "a71e7edb91712f41bf2dc8daecfe0626e7e148e911d8a26a773fee149ffdf538"},
+        "csv": "9eb550b9efa21e6069ef6776f22f99aa3be936f426a739bf62f6a5625d161fb8"},
     "bwbgme": {
         "stdout": "71a33f69997b0cb99baf329beb020cb903ec65a9e935a40f9b4cb29708b301c0",
-        "csv": "9c2fa2008ab77616f5a8ca8cf13c43b3bef5f50fdc42a231e00d093ca5e90a30"},
+        "csv": "4edaab8ace86aa919fbe10c6a4deb7635fc4d67e28e519af7cfeb15df7650a2c"},
 }
 
 

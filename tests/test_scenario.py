@@ -106,10 +106,12 @@ def scenario_text(sc) -> str:
 
 
 def same_configuration(a, b) -> bool:
-    """Equal fields, an explicit white counting as an unset colour."""
+    """Equal fields, an explicit white counting as an unset colour and an
+    explicit 4n as an unset fairness window."""
     def resolved(sc):
         color = None if sc.initial_color == "white" else sc.initial_color
-        return dataclasses.replace(sc, initial_color=color)
+        window = None if sc.fairness_window == 4 * sc.n else sc.fairness_window
+        return dataclasses.replace(sc, initial_color=color, fairness_window=window)
     return resolved(a) == resolved(b)
 
 
@@ -128,6 +130,12 @@ def test_config_hash_names_one_configuration(data):
     one_key = dataclasses.replace(sc, **{key: getattr(again, key)})
     for b in (other, one_key):
         assert (b.config_hash == sc.config_hash) == same_configuration(sc, b), (sc, b)
+    # a random schedule's window of 4n is the one it runs when none is set
+    if sc.schedule == "random":
+        explicit = dataclasses.replace(sc, fairness_window=4 * sc.n)
+        unset = dataclasses.replace(sc, fairness_window=None)
+        assert explicit.config_hash == unset.config_hash, sc
+        assert explicit.build_schedule().window == unset.build_schedule().window, sc
 
 
 def err(text):
