@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -304,7 +305,9 @@ def cmd_sweep(args) -> int:
     return EXIT_TRUNCATED if truncated else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="gmesim",
         description="Simulate and check group mutual exclusion algorithms "

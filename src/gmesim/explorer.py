@@ -25,25 +25,27 @@ One live SystemState serves every state, in interned mode
 (`SystemState.intern`), where each step is memoized but its access.  A
 step reads only the store and its own process's runtime, so the search
 loads a popped state's store once, if the live state holds another, and
-undoes each write in place once the child's store id is known; it sets
-the stepped process's runtime id before each step.  Each successor makes
-its one `machine.step`, and so its one memory access, on empty reader
-sets (the slot it accessed is emptied after it), so its reads cost what
-they would from a fresh load, and what the shared event in the step's
-record says.  `access` and `step_fn` are pure in the runtime, so (pid,
-runtime id, value accessed) fixes the whole record, and with it the note
-the search makes for it once, whose fields follow the event in the
-record: the slot, whether the step moves an active process, the key's
-change in the runtime field, two memos (shared by the notes that write
-the same value to the same slot and by those of the same monitored
+undoes each write in place once the child's store id is known.  A popped
+state's fields, [runtime id of P1..Pn, store id, monitor-state id],
+become the live state's `rids`, which a step only reads.  Each successor
+makes its one `machine.step`, and so its one memory access, on empty
+reader sets (the slot it accessed is emptied after it), so its reads
+cost what they would from a fresh load, and what the shared event in the
+step's record says.  `access` and `step_fn` are pure in the runtime, so
+(pid, runtime id, value accessed) fixes the whole record, and with it
+the note the search makes for it once, whose fields follow the event in
+the record: the slot, whether the step moves an active process, the
+key's change in the runtime field, two memos (shared by the notes that
+write the same value to the same slot and by those of the same monitored
 event), and whether the process has then finished its last invocation.
 A write's child store id follows from the parent's store id, and since
 `advance` is pure, each monitor-state id is stepped over each monitored
 event once, giving the child's monitor-state id and the violations it
 reports.  A successor's key is the parent's plus the change of each
 field that moved.  The DFS stack carries each state's fields, depth and
-live pids (those not yet finished, the only ones stepped) beside its id
-and key, so a popped key is never unpacked.
+live pids (those not yet finished, the only ones stepped: a pid leaves
+them on the step that `machine.finishes` it) beside its id and key, so a
+popped key is never unpacked.
 
 A state is a deadlock when some process is active and every active one
 spins (`machine.all_active_blocked`).  It is checked when the state is
@@ -67,7 +69,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .machine import PC_REMAINDER, Interned, SystemState, Workload, all_active_blocked, step
+from .machine import (PC_REMAINDER, Interned, SystemState, Workload, all_active_blocked,
+                      finishes, step)
 from .monitors import ONLINE, advance, monitored, online_props, token_number
 
 PROGRESS_EVERY = 1 << 20  # stored states between two calls of explore's progress
@@ -170,7 +173,6 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     width = report.width = (1 + stored * n).bit_length()
     monitor_shift = (n + 1) * width
     value_mask = (1 << monitor_shift) - 1
-    last_inv = [len(per) - 1 for per in workload.sessions]
 
     def note(ev, rid, child):
         """A step's slot (0 if none), whether it moves an active process (a
@@ -178,29 +180,27 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
         whether the step finished the process's last invocation."""
         _, pid, inv, line, kind, reg, value, _, _, markers, outcome, _ = ev
         slot = mem.names.index(reg) if reg else 0
-        after = runtimes[child]
         return (slot, runtimes[rid][0] != PC_REMAINDER and (kind != "read" or outcome == "pass"),
                 (child - rid) << (pid * width),
                 store_memos[slot, value] if kind == "write" else None,
                 monitor_memos[pid, inv, line, kind, reg, value, markers]
                 if monitored(ev) else None,
-                after[0] == PC_REMAINDER and after[6] >= last_inv[pid - 1])
+                finishes(ev, workload))
 
     work.intern(note)
     runtimes = report.runtimes = work.runtime_ids.table
-    mem, rids, valid = work.mem, work.rids, work.mem.valid
+    mem, valid = work.mem, work.mem.valid
     store = mem.store
-    root = [store_ids[tuple(store)], *rids, monitor_ids[starts]]
-    root_key = sum(f << (i * width) for i, f in enumerate(root))
+    sid, mid = store_ids[tuple(store)], monitor_ids[starts]
+    root = [*work.rids, sid, mid]
+    root_key = sum(f << (i * width) for i, f in enumerate((sid, *work.rids, mid)))
     ids = report.keys = {root_key: None}
     parent = report.parent = array(_typecode(stored), [-1])
     parent_pid = report.parent_pid = array(_typecode(n), [0])
-    # (state id, key, its fields, its depth, its live pids: those that have
-    # not finished their last invocation), per state to expand.  Every
-    # process starts in the remainder, finished if it has no invocation.
-    stack = [(0, root_key, root, 0, tuple(p for p in range(1, n + 1) if last_inv[p - 1] >= 0))]
+    # (state id, key, fields, depth, live pids), per state to expand.
+    stack = [(0, root_key, root, 0, tuple(work.live_pids()))]
     path_of = report.path_of
-    held = root[0]  # the id of the store the live state holds
+    held = sid  # the id of the store the live state holds
     # No state is deeper than the count of states stored before it, so
     # without a depth cap, `stored` never stops the search.
     depth_cap = stored if max_depth is None else max_depth
@@ -214,7 +214,8 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
     transitions = 0
     while stack:
         nid, key, fields, depth, live = stack.pop()
-        sid, mid = fields[0], fields[-1]
+        work.rids = fields
+        sid, mid = fields[n], fields[-1]
         # The store is loaded once per state: each write is undone after its step.
         parent_store = stores[sid]
         if held != sid:
@@ -223,7 +224,6 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
         transitions += len(live)
         quiet = True  # no active process has written, stepped locally or passed
         for pid in live:
-            rids[pid - 1] = fields[pid]
             child_rid, ev, slot, moves, delta, store_memo, monitor_memo, done = step(work, pid)
             if moves:
                 quiet = False
@@ -266,7 +266,8 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
                 progress(cid + 1, transitions, deepest)
                 progress_at += PROGRESS_EVERY
             child_fields = fields.copy()
-            child_fields[0], child_fields[pid], child_fields[-1] = child_sid, child_rid, child_mid
+            child_fields[pid - 1] = child_rid
+            child_fields[n], child_fields[-1] = child_sid, child_mid
             stack.append((cid, child, child_fields, depth + 1,
                           tuple(q for q in live if q != pid) if done else live))
 
@@ -275,7 +276,7 @@ def explore(spec, workload: Workload, *, max_states: int = 2_000_000,
             stuck = blocked.get(value_key)
             if stuck is None:
                 stuck = blocked[value_key] = all_active_blocked(
-                    spec, stores[sid], (runtimes[r] for r in fields[1:-1]))
+                    spec, stores[sid], (runtimes[r] for r in fields[:n]))
             if stuck:
                 add_violation("deadlock", path_of(nid), "every active process is blocked")
 

@@ -123,6 +123,12 @@ class Workload:
         return len(self.sessions)
 
 
+def finishes(ev: tuple, workload: Workload) -> bool:
+    """Whether event ev completes the exit of its process's last
+    invocation: the process never leaves the remainder again."""
+    return EXIT_COMPLETE in ev[9] and ev[2] + 1 == len(workload.sessions[ev[1] - 1])
+
+
 class ProcEnv:
     """One process's private runtime: program counter, locals, position."""
 
@@ -214,10 +220,10 @@ class SystemState:
         Each runtime is then named by an id: `runtime_ids` maps each
         `ProcEnv.key()` tuple to its id, in first-seen order (the current
         runtimes first, P1's first), and its `table` lists the tuples by
-        id.  `rids` holds each process's current runtime id: the caller
-        may set it before a step, and the step leaves the child's there.
-        `envs` no longer follows the steps, nor does what reads it
-        (`exhausted`, `value_key`), and `step_index` no longer counts them.
+        id.  `rids` holds each process's runtime id: the caller sets it
+        and a step only reads it.  `envs` no longer follows the steps, nor
+        does what reads it (`live_pids`, `value_key`), and `step_index`
+        no longer counts them.
 
         A step is then memoized, and still makes its one access through
         the memory.  `rows[p]` maps a runtime id to the access process p
@@ -234,17 +240,11 @@ class SystemState:
         self.rows = [{} for _ in self.envs]
         self.note = note
 
-    # -- liveness -------------------------------------------------------
-
-    def exhausted(self, pid: int) -> bool:
-        env = self.envs[pid - 1]
-        return env.pc == PC_REMAINDER and env.inv + 1 >= len(self.workload.sessions[pid - 1])
-
     def live_pids(self) -> list:
-        return [pid for pid in range(1, self.spec.n + 1) if not self.exhausted(pid)]
-
-    def all_done(self) -> bool:
-        return not self.live_pids()
+        """The ascending pids of the processes not yet finished (`finishes`)."""
+        sessions = self.workload.sessions
+        return [pid for pid, env in enumerate(self.envs, 1)
+                if env.pc != PC_REMAINDER or env.inv + 1 < len(sessions[pid - 1])]
 
     # -- value-state keys (exclude reader sets) -------------------------
 
@@ -289,7 +289,6 @@ def step(state: SystemState, pid: int) -> tuple:
                     mem.read_slot(p, slot)
                 elif kind == "write":
                     mem.write_slot(p, slot, value)
-                state.rids[p] = record[0]
                 return record
         # A miss: take the plain step from the runtime, and learn it.
         # Explore has no trace order, so a learned event's index is 0.
@@ -346,15 +345,15 @@ def _learn(state: SystemState, p: int, access, ev: tuple) -> tuple:
     """Record the plain step 0-based process p just took on an interned
     state, given its access and event: the access row of its runtime id
     if it is new, and in it the record of the value accessed, which it
-    returns.  Leaves the child's runtime id in `rids[p]`."""
-    rids, rows = state.rids, state.rows[p]
-    rid = rids[p]
+    returns."""
+    rows = state.rows[p]
+    rid = state.rids[p]
     row = rows.get(rid)
     if row is None:
         kind = ev[4]
         row = rows[rid] = (kind, 0 if access is None else access[1],
                            ev[6] if kind == "write" else None, {})
-    child = rids[p] = state.runtime_ids[state.envs[p].key()]
+    child = state.runtime_ids[state.envs[p].key()]
     record = row[3][ev[6]] = (child, ev, *state.note(ev, rid, child))
     return record
 
@@ -442,9 +441,9 @@ def _events(state: SystemState, schedule, step_cap: int, result: RunResult):
     steps = 0
     deadlocked = False
     cap_hit = False
-    # Only the stepped process can run out of invocations, and it does so
-    # on the step that completes its last exit.
-    live = len(state.live_pids())
+    # The ascending pids a schedule picks from.  Only the stepped process
+    # can finish, on the step that completes its last exit.
+    live = state.live_pids()
     # Bit pid is set once pid fails an evaluation, and every bit clears
     # on any step but a read that does not pass.  A deadlock needs every
     # live process to spin, so the check waits until each has failed since.
@@ -454,16 +453,16 @@ def _events(state: SystemState, schedule, step_cap: int, result: RunResult):
         if steps >= step_cap:
             cap_hit = True
             break
-        pid = next_pid(state)
+        pid = next_pid(live)
         if pid is None:
             break
         ev = step(state, pid)
         steps += 1
         yield ev
-        outcome = ev[10]  # the event's outcome; ev[4] is its kind, ev[9] its markers
+        outcome = ev[10]  # the event's outcome; ev[4] is its kind
         if outcome == "fail":
             failed |= 1 << pid
-            if failed.bit_count() == live and all_active_blocked(
+            if failed.bit_count() == len(live) and all_active_blocked(
                     state.spec, state.mem.store, (env.key() for env in state.envs)):
                 steps += 1
                 yield (state.step_index, 0, -1, 0, "deadlock", None, None, False,
@@ -473,10 +472,10 @@ def _events(state: SystemState, schedule, step_cap: int, result: RunResult):
                 break
         elif outcome or ev[4] != "read":
             failed = 0
-        if EXIT_COMPLETE in ev[9] and state.exhausted(pid):
-            live -= 1
+        if finishes(ev, state.workload):
+            live.remove(pid)
 
-    completed = state.all_done()
+    completed = not live
     result.completed, result.deadlocked, result.cap_hit = completed, deadlocked, cap_hit
     result.steps = steps
     result.trace.meta.update(completed=completed, deadlocked=deadlocked, cap_hit=cap_hit)

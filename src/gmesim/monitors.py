@@ -245,10 +245,12 @@ def max_token_number(records: list) -> int:
 
 
 def monitored(ev) -> bool:
-    """Whether ev can move an online monitor: it has markers, touches
-    GlobalColor or writes a Token.  Monitors are stepped only over these."""
-    reg = ev[5]
-    return bool(ev[9] or reg == "GlobalColor" or ev[4] == "write" and reg.startswith("Token["))
+    """Whether ev can move an online monitor: it has markers, writes
+    GlobalColor or a Token, or reads GlobalColor on line 5, where a flip
+    window opens.  Monitors are stepped only over these."""
+    reg, write = ev[5], ev[4] == "write"
+    return bool(ev[9] or reg == "GlobalColor" and (write or ev[3] == 5)
+                or write and reg.startswith("Token["))
 
 
 def advance(steps, states, ev):

@@ -132,7 +132,7 @@ class Scenario:
         if self.schedule == "random":
             return random_schedule(self.n, self.seed, self.fairness_window)
         if self.schedule == "scripted":
-            return Scripted(self.script)
+            return Scripted(self.script, self.n)
         return bl_adversarial_schedule(self.n, cs_steps=self.cs_steps)
 
     def check(self, fail, name=lambda key: key) -> None:

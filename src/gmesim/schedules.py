@@ -1,13 +1,16 @@
 """Schedule sources: scripted, round-robin, fair seeded-random, and the
 adversarial pid sequence that realizes the quadratic Burns-Lamport cost.
 
-A schedule yields one pid per call; the machine executes exactly one
-step per pid.  Replaying the same schedule object (or an equal one) on
-an equal initial state reproduces the run bit for bit.
+A schedule's `next(live)` returns the next pid to step, or None to end
+the run, given the ascending pids the run loop keeps of the processes
+not yet finished (`machine.finishes`).  Replaying the same schedule
+object (or an equal one) on an equal initial state reproduces the run
+bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 
 from .burns_lamport import build_bl
@@ -16,36 +19,30 @@ from .machine import EXIT_COMPLETE, SystemState, Workload, step
 
 
 class Scripted:
-    """Fixed pid sequence; returns None when the script is exhausted."""
+    """Fixed pid sequence, each in 1..n; None once the script is spent."""
 
-    def __init__(self, pids):
-        self.pids = list(pids)
-        self.pos = 0
+    def __init__(self, pids, n: int):
+        pids = list(pids)
+        for pid in pids:
+            if not 1 <= pid <= n:
+                raise ConfigurationError(f"scripted pid {pid} outside 1..{n}")
+        self.rest = iter(pids)
 
-    def next(self, state: SystemState):
-        if self.pos >= len(self.pids):
-            return None
-        pid = self.pids[self.pos]
-        self.pos += 1
-        if not 1 <= pid <= state.spec.n:
-            raise ConfigurationError(f"scripted pid {pid} outside 1..{state.spec.n}")
-        return pid
+    def next(self, live: list):
+        return next(self.rest, None)
 
 
 class RoundRobin:
-    """Cycle over processes, skipping the ones whose workload finished."""
+    """Cycle over the live processes: the first after the last pick, wrapping."""
 
     def __init__(self):
-        self.cursor = 0
+        self.last = 0
 
-    def next(self, state: SystemState):
-        n = state.spec.n
-        for _ in range(n):
-            pid = self.cursor % n + 1
-            self.cursor += 1
-            if not state.exhausted(pid):
-                return pid
-        return None
+    def next(self, live: list):
+        if not live:
+            return None
+        self.last = pid = live[bisect.bisect_right(live, self.last) % len(live)]
+        return pid
 
 
 class RandomSchedule:
@@ -60,35 +57,29 @@ class RandomSchedule:
     count's bit length, until a draw falls below that count.
 
     The caller steps each pid this returns, and nothing else, before the
-    next call: only the previous pick can have run out of invocations,
-    so the live set is kept here instead of rescanned from the state.
+    next call, and hands it the live pids: only the previous pick can
+    have left them since the last call.
     """
 
-    def __init__(self, seed: int, window: int):
-        self.window = window
+    def __init__(self, n: int, seed: int, window: int):
         self.getrandbits = random.Random(seed).getrandbits
-        self.live = None  # ascending live pids, set on the first call
-        self.slack = 0  # w - n, the wait that makes a process overdue
+        self.slack = window - n  # the wait that makes a process overdue
         # pid -> call count at its last pick (0 if never picked), kept in
         # order of last pick, so the first entry has waited longest.
+        # Filled on the first call, with the pids live then.
         self.stamps: dict = {}
         self.calls = 0
         self.last = 0
 
-    def next(self, state: SystemState):
-        live = self.live
-        if live is None:
-            # A process that runs out of invocations never becomes live
-            # again, so the first call's live set covers every later one.
-            live = self.live = state.live_pids()
-            self.stamps = dict.fromkeys(live, 0)
-            self.slack = self.window - state.spec.n
-        elif live and state.exhausted(self.last):
-            live.remove(self.last)
-            del self.stamps[self.last]
+    def next(self, live: list):
         if not live:
             return None
         stamps = self.stamps
+        if len(stamps) != len(live):  # the last pick finished, or this is the first call
+            if stamps:
+                del stamps[self.last]
+            else:
+                stamps.update(dict.fromkeys(live, 0))
         calls = self.calls
         oldest = next(iter(stamps))
         if calls - stamps[oldest] >= self.slack:
@@ -113,7 +104,7 @@ def random_schedule(n: int, seed: int, window: int = None) -> RandomSchedule:
         window = 4 * n
     if window < n:
         raise ConfigurationError(f"fairness window {window} < n={n}")
-    return RandomSchedule(seed, window)
+    return RandomSchedule(n, seed, window)
 
 
 def bl_adversarial_workload(n: int, cs_steps: int = 1) -> Workload:
@@ -168,6 +159,6 @@ def bl_adversarial_schedule(n: int, cs_steps: int = 1) -> Scripted:
             drive(r, finished)
         else:
             drive(n, finished)
-    if not state.all_done():
+    if state.live_pids():
         raise ConsistencyError("adversarial schedule left work unfinished")
-    return Scripted(pids)
+    return Scripted(pids, n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 
 from gmesim.machine import Section, SystemState, Workload, step
-from oracle_scans import all_active_blocked
+from oracle_scans import all_active_blocked, live_pids
 
 
 def crosscheck_reachable(spec, workload: Workload, *, max_states: int = 500_000,
@@ -26,7 +26,6 @@ def crosscheck_reachable(spec, workload: Workload, *, max_states: int = 500_000,
     the step it takes.  Returns (frozenset of value keys, me_violations,
     deadlocks).
     """
-    n = spec.n
     work = SystemState(spec, workload)
     root = work.value_key()
     seen = {root}
@@ -45,10 +44,9 @@ def crosscheck_reachable(spec, workload: Workload, *, max_states: int = 500_000,
 
     while queue:
         vkey = queue.popleft()
-        for pid in range(1, n + 1):
+        work.load_value_key(vkey)
+        for pid in live_pids(work):
             work.load_value_key(vkey)
-            if work.exhausted(pid):
-                continue
             take_step(work, pid)
             child = work.value_key()
             if child in seen:

@@ -1,8 +1,10 @@
 """Reference versions of the fair random schedule and the deadlock test.
 
-The schedule rescans every process on every call: it reads the live set
-from the state and ages every live process by one step, as gmesim did
-before it kept the live set and the pick stamps across calls.  The
+The schedule rescans every process on every call: it ignores the live
+list the run loop hands it, reads the live set off the state it holds
+(`live_pids`, its own statement of which processes have finished) and
+ages every live process by one step, as gmesim did before it kept the
+pick stamps across calls.  The
 deadlock test reads each wait line's condition, written a second time
 by hand, where gmesim steps the process alone (`machine.spins`).  The
 tests require the same picks and the same verdicts from both.
@@ -22,20 +24,20 @@ class RandomSchedule:
     process (one that has waited w - n steps) is picked longest-waiting
     first, ties to the lowest pid; otherwise a live pid at random."""
 
-    def __init__(self, seed: int, window: int):
-        self.window = window
+    def __init__(self, state: SystemState, seed: int, window: int):
+        self.state = state
+        self.threshold = window - state.spec.n
         self.rng = random.Random(seed)
         self.since: dict = {}  # pid -> steps since it was last picked
 
-    def next(self, state: SystemState):
-        live = state.live_pids()
+    def next(self, _):
+        live = live_pids(self.state)
         if not live:
             return None
         since = self.since
         if not since:
             since.update(dict.fromkeys(live, 0))
-        threshold = self.window - state.spec.n
-        overdue = [pid for pid in live if since[pid] >= threshold]
+        overdue = [pid for pid in live if since[pid] >= self.threshold]
         if overdue:
             pick = max(overdue, key=lambda p: (since[p], -p))
         else:
@@ -44,6 +46,14 @@ class RandomSchedule:
             since[pid] += 1
         since[pick] = 0
         return pick
+
+
+def live_pids(state: SystemState) -> list:
+    """The pids of the processes that still have an invocation to start
+    or finish, ascending, read off their runtimes and the workload."""
+    return [pid for pid in range(1, state.spec.n + 1)
+            if state.envs[pid - 1].pc != PC_REMAINDER
+            or state.envs[pid - 1].inv < len(state.workload.sessions[pid - 1]) - 1]
 
 
 def wait_conds(spec) -> dict:

@@ -211,13 +211,13 @@ def test_criterion_9_mutation_sensitivity():
 
     wl, pids = narrative_counterexample_script("unconditional_flip")
     state = SystemState(build_bwbgme(4, WHITE, "unconditional_flip"), wl)
-    bad = run_collected(state, Scripted(pids), step_cap=10**5)
+    bad = run_collected(state, Scripted(pids, 4), step_cap=10**5)
     assert not check(check_mutual_exclusion, bad.trace).ok
     assert not check(check_flip_invariant, bad.trace).ok
     assert me_fcfs_against_oracle(bad.trace)["me"] == FAIL
 
     state = SystemState(build_bwbgme(4, WHITE), wl)
-    good = run_collected(state, Scripted(pids), step_cap=10**5)
+    good = run_collected(state, Scripted(pids, 4), step_cap=10**5)
     assert check(check_mutual_exclusion, good.trace).ok
     assert check(check_flip_invariant, good.trace).ok
     assert check(check_token_bound, good.trace).ok
@@ -227,11 +227,11 @@ def test_criterion_9_mutation_sensitivity():
     # double-flip inside a hanging process's window
     wl, pids = hanging_window_script("no_number_guard")
     state = SystemState(build_bwbgme(3, WHITE, "no_number_guard"), wl)
-    bad = run_collected(state, Scripted(pids), step_cap=10**5)
+    bad = run_collected(state, Scripted(pids, 3), step_cap=10**5)
     assert not check(check_flip_invariant, bad.trace).ok
     me_fcfs_against_oracle(bad.trace)
     state = SystemState(build_bwbgme(3, WHITE), wl)
-    good = run_collected(state, Scripted(pids), step_cap=10**5)
+    good = run_collected(state, Scripted(pids, 3), step_cap=10**5)
     assert check(check_flip_invariant, good.trace).ok
     me_fcfs_against_oracle(good.trace)
     report(9, "mutation sensitivity: naive exit and missing guard are caught")

@@ -86,7 +86,7 @@ def test_block_counts_match_event_scan_oracle(n, invocations, seed, script,
     workload = distinct_sessions(n, invocations=invocations)
     for size, wl, schedule in (
             (n, workload, random_schedule(n, seed)),
-            (n, workload, Scripted([min(p, n) for p in script])),
+            (n, workload, Scripted([min(p, n) for p in script], n)),
             (adversarial_n, bl_adversarial_workload(adversarial_n),
              bl_adversarial_schedule(adversarial_n))):
         result = run_collected(SystemState(build_bl(size), wl), schedule,

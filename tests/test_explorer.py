@@ -9,6 +9,7 @@ from gmesim import (BLACK, WHITE, Scripted, Section, SystemState, Workload,
 from gmesim.machine import PC_REMAINDER, all_active_blocked
 from gmesim.monitors import FAIL, MONITORS, online_props, token_number
 from oracle_scans import all_active_blocked as full_scan
+from oracle_scans import live_pids
 from oracle_explorer import crosscheck_reachable
 from util import (RecordingMemory, all_blocked, check, decoded_key, distinct_sessions,
                   explored_specs, explored_workload, named, report_digest, run_collected,
@@ -47,9 +48,10 @@ def test_interned_step_matches_plain_step(monkeypatch):
     # across all of them, given the same store, reader sets and runtime.
     # Each interned step must make the same Memory calls as the plain
     # one, one per read or write step, and its record must carry the
-    # plain event's fields and child runtime, whether the memo's access
-    # row and value row hit or miss.  The record's event is shared: the
-    # second step returns the same object, whose index is 0.
+    # plain event's fields and name the child runtime, whether the memo's
+    # access row and value row hit or miss, while `rids` stays as the
+    # caller set it.  The record's event is shared: the second step
+    # returns the same object, whose index is 0.
     monkeypatch.setattr(machine, "Memory", RecordingMemory)
     configs = [(spec, explored_workload()) for spec in explored_specs()]
     configs += [(build_glb(3), Workload([[1], [2], [1]])),
@@ -72,7 +74,7 @@ def test_interned_step_matches_plain_step(monkeypatch):
                 interned.rids[p] = rid
                 mem.log.clear()
                 records.append(step(interned, pid))
-                assert interned.rids[p] == records[-1][0], (spec.name, pid)
+                assert interned.rids[p] == rid, (spec.name, pid)
                 assert mem.log == state.mem.log, (spec.name, pid)
             # A record is flat: the child runtime id, the event, then the
             # fields of the note made on them.
@@ -95,7 +97,8 @@ def test_interned_step_matches_plain_step(monkeypatch):
 def test_interned_step_of_a_finished_process_is_a_record():
     # explore never steps a process past its last invocation, but an
     # interned step of one still returns a record, learned and then hit:
-    # a noop that leaves its runtime as it was.
+    # a noop that leaves its runtime as it was.  The step leaves `rids`
+    # alone; the caller moves the process to the child the record names.
     state = SystemState(build_glb(1), Workload([[1]]))
     state.intern(lambda ev, rid, child: (rid,))
     kinds = []
@@ -103,7 +106,8 @@ def test_interned_step_of_a_finished_process_is_a_record():
         assert len(kinds) < 100, kinds
         rid = state.rids[0]
         child, ev, noted = record = step(state, 1)
-        assert noted == rid, kinds
+        assert noted == rid == state.rids[0], kinds
+        state.rids[0] = child
         kinds.append(ev[4])
     assert child == rid and ev == (0, 1, -1, 0, "noop", None, None, False,
                                    Section.REMAINDER, (), None, None)
@@ -297,7 +301,7 @@ def test_reported_states_replay_as_scripts():
     for nid in range(0, report.states, 37):
         path, vkey = report.path_of(nid), decoded_key(report, keys[nid])[0]
         state = SystemState(spec, wl)
-        result = run_collected(state, Scripted(path), step_cap=len(path) + 1)
+        result = run_collected(state, Scripted(path, spec.n), step_cap=len(path) + 1)
         assert len(result.trace.events) == len(path)
         assert state.value_key() == vkey
 
@@ -389,8 +393,7 @@ def test_explorer_finds_every_deadlock_of_a_planted_bug():
         assert report.deadlocks == report.violation_count() == deadlocks
         for witness in report.violations["deadlock"]:
             state = SystemState(spec, wl)
-            schedule = Scripted(witness.path)
-            while (pid := schedule.next(state)) is not None:
+            for pid in witness.path:
                 step(state, pid)
             assert all_blocked(state), witness.path
 
@@ -404,10 +407,9 @@ def merged_paths(spec, wl, report, limit):
     work = SystemState(spec, wl)
     pairs = []
     for nid, vkey in enumerate(vkeys):
-        for pid in range(1, spec.n + 1):
+        work.load_value_key(vkey)
+        for pid in live_pids(work):
             work.load_value_key(vkey)
-            if work.exhausted(pid):
-                continue
             step(work, pid)
             known = state_of.get(work.value_key())
             path = report.path_of(nid) + (pid,)
@@ -430,8 +432,8 @@ def test_merged_states_behave_identically():
         values = []
         for path in (path_a, path_b):
             state = SystemState(spec, wl)
-            run_collected(state, Scripted(path), step_cap=len(path) + 1)
-            tail = run_collected(state, Scripted(suffix), step_cap=len(suffix) + 1)
+            run_collected(state, Scripted(path, spec.n), step_cap=len(path) + 1)
+            tail = run_collected(state, Scripted(suffix, spec.n), step_cap=len(suffix) + 1)
             values.append([(e.pid, e.kind, e.reg, e.value) for e in tail.trace.events])
         assert values[0] == values[1]
 
@@ -497,7 +499,7 @@ def assert_witnesses_replay(spec, wl, report):
     for prop, violations in report.violations.items():
         for v in violations:
             state = SystemState(spec, wl)
-            result = run_collected(state, Scripted(v.path), step_cap=len(v.path) + 1)
+            result = run_collected(state, Scripted(v.path, spec.n), step_cap=len(v.path) + 1)
             assert check(MONITORS[prop], result.trace).status == FAIL, (prop, v)
 
 

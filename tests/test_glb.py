@@ -71,14 +71,14 @@ def test_cs_implies_token_positive_and_session_set():
     spec = build_glb(3)
     state = SystemState(spec, distinct_sessions(3, invocations=2))
     schedule = random_schedule(3, 11)
-    while (pid := schedule.next(state)) is not None:
+    while (pid := schedule.next(state.live_pids())) is not None:
         step(state, pid)
         for p, env in enumerate(state.envs):
             if spec.pcs[env.pc][0] is Section.CS:
                 assert token_of(state, p + 1) > 0
                 sess = state.mem.store[state.mem.names.index(f"Session[{p + 1}]")]
                 assert sess == env.mysession
-    assert state.all_done()
+    assert not state.live_pids()
 
 
 def test_smallest_key_enters_first():
@@ -156,7 +156,7 @@ def test_line8_worst_case_is_exactly_five_rmr(monkeypatch):
     # finish the run and re-play it through run() for the records
     d(2, finished)
     d(1, finished)
-    result = run_collected(SystemState(spec, wl), Scripted(pids), step_cap=10_000)
+    result = run_collected(SystemState(spec, wl), Scripted(pids, spec.n), step_cap=10_000)
     assert result.completed
     assert check(check_mutual_exclusion, result.trace).ok
     assert monitors._PASS_RMR_BOUNDS["glb"][8] == 5

@@ -2,9 +2,9 @@
 
 The determinism contract says the same scenario and seed give
 byte-identical traces, CSVs and verdicts.  These SHA-256 digests pin
-that output, so a refactor that changes any byte fails here.  A change
-that alters output on purpose updates the digest and says why in
-CHANGES.md.  The `trace <path>` stdout line names a temporary file and
+that output, and that of one round-robin scenario written here, so a
+refactor that changes any byte fails here.  A change that alters
+output on purpose updates the digest and says why in CHANGES.md.  The `trace <path>` stdout line names a temporary file and
 is left out of every digest.
 """
 
@@ -51,6 +51,20 @@ RUN_DIGESTS = {
         "trace": "d671fbb4cc24c93b13180774b24c6a519bb51ca8349e01bec64693250a557ce4",
         "csv": "76f1139b8313bfe5c0227a31b8cd254fd275c94f5dc981d7287ac394ae43ca89"}),
 }
+
+# A round-robin run, its scenario written by the test: P2 has no
+# invocation, so every turn of the cycle skips it, and P3 finishes first.
+ROUND_ROBIN_SCENARIO = """gmesim-scenario v1
+algorithm = glb
+n = 3
+schedule = round_robin
+sessions[1] = 1 2 1
+sessions[3] = 2 2
+"""
+ROUND_ROBIN_DIGESTS = {
+    "stdout": "7f35301374fc185df48a5a21fbdd446e8f5ad5077d241cc04788d42cac981540",
+    "trace": "26b5109b055188e05ffee0f758dcefa282c68ef50a3dc15695f63d9d11b15a1b",
+    "csv": "f42768a1cd3fe67fdb921b49d19cb1459eafc8efd0047b5c991d1b7ddd806044"}
 
 # name -> (exit code, flip witnesses printed, stdout digest)
 EXPLORE_DIGESTS = {
@@ -108,6 +122,17 @@ def test_run_outputs_pinned(name, trace_out, tmp_path, capsys):
         assert not trace_path.exists()
         want = {key: want[key] for key in got}
     assert got == want
+
+
+def test_round_robin_run_pinned(tmp_path, capsys):
+    scenario = tmp_path / "round_robin.scn"
+    scenario.write_text(ROUND_ROBIN_SCENARIO)
+    trace_path, csv_path = tmp_path / "trace.jsonl", tmp_path / "run.csv"
+    assert main(["run", "--scenario", str(scenario), "--trace-out", str(trace_path),
+                 "--csv-out", str(csv_path)]) == 0
+    out = capsys.readouterr().out
+    assert {"stdout": sha(stdout_without_trace_line(out)), "trace": sha(trace_path.read_bytes()),
+            "csv": sha(csv_path.read_bytes())} == ROUND_ROBIN_DIGESTS
 
 
 @pytest.mark.parametrize("name", sorted(EXPLORE_DIGESTS))

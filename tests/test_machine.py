@@ -72,12 +72,12 @@ def test_exhausted_process_noop():
     drive(state, 1, finished)
     ev = named(step(state, 1))
     assert ev.kind == "noop" and ev.inv == -1
-    assert state.all_done()
+    assert state.live_pids() == []
 
 
 def test_empty_workload_is_exhausted_immediately():
     state = SystemState(build_glb(2), Workload([[1], []]))
-    assert state.exhausted(2)
+    assert state.live_pids() == [1]
     assert named(step(state, 2)).kind == "noop"
 
 
@@ -174,9 +174,9 @@ def test_events_are_plain_tuples_in_field_order():
 
 def test_replay_determinism_scripted():
     pids = [1, 2, 3, 1, 1, 2, 3, 3, 2, 1] * 40
-    a = run_collected(SystemState(build_glb(3), distinct_sessions(3)), Scripted(pids),
+    a = run_collected(SystemState(build_glb(3), distinct_sessions(3)), Scripted(pids, 3),
                       step_cap=10_000)
-    b = run_collected(SystemState(build_glb(3), distinct_sessions(3)), Scripted(pids),
+    b = run_collected(SystemState(build_glb(3), distinct_sessions(3)), Scripted(pids, 3),
                       step_cap=10_000)
     assert [(e.pid, e.line, e.kind, e.reg, e.value, e.rmr) for e in a.trace.events] \
         == [(e.pid, e.line, e.kind, e.reg, e.value, e.rmr) for e in b.trace.events]
@@ -393,7 +393,7 @@ def test_runs_match_value_cache_oracle(monkeypatch):
 def test_arbitrary_schedules_preserve_safety(name, pids):
     build = {"glb": build_glb, "bwbgme": build_bwbgme, "bl": build_bl}[name]
     state = SystemState(build(3), distinct_sessions(3, invocations=2))
-    result = run_collected(state, Scripted(pids), step_cap=len(pids) + 1)
+    result = run_collected(state, Scripted(pids, 3), step_cap=len(pids) + 1)
     assert check(check_mutual_exclusion, result.trace).ok
     assert check(check_section_order, result.trace).ok
     if name == "bwbgme":
@@ -432,7 +432,7 @@ def test_deadlock_check_matches_full_scan_at_every_step():
             state = SystemState(build(n), distinct_sessions(n, invocations=2))
             conds = oracle_scans.wait_conds(state.spec)
             schedule = random_schedule(n, seed)
-            while (pid := schedule.next(state)) is not None:
+            while (pid := schedule.next(state.live_pids())) is not None:
                 step(state, pid)
                 for q, env in enumerate(state.envs, 1):
                     cond = conds.get(env.pc)
@@ -441,7 +441,7 @@ def test_deadlock_check_matches_full_scan_at_every_step():
                         assert effectively_blocked(state, q) == blocked, (build, n, q)
                         seen.add(blocked)
                 assert all_blocked(state) == oracle_scans.all_active_blocked(state)
-            assert state.all_done()
+            assert not state.live_pids()
     assert seen == {True, False}
 
 

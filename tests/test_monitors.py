@@ -2,13 +2,14 @@
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmesim import SystemState, Workload, build_bl, build_bwbgme, build_glb, random_schedule
-from gmesim import machine, monitors
+from gmesim import explore, explorer, machine, monitors, run
 from gmesim.errors import ConsistencyError
 from gmesim.machine import (CS_ENTER, CS_EXIT, DOORWAY_COMPLETE, DOORWAY_START,
                             EXIT_COMPLETE, Section, Trace, TraceEvent)
@@ -19,11 +20,12 @@ from gmesim.monitors import (CHECKS, FAIL, INAPPLICABLE, MONITORS, PASS, Verdict
                              check_fcfs, check_flip_invariant, check_implications,
                              check_mutual_exclusion, check_progress, check_section_order,
                              check_token_bound, check_wait_rmr_bounds)
+from gmesim.scenario import load_scenario
 from gmesim.schedules import RoundRobin
 import oracle_monitors
 from oracle_memory import Memory as OracleMemory
-from util import (check, distinct_sessions, flip_token_against_oracle,
-                  me_fcfs_against_oracle, run_collected)
+from util import (check, distinct_sessions, explored_specs, explored_workload,
+                  flip_token_against_oracle, me_fcfs_against_oracle, run_collected)
 
 
 def ev(index, pid, inv=0, line=0, kind="local", reg=None, value=None, rmr=False,
@@ -475,3 +477,45 @@ def test_oracle_comparison_sees_both_verdicts():
         seen.update(flip_token_against_oracle(trace).items())
     for prop in ("me", "fcfs", "flip", "token_bound"):
         assert seen[prop, PASS] and seen[prop, FAIL], seen
+
+
+def test_monitored_passes_every_event_a_monitor_reads(monkeypatch):
+    # The fold and the explorer step the online monitors only over the
+    # events `monitored` passes.  Each event it rejects must leave every
+    # monitor's state as it was and report no culprit: checked from every
+    # monitor state each transition of the pinned N=2 and N=3 explores
+    # meets (the explorer here steps the monitors over every event, once
+    # per event and monitor state), and along seeded runs of each
+    # algorithm, over all four online monitors.
+    rejected = Counter()
+
+    def checked_advance(steps, states, ev):
+        after, hits = monitors.advance(steps, states, ev)
+        if not monitors.monitored(ev):
+            assert after == states and not hits, ev
+            rejected[ev[5], ev[3]] += 1  # register, line
+        return after, hits
+
+    monkeypatch.setattr(explorer, "monitored", lambda ev: True)
+    monkeypatch.setattr(explorer, "advance", checked_advance)
+    configs = [(spec, explored_workload()) for spec in explored_specs()]
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    for name in ("glb_explore_n3.scn", "bwbgme_explore_n3.scn"):
+        scenario = load_scenario(scenarios / name)
+        configs.append((scenario.build_spec(), scenario.build_workload()))
+    for spec, wl in configs:
+        explore(spec, wl)
+    assert rejected["GlobalColor", 21]
+
+    rejected.clear()
+    for build in (build_glb, build_bwbgme, build_bl):
+        for n, seed in ((2, 0), (3, 1), (4, 2)):
+            spec = build(n)
+            wl = Workload([[1 + (pid + k) % 2 for k in range(3)] for pid in range(n)])
+            states, steps, _ = zip(*(start(n, wl.sessions, spec.meta.get("initial_color"))
+                                     for start in monitors.ONLINE.values()))
+            result = run(SystemState(spec, wl), random_schedule(n, seed))
+            for ev in result.trace.events:
+                states, _ = checked_advance(steps, states, ev)
+            assert result.completed, spec.name
+    assert rejected["GlobalColor", 21]

@@ -135,7 +135,7 @@ def test_config_hash_names_one_configuration(data):
         explicit = dataclasses.replace(sc, fairness_window=4 * sc.n)
         unset = dataclasses.replace(sc, fairness_window=None)
         assert explicit.config_hash == unset.config_hash, sc
-        assert explicit.build_schedule().window == unset.build_schedule().window, sc
+        assert explicit.build_schedule().slack == unset.build_schedule().slack, sc
 
 
 def err(text):

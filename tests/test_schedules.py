@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracle_scans
 from gmesim import (RandomSchedule, RoundRobin, Scripted, SystemState, Workload,
-                    build_bwbgme, build_glb, random_schedule)
+                    build_bl, build_bwbgme, build_glb, random_schedule)
 from gmesim.errors import ConfigurationError
 from util import distinct_sessions, run_collected
 
@@ -18,7 +18,7 @@ def pid_sequence(seed, n=3, window=None, length=60):
     schedule = random_schedule(n, seed, window)
     out = []
     for _ in range(length):
-        pid = schedule.next(state)
+        pid = schedule.next(state.live_pids())
         if pid is None:
             break
         out.append(pid)
@@ -47,14 +47,15 @@ def test_fairness_window_is_hard():
             schedule = random_schedule(n, seed=seed, window=window)
             picks = []
             while True:
-                pid = schedule.next(state)
+                live = state.live_pids()
+                pid = schedule.next(live)
                 if pid is None:
                     break
-                live = set(state.live_pids())
-                assert pid in live  # an exhausted process is never picked
+                live = set(live)
+                assert pid in live  # a finished process is never picked
                 picks.append((pid, live))
                 step(state, pid)
-            assert state.all_done()
+            assert not state.live_pids()
             # every live process appears in each window of w consecutive picks
             for start in range(len(picks) - window):
                 chunk = picks[start:start + window]
@@ -78,14 +79,16 @@ def fair_runs(draw):
 @settings(max_examples=40, deadline=None)
 @given(fair_runs())
 def test_random_schedule_matches_full_rescan(case):
-    # The schedule keeps its live set and pick stamps across calls; the
-    # oracle rescans the state and ages every process on every call.
+    # The schedule picks from the run loop's live list and keeps its pick
+    # stamps across calls; the oracle ignores that list, rescans the state
+    # and ages every process on every call.
     build, sessions, window, seed = case
     n = len(sessions)
     events = []
-    for schedule in (RandomSchedule(seed, window), oracle_scans.RandomSchedule(seed, window)):
+    for make in (lambda state: RandomSchedule(n, seed, window),
+                 lambda state: oracle_scans.RandomSchedule(state, seed, window)):
         state = SystemState(build(n), Workload(sessions))
-        result = run_collected(state, schedule, step_cap=100_000)
+        result = run_collected(state, make(state), step_cap=100_000)
         assert result.completed
         events.append(result.trace.events)  # one per pick, carrying its pid
     assert events[0] == events[1]
@@ -100,9 +103,10 @@ def test_random_schedule_matches_full_rescan_at_benchmark_sizes(build, n, seed, 
     # falls through every bit length; N = 64 stops at the step cap.
     sessions = [[pid % 3 + 1] for pid in range(n)]
     events = []
-    for schedule in (RandomSchedule(seed, 4 * n), oracle_scans.RandomSchedule(seed, 4 * n)):
-        result = run_collected(SystemState(build(n), Workload(sessions)), schedule,
-                               step_cap=step_cap)
+    for make in (lambda state: RandomSchedule(n, seed, 4 * n),
+                 lambda state: oracle_scans.RandomSchedule(state, seed, 4 * n)):
+        state = SystemState(build(n), Workload(sessions))
+        result = run_collected(state, make(state), step_cap=step_cap)
         assert result.completed if n == 24 else result.cap_hit
         events.append(result.trace.events)
     assert events[0] == events[1]
@@ -113,7 +117,7 @@ def test_window_below_n_rejected():
         random_schedule(4, 0, window=3)
     schedule = random_schedule(4, 0, window=4)  # n is the minimum
     state = SystemState(build_glb(4), distinct_sessions(4))
-    assert schedule.next(state) in (1, 2, 3, 4)
+    assert schedule.next(state.live_pids()) in (1, 2, 3, 4)
 
 
 def test_round_robin_skips_exhausted():
@@ -122,7 +126,7 @@ def test_round_robin_skips_exhausted():
     from gmesim import step
     seen = set()
     for _ in range(30):
-        pid = rr.next(state)
+        pid = rr.next(state.live_pids())
         if pid is None:
             break
         seen.add(pid)
@@ -131,13 +135,59 @@ def test_round_robin_skips_exhausted():
 
 
 def test_scripted_rejects_out_of_range():
-    state = SystemState(build_glb(2), distinct_sessions(2))
-    with pytest.raises(ConfigurationError):
-        run_collected(state, Scripted([1, 2, 5]), step_cap=100)
+    with pytest.raises(ConfigurationError, match="scripted pid 5 outside 1..2"):
+        Scripted([1, 2, 5], 2)
 
 
 def test_scripted_exhaustion_stops_run():
     state = SystemState(build_glb(2), distinct_sessions(2))
-    result = run_collected(state, Scripted([1, 2, 1]), step_cap=100)
+    result = run_collected(state, Scripted([1, 2, 1], 2), step_cap=100)
     assert len(result.trace.events) == 3
     assert not result.completed and not result.cap_hit
+
+
+class Recording:
+    """A schedule that, before each pick, checks the list the run loop
+    hands it against the state's own live pids and the oracle's."""
+
+    def __init__(self, state, schedule):
+        self.state, self.schedule, self.calls = state, schedule, 0
+
+    def next(self, live):
+        assert live == self.state.live_pids() == oracle_scans.live_pids(self.state), live
+        self.calls += 1
+        return self.schedule.next(live)
+
+
+@st.composite
+def schedules_over_workloads(draw):
+    n = draw(st.integers(1, 5))
+    # uneven invocation counts, zero included
+    sessions = draw(st.lists(st.lists(st.integers(1, 3), max_size=3),
+                             min_size=n, max_size=n))
+    build = draw(st.sampled_from((build_glb, build_bwbgme, build_bl)))
+    kind = draw(st.sampled_from(("random", "round_robin", "scripted")))
+    if kind == "random":
+        schedule = random_schedule(n, draw(st.integers(0, 2**32 - 1)))
+    elif kind == "round_robin":
+        schedule = RoundRobin()
+    else:
+        # a script may step a finished process, which takes a noop
+        schedule = Scripted(draw(st.lists(st.integers(1, n), max_size=300)), n)
+    return build(n), Workload(sessions), kind, schedule
+
+
+@settings(max_examples=80, deadline=None)
+@given(schedules_over_workloads())
+def test_run_loop_hands_every_schedule_the_live_pids(case):
+    # The run loop keeps the live list itself, and removes a pid only on
+    # the step that finishes it; before every pick it must equal what
+    # the state says.  A random or round-robin run goes to its end.
+    spec, wl, kind, schedule = case
+    state = SystemState(spec, wl)
+    recording = Recording(state, schedule)
+    result = run_collected(state, recording, step_cap=100_000)
+    assert result.completed == (not state.live_pids())
+    assert recording.calls >= len(result.trace.events) - result.deadlocked
+    if kind != "scripted":
+        assert result.completed

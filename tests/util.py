@@ -141,7 +141,7 @@ def run_collected(state, schedule, step_cap=1_000_000):
 
 def run_scripted(spec, workload, pids, step_cap=200_000):
     state = SystemState(spec, workload)
-    return run_collected(state, Scripted(pids), step_cap=step_cap)
+    return run_collected(state, Scripted(pids, spec.n), step_cap=step_cap)
 
 
 def distinct_sessions(n, invocations=1, cs_steps=1):
